@@ -16,13 +16,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergingSeries, IndefiniteBlock
+from .hvp import ANALYTIC, batch_hessian
 from .linalg import derive_seed, spectral_norm_sym, sym_eig_small
 from .objectives import (
     Dataset,
     ObjectiveConfig,
     batch_gradient,
     batch_loss,
-    dense_hessian,
     exact_hvp,
     sample_batch,
 )
@@ -200,7 +200,7 @@ def run_newsamp(
         if data is not None:
             rng = np.random.default_rng(derive_seed(cfg.seed, 20, t))
             batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
-        eig = sym_eig_small(dense_hessian(objective, data, batch, x))
+        eig = sym_eig_small(batch_hessian(objective, data, batch, x, ANALYTIC).dense())
         inv = newsamp_inverse(eig.values, eig.vectors, cfg.m)
         grad = batch_gradient(objective, data, None, x)
         x = x - cfg.eta * (inv @ grad)
@@ -247,10 +247,8 @@ def lissa_hessian_scale(
     The Neumann recursion assumes the (scaled) Hessian has norm below one;
     dividing by this value enforces that along the iterate path in practice.
     """
-    x0 = np.asarray(x0, dtype=float)
-    norm = spectral_norm_sym(
-        lambda v: exact_hvp(objective, data, None, x0, v), x0.size, tol=1e-4, seed=seed
-    )
+    hessian = batch_hessian(objective, data, None, x0, ANALYTIC)
+    norm = spectral_norm_sym(hessian.__matmul__, hessian.x.size, tol=1e-4, seed=seed)
     if norm == 0.0:
         raise ValueError("objective has zero curvature at x0")
     return 1.25 * norm
@@ -278,15 +276,13 @@ def run_lissa(
         start = time.perf_counter()
         grad = batch_gradient(objective, data, None, x)
         rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
+
+        def sampled_hvp(u: np.ndarray) -> np.ndarray:
+            idx = None if data is None else np.array([rng.integers(data.n_samples)])
+            return exact_hvp(objective, data, idx, x, u)
+
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):
-            if data is not None:
-                def sampled_hvp(u: np.ndarray) -> np.ndarray:
-                    idx = np.array([rng.integers(data.n_samples)])
-                    return exact_hvp(objective, data, idx, x, u)
-            else:
-                def sampled_hvp(u: np.ndarray) -> np.ndarray:
-                    return exact_hvp(objective, None, None, x, u)
             estimates += neumann_inverse_apply(sampled_hvp, grad, depth, scale)
         x = x - cfg.eta * (estimates / cfg.s1)
         elapsed += time.perf_counter() - start

@@ -121,10 +121,10 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
         path = Path(_get(values, "dataset.path", required=True))
         if not path.exists():
             raise ConfigError(f"dataset.path does not exist: {path}")
-        examples, _ = datasets.load_libsvm(path)
+        examples, dim = datasets.load_libsvm(path)
         pos = _as_float(_get(values, "dataset.positive_label", required=True), "dataset.positive_label")
         neg = _as_float(_get(values, "dataset.negative_label", required=True), "dataset.negative_label")
-        ds = datasets.to_binary_dataset(examples, pos, neg, dense=True)
+        ds = datasets.to_binary_dataset(examples, pos, neg, dim=dim)
         if _as_bool(_get(values, "dataset.normalize", "true"), "dataset.normalize"):
             ds, _ = datasets.normalize_rows(ds)
         return ds, None
@@ -194,16 +194,14 @@ def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
 
 
 def _method_seed(values: dict[str, str], method: str, default: int) -> int:
-    text = values.get(f"{method}.seed")
-    return int(text) if text is not None else default
+    key = f"{method}.seed"
+    return _as_int(values[key], key) if key in values else default
 
 
 def build_span_config(values: dict[str, str], seed: int, probe: bool) -> span.SpanConfig:
     def get(key: str, default=None, required=False):
         return _get(values, f"span.{key}", default=default, required=required)
 
-    eta_text = get("eta", "1.0")
-    eta: Union[float, str] = eta_text if eta_text == "auto" else _as_float(eta_text, "span.eta")
     hvp_kind = get("hvp", "finite_difference")
     try:
         mode = HvpMode(kind=hvp_kind, fd_scale=_as_float(get("fd_scale", "1.0"), "span.fd_scale"))
@@ -216,7 +214,7 @@ def build_span_config(values: dict[str, str], seed: int, probe: bool) -> span.Sp
             l=_as_int(get("l", required=True), "span.l"),
             q=_as_int(get("q", "1"), "span.q"),
             b=_as_int(get("b", "1"), "span.b"),
-            eta=eta,
+            eta=_as_float(get("eta", "1.0"), "span.eta"),
             seed=_method_seed(values, "span", seed),
             grad_tol=_as_float(get("grad_tol", "0.0"), "span.grad_tol"),
             hvp_mode=mode,

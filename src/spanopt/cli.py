@@ -76,9 +76,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--dims list is empty")
             rows = bench.per_iteration_scaling(
                 dims,
-                l=int(values.get("span.l", "16")),
-                m=int(values.get("span.m", "10")),
-                q=int(values.get("span.q", "1")),
+                l=bench._as_int(values.get("span.l", "16"), "span.l"),
+                m=bench._as_int(values.get("span.m", "10"), "span.m"),
+                q=bench._as_int(values.get("span.q", "1"), "span.q"),
                 steps=args.steps,
             )
             bench.write_scaling_csv(rows, args.output)

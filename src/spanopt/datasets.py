@@ -115,15 +115,13 @@ def to_binary_dataset(
     examples: list[RawExample],
     positive_label: float,
     negative_label: float,
-    dense: bool = True,
     dim: int | None = None,
-) -> Dataset | tuple[list[RawExample], int]:
-    """Keep the two requested label classes and map them to +1 / -1.
+) -> Dataset:
+    """Keep the two requested label classes, map them to +1 / -1, and densify.
 
-    Examples with other labels are dropped.  With ``dense=True`` (the normal
-    path) the survivors are densified into a :class:`Dataset`; with
-    ``dense=False`` the relabeled sparse examples and the dimension are
-    returned instead, for memory-sensitive staging.
+    Examples with other labels are dropped.  ``dim`` defaults to the largest
+    index among the kept examples; pass the dimension :func:`load_libsvm`
+    inferred to keep the whole file's feature space.
     """
     kept = [ex for ex in examples if ex.label in (positive_label, negative_label)]
     if not kept:
@@ -136,8 +134,6 @@ def to_binary_dataset(
         RawExample(label=1.0 if ex.label == positive_label else -1.0, features=ex.features)
         for ex in kept
     ]
-    if not dense:
-        return relabeled, dim
     features = np.zeros((len(relabeled), dim))
     labels = np.empty(len(relabeled))
     for i, ex in enumerate(relabeled):
@@ -181,12 +177,10 @@ def subsample_columns(ds: Dataset, k: int, seed: int, max_attempts: int = 20) ->
     )
 
 
-def synth_quadratic(spectrum, seed: int = 0) -> tuple[ObjectiveConfig, np.ndarray]:
+def synth_quadratic(spectrum) -> tuple[ObjectiveConfig, np.ndarray]:
     """Quadratic objective with exactly this diagonal Hessian spectrum.
 
-    Returns the config and the known optimum (the origin).  The seed is
-    accepted for interface symmetry with the other generators; the problem
-    itself is deterministic.
+    Returns the config and the known optimum (the origin).
     """
     spectrum = np.asarray(spectrum, dtype=float)
     cfg = ObjectiveConfig(loss_kind="quadratic", reg_a=0.0, quadratic_spectrum=spectrum)

@@ -1,10 +1,8 @@
-"""Matrix-free Hessian-vector products from gradient differences.
+"""Batch Hessian products: central differences of batch gradients (the default) or analytic.
 
-The default mode is a central difference of batch gradients around ``x``:
-the direction is normalized before perturbing (so the step never scales with
-``||v||``, which grows geometrically during power iteration) and the step is
-``fd_scale * sqrt(eps) * (1 + ||x||)``.  A one-sided forward difference is
-kept as an option, and ``analytic`` delegates to the exact GLM formula.
+:func:`batch_hessian` builds the operator ``H_B(x)`` once per sampled batch,
+a :class:`~spanopt.objectives.BatchHessian`; every product against it reuses
+the gathered batch rows.
 """
 
 from __future__ import annotations
@@ -13,17 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteResult
-from .objectives import Dataset, ObjectiveConfig, batch_gradient, exact_hvp
+from .errors import DimensionMismatch
+from .objectives import BatchHessian, Dataset, ObjectiveConfig
 
-HVP_KINDS = ("finite_difference", "forward_difference", "analytic")
-
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+HVP_KINDS = ("finite_difference", "analytic")
 
 
 @dataclass(frozen=True)
 class HvpMode:
-    """How to realize H_B(x) v: finite differences (central or forward) or analytic."""
+    """How to realize H_B(x) v: central finite differences or analytic."""
 
     kind: str = "finite_difference"
     fd_scale: float = 1.0
@@ -39,6 +35,17 @@ ANALYTIC = HvpMode(kind="analytic")
 CENTRAL_FD = HvpMode(kind="finite_difference")
 
 
+def batch_hessian(
+    cfg: ObjectiveConfig,
+    data: Dataset | None,
+    batch: np.ndarray | None,
+    x: np.ndarray,
+    mode: HvpMode = CENTRAL_FD,
+) -> BatchHessian:
+    """The batch Hessian ``H_B(x)`` as an operator in the requested mode, built once per batch."""
+    return BatchHessian.at(cfg, data, batch, x, None if mode.kind == "analytic" else mode.fd_scale)
+
+
 def hvp(
     cfg: ObjectiveConfig,
     data: Dataset | None,
@@ -48,29 +55,9 @@ def hvp(
     mode: HvpMode = CENTRAL_FD,
 ) -> np.ndarray:
     """Batch Hessian-vector product ``H_B(x) v`` in the requested mode."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if v.shape != x.shape:
-        raise DimensionMismatch(f"v has shape {v.shape}, x has {x.shape}")
-    if mode.kind == "analytic":
-        return exact_hvp(cfg, data, batch, x, v)
-
-    norm_v = float(np.linalg.norm(v))
-    if norm_v == 0.0:
-        return np.zeros_like(v)
-    unit = v / norm_v
-    h = mode.fd_scale * _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
-    if mode.kind == "finite_difference":
-        g_plus = batch_gradient(cfg, data, batch, x + h * unit)
-        g_minus = batch_gradient(cfg, data, batch, x - h * unit)
-        result = (g_plus - g_minus) * (norm_v / (2.0 * h))
-    else:
-        g_step = batch_gradient(cfg, data, batch, x + h * unit)
-        g_base = batch_gradient(cfg, data, batch, x)
-        result = (g_step - g_base) * (norm_v / h)
-    if not np.isfinite(result).all():
-        raise NonFiniteResult("gradient difference overflowed at the perturbed point")
-    return result
+    if np.shape(v) != np.shape(x):
+        raise DimensionMismatch(f"v has shape {np.shape(v)}, x has {np.shape(x)}")
+    return batch_hessian(cfg, data, batch, x, mode) @ v
 
 
 def extended_hvp(
@@ -81,18 +68,7 @@ def extended_hvp(
     v: np.ndarray,
     mode: HvpMode = CENTRAL_FD,
 ) -> np.ndarray:
-    """Column-wise Hessian product ``H_B(x) V`` for a (d, l) block ``V``.
-
-    All columns share the same batch.  The analytic mode evaluates the block
-    product in one pass; finite differences perturb per column because each
-    column carries its own normalization.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2:
+    """Column-wise Hessian product ``H_B(x) V`` for a (d, l) block ``V`` on one batch."""
+    if np.ndim(v) != 2:
         raise DimensionMismatch("V must be a 2-D block of columns")
-    if mode.kind == "analytic":
-        return exact_hvp(cfg, data, batch, x, v)
-    out = np.empty_like(v)
-    for j in range(v.shape[1]):
-        out[:, j] = hvp(cfg, data, batch, x, v[:, j], mode)
-    return out
+    return batch_hessian(cfg, data, batch, x, mode) @ v

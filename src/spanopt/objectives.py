@@ -1,4 +1,4 @@
-"""Finite-sum objectives with batch loss/gradient and exact second-order test oracles.
+"""Finite-sum objectives: batch loss and gradient, and the batch Hessian operator.
 
 Three loss kinds share one interface: L2-regularized logistic regression,
 the smoothed Huber SVM margin loss, and synthetic quadratics with a
@@ -15,9 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge
+from .errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge, NonFiniteResult
 
 DENSE_HESSIAN_MAX_DIM = 512
+
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 LOSS_KINDS = ("logistic", "huber_svm", "quadratic")
 
@@ -117,7 +119,10 @@ def _check_x(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> np
     return x
 
 
-def _batch_rows(data: Dataset, batch: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _batch_rows(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndarray]) -> tuple:
+    """The batch's feature rows and labels; quadratics carry no samples."""
+    if cfg.loss_kind == "quadratic":
+        return None, None
     if batch is None:
         return data.features, data.labels
     batch = np.asarray(batch, dtype=int)
@@ -153,7 +158,7 @@ def batch_loss(
     reg = 0.5 * cfg.reg_a * float(x @ x)
     if cfg.loss_kind == "quadratic":
         return 0.5 * float(x @ (cfg.quadratic_spectrum * x)) + reg
-    rows, labels = _batch_rows(data, batch)
+    rows, labels = _batch_rows(cfg, data, batch)
     margins = labels * (rows @ x)
     if cfg.loss_kind == "logistic":
         return float(np.mean(np.logaddexp(0.0, -margins))) + reg
@@ -168,9 +173,17 @@ def batch_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`batch_loss`."""
     x = _check_x(cfg, data, x)
+    rows, labels = _batch_rows(cfg, data, batch)
+    return _gradient(cfg, rows, labels, x)
+
+
+def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray) -> np.ndarray:
+    """Batch gradient over gathered rows at ``x``, or column-wise at each point of a (d, k) block."""
     if cfg.loss_kind == "quadratic":
-        return cfg.quadratic_spectrum * x + cfg.reg_a * x
-    rows, labels = _batch_rows(data, batch)
+        spectrum = cfg.quadratic_spectrum if x.ndim == 1 else cfg.quadratic_spectrum[:, None]
+        return spectrum * x + cfg.reg_a * x
+    if x.ndim == 2:
+        labels = labels[:, None]
     margins = labels * (rows @ x)
     if cfg.loss_kind == "logistic":
         coeff = -labels * _stable_sigmoid(-margins)
@@ -186,6 +199,78 @@ def _curvature_weights(cfg: ObjectiveConfig, rows: np.ndarray, labels: np.ndarra
     return _huber_curvature(labels * (rows @ x))
 
 
+@dataclass(frozen=True)
+class BatchHessian:
+    """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
+
+    ``H @ v`` takes a (d,) vector or a (d, k) block.  Analytic products use
+    curvature weights computed once, and :meth:`dense` forms the matrix.
+    With ``fd_step`` set, products are central differences of the batch
+    gradient instead: each column is normalized (so the step never scales
+    with ``||v||``, which grows geometrically during power iteration),
+    perturbed by ``fd_step`` both ways and rescaled by its own norm, with the
+    ``2k`` perturbed points of a block evaluated in one pass; a zero column
+    gives an exact zero.
+    """
+
+    cfg: ObjectiveConfig
+    x: np.ndarray
+    rows: Optional[np.ndarray]  # None for quadratics
+    labels: Optional[np.ndarray]
+    weights: Optional[np.ndarray] = None  # analytic curvature weights of sampled kinds
+    fd_step: Optional[float] = None
+
+    @classmethod
+    def at(cls, cfg, data, batch, x, fd_scale: Optional[float] = None) -> "BatchHessian":
+        """Gather the batch at ``x``; ``fd_scale`` selects central differences
+        with step ``fd_scale * sqrt(eps) * (1 + ||x||)``."""
+        x = _check_x(cfg, data, x)
+        rows, labels = _batch_rows(cfg, data, batch)
+        if fd_scale is not None:
+            step = fd_scale * _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
+            return cls(cfg, x, rows, labels, fd_step=step)
+        weights = None if rows is None else _curvature_weights(cfg, rows, labels, x)
+        return cls(cfg, x, rows, labels, weights)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape[0] != self.x.size:
+            raise DimensionMismatch(f"v has leading size {v.shape[0]}, expected {self.x.size}")
+        if self.fd_step is not None:
+            return self._central_difference(v)
+        if self.rows is None:
+            scale = self.cfg.quadratic_spectrum + self.cfg.reg_a
+            return scale[:, None] * v if v.ndim == 2 else scale * v
+        weights = self.weights[:, None] if v.ndim == 2 else self.weights
+        return self.rows.T @ (weights * (self.rows @ v)) / self.rows.shape[0] + self.cfg.reg_a * v
+
+    def _central_difference(self, v: np.ndarray) -> np.ndarray:
+        block = v if v.ndim == 2 else v[:, None]
+        norms = np.linalg.norm(block, axis=0)
+        live = norms > 0.0
+        steps = block[:, live] * (self.fd_step / norms[live])
+        points = np.hstack([self.x[:, None] + steps, self.x[:, None] - steps])
+        grads = _gradient(self.cfg, self.rows, self.labels, points)
+        out = np.zeros_like(block)
+        k = steps.shape[1]
+        out[:, live] = (grads[:, :k] - grads[:, k:]) * (norms[live] / (2.0 * self.fd_step))
+        if not np.isfinite(out).all():
+            raise NonFiniteResult("gradient difference overflowed at the perturbed point")
+        return out if v.ndim == 2 else out[:, 0]
+
+    def dense(self) -> np.ndarray:
+        """The explicit analytic (d, d) matrix, capped at d <= 512."""
+        d = self.x.size
+        if d > DENSE_HESSIAN_MAX_DIM:
+            raise DimensionTooLarge(f"dense Hessian capped at {DENSE_HESSIAN_MAX_DIM}, got d={d}")
+        if self.rows is None:
+            return np.diag(self.cfg.quadratic_spectrum + self.cfg.reg_a)
+        h = self.rows.T @ (self.weights[:, None] * self.rows) / self.rows.shape[0]
+        h = 0.5 * (h + h.T)  # exact symmetry, not just up to BLAS rounding
+        h[np.diag_indices(d)] += self.cfg.reg_a
+        return h
+
+
 def exact_hvp(
     cfg: ObjectiveConfig,
     data: Optional[Dataset],
@@ -193,24 +278,8 @@ def exact_hvp(
     x: np.ndarray,
     v: np.ndarray,
 ) -> np.ndarray:
-    """Analytic batch Hessian product ``H_B(x) v``.
-
-    ``v`` may also be a (d, k) matrix, in which case the product is applied
-    column-wise in one pass.
-    """
-    x = _check_x(cfg, data, x)
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != x.size:
-        raise DimensionMismatch(f"v has leading size {v.shape[0]}, expected {x.size}")
-    if cfg.loss_kind == "quadratic":
-        scale = cfg.quadratic_spectrum + cfg.reg_a
-        return scale[:, None] * v if v.ndim == 2 else scale * v
-    rows, labels = _batch_rows(data, batch)
-    weights = _curvature_weights(cfg, rows, labels, x)
-    projected = rows @ v
-    if v.ndim == 2:
-        return rows.T @ (weights[:, None] * projected) / rows.shape[0] + cfg.reg_a * v
-    return rows.T @ (weights * projected) / rows.shape[0] + cfg.reg_a * v
+    """Analytic batch Hessian product ``H_B(x) v``; ``v`` may be a (d, k) block."""
+    return BatchHessian.at(cfg, data, batch, x) @ v
 
 
 def dense_hessian(
@@ -220,18 +289,7 @@ def dense_hessian(
     x: np.ndarray,
 ) -> np.ndarray:
     """Explicit batch Hessian, capped at d <= 512; intended as a test oracle."""
-    x = _check_x(cfg, data, x)
-    d = x.size
-    if d > DENSE_HESSIAN_MAX_DIM:
-        raise DimensionTooLarge(f"dense Hessian capped at {DENSE_HESSIAN_MAX_DIM}, got d={d}")
-    if cfg.loss_kind == "quadratic":
-        return np.diag(cfg.quadratic_spectrum + cfg.reg_a)
-    rows, labels = _batch_rows(data, batch)
-    weights = _curvature_weights(cfg, rows, labels, x)
-    h = rows.T @ (weights[:, None] * rows) / rows.shape[0]
-    h = 0.5 * (h + h.T)  # exact symmetry, not just up to BLAS rounding
-    h[np.diag_indices(d)] += cfg.reg_a
-    return h
+    return BatchHessian.at(cfg, data, batch, x).dense()
 
 
 def sample_batch(n: int, b: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidRankParams, RankDeficient
-from .hvp import CENTRAL_FD, HvpMode, extended_hvp
+from .hvp import CENTRAL_FD, HvpMode, batch_hessian
 from .linalg import derive_seed, gaussian_matrix, qr_orthonormal
-from .objectives import Dataset, ObjectiveConfig
+from .objectives import BatchHessian, Dataset, ObjectiveConfig
 
 _RESAMPLE_ATTEMPTS = 4  # the first draw plus three fresh seeds
 
@@ -72,16 +72,19 @@ def power_range(
     failure means the operator itself is degenerate and the final
     :class:`RankDeficient` propagates.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    rc.validate_for_dim(d)
+    return _power_range(batch_hessian(cfg, data, batch, x, mode), rc, seed)
+
+
+def _power_range(hessian: BatchHessian, rc: RangeConfig, seed: int) -> np.ndarray:
+    """:func:`power_range` against an already built batch Hessian operator."""
+    rc.validate_for_dim(hessian.x.size)
     last_error: RankDeficient | None = None
     for attempt in range(_RESAMPLE_ATTEMPTS):
         omega_seed = seed if attempt == 0 else derive_seed(seed, 0xF5, attempt)
-        y = gaussian_matrix(d, rc.l, omega_seed)
+        y = gaussian_matrix(hessian.x.size, rc.l, omega_seed)
         try:
             for j in range(1, 2 * rc.q + 2):
-                y = extended_hvp(cfg, data, batch, x, y, mode)
+                y = hessian @ y
                 if rc.reorth and j < 2 * rc.q + 1:
                     y = qr_orthonormal(y)
             return qr_orthonormal(y)

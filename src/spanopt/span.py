@@ -17,13 +17,13 @@ recorded in every trace row.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import IndefiniteBlock
-from .hvp import CENTRAL_FD, HvpMode, extended_hvp, hvp
+from .hvp import CENTRAL_FD, HvpMode, batch_hessian
 from .linalg import derive_seed, solve_small, spectral_norm_sym, sym_eig_small
 from .objectives import (
     Dataset,
@@ -32,7 +32,7 @@ from .objectives import (
     batch_loss,
     sample_batch,
 )
-from .rangefinder import RangeConfig, power_range
+from .rangefinder import RangeConfig, _power_range
 
 # Stream tags so each stochastic sub-step of an iteration draws from its own
 # child of the run seed.
@@ -45,15 +45,14 @@ _STREAM_PROBE = 2
 class Subspace:
     """Per-iteration sketch state from which the approximate inverse is applied.
 
-    ``u`` is the orthonormal (d, l) basis, ``z = H_B u`` its image,
-    ``small_block`` the symmetrized captured block Z^T U, and ``lam`` the
+    ``u`` is the orthonormal (d, l) basis, ``small_block`` the symmetrized
+    captured block Z^T U with ``Z = H_B U``, and ``lam`` the
     perturbation actually used.  ``lambda_min`` is half the block's smallest
     eigenvalue; ``sigma_proxy_m1`` its (m+1)-th eigenvalue, the observable
     stand-in for the batch Hessian's (m+1)-th eigenvalue.
     """
 
     u: np.ndarray
-    z: np.ndarray
     small_block: np.ndarray
     lam: float
     lambda_min: float
@@ -69,7 +68,7 @@ class SpanConfig:
     l: int
     q: int
     b: int
-    eta: Union[float, Sequence[float], str] = 1.0
+    eta: Union[float, Sequence[float]] = 1.0
     seed: int = 0
     grad_tol: float = 0.0
     hvp_mode: HvpMode = CENTRAL_FD
@@ -83,15 +82,9 @@ class SpanConfig:
             raise ValueError("batch size must be positive")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be non-negative")
-        if isinstance(self.eta, str):
-            if self.eta != "auto":
-                raise ValueError(f"unknown step schedule {self.eta!r}")
-        elif not np.isscalar(self.eta):
-            steps = np.asarray(self.eta, dtype=float)
-            if steps.ndim != 1 or np.any(steps <= 0):
-                raise ValueError("step schedule entries must be positive")
-        elif self.eta <= 0:
-            raise ValueError("eta must be positive")
+        steps = np.asarray(self.eta, dtype=float)
+        if steps.ndim > 1 or np.any(steps <= 0):
+            raise ValueError("eta must be positive, or a 1-D schedule of positive steps")
         # Sketch-shape consistency (including d) is checked by RangeConfig at run time.
 
     def range_config(self) -> RangeConfig:
@@ -142,7 +135,6 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
     sigma_proxy = float(eig.values[m]) if m < eig.values.size else float(eig.values[-1])
     return Subspace(
         u=u,
-        z=z,
         small_block=block,
         lam=min(lambda_min, sigma_proxy),
         lambda_min=lambda_min,
@@ -159,10 +151,13 @@ def build_subspace(
     seed: int,
     mode: HvpMode = CENTRAL_FD,
 ) -> Subspace:
-    """Sketch the batch Hessian at ``x`` and pick the safeguard perturbation."""
-    u = power_range(cfg, data, batch, x, rc, seed, mode)
-    z = extended_hvp(cfg, data, batch, x, u, mode)
-    return assemble_subspace(u, z, rc.m)
+    """Sketch the batch Hessian at ``x`` and pick the safeguard perturbation.
+
+    One operator serves the ``2q + 1`` sketch products and ``Z = H_B U``.
+    """
+    hessian = batch_hessian(cfg, data, batch, x, mode)
+    u = _power_range(hessian, rc, seed)
+    return assemble_subspace(u, hessian @ u, rc.m)
 
 
 def apply_inverse(s: Subspace, g: np.ndarray) -> np.ndarray:
@@ -191,28 +186,24 @@ def hessian_error_probe(
 
     Runs the power-iteration probe on the matrix-free difference operator
     v -> (U U^T H_B (U U^T v) + lambda (v - U U^T v)) - H_B v, so nothing
-    dense is ever formed.
+    dense is ever formed.  Both products of an iteration are one block
+    product against an operator built once for the whole probe.
     """
-    x = np.asarray(x, dtype=float)
+    hessian = batch_hessian(cfg, data, batch, x, mode)
 
     def difference(v: np.ndarray) -> np.ndarray:
         uv = s.u @ (s.u.T @ v)
-        approx = s.u @ (s.u.T @ hvp(cfg, data, batch, x, uv, mode)) + s.lam * (v - uv)
-        return approx - hvp(cfg, data, batch, x, v, mode)
+        h_uv, h_v = (hessian @ np.column_stack([uv, v])).T
+        return s.u @ (s.u.T @ h_uv) + s.lam * (v - uv) - h_v
 
     # At full capture the difference is roundoff-level and slightly
     # nonsymmetric; an absolute floor keyed to the captured block's scale
     # lets the probe settle there instead of chasing noise.
     floor = 1e-11 * float(np.linalg.norm(s.small_block))
-    return spectral_norm_sym(difference, x.size, tol=tol, seed=seed, abs_tol=floor)
+    return spectral_norm_sym(difference, hessian.x.size, tol=tol, seed=seed, abs_tol=floor)
 
 
-def _eta_at(cfg: SpanConfig, t: int, subspace: Subspace) -> float:
-    if isinstance(cfg.eta, str):
-        # Heuristic from the step-size bound with sigma_min(Z^T U) standing in
-        # for the unobservable smallest batch eigenvalue; not a guarantee.
-        sigma_proxy = 2.0 * subspace.lambda_min
-        return sigma_proxy / (96.0 * subspace.lambda_min - 16.0 * sigma_proxy)
+def _eta_at(cfg: SpanConfig, t: int) -> float:
     if np.isscalar(cfg.eta):
         return float(cfg.eta)
     schedule = np.asarray(cfg.eta, dtype=float)
@@ -246,7 +237,7 @@ def span_step(
         seed=derive_seed(cfg.seed, _STREAM_SKETCH, t), mode=cfg.hvp_mode,
     )
     grad = batch_gradient(objective, data, None, state.x)
-    eta = eta_t if eta_t is not None else _eta_at(cfg, t, subspace)
+    eta = eta_t if eta_t is not None else _eta_at(cfg, t)
     x_next = state.x - eta * apply_inverse(subspace, grad)
 
     elapsed = state.elapsed_s + (time.perf_counter() - start)
@@ -297,10 +288,3 @@ def recommended_batch_size(
         raise ValueError("need positive inputs with m < l")
     raw = 16.0 * k_bound**2 / eps**2 * (l - m + np.log(2.0 * d))
     return max(1, int(np.ceil(min(raw, float(n)))))
-
-
-def subspace_with_lambda(s: Subspace, lam: float) -> Subspace:
-    """Copy of a subspace with the perturbation overridden (diagnostics only)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return replace(s, lam=lam)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spanopt import cli
 from spanopt.bench import (
     CSV_HEADER,
     emit_plot_data,
@@ -181,6 +182,17 @@ class TestRunExperiment:
         records = read_trace_csv(tmp_path / "out" / "gd.csv")
         assert len(records) == 4 and records[-1].loss < records[0].loss
 
+    def test_libsvm_dimension_from_whole_file(self, tmp_path):
+        # The highest index (5) sits on a line the label filter drops.
+        data_path = tmp_path / "dim.libsvm"
+        data_path.write_text("1 1:1 2:0.5\n2 1:0.3\n3 1:1 5:2\n")
+        text = (
+            "methods = gd\nobjective.loss = logistic\n"
+            f"dataset.kind = libsvm\ndataset.path = {data_path}\n"
+            "dataset.positive_label = 1\ndataset.negative_label = 2\n"
+        )
+        assert load_experiment_config(write_cfg(tmp_path, text)).data.dim == 5
+
     def test_huber_objective_through_runner(self, tmp_path):
         text = (
             f"seed = 4\noutput_dir = {tmp_path / 'out'}\nmethods = gd\n"
@@ -284,6 +296,18 @@ class TestCli:
     def test_config_error_exit_one(self, tmp_path):
         proc = self.run_cli("run", str(tmp_path / "missing.cfg"))
         assert proc.returncode == 1
+
+    def test_non_integer_method_seed_exit_one(self, tmp_path, capsys):
+        text = QUAD_CFG.format(out=tmp_path / "out") + "gd.seed = seven\n"
+        assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
+        assert "config error: gd.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["l", "m", "q"])
+    def test_scale_non_integer_sketch_shape_exit_one(self, tmp_path, capsys, key):
+        text = QUAD_CFG.format(out=tmp_path / "out") + f"span.{key} = three\n"
+        out = tmp_path / "scaling.csv"
+        assert cli.main(["scale", str(write_cfg(tmp_path, text)), "--dims", "20", "-o", str(out)]) == 1
+        assert f"config error: span.{key}" in capsys.readouterr().err
 
     def test_method_failure_exit_two(self, tmp_path):
         spectrum = ",".join(["1.0"] * 600)

@@ -104,14 +104,6 @@ class TestToBinaryDataset:
         with pytest.raises(NoMatchingExamples):
             to_binary_dataset(examples, positive_label=4.0, negative_label=9.0)
 
-    def test_sparse_staging_path(self):
-        relabeled, dim = to_binary_dataset(
-            self.examples(), positive_label=4.0, negative_label=9.0, dense=False
-        )
-        assert dim == 3
-        assert [ex.label for ex in relabeled] == [1.0, -1.0, 1.0]
-        assert relabeled[0].features == ((1, 1.0),)
-
     def test_count_preserved(self):
         examples = self.examples()
         ds = to_binary_dataset(examples, 4.0, 9.0)

@@ -25,8 +25,8 @@ from spanopt import (
     span_step,
 )
 from spanopt import linalg
-from spanopt.errors import IndefiniteBlock
-from spanopt.span import subspace_with_lambda
+from spanopt.bench import build_span_config
+from spanopt.errors import ConfigError, IndefiniteBlock
 
 
 def quadratic(spectrum):
@@ -133,7 +133,7 @@ class TestHessianErrorProbe:
         sigma_m1 = spectrum[rc.m]
         good_err = hessian_error_probe(s, cfg, None, None, np.zeros(12), mode=ANALYTIC, seed=1)
         assert good_err <= 3.0 * sigma_m1
-        bad = subspace_with_lambda(s, float(spectrum[0]))
+        bad = dataclasses.replace(s, lam=float(spectrum[0]))
         bad_err = hessian_error_probe(bad, cfg, None, None, np.zeros(12), mode=ANALYTIC, seed=1)
         assert bad_err > 3.0 * sigma_m1
 
@@ -225,14 +225,10 @@ class TestRunSpan:
         stamps = [r.wall_clock_s for r in trace]
         assert all(b >= a for a, b in zip(stamps, stamps[1:]))
 
-    def test_auto_step_schedule_runs(self):
-        spectrum = np.concatenate([np.linspace(10.0, 2.5, 16), np.full(34, 1.25)])
-        cfg = quadratic(spectrum)
-        span_cfg = SpanConfig(t_max=5, m=10, l=16, q=1, b=1, eta="auto", seed=3, hvp_mode=ANALYTIC)
-        x0 = linalg.gaussian_matrix(50, 1, 99)[:, 0]
-        _, trace = run_span(span_cfg, cfg, None, x0)
-        assert len(trace) == 5
-        assert trace[-1].loss < trace[0].loss
+    def test_auto_step_schedule_rejected(self):
+        values = {"span.T": "5", "span.m": "10", "span.l": "16", "span.eta": "auto"}
+        with pytest.raises(ConfigError, match="span.eta"):
+            build_span_config(values, seed=3, probe=False)
 
     def test_per_iteration_schedule(self):
         cfg = quadratic(np.linspace(4.0, 1.0, 10))
