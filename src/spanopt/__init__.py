@@ -33,7 +33,6 @@ from .linalg import (
     EigenPairs,
     gaussian_matrix,
     qr_orthonormal,
-    solve_small,
     spectral_norm_sym,
     sym_eig_small,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "run_span",
     "run_svrg",
     "sample_batch",
-    "solve_small",
     "span_step",
     "spectral_norm_sym",
     "sym_eig_small",

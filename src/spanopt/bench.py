@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import baselines, datasets, span
-from .errors import ConfigError, IncompatibleTraces, SpanOptError
+from .errors import ConfigError, IncompatibleTraces, NoMatchingExamples, ParseError, SpanOptError
 from .hvp import HvpMode
 from .objectives import Dataset, ObjectiveConfig
 from .span import TraceRecord
@@ -121,10 +121,13 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
         path = Path(_get(values, "dataset.path", required=True))
         if not path.exists():
             raise ConfigError(f"dataset.path does not exist: {path}")
-        examples, dim = datasets.load_libsvm(path)
         pos = _as_float(_get(values, "dataset.positive_label", required=True), "dataset.positive_label")
         neg = _as_float(_get(values, "dataset.negative_label", required=True), "dataset.negative_label")
-        ds = datasets.to_binary_dataset(examples, pos, neg, dim=dim)
+        try:
+            examples, dim = datasets.load_libsvm(path)
+            ds = datasets.to_binary_dataset(examples, pos, neg, dim=dim)
+        except (ParseError, NoMatchingExamples, ValueError) as exc:
+            raise ConfigError(f"dataset.path {path}: {exc}") from None
         if _as_bool(_get(values, "dataset.normalize", "true"), "dataset.normalize"):
             ds, _ = datasets.normalize_rows(ds)
         return ds, None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -44,8 +45,8 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[list[RawExample], int]:
 
     Blank lines and lines starting with '#' are skipped.  Feature indices
     must be strictly increasing within a line; the inferred dimension is the
-    largest index seen anywhere.  Malformed lines raise :class:`ParseError`
-    carrying the 1-based line number.
+    largest index seen anywhere.  Malformed lines and non-finite labels or
+    values raise :class:`ParseError` carrying the 1-based line number.
     """
     examples: list[RawExample] = []
     dim = 0
@@ -61,6 +62,8 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[list[RawExample], int]:
                 label = float(tokens[0])
             except ValueError:
                 raise ParseError(f"non-numeric label {tokens[0]!r}", line_no) from None
+            if not math.isfinite(label):
+                raise ParseError(f"non-finite label {tokens[0]!r}", line_no)
             feats: list[tuple[int, float]] = []
             prev_index = 0
             for token in tokens[1:]:
@@ -72,6 +75,8 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[list[RawExample], int]:
                     value = float(value_str)
                 except ValueError:
                     raise ParseError(f"non-numeric token {token!r}", line_no) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {token!r}", line_no)
                 if index < 1:
                     raise ParseError(f"index {index} must be >= 1", line_no)
                 if index <= prev_index:

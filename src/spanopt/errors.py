@@ -15,11 +15,11 @@ class RankDeficient(SpanOptError):
 
 
 class NoConvergence(SpanOptError):
-    """An iterative kernel (Jacobi sweep, power iteration) exceeded its iteration cap."""
+    """The power-iteration norm probe exceeded its iteration cap."""
 
 
 class SingularSystem(SpanOptError):
-    """A small linear system had a pivot below threshold or a condition estimate above 1e12."""
+    """The captured block Z^T U is too ill-conditioned (condition >= 1e12) to invert."""
 
 
 class DimensionMismatch(SpanOptError):

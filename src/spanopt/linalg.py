@@ -1,13 +1,14 @@
 """Dense linear-algebra kernels shared by every other module.
 
-The factorizations are implemented locally rather than delegated to LAPACK
-wrappers: Householder QR (stable orthonormality is load-bearing for the
-subspace error bounds), a cyclic Jacobi eigensolver for the small projected
-blocks, Box-Muller Gaussian sampling over a PCG64 stream (reproducible from
-the 64-bit seed alone, independent of numpy's own normal sampler), partially
-pivoted LU for the small solves, and a power-iteration probe for symmetric
-operator norms.  numpy supplies array storage and BLAS-backed products; the
-kernels map their failure modes onto the library's exception types.
+The factorizations are numpy's LAPACK wrappers behind the library's
+contracts: Householder QR with non-negative R diagonal and a rank tripwire
+(stable orthonormality is load-bearing for the subspace error bounds), and a
+symmetric eigensolver with values in descending order.  Two kernels stay
+local: Box-Muller Gaussian sampling over a PCG64 stream (reproducible from
+the 64-bit seed alone, independent of numpy's own normal sampler and so of
+its version), and a matrix-free power-iteration probe for symmetric operator
+norms.  The kernels map their failure modes onto the library's exception
+types.
 """
 
 from __future__ import annotations
@@ -18,19 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    NoConvergence,
-    RankDeficient,
-    SingularSystem,
-)
-
-SMALL_EIG_MAX_DIM = 2048
+from .errors import NoConvergence, RankDeficient
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _RANK_TOL = 1e-12
-_PIVOT_COND_LIMIT = 1e12
-_JACOBI_MAX_SWEEPS = 100
 _POWER_MAX_ITERS = 20_000
 
 
@@ -65,12 +57,12 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def qr_orthonormal(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of ``y`` via Householder reflections.
+    """Orthonormal basis for the column span of ``y`` via LAPACK's Householder QR.
 
     Returns the thin Q factor (same shape as ``y``) with column signs chosen
-    so the implicit R has a non-negative diagonal.  Raises
-    :class:`RankDeficient` when the smallest R pivot falls below 1e-12 of the
-    largest, which is the cheap tripwire for numerically dependent columns.
+    so R has a non-negative diagonal.  Raises :class:`RankDeficient` when the
+    smallest R pivot falls below 1e-12 of the largest, which is the cheap
+    tripwire for numerically dependent columns.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -81,35 +73,13 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     if not np.isfinite(y).all():
         raise ValueError("input contains NaN/Inf")
 
-    r = y.copy()
-    reflectors: list[np.ndarray | None] = []
-    for k in range(l):
-        x = r[k:, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += math.copysign(norm_x, x[0])
-        v /= np.linalg.norm(v)
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-        reflectors.append(v)
-
-    diag = np.abs(np.diagonal(r)[:l])
+    q, r = np.linalg.qr(y)
+    diag = np.abs(np.diagonal(r))
     if diag.min() <= _RANK_TOL * diag.max():
         raise RankDeficient(
             f"columns numerically dependent (pivot ratio {diag.min():.3e}/{diag.max():.3e})"
         )
-
-    # Build the thin Q by applying the reflectors, in reverse, to I_{d x l}.
-    q = np.zeros((d, l))
-    q[:l, :l] = np.eye(l)
-    for k in range(l - 1, -1, -1):
-        v = reflectors[k]
-        if v is not None:
-            q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
-
-    signs = np.sign(np.diagonal(r)[:l])
+    signs = np.sign(np.diagonal(r))
     signs[signs == 0] = 1.0
     return q * signs
 
@@ -122,113 +92,20 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-def sym_eig_small(a: np.ndarray, max_dim: int = SMALL_EIG_MAX_DIM) -> EigenPairs:
-    """Full eigendecomposition of a small symmetric matrix by cyclic Jacobi sweeps.
+def sym_eig_small(a: np.ndarray) -> EigenPairs:
+    """Full eigendecomposition of a small symmetric matrix via LAPACK's ``eigh``.
 
     The input is symmetrized internally ((A + A^T)/2); callers are expected
-    to pass matrices that are symmetric up to roundoff.  Raises
-    :class:`NoConvergence` if the off-diagonal mass has not vanished after
-    100 sweeps, which signals pathological input rather than a tight budget.
+    to pass matrices that are symmetric up to roundoff.  Values come back in
+    descending order.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    k = a.shape[0]
-    if k > max_dim:
-        raise DimensionTooLarge(f"matrix dimension {k} exceeds small-eig cap {max_dim}")
     if not np.isfinite(a).all():
         raise ValueError("input contains NaN/Inf")
-
-    m = 0.5 * (a + a.T)
-    v = np.eye(k)
-    norm_ref = float(np.linalg.norm(m))
-    if norm_ref == 0.0:
-        return EigenPairs(values=np.zeros(k), vectors=v)
-
-    off_tol = 1e-13 * norm_ref
-    skip_tol = 1e-15 * norm_ref
-    off_diag = np.ones((k, k), dtype=bool)
-    np.fill_diagonal(off_diag, False)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # Summed directly; ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence.
-        off = math.sqrt(float(np.sum(m[off_diag] ** 2)))
-        if off <= off_tol:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = m[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise NoConvergence(f"Jacobi sweeps exhausted ({_JACOBI_MAX_SWEEPS}) at off-norm {off:.3e}")
-
-    values = np.diagonal(m).copy()
-    order = np.argsort(values)[::-1]
-    return EigenPairs(values=values[order], vectors=v[:, order])
-
-
-def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for a small square ``a`` by LU with partial pivoting.
-
-    ``b`` may be a vector or a matrix of right-hand sides; the result matches
-    its shape.  The pivot magnitudes double as a condition tripwire: a zero
-    pivot or max/min pivot ratio at or above 1e12 raises
-    :class:`SingularSystem`.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square system matrix")
-    n = a.shape[0]
-    b = np.asarray(b, dtype=float)
-    vector_rhs = b.ndim == 1
-    rhs = b.reshape(n, -1).copy() if vector_rhs else b.copy()
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, system has {n}")
-    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
-        raise ValueError("input contains NaN/Inf")
-
-    lu = a.copy()
-    pivots = np.empty(n)
-    for k in range(n):
-        i = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = lu[i, k]
-        if pivot == 0.0:
-            raise SingularSystem(f"zero pivot at elimination step {k}")
-        if i != k:
-            lu[[k, i], :] = lu[[i, k], :]
-            rhs[[k, i], :] = rhs[[i, k], :]
-        pivots[k] = abs(pivot)
-        if k + 1 < n:
-            mult = lu[k + 1 :, k] / pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(mult, lu[k, k + 1 :])
-            rhs[k + 1 :, :] -= np.outer(mult, rhs[k, :])
-
-    cond_est = pivots.max() / pivots.min()
-    if cond_est >= _PIVOT_COND_LIMIT:
-        raise SingularSystem(f"pivot condition estimate {cond_est:.3e} >= 1e12")
-
-    x = np.empty_like(rhs)
-    for k in range(n - 1, -1, -1):
-        x[k, :] = (rhs[k, :] - lu[k, k + 1 :] @ x[k + 1 :, :]) / lu[k, k]
-    return x[:, 0] if vector_rhs else x
+    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    return EigenPairs(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def spectral_norm_sym(

@@ -6,12 +6,12 @@ extended Hessian product, and applies the perturbed inverse
 
     U (Z^T U)^{-1} U^T  +  (1/lambda) (I - U U^T)
 
-to the full gradient.  lambda is the safeguard min( sigma_{m+1}(Z^T U),
-0.5 * sigma_min(Z^T U) ): large enough that the complement term does not
-dominate the inverse, small enough that it does not inflate the
-approximation error.  The true batch spectrum is unobservable, so both
-quantities are read off the captured block; the value actually used is
-recorded in every trace row.
+to the full gradient, inverting the block through its eigenpairs.  lambda
+is the safeguard min( sigma_{m+1}(Z^T U), 0.5 * sigma_min(Z^T U) ): large
+enough that the complement term does not dominate the inverse, small
+enough that it does not inflate the approximation error.  The true batch
+spectrum is unobservable, so both quantities are read off the captured
+block; the value actually used is recorded in every trace row.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import IndefiniteBlock
+from .errors import IndefiniteBlock, SingularSystem
 from .hvp import CENTRAL_FD, HvpMode, batch_hessian
-from .linalg import derive_seed, solve_small, spectral_norm_sym, sym_eig_small
+from .linalg import EigenPairs, derive_seed, spectral_norm_sym, sym_eig_small
 from .objectives import (
     Dataset,
     ObjectiveConfig,
@@ -40,20 +40,24 @@ _STREAM_BATCH = 0
 _STREAM_SKETCH = 1
 _STREAM_PROBE = 2
 
+# Captured-block condition number from which the perturbed inverse is refused.
+_BLOCK_COND_LIMIT = 1e12
+
 
 @dataclass(frozen=True)
 class Subspace:
     """Per-iteration sketch state from which the approximate inverse is applied.
 
     ``u`` is the orthonormal (d, l) basis, ``small_block`` the symmetrized
-    captured block Z^T U with ``Z = H_B U``, and ``lam`` the
-    perturbation actually used.  ``lambda_min`` is half the block's smallest
-    eigenvalue; ``sigma_proxy_m1`` its (m+1)-th eigenvalue, the observable
-    stand-in for the batch Hessian's (m+1)-th eigenvalue.
+    captured block Z^T U with ``Z = H_B U``, ``block_eig`` its eigenpairs,
+    and ``lam`` the perturbation actually used.  ``lambda_min`` is half the
+    block's smallest eigenvalue; ``sigma_proxy_m1`` its (m+1)-th eigenvalue,
+    the observable stand-in for the batch Hessian's (m+1)-th eigenvalue.
     """
 
     u: np.ndarray
     small_block: np.ndarray
+    block_eig: EigenPairs
     lam: float
     lambda_min: float
     sigma_proxy_m1: float
@@ -118,17 +122,25 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
 
     Symmetrizes the captured block (finite differences break symmetry at
     O(h)), reads off the safeguard quantities, and raises
-    :class:`IndefiniteBlock` when the block has a non-positive eigenvalue;
-    for the in-scope convex objectives that means the regularization is zero
-    or the model is mis-specified.
+    :class:`SingularSystem` when the block's smallest eigenvalue is, in
+    magnitude, 1e-12 of its largest or less (a zero up to roundoff, on either
+    side of 0, or a condition number of 1e12 or more): its inverse would be
+    mostly roundoff.  A clearly negative eigenvalue raises
+    :class:`IndefiniteBlock`; for the in-scope convex objectives that means
+    the model is mis-specified.
     """
     block = z.T @ u
     block = 0.5 * (block + block.T)
     eig = sym_eig_small(block)
     smallest = float(eig.values[-1])
-    if smallest <= 0.0:
+    scale = float(np.abs(eig.values).max())
+    if abs(smallest) * _BLOCK_COND_LIMIT <= scale:
+        raise SingularSystem(
+            f"captured block eigenvalue {smallest:.3e} is below 1e-12 of {scale:.3e}"
+        )
+    if smallest < 0.0:
         raise IndefiniteBlock(
-            f"captured block has eigenvalue {smallest:.3e} <= 0; "
+            f"captured block has eigenvalue {smallest:.3e} < 0; "
             "batch Hessian is not positive definite on the sketch"
         )
     lambda_min = 0.5 * smallest
@@ -136,6 +148,7 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
     return Subspace(
         u=u,
         small_block=block,
+        block_eig=eig,
         lam=min(lambda_min, sigma_proxy),
         lambda_min=lambda_min,
         sigma_proxy_m1=sigma_proxy,
@@ -163,12 +176,13 @@ def build_subspace(
 def apply_inverse(s: Subspace, g: np.ndarray) -> np.ndarray:
     """Apply the perturbed approximate inverse to ``g`` without forming a d x d matrix.
 
-    Cost is O(d l + l^3): one small solve on the captured block plus the
-    complement scaled by 1/lambda.
+    Cost is O(d l + l^2): the captured block is inverted through its
+    eigenpairs, V diag(1/w) V^T, and the complement is scaled by 1/lambda.
     """
     g = np.asarray(g, dtype=float)
     ug = s.u.T @ g
-    captured = s.u @ solve_small(s.small_block, ug)
+    v, w = s.block_eig.vectors, s.block_eig.values
+    captured = s.u @ (v @ ((v.T @ ug) / w))
     return captured + (g - s.u @ ug) / s.lam
 
 

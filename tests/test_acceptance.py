@@ -33,7 +33,7 @@ from spanopt import linalg
 from spanopt.baselines import neumann_inverse_apply, newsamp_inverse, svrg_gradient_estimate
 from spanopt.bench import load_experiment_config, read_trace_csv, per_iteration_scaling, run_experiment
 from spanopt.datasets import synth_classification
-from spanopt.linalg import solve_small, sym_eig_small
+from spanopt.linalg import sym_eig_small
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -200,7 +200,7 @@ def test_criterion_5_hessian_error_ordering():
         for _ in range(4):
             estimate += neumann_inverse_apply(sampled_hvp, np.eye(d), depth=100, scale=scale)
         estimate /= 4.0
-        implied = solve_small(estimate, np.eye(d))
+        implied = np.linalg.solve(estimate, np.eye(d))
         implied = 0.5 * (implied + implied.T)
         lissa_err = float(np.abs(sym_eig_small(implied - h_batch).values).max())
 

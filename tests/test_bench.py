@@ -309,6 +309,22 @@ class TestCli:
         assert cli.main(["scale", str(write_cfg(tmp_path, text)), "--dims", "20", "-o", str(out)]) == 1
         assert f"config error: span.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines",
+        ["1 1:1 x\n2 1:0.5\n", "1\n2\n", "1 1:1e999\n2 1:0.5\n", "1 1:nan\n2 1:0.5\n"],
+        ids=["malformed", "featureless", "overflow", "nan"],
+    )
+    def test_bad_libsvm_input_exit_one(self, tmp_path, capsys, lines):
+        data_path = tmp_path / "bad.libsvm"
+        data_path.write_text(lines)
+        text = (
+            f"output_dir = {tmp_path / 'out'}\nmethods = gd\nobjective.loss = logistic\n"
+            f"dataset.kind = libsvm\ndataset.path = {data_path}\n"
+            "dataset.positive_label = 1\ndataset.negative_label = 2\ngd.T = 1\n"
+        )
+        assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
+        assert "config error: dataset.path" in capsys.readouterr().err
+
     def test_method_failure_exit_two(self, tmp_path):
         spectrum = ",".join(["1.0"] * 600)
         text = (

@@ -2,9 +2,12 @@
 
 import gzip
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanopt import Dataset, batch_gradient, dense_hessian
 from spanopt.datasets import (
@@ -20,7 +23,26 @@ from spanopt.datasets import (
 from spanopt.errors import NoMatchingExamples, ParseError, ResampleExhausted
 
 
+# Parser inputs: label / index:value lines built from well-formed,
+# non-finite and malformed numbers, or arbitrary text.
+_NUMBER = st.sampled_from(["0", "1", "-1", "7", "0.5", "-2.5e-3", "1e308", "1e999", "-inf", "nan", "x", ""])
+_PAIR = st.builds("{}:{}".format, st.sampled_from(["1", "2", "7", "0", "-1", "x"]), _NUMBER)
+_LINE = st.builds(lambda label, feats: " ".join([label, *feats]), _NUMBER, st.lists(_PAIR, max_size=3))
+_LIBSVM_TEXT = st.one_of(st.lists(_LINE, min_size=1, max_size=4).map("\n".join), st.text(max_size=40))
+
+
 class TestLoadLibsvm:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_LIBSVM_TEXT)
+    def test_any_text_parses_to_finite_values_or_raises_parse_error(self, text):
+        try:
+            examples, dim = load_libsvm(io.StringIO(text))
+        except ParseError:
+            return
+        for ex in examples:
+            assert math.isfinite(ex.label)
+            assert all(1 <= index <= dim and math.isfinite(value) for index, value in ex.features)
+
     def test_basic_line(self):
         examples, dim = load_libsvm(io.StringIO("1 1:0.5 3:0.25\n"))
         assert dim == 3

@@ -1,10 +1,11 @@
-"""Kernel-level contracts: sampling, QR, small eigensolver, solves, norm probe."""
+"""Kernel-level contracts: sampling, QR, small eigensolver, small-solve tripwires, norm probe."""
 
 import numpy as np
 import pytest
 
 from spanopt import linalg
 from spanopt.errors import NoConvergence, RankDeficient, SingularSystem
+from spanopt.span import assemble_subspace
 
 
 class TestGaussianMatrix:
@@ -69,6 +70,7 @@ class TestQrOrthonormal:
             u = linalg.qr_orthonormal(y)
             assert np.abs(u.T @ u - np.eye(l)).max() <= 1e-10
             assert np.linalg.norm(y - u @ (u.T @ y)) <= 1e-10 * np.linalg.norm(y)
+            assert np.all(np.diagonal(u.T @ y) >= 0.0)  # R = U^T Y has a non-negative diagonal
 
     def test_rank_deficient_raises(self):
         y = np.ones((6, 2))  # duplicate columns
@@ -119,39 +121,17 @@ class TestSymEigSmall:
 
 
 class TestSolveSmall:
-    def test_identity_system(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(linalg.solve_small(np.eye(2), b), b)
-
-    def test_diagonal_solve(self):
-        x = linalg.solve_small(np.diag([2.0, 4.0]), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(x, [0.5, 0.25])
-
-    def test_random_system_residual(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
-        b = rng.standard_normal((5, 3))
-        x = linalg.solve_small(a, b)
-        # Independent substitution: recompute a @ x.
-        assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(a) * np.linalg.norm(x)
-
-    def test_solve_then_multiply_roundtrip(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-            x_true = rng.standard_normal(6)
-            x = linalg.solve_small(a, a @ x_true)
-            assert np.linalg.norm(x - x_true) <= 1e-8 * np.linalg.norm(x_true)
+    """Tripwires of the small solve on the captured block, its eigen-inverse in ``span``."""
 
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularSystem):
-            linalg.solve_small(a, np.ones(2))
+            assemble_subspace(np.eye(2), a, 0)
 
     def test_near_singular_condition_tripwire(self):
         a = np.diag([1.0, 1e-13])
         with pytest.raises(SingularSystem):
-            linalg.solve_small(a, np.ones(2))
+            assemble_subspace(np.eye(2), a, 0)
 
 
 class TestSpectralNormSym:

@@ -26,7 +26,7 @@ from spanopt import (
 )
 from spanopt import linalg
 from spanopt.bench import build_span_config
-from spanopt.errors import ConfigError, IndefiniteBlock
+from spanopt.errors import ConfigError, IndefiniteBlock, SingularSystem
 
 
 def quadratic(spectrum):
@@ -78,6 +78,16 @@ class TestBuildSubspace:
         z = np.diag([-1.0, 2.0, 0.0])[:, :2]  # captured block diag(-1, 2)
         with pytest.raises(IndefiniteBlock):
             assemble_subspace(u, z, 0)
+
+    def test_ill_conditioned_block_raises(self):
+        u = np.eye(3)[:, :2]
+        with pytest.raises(SingularSystem):
+            assemble_subspace(u, np.diag([1.0, 1e-13, 0.0])[:, :2], 0)
+        # An exactly singular block's zero eigenvalue may land on either side of 0.
+        with pytest.raises(SingularSystem):
+            assemble_subspace(np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), 0)
+        s = assemble_subspace(u, np.diag([1.0, 1e-6, 0.0])[:, :2], 0)
+        np.testing.assert_allclose(apply_inverse(s, np.array([1.0, 1.0, 0.0])), [1.0, 1e6, 0.0])
 
 
 class TestApplyInverse:
