@@ -44,6 +44,7 @@ from .objectives import (
     dense_hessian,
     exact_hvp,
     full_batch,
+    loss_and_gradient,
     sample_batch,
 )
 from .rangefinder import RangeConfig, min_power_iterations, power_range
@@ -89,6 +90,7 @@ __all__ = [
     "gaussian_matrix",
     "hessian_error_probe",
     "hvp",
+    "loss_and_gradient",
     "min_power_iterations",
     "power_range",
     "qr_orthonormal",

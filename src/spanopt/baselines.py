@@ -3,8 +3,9 @@
 Gradient descent, variance-reduced SGD with snapshots, truncated-eigenvalue
 subsampled Newton, and Neumann-series inverse estimation all share the
 driver conventions of :mod:`spanopt.span`: full-gradient trace rows, a
-cumulative wall clock that excludes trace bookkeeping, and determinism keyed
-by the config seed.
+cumulative wall clock that includes the fused loss and gradient at each new
+iterate (the gradient is carried into the next step, so each step makes one
+full-data pass of its own), and determinism keyed by the config seed.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergingSeries, IndefiniteBlock
+from .errors import DivergingSeries, IndefiniteBlock, InvalidRankParams, SingularSystem
 from .hvp import ANALYTIC, batch_hessian
 from .linalg import derive_seed, spectral_norm_sym, sym_eig_small
 from .objectives import (
     Dataset,
     ObjectiveConfig,
     batch_gradient,
-    batch_loss,
     exact_hvp,
+    loss_and_gradient,
     sample_batch,
 )
 from .span import TraceRecord
@@ -65,21 +66,39 @@ class BaselineConfig:
             raise ValueError("inner_steps must be positive when given")
 
 
-def _finish_record(
+_Step = Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, Optional[float]]]
+
+
+def _run(
+    cfg: BaselineConfig,
     objective: ObjectiveConfig,
     data: Dataset | None,
-    x: np.ndarray,
-    iteration: int,
-    elapsed: float,
-    lambda_used: Optional[float] = None,
-) -> TraceRecord:
-    return TraceRecord(
-        iteration=iteration,
-        wall_clock_s=elapsed,
-        loss=batch_loss(objective, data, None, x),
-        grad_norm=float(np.linalg.norm(batch_gradient(objective, data, None, x))),
-        lambda_used=lambda_used,
-    )
+    x0: np.ndarray,
+    step: _Step,
+) -> tuple[np.ndarray, list[TraceRecord]]:
+    """The loop every baseline shares: ``step(t, x, grad)`` gives the next
+    iterate and its lambda column.
+
+    The full-data gradient at each iterate comes with its loss from one pass,
+    inside the step's clock, and is handed to the next step; only the first
+    step computes a gradient of its own.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    grad = None
+    trace: list[TraceRecord] = []
+    elapsed = 0.0
+    for t in range(cfg.t_max):
+        start = time.perf_counter()
+        if grad is None:
+            grad = batch_gradient(objective, data, None, x)
+        x, lambda_used = step(t, x, grad)
+        loss, grad = loss_and_gradient(objective, data, x)
+        elapsed += time.perf_counter() - start
+        record = TraceRecord(t + 1, elapsed, loss, float(np.linalg.norm(grad)), lambda_used=lambda_used)
+        trace.append(record)
+        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
+            break
+    return x, trace
 
 
 def run_gd(
@@ -89,18 +108,7 @@ def run_gd(
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Plain full-gradient descent: x <- x - eta * grad F(x)."""
-    x = np.asarray(x0, dtype=float).copy()
-    trace: list[TraceRecord] = []
-    elapsed = 0.0
-    for t in range(cfg.t_max):
-        start = time.perf_counter()
-        x = x - cfg.eta * batch_gradient(objective, data, None, x)
-        elapsed += time.perf_counter() - start
-        record = _finish_record(objective, data, x, t + 1, elapsed)
-        trace.append(record)
-        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
-            break
-    return x, trace
+    return _run(cfg, objective, data, x0, lambda t, x, grad: (x - cfg.eta * grad, None))
 
 
 def svrg_gradient_estimate(
@@ -131,31 +139,25 @@ def run_svrg(
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Snapshot-based variance-reduced SGD; one trace row per epoch.
 
-    Each epoch recomputes the full gradient at the snapshot, then takes
-    ``inner_steps`` batched steps (default: one pass, ceil(N / b)).
+    Each epoch snapshots the current iterate, whose full gradient the last
+    trace row already computed, then takes ``inner_steps`` batched steps
+    (default: one pass, ceil(N / b)).
     """
     if data is None:
         raise ValueError("svrg needs sampled data")
-    x = np.asarray(x0, dtype=float).copy()
     n = data.n_samples
     steps_per_epoch = cfg.inner_steps or max(1, -(-n // cfg.b))
-    trace: list[TraceRecord] = []
-    elapsed = 0.0
-    for epoch in range(cfg.t_max):
-        start = time.perf_counter()
-        rng = np.random.default_rng(derive_seed(cfg.seed, 10, epoch))
-        snapshot = x.copy()
-        snapshot_grad = batch_gradient(objective, data, None, snapshot)
+
+    def epoch(t: int, snapshot: np.ndarray, snapshot_grad: np.ndarray):
+        rng = np.random.default_rng(derive_seed(cfg.seed, 10, t))
+        x = snapshot
         for _ in range(steps_per_epoch):
             batch = sample_batch(n, min(cfg.b, n), rng)
             estimate = svrg_gradient_estimate(objective, data, batch, x, snapshot, snapshot_grad)
             x = x - cfg.eta * estimate
-        elapsed += time.perf_counter() - start
-        record = _finish_record(objective, data, x, epoch + 1, elapsed)
-        trace.append(record)
-        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
-            break
-    return x, trace
+        return x, None
+
+    return _run(cfg, objective, data, x0, epoch)
 
 
 def newsamp_inverse(values: np.ndarray, vectors: np.ndarray, m: int) -> np.ndarray:
@@ -168,7 +170,7 @@ def newsamp_inverse(values: np.ndarray, vectors: np.ndarray, m: int) -> np.ndarr
     """
     values = np.asarray(values, dtype=float)
     if m < 1 or m >= values.size:
-        raise ValueError(f"truncation rank m={m} outside [1, {values.size - 1}]")
+        raise InvalidRankParams(f"truncation rank m={m} outside [1, {values.size - 1}]")
     sigma_next = values[m]
     if sigma_next <= 0:
         raise IndefiniteBlock(f"sigma_{m + 1} = {sigma_next:.3e} <= 0")
@@ -191,27 +193,17 @@ def run_newsamp(
     applies.  The flattening eigenvalue sigma_{m+1} is recorded in the
     lambda column of the trace.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    trace: list[TraceRecord] = []
-    elapsed = 0.0
-    for t in range(cfg.t_max):
-        start = time.perf_counter()
+
+    def step(t: int, x: np.ndarray, grad: np.ndarray):
         batch = None
         if data is not None:
             rng = np.random.default_rng(derive_seed(cfg.seed, 20, t))
             batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
         eig = sym_eig_small(batch_hessian(objective, data, batch, x, ANALYTIC).dense())
         inv = newsamp_inverse(eig.values, eig.vectors, cfg.m)
-        grad = batch_gradient(objective, data, None, x)
-        x = x - cfg.eta * (inv @ grad)
-        elapsed += time.perf_counter() - start
-        record = _finish_record(
-            objective, data, x, t + 1, elapsed, lambda_used=float(eig.values[cfg.m])
-        )
-        trace.append(record)
-        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
-            break
-    return x, trace
+        return x - cfg.eta * (inv @ grad), float(eig.values[cfg.m])
+
+    return _run(cfg, objective, data, x0, step)
 
 
 def neumann_inverse_apply(
@@ -246,11 +238,12 @@ def lissa_hessian_scale(
 
     The Neumann recursion assumes the (scaled) Hessian has norm below one;
     dividing by this value enforces that along the iterate path in practice.
+    A zero Hessian at ``x0`` raises :class:`SingularSystem`.
     """
     hessian = batch_hessian(objective, data, None, x0, ANALYTIC)
     norm = spectral_norm_sym(hessian.__matmul__, hessian.x.size, tol=1e-4, seed=seed)
     if norm == 0.0:
-        raise ValueError("objective has zero curvature at x0")
+        raise SingularSystem("objective has zero curvature at x0")
     return 1.25 * norm
 
 
@@ -267,14 +260,10 @@ def run_lissa(
     (analytic GLM products).  The objective is rescaled by a spectral-norm
     probe at x0 and the resulting direction unscaled.
     """
-    x = np.asarray(x0, dtype=float).copy()
     depth = cfg.inner_steps if cfg.inner_steps is not None else 100
-    scale = lissa_hessian_scale(objective, data, x, seed=derive_seed(cfg.seed, 30))
-    trace: list[TraceRecord] = []
-    elapsed = 0.0
-    for t in range(cfg.t_max):
-        start = time.perf_counter()
-        grad = batch_gradient(objective, data, None, x)
+    scale = lissa_hessian_scale(objective, data, x0, seed=derive_seed(cfg.seed, 30))
+
+    def step(t: int, x: np.ndarray, grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
 
         def sampled_hvp(u: np.ndarray) -> np.ndarray:
@@ -284,13 +273,9 @@ def run_lissa(
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):
             estimates += neumann_inverse_apply(sampled_hvp, grad, depth, scale)
-        x = x - cfg.eta * (estimates / cfg.s1)
-        elapsed += time.perf_counter() - start
-        record = _finish_record(objective, data, x, t + 1, elapsed)
-        trace.append(record)
-        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
-            break
-    return x, trace
+        return x - cfg.eta * (estimates / cfg.s1), None
+
+    return _run(cfg, objective, data, x0, step)
 
 
 RUNNERS = {

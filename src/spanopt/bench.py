@@ -69,9 +69,12 @@ def _as_bool(text: str, key: str) -> bool:
 
 def _as_float(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _as_int(text: str, key: str) -> int:
@@ -113,8 +116,8 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
             spectrum = np.array([float(v) for v in spectrum_text.split(",")])
         except ValueError:
             raise ConfigError(f"dataset.spectrum: bad number in {spectrum_text!r}") from None
-        if spectrum.size == 0 or np.any(spectrum <= 0):
-            raise ConfigError("dataset.spectrum must be positive reals")
+        if spectrum.size == 0 or not np.all((spectrum > 0) & np.isfinite(spectrum)):
+            raise ConfigError("dataset.spectrum must be positive finite reals")
         return None, spectrum
 
     if kind == "libsvm":
@@ -135,13 +138,13 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
     if kind == "synth_classification":
         n = _as_int(_get(values, "dataset.n", required=True), "dataset.n")
         d = _as_int(_get(values, "dataset.d", required=True), "dataset.d")
-        ds = datasets.synth_classification(
-            n=n,
-            d=d,
-            seed=_as_int(_get(values, "dataset.seed", str(seed)), "dataset.seed"),
-            decay=_as_float(_get(values, "dataset.decay", "1.5"), "dataset.decay"),
-            normalize=_as_bool(_get(values, "dataset.normalize", "true"), "dataset.normalize"),
-        )
+        dataset_seed = _as_int(_get(values, "dataset.seed", str(seed)), "dataset.seed")
+        decay = _as_float(_get(values, "dataset.decay", "1.5"), "dataset.decay")
+        normalize = _as_bool(_get(values, "dataset.normalize", "true"), "dataset.normalize")
+        try:
+            ds = datasets.synth_classification(n=n, d=d, seed=dataset_seed, decay=decay, normalize=normalize)
+        except ValueError as exc:
+            raise ConfigError(f"dataset: {exc}") from None
         return ds, None
 
     raise ConfigError(f"unknown dataset.kind {kind!r}")
@@ -177,6 +180,8 @@ def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
         raise ConfigError("quadratic objective needs dataset.spectrum")
     if loss_kind != "quadratic" and data is None:
         raise ConfigError(f"{loss_kind} objective needs a sampled dataset")
+    if "svrg" in methods and data is None:
+        raise ConfigError("svrg needs a sampled dataset, and quadratics carry no samples")
 
     x0_kind = _get(values, "x0", "zeros")
     if x0_kind not in ("zeros", "ones", "gaussian"):

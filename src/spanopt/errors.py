@@ -19,7 +19,8 @@ class NoConvergence(SpanOptError):
 
 
 class SingularSystem(SpanOptError):
-    """The captured block Z^T U is too ill-conditioned (condition >= 1e12) to invert."""
+    """A matrix to invert is singular: the captured block Z^T U has condition >= 1e12,
+    or lissa's start point has zero curvature to scale by."""
 
 
 class DimensionMismatch(SpanOptError):
@@ -35,11 +36,12 @@ class BatchTooLarge(SpanOptError):
 
 
 class NonFiniteResult(SpanOptError):
-    """A finite-difference probe produced NaN/Inf (objective overflow at the perturbed point)."""
+    """NaN/Inf where a finite value is needed: objective overflow at a finite-difference
+    point, or a diverged iterate reaching a factorization."""
 
 
 class InvalidRankParams(SpanOptError):
-    """Sketch parameters violate m + 4 <= l <= d."""
+    """Rank parameters do not fit the problem: sketch needs m + 4 <= l <= d, newsamp 1 <= m < d."""
 
 
 class IndefiniteBlock(SpanOptError):

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, RankDeficient
+from .errors import NoConvergence, NonFiniteResult, RankDeficient
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _RANK_TOL = 1e-12
@@ -71,7 +71,7 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     if d < l:
         raise ValueError(f"need at least as many rows as columns, got {d}x{l}")
     if not np.isfinite(y).all():
-        raise ValueError("input contains NaN/Inf")
+        raise NonFiniteResult("input contains NaN/Inf")
 
     q, r = np.linalg.qr(y)
     diag = np.abs(np.diagonal(r))
@@ -103,7 +103,7 @@ def sym_eig_small(a: np.ndarray) -> EigenPairs:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.isfinite(a).all():
-        raise ValueError("input contains NaN/Inf")
+        raise NonFiniteResult("input contains NaN/Inf")
     values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     return EigenPairs(values=values[::-1], vectors=vectors[:, ::-1])
 

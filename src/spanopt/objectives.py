@@ -155,14 +155,8 @@ def batch_loss(
 ) -> float:
     """Mean loss over the batch plus the full regularizer ``(a/2)||x||^2``."""
     x = _check_x(cfg, data, x)
-    reg = 0.5 * cfg.reg_a * float(x @ x)
-    if cfg.loss_kind == "quadratic":
-        return 0.5 * float(x @ (cfg.quadratic_spectrum * x)) + reg
     rows, labels = _batch_rows(cfg, data, batch)
-    margins = labels * (rows @ x)
-    if cfg.loss_kind == "logistic":
-        return float(np.mean(np.logaddexp(0.0, -margins))) + reg
-    return float(np.mean(_huber_loss_terms(margins))) + reg
+    return _loss(cfg, x, _margins(rows, labels, x))
 
 
 def batch_gradient(
@@ -174,17 +168,50 @@ def batch_gradient(
     """Exact gradient of :func:`batch_loss`."""
     x = _check_x(cfg, data, x)
     rows, labels = _batch_rows(cfg, data, batch)
-    return _gradient(cfg, rows, labels, x)
+    return _gradient(cfg, rows, labels, x, _margins(rows, labels, x))
 
 
-def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray) -> np.ndarray:
+def loss_and_gradient(
+    cfg: ObjectiveConfig,
+    data: Optional[Dataset],
+    x: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Full-data loss and gradient at ``x`` from one pass over the data.
+
+    Equal bit for bit to ``batch_loss`` and ``batch_gradient`` with
+    ``batch=None``: both come from the same margins by the same arithmetic.
+    """
+    x = _check_x(cfg, data, x)
+    rows, labels = _batch_rows(cfg, data, None)
+    margins = _margins(rows, labels, x)
+    return _loss(cfg, x, margins), _gradient(cfg, rows, labels, x, margins)
+
+
+def _margins(rows, labels, x: np.ndarray) -> Optional[np.ndarray]:
+    """``labels * (rows @ x)``, column-wise for a (d, k) block; None for quadratics."""
+    if rows is None:
+        return None
+    if x.ndim == 2:
+        labels = labels[:, None]
+    return labels * (rows @ x)
+
+
+def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: Optional[np.ndarray]) -> float:
+    reg = 0.5 * cfg.reg_a * float(x @ x)
+    if cfg.loss_kind == "quadratic":
+        return 0.5 * float(x @ (cfg.quadratic_spectrum * x)) + reg
+    if cfg.loss_kind == "logistic":
+        return float(np.mean(np.logaddexp(0.0, -margins))) + reg
+    return float(np.mean(_huber_loss_terms(margins))) + reg
+
+
+def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins) -> np.ndarray:
     """Batch gradient over gathered rows at ``x``, or column-wise at each point of a (d, k) block."""
     if cfg.loss_kind == "quadratic":
         spectrum = cfg.quadratic_spectrum if x.ndim == 1 else cfg.quadratic_spectrum[:, None]
         return spectrum * x + cfg.reg_a * x
     if x.ndim == 2:
         labels = labels[:, None]
-    margins = labels * (rows @ x)
     if cfg.loss_kind == "logistic":
         coeff = -labels * _stable_sigmoid(-margins)
     else:
@@ -250,7 +277,8 @@ class BatchHessian:
         live = norms > 0.0
         steps = block[:, live] * (self.fd_step / norms[live])
         points = np.hstack([self.x[:, None] + steps, self.x[:, None] - steps])
-        grads = _gradient(self.cfg, self.rows, self.labels, points)
+        margins = _margins(self.rows, self.labels, points)
+        grads = _gradient(self.cfg, self.rows, self.labels, points, margins)
         out = np.zeros_like(block)
         k = steps.shape[1]
         out[:, live] = (grads[:, :k] - grads[:, k:]) * (norms[live] / (2.0 * self.fd_step))

@@ -1,11 +1,15 @@
 """Randomized range finding for the batch Hessian via powered Gaussian sketches.
 
 A Gaussian test block is pushed through ``2q + 1`` Hessian applications so
-its columns align with the top eigendirections, then orthonormalized.  The
-power loop optionally re-orthonormalizes between applications: that is
+its columns align with the top eigendirections, then orthonormalized.  For
+``q >= 3`` the power loop re-orthonormalizes between applications: that is
 span-preserving in exact arithmetic and numerically essential once the
-columns start collapsing toward the dominant eigenvector (large ``q`` or a
-wide spectral gap), so it defaults on for ``q >= 3``.
+columns start collapsing toward the dominant eigenvector.
+
+The driver sketches fresh only at its first step.  Every later step carries
+the last basis forward through one more Hessian application (subspace
+iteration across steps), falling back to a fresh sketch when that block is
+rank-deficient.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ class RangeConfig:
     l: int
     q: int
     m: int
-    reorthonormalize: Optional[bool] = None
 
     def __post_init__(self):
         if self.l < 1 or self.q < 0 or self.m < 0:
@@ -51,9 +54,8 @@ class RangeConfig:
 
     @property
     def reorth(self) -> bool:
-        if self.reorthonormalize is None:
-            return self.q >= 3
-        return self.reorthonormalize
+        """Whether the power loop re-orthonormalizes between applications."""
+        return self.q >= 3
 
 
 def power_range(
@@ -91,6 +93,24 @@ def _power_range(hessian: BatchHessian, rc: RangeConfig, seed: int) -> np.ndarra
         except RankDeficient as exc:
             last_error = exc
     raise RankDeficient(f"sketch stayed rank-deficient after {_RESAMPLE_ATTEMPTS} resamples") from last_error
+
+
+def _warm_range(
+    hessian: BatchHessian, rc: RangeConfig, seed: int, previous: Optional[np.ndarray]
+) -> np.ndarray:
+    """Basis for a driver step: ``qr(H_B previous)``, or a fresh sketch.
+
+    One Hessian application to the last step's basis replaces the ``2q + 1``
+    products and the Gaussian draw of a fresh sketch.  Without a previous
+    basis, or when its image is rank-deficient, the step sketches fresh from
+    ``seed``.
+    """
+    if previous is not None:
+        try:
+            return qr_orthonormal(hessian @ previous)
+        except RankDeficient:
+            pass
+    return _power_range(hessian, rc, seed)
 
 
 def min_power_iterations(d: int, l: int, m: int) -> int:

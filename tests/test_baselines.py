@@ -8,11 +8,13 @@ from spanopt import (
     Dataset,
     ObjectiveConfig,
     batch_gradient,
+    batch_loss,
     run_gd,
     run_lissa,
     run_newsamp,
     run_svrg,
 )
+from spanopt import objectives
 from spanopt.baselines import (
     lissa_hessian_scale,
     neumann_inverse_apply,
@@ -217,3 +219,39 @@ class TestSharedTraceContract:
             stamps = [r.wall_clock_s for r in trace]
             assert all(b >= a for a, b in zip(stamps, stamps[1:]))
             assert [r.iteration for r in trace] == [1, 2, 3, 4]
+
+    def test_one_full_gradient_per_iteration(self, monkeypatch):
+        # The gradient at each new iterate comes with its loss and is carried
+        # into the next step (svrg's snapshot gradient included), so a T-step
+        # solve makes T + 1 full-data gradients: one per row and the start.
+        cfg, data = toy_logistic(n=30, d=4, seed=11)
+        full = []
+        real = objectives._gradient
+
+        def counting(objective, rows, *rest):
+            full.append(rows is data.features)
+            return real(objective, rows, *rest)
+
+        monkeypatch.setattr(objectives, "_gradient", counting)
+        for runner, bl in (
+            (run_gd, BaselineConfig(method="gd", eta=0.5, t_max=5)),
+            (run_svrg, BaselineConfig(method="svrg", eta=0.3, t_max=5, b=3, inner_steps=4, seed=2)),
+        ):
+            full.clear()
+            _, trace = runner(bl, cfg, data, np.zeros(4))
+            assert len(trace) == 5
+            assert sum(full) == 6
+
+    @pytest.mark.parametrize("method", ["gd", "svrg", "newsamp", "lissa"])
+    def test_rows_equal_fresh_loss_and_gradient(self, method):
+        # Each row's loss and gradient norm are those of batch_loss and
+        # batch_gradient at the iterate the row reports, bit for bit.
+        cfg, data = toy_logistic(n=24, d=3, seed=12)
+        settings = {"gd": dict(eta=0.5), "svrg": dict(eta=0.3, b=3, inner_steps=4),
+                    "newsamp": dict(eta=1.0, m=1, b=12), "lissa": dict(eta=1.0, s1=2, inner_steps=20)}
+        runner = {"gd": run_gd, "svrg": run_svrg, "newsamp": run_newsamp, "lissa": run_lissa}[method]
+        for t_max in (1, 2, 3):
+            bl = BaselineConfig(method=method, t_max=t_max, seed=4, **settings[method])
+            x, trace = runner(bl, cfg, data, np.zeros(3))
+            assert trace[-1].loss == batch_loss(cfg, data, None, x)
+            assert trace[-1].grad_norm == float(np.linalg.norm(batch_gradient(cfg, data, None, x)))

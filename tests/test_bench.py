@@ -1,12 +1,17 @@
 """Experiment runner, trace schema, plot emission, and the CLI surface."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanopt import cli
 from spanopt.bench import (
@@ -57,6 +62,65 @@ def columns_except_wall_clock(path):
     for record in read_trace_csv(path):
         rows.append((record.iteration, record.loss, record.grad_norm, record.hessian_err, record.lambda_used))
     return rows
+
+
+# A valid tiny experiment per dataset kind, which random lines then edit: later
+# keys override earlier ones, and dropped lines test missing keys.
+_BASES = {
+    "synth": (
+        "methods = span, gd, svrg, newsamp, lissa\nobjective.loss = logistic\n"
+        "dataset.kind = synth_classification\ndataset.n = 12\ndataset.d = 6\npreiterate.epochs = 1\n"
+    ),
+    "quadratic": "methods = span, gd, newsamp, lissa\nobjective.loss = quadratic\ndataset.spectrum = 4,3,2,1.5,1,0.5\n",
+    "libsvm": (
+        "methods = span, svrg\nobjective.loss = huber_svm\ndataset.path = {data}\n"
+        "dataset.positive_label = 1\ndataset.negative_label = 2\n"
+    ),
+}
+_METHOD_LINES = (
+    "span.T = 3\nspan.m = 1\nspan.l = 5\nspan.q = 1\nspan.b = 6\nspan.eta = 0.5\n"
+    "gd.T = 3\ngd.eta = 0.5\nsvrg.T = 2\nsvrg.eta = 0.2\nsvrg.b = 3\n"
+    "newsamp.T = 3\nnewsamp.m = 2\nnewsamp.eta = 1.0\nlissa.T = 2\nlissa.eta = 1.0\nlissa.inner_steps = 5\n"
+)
+_LIBSVM_TEXT = "1 1:1 2:0.5\n2 1:0.3 3:1\n1 2:1 3:0.25\n2 1:1\n1 1:0.5 2:0.5 3:0.5\n2 3:2\n"
+_NUMBERS = ("0", "1", "2", "3", "5", "6", "-1", "0.5", "1e-3", "1e300", "1e999", "-inf", "nan", "abc")
+_NUMERIC_KEYS = (
+    "seed", "objective.reg_a", "dataset.n", "dataset.d", "dataset.seed", "dataset.decay",
+    "dataset.positive_label", "dataset.negative_label", "preiterate.epochs", "preiterate.eta",
+    "span.l", "span.q", "span.fd_scale",
+) + tuple(
+    f"{method}.{key}"
+    for method in ("span", "gd", "svrg", "newsamp", "lissa")
+    for key in ("T", "eta", "b", "m", "seed", "grad_tol", "inner_steps", "s1")
+)
+_WORD_VALUES = {
+    "methods": ("span", "gd, svrg", "newsamp, lissa", ",", "sgd"),
+    "objective.loss": ("logistic", "huber_svm", "quadratic", "hinge"),
+    "dataset.kind": ("quadratic", "synth_classification", "libsvm", "csv"),
+    "dataset.spectrum": ("3,2,1,0.5,0.2", "2,1", "0,1", "nan,1", "1,,2", "1e999,1"),
+    "dataset.path": ("{data}", "{data}.missing"),
+    "dataset.normalize": ("true", "false", "maybe"),
+    "probe.hessian_error": ("true", "false", "2"),
+    "x0": ("zeros", "ones", "gaussian", "twos"),
+    "span.hvp": ("analytic", "finite_difference", "forward_difference"),
+}
+_CONFIG_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_NUMERIC_KEYS), st.sampled_from(_NUMBERS)),
+    st.sampled_from(sorted(_WORD_VALUES)).flatmap(
+        lambda key: st.sampled_from(_WORD_VALUES[key]).map(lambda value: f"{key} = {value}")
+    ),
+)
+_CONFIG_TEXT = st.builds(
+    lambda base, dropped, edits, raw: "\n".join(
+        [line for i, line in enumerate((_BASES[base] + _METHOD_LINES).splitlines()) if i not in dropped]
+        + edits
+        + ([] if raw is None else [raw])
+    ),
+    st.sampled_from(sorted(_BASES)),
+    st.one_of(st.just(set()), st.just(set()), st.sets(st.integers(0, 30), min_size=1, max_size=1)),
+    st.lists(_CONFIG_LINE, max_size=5),
+    st.one_of(st.none(), st.none(), st.none(), st.text(max_size=12)),
+)
 
 
 class TestConfigParsing:
@@ -324,6 +388,45 @@ class TestCli:
         )
         assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
         assert "config error: dataset.path" in capsys.readouterr().err
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_CONFIG_TEXT)
+    def test_any_config_text_runs_or_is_a_config_error(self, text):
+        # Exit 0 or 2 means the experiment ran (2: a method failed); anything
+        # else must be exit 1 with a `config error:` line, never a traceback.
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            data = tmp / "data.libsvm"
+            data.write_text(_LIBSVM_TEXT)
+            config = tmp / "exp.cfg"
+            config.write_text(text.replace("{data}", str(data)))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["run", str(config), "--output-dir", str(tmp / "out")])
+        assert code in (0, 2) or (code == 1 and "config error:" in err.getvalue()), err.getvalue()
+
+    @pytest.mark.parametrize(
+        "base, edit, code",
+        [
+            ("quadratic", "methods = gd, svrg", 1),  # quadratics carry no samples for svrg
+            ("quadratic", "objective.reg_a = nan", 1),
+            ("quadratic", "dataset.spectrum = 1e999,1", 1),
+            ("synth", "dataset.n = 0", 1),
+            ("synth", "newsamp.m = 6", 2),  # truncation rank not below d
+            ("libsvm", "methods = lissa\nobjective.reg_a = 0", 2),  # zero curvature at x0 = 0
+            ("synth", "objective.reg_a = 1e300\nx0 = ones\nmethods = newsamp", 2),  # iterate overflows
+        ],
+        ids=["svrg-quadratic", "nan-number", "inf-spectrum", "empty-synth", "newsamp-rank", "lissa-flat",
+             "newsamp-overflow"],
+    )
+    def test_found_tracebacks_exit_cleanly(self, tmp_path, capsys, base, edit, code):
+        # Each of these ended in a ValueError traceback before.
+        data = tmp_path / "data.libsvm"
+        data.write_text(_LIBSVM_TEXT)
+        text = _BASES[base].replace("{data}", str(data)) + _METHOD_LINES + edit + "\n"
+        assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == code
+        if code == 1:
+            assert "config error:" in capsys.readouterr().err
 
     def test_method_failure_exit_two(self, tmp_path):
         spectrum = ",".join(["1.0"] * 600)

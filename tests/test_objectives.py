@@ -13,6 +13,7 @@ from spanopt import (
     dense_hessian,
     exact_hvp,
     full_batch,
+    loss_and_gradient,
     sample_batch,
 )
 from spanopt.errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge
@@ -123,6 +124,28 @@ class TestBatchGradient:
             fd = central_difference_gradient(lambda z: batch_loss(cfg, data, batch, z), x)
             denom = max(np.linalg.norm(grad), 1e-8)
             assert np.linalg.norm(grad - fd) <= 1e-5 * denom
+
+
+class TestLossAndGradient:
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic"])
+    def test_bit_identical_to_separate_calls(self, kind):
+        rng = np.random.default_rng(12)
+        if kind == "quadratic":
+            cfg = ObjectiveConfig(kind, reg_a=0.1, quadratic_spectrum=rng.uniform(0.5, 3.0, size=6))
+            data = None
+        else:
+            _, data = toy_logistic(n=30, d=6, seed=9)
+            cfg = ObjectiveConfig(kind, reg_a=0.1)
+        for scale in (0.0, 0.3, 3.0, 40.0):  # every Huber branch, and logistic saturation
+            x = scale * rng.standard_normal(6)
+            loss, grad = loss_and_gradient(cfg, data, x)
+            assert loss == batch_loss(cfg, data, None, x)
+            assert np.array_equal(grad, batch_gradient(cfg, data, None, x))
+
+    def test_checks_dimension(self):
+        cfg, data = toy_logistic()
+        with pytest.raises(DimensionMismatch):
+            loss_and_gradient(cfg, data, np.zeros(4))
 
 
 class TestExactHvp:

@@ -30,7 +30,6 @@ class TestRangeConfig:
     def test_reorth_defaults_on_for_deep_power(self):
         assert RangeConfig(l=6, q=3, m=0).reorth is True
         assert RangeConfig(l=6, q=2, m=0).reorth is False
-        assert RangeConfig(l=6, q=5, m=0, reorthonormalize=False).reorth is False
 
     def test_width_checked_against_dimension(self):
         rc = RangeConfig(l=8, q=1, m=4)
@@ -76,10 +75,13 @@ class TestPowerRange:
             assert np.abs(u.T @ u - np.eye(5)).max() <= 1e-10
 
     def test_reorthonormalized_loop_spans_same_space(self):
-        cfg = quadratic(np.linspace(6.0, 1.0, 12))
-        base = dict(l=4, q=4, m=0)
-        u_raw = power_range(cfg, None, None, np.zeros(12), RangeConfig(**base, reorthonormalize=False), seed=9, mode=ANALYTIC)
-        u_re = power_range(cfg, None, None, np.zeros(12), RangeConfig(**base, reorthonormalize=True), seed=9, mode=ANALYTIC)
+        # q=4 re-orthonormalizes between products; the span is that of the
+        # raw power H^9 Omega.
+        spectrum = np.linspace(6.0, 1.0, 12)
+        rc = RangeConfig(l=4, q=4, m=0)
+        assert rc.reorth
+        u_re = power_range(quadratic(spectrum), None, None, np.zeros(12), rc, seed=9, mode=ANALYTIC)
+        u_raw = linalg.qr_orthonormal(np.diag(spectrum**9) @ linalg.gaussian_matrix(12, 4, 9))
         assert np.abs(projector(u_raw) - projector(u_re)).max() <= 1e-6
 
     def test_capture_monotone_in_power(self):
@@ -106,7 +108,7 @@ class TestPowerRange:
         # about 5%, so the >= 95/100 threshold is pinned to seeds 0..99
         # (measured: 97/100).
         cfg = quadratic([1.0, 2.0, 3.0])
-        rc = RangeConfig(l=1, q=5, m=0, reorthonormalize=False)
+        rc = RangeConfig(l=1, q=5, m=0)  # re-orthonormalizing one column only rescales it
         aligned = 0
         for seed in range(100):
             u = power_range(cfg, None, None, np.zeros(3), rc, seed=seed, mode=ANALYTIC)

@@ -17,6 +17,7 @@ from spanopt import (
     apply_inverse,
     assemble_subspace,
     batch_gradient,
+    batch_loss,
     build_subspace,
     dense_hessian,
     hessian_error_probe,
@@ -24,9 +25,10 @@ from spanopt import (
     run_span,
     span_step,
 )
-from spanopt import linalg
+from spanopt import linalg, objectives, rangefinder
 from spanopt.bench import build_span_config
-from spanopt.errors import ConfigError, IndefiniteBlock, SingularSystem
+from spanopt.errors import ConfigError, IndefiniteBlock, RankDeficient, SingularSystem
+from spanopt.span import _STREAM_SKETCH
 
 
 def quadratic(spectrum):
@@ -46,6 +48,14 @@ def newton_optimum(cfg, data, d, tol=1e-12):
             break
         x = x - np.linalg.solve(dense_hessian(cfg, data, None, x), g)
     return x
+
+
+def small_logistic(n=40, d=8, seed=1, reg=0.05):
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((n, d))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    data = Dataset(features=feats, labels=np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    return ObjectiveConfig("logistic", reg_a=reg), data
 
 
 class TestBuildSubspace:
@@ -158,6 +168,27 @@ class TestHessianErrorProbe:
         assert probed == pytest.approx(dense, rel=1e-5)
 
 
+    def test_finite_difference_probe_tracks_dense_oracle(self):
+        # In finite-difference mode the probe runs symmetric power iteration
+        # on an operator that is nonsymmetric at the finite-difference error
+        # (~5e-9 of ||H_B|| here).  Its bias against the analytic probe stays
+        # at that level, far inside the power iteration's own stopping error
+        # against the dense oracle (~1e-5 relative at tol=1e-6).
+        cfg, data = small_logistic(n=80, d=12, seed=4)
+        rng = np.random.default_rng(4)
+        rc = RangeConfig(l=6, q=1, m=2)
+        for seed in range(4):
+            x = rng.standard_normal(12)
+            batch = np.sort(rng.choice(80, 40, replace=False))
+            s = build_subspace(cfg, data, batch, x, rc, seed=seed, mode=ANALYTIC)
+            h = dense_hessian(cfg, data, batch, x)
+            dense = np.abs(np.linalg.eigvalsh(explicit_perturbed_hessian(s, h) - h)).max()
+            fd = hessian_error_probe(s, cfg, data, batch, x, mode=CENTRAL_FD, seed=seed)
+            analytic = hessian_error_probe(s, cfg, data, batch, x, mode=ANALYTIC, seed=seed)
+            assert fd == pytest.approx(dense, rel=1e-4)
+            assert fd == pytest.approx(analytic, rel=1e-7)
+
+
 class TestSpanStep:
     def test_one_step_exact_newton_full_width(self):
         d = 12
@@ -183,6 +214,94 @@ class TestSpanStep:
         span_cfg = SpanConfig(t_max=20, m=0, l=2, q=1, b=4, eta=0.5, seed=0, hvp_mode=CENTRAL_FD)
         x_final, _ = run_span(span_cfg, cfg, data, np.zeros(2))
         assert np.linalg.norm(x_final - x_star) <= 1e-6
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_block_products_per_step(self, monkeypatch, q):
+        # Step 0 sketches fresh: 2q + 1 products and Z.  Every later step
+        # carries the basis: one product to refresh U and one for Z.
+        counts = []
+        real = objectives.BatchHessian.__matmul__
+
+        def counting(self, v):
+            counts[-1] += 1
+            return real(self, v)
+
+        monkeypatch.setattr(objectives.BatchHessian, "__matmul__", counting)
+        cfg, data = small_logistic()
+        span_cfg = SpanConfig(t_max=5, m=0, l=4, q=q, b=20, eta=0.5, seed=3)
+        state = SpanState(x=np.zeros(8))
+        for _ in range(5):
+            counts.append(0)
+            state, _ = span_step(state, cfg, data, span_cfg)
+        assert counts == [2 * q + 2, 2, 2, 2, 2]
+
+    def test_step_zero_is_the_fresh_sketch(self):
+        cfg = quadratic(np.linspace(6.0, 1.0, 10))
+        span_cfg = SpanConfig(t_max=1, m=0, l=4, q=2, b=1, eta=0.5, seed=11, hvp_mode=ANALYTIC)
+        state, _ = span_step(SpanState(x=np.ones(10)), cfg, None, span_cfg)
+        fresh = build_subspace(
+            cfg, None, None, np.ones(10), span_cfg.range_config(),
+            seed=linalg.derive_seed(11, _STREAM_SKETCH, 0), mode=ANALYTIC,
+        )
+        assert np.array_equal(state.subspace.u, fresh.u)
+
+    def test_rank_deficient_warm_block_falls_back_to_fresh_sketch(self, monkeypatch):
+        cfg = quadratic(np.linspace(6.0, 1.0, 10))
+        span_cfg = SpanConfig(t_max=2, m=0, l=4, q=2, b=1, eta=0.5, seed=11, hvp_mode=ANALYTIC)
+        state, _ = span_step(SpanState(x=np.ones(10)), cfg, None, span_cfg)
+        fresh = build_subspace(
+            cfg, None, None, state.x, span_cfg.range_config(),
+            seed=linalg.derive_seed(11, _STREAM_SKETCH, 1), mode=ANALYTIC,
+        )
+        warm, _ = span_step(state, cfg, None, span_cfg)
+        assert not np.allclose(warm.subspace.u, fresh.u)
+
+        raised = []
+        real = rangefinder.qr_orthonormal
+
+        def fail_once(y):
+            if not raised:
+                raised.append(y.shape)
+                raise RankDeficient("forced")
+            return real(y)
+
+        monkeypatch.setattr(rangefinder, "qr_orthonormal", fail_once)
+        fallback, _ = span_step(state, cfg, None, span_cfg)
+        assert raised == [(10, 4)]
+        assert np.array_equal(fallback.subspace.u, fresh.u)
+
+
+class TestCarriedGradient:
+    def test_one_full_gradient_per_iteration(self, monkeypatch):
+        # The gradient at x_{t+1} comes with the row's loss and is carried
+        # into the next step: T + 1 full-data gradients for T steps.
+        cfg, data = small_logistic()
+        full = []
+        real = objectives._gradient
+
+        def counting(objective, rows, *rest):
+            full.append(rows is data.features)
+            return real(objective, rows, *rest)
+
+        monkeypatch.setattr(objectives, "_gradient", counting)
+        span_cfg = SpanConfig(t_max=6, m=0, l=4, q=1, b=20, eta=0.5, seed=3)
+        _, trace = run_span(span_cfg, cfg, data, np.zeros(8))
+        assert len(trace) == 6
+        assert sum(full) == 7
+
+    @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD])
+    def test_rows_equal_fresh_loss_and_gradient(self, mode):
+        cfg, data = small_logistic(seed=2)
+        span_cfg = SpanConfig(t_max=6, m=0, l=4, q=1, b=20, eta=0.5, seed=5, hvp_mode=mode)
+        state = SpanState(x=np.zeros(8))
+        for _ in range(6):
+            state, record = span_step(state, cfg, data, span_cfg)
+            grad = batch_gradient(cfg, data, None, state.x)
+            assert np.array_equal(state.grad, grad)
+            assert record.loss == batch_loss(cfg, data, None, state.x)
+            assert record.grad_norm == float(np.linalg.norm(grad))
 
 
 class TestRunSpan:
