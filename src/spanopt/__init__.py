@@ -28,7 +28,7 @@ _apply_thread_cap()
 
 from .baselines import BaselineConfig, run_gd, run_lissa, run_newsamp, run_svrg
 from .errors import SpanOptError
-from .hvp import ANALYTIC, CENTRAL_FD, HvpMode, extended_hvp, hvp
+from .hvp import ANALYTIC, CENTRAL_FD, HvpMode, batch_hessian, hvp
 from .linalg import (
     EigenPairs,
     gaussian_matrix,
@@ -43,7 +43,6 @@ from .objectives import (
     batch_loss,
     dense_hessian,
     exact_hvp,
-    full_batch,
     loss_and_gradient,
     sample_batch,
 )
@@ -57,7 +56,6 @@ from .span import (
     assemble_subspace,
     build_subspace,
     hessian_error_probe,
-    recommended_batch_size,
     run_span,
     span_step,
 )
@@ -81,12 +79,11 @@ __all__ = [
     "apply_inverse",
     "assemble_subspace",
     "batch_gradient",
+    "batch_hessian",
     "batch_loss",
     "build_subspace",
     "dense_hessian",
     "exact_hvp",
-    "extended_hvp",
-    "full_batch",
     "gaussian_matrix",
     "hessian_error_probe",
     "hvp",
@@ -94,7 +91,6 @@ __all__ = [
     "min_power_iterations",
     "power_range",
     "qr_orthonormal",
-    "recommended_batch_size",
     "run_gd",
     "run_lissa",
     "run_newsamp",

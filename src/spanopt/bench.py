@@ -1,7 +1,8 @@
 """Experiment runner: configs in, trace CSVs and plot tables out.
 
 Configs are flat ``key = value`` text with dotted section names
-(``span.l = 16``), '#' comments, and a comma-separated ``methods`` list.
+(``span.l = 16``), '#' comments, and a comma-separated ``methods`` list; a
+key outside :data:`CONFIG_KEYS` is a configuration error.
 Every method in one experiment consumes the same normalized dataset and the
 same start point (zeros, then the shared variance-reduced warm-up), so the
 emitted traces are directly comparable.  Method failures are recorded
@@ -17,8 +18,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import baselines, datasets, span
-from .errors import ConfigError, IncompatibleTraces, NoMatchingExamples, ParseError, SpanOptError
+from . import baselines, datasets, objectives, span
+from .errors import (
+    ConfigError, DimensionTooLarge, IncompatibleTraces, NoMatchingExamples, ParseError, SpanOptError,
+)
 from .hvp import HvpMode
 from .objectives import Dataset, ObjectiveConfig
 from .span import TraceRecord
@@ -30,6 +33,24 @@ CSV_HEADER = "iteration,wall_clock_s,loss,grad_norm,hessian_err,lambda_used"
 PLOT_MODES = ("loss_vs_time", "loss_vs_iter", "hessian_err")
 
 KNOWN_METHODS = ("span",) + baselines.METHODS
+
+_SPAN_KEYS = ("T", "m", "l", "q", "b", "eta", "seed", "grad_tol", "hvp")
+_BASELINE_KEYS = ("T", "eta", "b", "seed", "grad_tol", "m", "inner_steps", "s1")
+
+# Every key the loader reads.  Any other key is rejected, so a misspelled one
+# cannot silently leave its setting at the default.
+CONFIG_KEYS = frozenset(
+    (
+        "seed", "methods", "output_dir", "x0",
+        "objective.loss", "objective.reg_a",
+        "dataset.kind", "dataset.spectrum", "dataset.path", "dataset.positive_label",
+        "dataset.negative_label", "dataset.normalize", "dataset.n", "dataset.d",
+        "dataset.seed", "dataset.decay",
+        "preiterate.epochs", "preiterate.eta", "probe.hessian_error",
+    )
+    + tuple(f"span.{key}" for key in _SPAN_KEYS)
+    + tuple(f"{method}.{key}" for method in baselines.METHODS for key in _BASELINE_KEYS)
+)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -48,6 +69,13 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {line_no}: empty key or value")
         values[key] = value
     return values
+
+
+def check_config_keys(values: dict[str, str]) -> None:
+    """Raise :class:`ConfigError` naming every key outside :data:`CONFIG_KEYS`."""
+    unknown = sorted(set(values) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
 
 
 def _get(values: dict[str, str], key: str, default=None, required: bool = False) -> Optional[str]:
@@ -129,7 +157,7 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
         try:
             examples, dim = datasets.load_libsvm(path)
             ds = datasets.to_binary_dataset(examples, pos, neg, dim=dim)
-        except (ParseError, NoMatchingExamples, ValueError) as exc:
+        except (ParseError, NoMatchingExamples, DimensionTooLarge, ValueError) as exc:
             raise ConfigError(f"dataset.path {path}: {exc}") from None
         if _as_bool(_get(values, "dataset.normalize", "true"), "dataset.normalize"):
             ds, _ = datasets.normalize_rows(ds)
@@ -155,6 +183,7 @@ def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values = parse_config_text(path.read_text())
+    check_config_keys(values)
 
     seed = _as_int(_get(values, "seed", "0"), "seed")
     methods_text = _get(values, "methods", required=True)
@@ -201,18 +230,13 @@ def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
     )
 
 
-def _method_seed(values: dict[str, str], method: str, default: int) -> int:
-    key = f"{method}.seed"
-    return _as_int(values[key], key) if key in values else default
-
-
 def build_span_config(values: dict[str, str], seed: int, probe: bool) -> span.SpanConfig:
     def get(key: str, default=None, required=False):
         return _get(values, f"span.{key}", default=default, required=required)
 
     hvp_kind = get("hvp", "finite_difference")
     try:
-        mode = HvpMode(kind=hvp_kind, fd_scale=_as_float(get("fd_scale", "1.0"), "span.fd_scale"))
+        mode = HvpMode(kind=hvp_kind)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
@@ -223,7 +247,7 @@ def build_span_config(values: dict[str, str], seed: int, probe: bool) -> span.Sp
             q=_as_int(get("q", "1"), "span.q"),
             b=_as_int(get("b", "1"), "span.b"),
             eta=_as_float(get("eta", "1.0"), "span.eta"),
-            seed=_method_seed(values, "span", seed),
+            seed=_as_int(get("seed", str(seed)), "span.seed"),
             grad_tol=_as_float(get("grad_tol", "0.0"), "span.grad_tol"),
             hvp_mode=mode,
             probe_hessian_error=probe,
@@ -241,15 +265,12 @@ def build_baseline_config(values: dict[str, str], method: str, seed: int) -> bas
         eta=_as_float(get("eta", required=True), f"{method}.eta"),
         t_max=_as_int(get("T", required=True), f"{method}.T"),
         b=_as_int(get("b", "1"), f"{method}.b"),
-        seed=_method_seed(values, method, seed),
+        seed=_as_int(get("seed", str(seed)), f"{method}.seed"),
         grad_tol=_as_float(get("grad_tol", "0.0"), f"{method}.grad_tol"),
     )
-    if get("m") is not None:
-        kwargs["m"] = _as_int(get("m"), f"{method}.m")
-    if get("inner_steps") is not None:
-        kwargs["inner_steps"] = _as_int(get("inner_steps"), f"{method}.inner_steps")
-    if get("s1") is not None:
-        kwargs["s1"] = _as_int(get("s1"), f"{method}.s1")
+    for key in ("m", "inner_steps", "s1"):
+        if get(key) is not None:
+            kwargs[key] = _as_int(get(key), f"{method}.{key}")
     try:
         return baselines.BaselineConfig(**kwargs)
     except ValueError as exc:
@@ -499,7 +520,6 @@ def per_iteration_scaling(
     q: int,
     steps: int = 20,
     warmup: int = 3,
-    newsamp_max_dim: int = 512,
     seed: int = 0,
     rounds: int = 2,
 ) -> list[ScalingRow]:
@@ -510,7 +530,7 @@ def per_iteration_scaling(
     the per-run medians.  Medians reject stray slow steps and the min across
     interleaved rounds rejects whole contention windows, neither of which
     says anything about the algorithms.  The dense baseline is skipped above
-    its dimension cap.
+    its dimension cap, ``objectives.DENSE_HESSIAN_MAX_DIM``.
     """
     span_samples: dict[int, list[float]] = {d: [] for d in dims}
     newsamp_samples: dict[int, list[float]] = {d: [] for d in dims}
@@ -525,7 +545,7 @@ def per_iteration_scaling(
             _, trace = span.run_span(span_cfg, objective, None, x0)
             span_samples[d].append(_median_step_seconds(trace, warmup))
 
-            if d <= newsamp_max_dim:
+            if d <= objectives.DENSE_HESSIAN_MAX_DIM:
                 ns_cfg = baselines.BaselineConfig(
                     method="newsamp", eta=0.5, t_max=steps + warmup, b=1, m=m,
                     seed=seed + round_idx,

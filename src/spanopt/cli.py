@@ -68,6 +68,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "scale":
             values = bench.parse_config_text(Path(args.config).read_text())
+            bench.check_config_keys(values)
             try:
                 dims = [int(d) for d in args.dims.split(",") if d.strip()]
             except ValueError:

@@ -2,9 +2,8 @@
 
 Covers the sparse text wire format (one ``<label> <idx>:<val> ...`` example
 per line, 1-based indices, gzip accepted by extension), binary label
-filtering/mapping, unit-norm row normalization, the seeded feature
-subsampler with its degenerate-resample rule, and synthetic problem
-generators for the controlled-spectrum test suites.
+filtering/mapping into a dense feature matrix, unit-norm row normalization,
+and synthetic problem generators for the controlled-spectrum test suites.
 """
 
 from __future__ import annotations
@@ -12,15 +11,18 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
-from .errors import NoMatchingExamples, ParseError, ResampleExhausted
+from .errors import DimensionTooLarge, NoMatchingExamples, ParseError
 from .linalg import derive_seed, gaussian_matrix
 from .objectives import Dataset, ObjectiveConfig
+
+_LABEL_NOISE = 0.05  # flip probability of synthetic classification labels
 
 
 @dataclass(frozen=True)
@@ -93,56 +95,34 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[list[RawExample], int]:
     return examples, dim
 
 
-def save_libsvm(examples: Iterable[RawExample], destination: Union[str, Path, IO]) -> None:
-    """Write examples back to the sparse text format (round-trips with load_libsvm)."""
-    stream = _open_text_write(destination)
-    close = isinstance(destination, (str, Path))
-    try:
-        for example in examples:
-            parts = [repr(float(example.label))]
-            parts.extend(f"{int(index)}:{float(value)!r}" for index, value in example.features)
-            stream.write(" ".join(parts) + "\n")
-    finally:
-        if close:
-            stream.close()
-
-
-def _open_text_write(destination: Union[str, Path, IO]) -> IO:
-    if isinstance(destination, (str, Path)):
-        path = Path(destination)
-        if path.suffix == ".gz":
-            return io.TextIOWrapper(gzip.open(path, "wb"), encoding="utf-8")
-        return open(path, "w", encoding="utf-8")
-    return destination
-
-
 def to_binary_dataset(
     examples: list[RawExample],
     positive_label: float,
     negative_label: float,
-    dim: int | None = None,
+    dim: int,
 ) -> Dataset:
     """Keep the two requested label classes, map them to +1 / -1, and densify.
 
-    Examples with other labels are dropped.  ``dim`` defaults to the largest
-    index among the kept examples; pass the dimension :func:`load_libsvm`
-    inferred to keep the whole file's feature space.
+    Examples with other labels are dropped.  ``dim`` is the feature
+    dimension, normally the one :func:`load_libsvm` inferred from the whole
+    file.  A dense ``rows x dim`` matrix larger than the host's physical
+    memory raises :class:`DimensionTooLarge` before anything is allocated.
     """
     kept = [ex for ex in examples if ex.label in (positive_label, negative_label)]
     if not kept:
         raise NoMatchingExamples(
             f"no examples labeled {positive_label} or {negative_label}"
         )
-    if dim is None:
-        dim = max((idx for ex in kept for idx, _ in ex.features), default=0)
-    relabeled = [
-        RawExample(label=1.0 if ex.label == positive_label else -1.0, features=ex.features)
-        for ex in kept
-    ]
-    features = np.zeros((len(relabeled), dim))
-    labels = np.empty(len(relabeled))
-    for i, ex in enumerate(relabeled):
-        labels[i] = ex.label
+    needed = len(kept) * dim * 8
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise DimensionTooLarge(
+            f"dense {len(kept)} x {dim} feature matrix needs {needed} bytes, "
+            f"more than the {available} bytes of physical memory"
+        )
+    features = np.zeros((len(kept), dim))
+    labels = np.array([1.0 if ex.label == positive_label else -1.0 for ex in kept])
+    for i, ex in enumerate(kept):
         for index, value in ex.features:
             features[i, index - 1] = value  # wire format is 1-based
     return Dataset(features=features, labels=labels)
@@ -161,27 +141,6 @@ def normalize_rows(ds: Dataset) -> tuple[Dataset, int]:
     return Dataset(features=features, labels=ds.labels.copy(), normalized=True), zero_rows
 
 
-def subsample_columns(ds: Dataset, k: int, seed: int, max_attempts: int = 20) -> tuple[Dataset, np.ndarray]:
-    """Uniformly pick ``k`` feature columns, re-sampling while the pick is degenerate.
-
-    A pick is degenerate when more than half the rows become all-zero; after
-    ``max_attempts`` degenerate picks :class:`ResampleExhausted` is raised.
-    Returns the reduced dataset and the chosen column indices.
-    """
-    if k < 1 or k > ds.dim:
-        raise ValueError(f"cannot pick {k} of {ds.dim} columns")
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng(derive_seed(seed, 40, attempt))
-        columns = np.sort(rng.choice(ds.dim, size=k, replace=False))
-        reduced = ds.features[:, columns]
-        zero_rows = int(np.sum(~reduced.any(axis=1)))
-        if zero_rows * 2 <= ds.n_samples:
-            return Dataset(features=reduced, labels=ds.labels.copy()), columns
-    raise ResampleExhausted(
-        f"{max_attempts} column samples all left over half the rows zero"
-    )
-
-
 def synth_quadratic(spectrum) -> tuple[ObjectiveConfig, np.ndarray]:
     """Quadratic objective with exactly this diagonal Hessian spectrum.
 
@@ -197,15 +156,14 @@ def synth_classification(
     d: int,
     seed: int = 0,
     decay: float = 1.5,
-    label_noise: float = 0.05,
     normalize: bool = True,
 ) -> Dataset:
     """Synthetic binary classification with a decaying feature spectrum.
 
     Gaussian features get column scales j^(-decay), so the induced Hessian
     spectrum of a linear model decays polynomially; labels come from a
-    planted unit-norm direction with a small flip probability.  Rows are
-    unit-normalized by default, matching the benchmark preprocessing.
+    planted unit-norm direction, and each flips with probability 0.05.
+    Rows are unit-normalized by default, matching the benchmark preprocessing.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
@@ -215,10 +173,8 @@ def synth_classification(
     planted = gaussian_matrix(d, 1, derive_seed(seed, 51))[:, 0]
     planted /= np.linalg.norm(planted)
     labels = np.where(features @ planted >= 0.0, 1.0, -1.0)
-    if label_noise > 0:
-        rng = np.random.default_rng(derive_seed(seed, 52))
-        flips = rng.random(n) < label_noise
-        labels[flips] *= -1.0
+    flips = np.random.default_rng(derive_seed(seed, 52)).random(n) < _LABEL_NOISE
+    labels[flips] *= -1.0
     ds = Dataset(features=features, labels=labels)
     if normalize:
         ds, _ = normalize_rows(ds)

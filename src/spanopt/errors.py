@@ -28,7 +28,8 @@ class DimensionMismatch(SpanOptError):
 
 
 class DimensionTooLarge(SpanOptError):
-    """A dense-only operation was requested above its dimension cap."""
+    """A dense-only operation was requested above its dimension cap, or a dense
+    feature matrix would not fit in physical memory."""
 
 
 class BatchTooLarge(SpanOptError):
@@ -37,7 +38,8 @@ class BatchTooLarge(SpanOptError):
 
 class NonFiniteResult(SpanOptError):
     """NaN/Inf where a finite value is needed: objective overflow at a finite-difference
-    point, or a diverged iterate reaching a factorization."""
+    point, a diverged iterate reaching a factorization, or a power-iteration norm
+    estimate that overflowed."""
 
 
 class InvalidRankParams(SpanOptError):
@@ -64,10 +66,6 @@ class ParseError(SpanOptError):
 
 class NoMatchingExamples(SpanOptError):
     """Label filtering dropped every example."""
-
-
-class ResampleExhausted(SpanOptError):
-    """Feature subsampling kept producing degenerate (mostly zero) datasets."""
 
 
 class ConfigError(SpanOptError):

@@ -124,7 +124,9 @@ def spectral_norm_sym(
     Convergence is declared when successive estimates move by less than
     ``tol`` relatively (plus ``abs_tol``, for probing operators that may be
     roundoff-level zero); exceeding the iteration cap raises
-    :class:`NoConvergence`.
+    :class:`NoConvergence`.  An estimate that is not finite (``||A v||``
+    overflowed, or ``A`` returned NaN/Inf) raises :class:`NonFiniteResult`
+    at once, since normalizing by it would turn the iterate to zero or NaN.
     """
     v = gaussian_matrix(d, 1, seed)[:, 0]
     norm_v = float(np.linalg.norm(v))
@@ -133,6 +135,8 @@ def spectral_norm_sym(
     for it in range(max_iters):
         w = apply(v)
         est = float(np.linalg.norm(w))
+        if not math.isfinite(est):
+            raise NonFiniteResult(f"operator norm estimate is {est} at power iteration {it}")
         if est == 0.0 or est < 1e-300:
             # Random start annihilated: for a symmetric operator this happens
             # with probability one only for the zero operator.

@@ -235,9 +235,9 @@ class BatchHessian:
     With ``fd_step`` set, products are central differences of the batch
     gradient instead: each column is normalized (so the step never scales
     with ``||v||``, which grows geometrically during power iteration),
-    perturbed by ``fd_step`` both ways and rescaled by its own norm, with the
-    ``2k`` perturbed points of a block evaluated in one pass; a zero column
-    gives an exact zero.
+    perturbed by ``fd_step = sqrt(eps) * (1 + ||x||)`` both ways and rescaled
+    by its own norm, with the ``2k`` perturbed points of a block evaluated in
+    one pass; a zero column gives an exact zero.
     """
 
     cfg: ObjectiveConfig
@@ -248,13 +248,13 @@ class BatchHessian:
     fd_step: Optional[float] = None
 
     @classmethod
-    def at(cls, cfg, data, batch, x, fd_scale: Optional[float] = None) -> "BatchHessian":
-        """Gather the batch at ``x``; ``fd_scale`` selects central differences
-        with step ``fd_scale * sqrt(eps) * (1 + ||x||)``."""
+    def at(cls, cfg, data, batch, x, finite_difference: bool = False) -> "BatchHessian":
+        """Gather the batch at ``x``, for central-difference products if
+        ``finite_difference`` is set and analytic ones otherwise."""
         x = _check_x(cfg, data, x)
         rows, labels = _batch_rows(cfg, data, batch)
-        if fd_scale is not None:
-            step = fd_scale * _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
+        if finite_difference:
+            step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
             return cls(cfg, x, rows, labels, fd_step=step)
         weights = None if rows is None else _curvature_weights(cfg, rows, labels, x)
         return cls(cfg, x, rows, labels, weights)
@@ -325,8 +325,3 @@ def sample_batch(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
     if b < 1 or b > n:
         raise BatchTooLarge(f"batch size {b} outside [1, {n}]")
     return np.sort(rng.choice(n, size=b, replace=False))
-
-
-def full_batch(n: int) -> np.ndarray:
-    """The batch containing every sample index."""
-    return np.arange(n)

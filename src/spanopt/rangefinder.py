@@ -21,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidRankParams, RankDeficient
-from .hvp import CENTRAL_FD, HvpMode, batch_hessian
 from .linalg import derive_seed, gaussian_matrix, qr_orthonormal
-from .objectives import BatchHessian, Dataset, ObjectiveConfig
+from .objectives import BatchHessian
 
 _RESAMPLE_ATTEMPTS = 4  # the first draw plus three fresh seeds
 
@@ -58,27 +57,15 @@ class RangeConfig:
         return self.q >= 3
 
 
-def power_range(
-    cfg: ObjectiveConfig,
-    data: Dataset | None,
-    batch: np.ndarray | None,
-    x: np.ndarray,
-    rc: RangeConfig,
-    seed: int,
-    mode: HvpMode = CENTRAL_FD,
-) -> np.ndarray:
+def power_range(hessian: BatchHessian, rc: RangeConfig, seed: int) -> np.ndarray:
     """Orthonormal (d, l) basis spanning ``H_B(x)^{2q+1} Omega`` for Gaussian Omega.
 
+    ``hessian`` is the batch operator from :func:`spanopt.hvp.batch_hessian`.
     A rank-deficient sketch is retried with up to three fresh derived seeds;
     a Gaussian block is dependent only with probability zero, so repeated
     failure means the operator itself is degenerate and the final
     :class:`RankDeficient` propagates.
     """
-    return _power_range(batch_hessian(cfg, data, batch, x, mode), rc, seed)
-
-
-def _power_range(hessian: BatchHessian, rc: RangeConfig, seed: int) -> np.ndarray:
-    """:func:`power_range` against an already built batch Hessian operator."""
     rc.validate_for_dim(hessian.x.size)
     last_error: RankDeficient | None = None
     for attempt in range(_RESAMPLE_ATTEMPTS):
@@ -110,7 +97,7 @@ def _warm_range(
             return qr_orthonormal(hessian @ previous)
         except RankDeficient:
             pass
-    return _power_range(hessian, rc, seed)
+    return power_range(hessian, rc, seed)
 
 
 def min_power_iterations(d: int, l: int, m: int) -> int:

@@ -3,7 +3,7 @@
 Each iteration sketches the batch Hessian into an orthonormal basis U (see
 :mod:`spanopt.rangefinder`; after the first step, by one subspace iteration
 from the last step's basis), forms the captured block Z^T U with one more
-extended Hessian product, and applies the perturbed inverse
+block Hessian product, and applies the perturbed inverse
 
     U (Z^T U)^{-1} U^T  +  (1/lambda) (I - U U^T)
 
@@ -19,9 +19,10 @@ for the trace row, and carried into the next step.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .objectives import (
     loss_and_gradient,
     sample_batch,
 )
-from .rangefinder import RangeConfig, _power_range, _warm_range
+from .rangefinder import RangeConfig, _warm_range, power_range
 
 # Stream tags so each stochastic sub-step of an iteration draws from its own
 # child of the run seed.
@@ -45,6 +46,9 @@ _STREAM_PROBE = 2
 
 # Captured-block condition number from which the perturbed inverse is refused.
 _BLOCK_COND_LIMIT = 1e12
+
+# Relative stopping tolerance of the Hessian-error probe's power iteration.
+_PROBE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,14 @@ class Subspace:
 
 @dataclass(frozen=True)
 class SpanConfig:
-    """Driver hyperparameters: iteration budget, sketch shape, batch size, steps."""
+    """Driver hyperparameters: iteration budget, sketch shape, batch size, step size."""
 
     t_max: int
     m: int
     l: int
     q: int
     b: int
-    eta: Union[float, Sequence[float]] = 1.0
+    eta: float = 1.0
     seed: int = 0
     grad_tol: float = 0.0
     hvp_mode: HvpMode = CENTRAL_FD
@@ -88,9 +92,8 @@ class SpanConfig:
             raise ValueError("batch size must be positive")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be non-negative")
-        steps = np.asarray(self.eta, dtype=float)
-        if steps.ndim > 1 or np.any(steps <= 0):
-            raise ValueError("eta must be positive, or a 1-D schedule of positive steps")
+        if not isinstance(self.eta, numbers.Real) or not self.eta > 0:
+            raise ValueError("eta must be a positive number")
         # Sketch-shape consistency (including d) is checked by RangeConfig at run time.
 
     def range_config(self) -> RangeConfig:
@@ -184,7 +187,7 @@ def build_subspace(
     One operator serves the ``2q + 1`` sketch products and ``Z = H_B U``.
     """
     hessian = batch_hessian(cfg, data, batch, x, mode)
-    u = _power_range(hessian, rc, seed)
+    u = power_range(hessian, rc, seed)
     return assemble_subspace(u, hessian @ u, rc.m)
 
 
@@ -208,7 +211,6 @@ def hessian_error_probe(
     batch: np.ndarray | None,
     x: np.ndarray,
     mode: HvpMode = CENTRAL_FD,
-    tol: float = 1e-6,
     seed: int = 0,
 ) -> float:
     """Operator-norm distance between the constructed and the true batch Hessian.
@@ -223,7 +225,7 @@ def hessian_error_probe(
     (about 5e-9 of ``||H_B||`` on small logistic problems), and symmetric
     power iteration on it is biased at that level.  A matrix-free transpose
     is not available to remove it; the bias sits far below the iteration's
-    own stopping error at the default ``tol``.
+    own stopping error (1e-6 relative).
     """
     hessian = batch_hessian(cfg, data, batch, x, mode)
 
@@ -236,16 +238,7 @@ def hessian_error_probe(
     # nonsymmetric; an absolute floor keyed to the captured block's scale
     # lets the probe settle there instead of chasing noise.
     floor = 1e-11 * float(np.linalg.norm(s.small_block))
-    return spectral_norm_sym(difference, hessian.x.size, tol=tol, seed=seed, abs_tol=floor)
-
-
-def _eta_at(cfg: SpanConfig, t: int) -> float:
-    if np.isscalar(cfg.eta):
-        return float(cfg.eta)
-    schedule = np.asarray(cfg.eta, dtype=float)
-    if t >= schedule.size:
-        raise ValueError(f"step schedule has {schedule.size} entries, needed index {t}")
-    return float(schedule[t])
+    return spectral_norm_sym(difference, hessian.x.size, tol=_PROBE_TOL, seed=seed, abs_tol=floor)
 
 
 def span_step(
@@ -253,7 +246,6 @@ def span_step(
     objective: ObjectiveConfig,
     data: Dataset | None,
     cfg: SpanConfig,
-    eta_t: Optional[float] = None,
 ) -> tuple[SpanState, TraceRecord]:
     """One iteration: sample, sketch, invert, step with the full gradient.
 
@@ -278,8 +270,7 @@ def span_step(
     u = _warm_range(hessian, rc, derive_seed(cfg.seed, _STREAM_SKETCH, t), previous)
     subspace = assemble_subspace(u, hessian @ u, rc.m)
     grad = state.grad if state.grad is not None else batch_gradient(objective, data, None, state.x)
-    eta = eta_t if eta_t is not None else _eta_at(cfg, t)
-    x_next = state.x - eta * apply_inverse(subspace, grad)
+    x_next = state.x - cfg.eta * apply_inverse(subspace, grad)
     loss, grad_next = loss_and_gradient(objective, data, x_next)
 
     elapsed = state.elapsed_s + (time.perf_counter() - start)
@@ -316,17 +307,3 @@ def run_span(
         if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
             break
     return state.x, trace
-
-
-def recommended_batch_size(
-    k_bound: float, eps: float, l: int, m: int, d: int, n: int
-) -> int:
-    """Batch size sufficient for the sampled Hessian to be eps-close in norm.
-
-    Evaluates min( 16 K^2 / eps^2 * (l - m + log(2d)), N ), rounded up and
-    kept at least 1.
-    """
-    if k_bound <= 0 or eps <= 0 or n < 1 or d < 1 or m >= l:
-        raise ValueError("need positive inputs with m < l")
-    raw = 16.0 * k_bound**2 / eps**2 * (l - m + np.log(2.0 * d))
-    return max(1, int(np.ceil(min(raw, float(n)))))

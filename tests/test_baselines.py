@@ -21,7 +21,7 @@ from spanopt.baselines import (
     newsamp_inverse,
     svrg_gradient_estimate,
 )
-from spanopt.errors import DivergingSeries
+from spanopt.errors import DivergingSeries, NonFiniteResult
 from spanopt.linalg import sym_eig_small
 
 
@@ -190,6 +190,13 @@ class TestLissa:
         objective = quadratic([0.5, 2.0])
         scale = lissa_hessian_scale(objective, None, np.zeros(2), seed=3)
         assert scale == pytest.approx(2.5, rel=1e-4)
+
+    def test_scale_probe_overflow_is_not_zero_curvature(self):
+        # reg_a = 1e300 gives a Hessian of norm ~1e300, whose power-iteration
+        # estimate overflows; that is a non-finite result, not a flat objective.
+        objective = ObjectiveConfig("quadratic", reg_a=1e300, quadratic_spectrum=np.array([0.5, 2.0]))
+        with pytest.raises(NonFiniteResult):
+            lissa_hessian_scale(objective, None, np.zeros(2), seed=3)
 
     def test_stochastic_run_converges_on_logistic(self):
         cfg, data = toy_logistic(n=30, d=3, seed=8, reg=0.3)

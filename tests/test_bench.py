@@ -13,9 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanopt import cli
+from spanopt import bench, cli, objectives
 from spanopt.bench import (
+    CONFIG_KEYS,
     CSV_HEADER,
+    KNOWN_METHODS,
+    build_baseline_config,
+    build_span_config,
     emit_plot_data,
     load_experiment_config,
     parse_config_text,
@@ -136,6 +140,38 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, "seed = 1\nmethods = gd\nobjective.loss = quadratic\n")
         with pytest.raises(ConfigError):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("line", ["span.fd_scale = 2", "span.lr = 0.1"])
+    def test_unknown_key_exit_one(self, tmp_path, capsys, line):
+        cfg = str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out") + line + "\n"))
+        key = repr(line.split(" = ")[0])
+        for argv in (["run", cfg], ["scale", cfg, "--dims", "20", "-o", str(tmp_path / "s.csv")]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert "config error:" in err and key in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "s.csv").exists()
+
+    def test_accepted_keys_are_the_keys_the_loader_reads(self, tmp_path, monkeypatch):
+        # Record every key the loader asks for while it loads one config of
+        # each dataset kind and builds every method's config; that set is the
+        # accepted one, so no read key is refused and no accepted key is ignored.
+        read = set()
+        real_get = bench._get
+
+        def recording_get(values, key, *args, **kwargs):
+            read.add(key)
+            return real_get(values, key, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "_get", recording_get)
+        data = tmp_path / "data.libsvm"
+        data.write_text(_LIBSVM_TEXT)
+        for base in _BASES.values():
+            text = base.replace("{data}", str(data)) + _METHOD_LINES + f"output_dir = {tmp_path / 'out'}\n"
+            cfg = load_experiment_config(write_cfg(tmp_path, text))
+            build_span_config(cfg.raw, cfg.seed, cfg.probe_hessian_error)
+            for method in KNOWN_METHODS[1:]:
+                build_baseline_config(cfg.raw, method, cfg.seed)
+        assert read == CONFIG_KEYS
 
     def test_unknown_method(self, tmp_path):
         path = write_cfg(tmp_path, "methods = warp\ndataset.spectrum = 1,2\nobjective.loss = quadratic\n")
@@ -335,8 +371,9 @@ class TestPlotEmission:
 
 
 class TestScalingHarness:
-    def test_structure_and_cap(self):
-        rows = per_iteration_scaling([20, 40], l=6, m=2, q=1, steps=3, warmup=1, newsamp_max_dim=30)
+    def test_structure_and_cap(self, monkeypatch):
+        monkeypatch.setattr(objectives, "DENSE_HESSIAN_MAX_DIM", 30)
+        rows = per_iteration_scaling([20, 40], l=6, m=2, q=1, steps=3, warmup=1)
         assert [r.d for r in rows] == [20, 40]
         assert rows[0].newsamp_step_s is not None
         assert rows[1].newsamp_step_s is None  # capped
@@ -375,8 +412,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "lines",
-        ["1 1:1 x\n2 1:0.5\n", "1\n2\n", "1 1:1e999\n2 1:0.5\n", "1 1:nan\n2 1:0.5\n"],
-        ids=["malformed", "featureless", "overflow", "nan"],
+        [
+            "1 1:1 x\n2 1:0.5\n", "1\n2\n", "1 1:1e999\n2 1:0.5\n", "1 1:nan\n2 1:0.5\n",
+            "1 1000000000000:1\n2 1:0.5\n",  # a 2 x 1e12 dense matrix, refused before allocation
+        ],
+        ids=["malformed", "featureless", "overflow", "nan", "beyond-memory"],
     )
     def test_bad_libsvm_input_exit_one(self, tmp_path, capsys, lines):
         data_path = tmp_path / "bad.libsvm"

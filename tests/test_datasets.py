@@ -3,6 +3,7 @@
 import gzip
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,11 @@ from spanopt.datasets import (
     RawExample,
     load_libsvm,
     normalize_rows,
-    save_libsvm,
-    subsample_columns,
     synth_classification,
     synth_quadratic,
     to_binary_dataset,
 )
-from spanopt.errors import NoMatchingExamples, ParseError, ResampleExhausted
+from spanopt.errors import DimensionTooLarge, NoMatchingExamples, ParseError
 
 
 # Parser inputs: label / index:value lines built from well-formed,
@@ -89,14 +88,6 @@ class TestLoadLibsvm:
         examples, dim = load_libsvm(path)
         assert len(examples) == 2 and dim == 2
 
-    def test_round_trip(self, tmp_path):
-        text = "1 1:0.5 3:0.25\n-1 2:1.2e-3\n4 7:-2\n"
-        examples, _ = load_libsvm(io.StringIO(text))
-        path = tmp_path / "echo.txt"
-        save_libsvm(examples, path)
-        reparsed, _ = load_libsvm(path)
-        assert reparsed == examples
-
 
 class TestToBinaryDataset:
     def examples(self):
@@ -108,7 +99,7 @@ class TestToBinaryDataset:
         ]
 
     def test_mapping_and_dropping(self):
-        ds = to_binary_dataset(self.examples(), positive_label=4.0, negative_label=9.0)
+        ds = to_binary_dataset(self.examples(), positive_label=4.0, negative_label=9.0, dim=3)
         assert ds.n_samples == 3  # the 7-labeled example is dropped
         np.testing.assert_array_equal(ds.labels, [1.0, -1.0, 1.0])
         np.testing.assert_array_equal(ds.features[1], [0.0, 2.0, 0.0])
@@ -118,19 +109,35 @@ class TestToBinaryDataset:
             RawExample(label=1.0, features=((1, 1.0),)),
             RawExample(label=-1.0, features=((1, 2.0),)),
         ]
-        ds = to_binary_dataset(examples, positive_label=1.0, negative_label=-1.0)
+        ds = to_binary_dataset(examples, positive_label=1.0, negative_label=-1.0, dim=1)
         np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
 
     def test_no_matching_examples(self):
         examples = [RawExample(label=3.0, features=((1, 1.0),))]
         with pytest.raises(NoMatchingExamples):
-            to_binary_dataset(examples, positive_label=4.0, negative_label=9.0)
+            to_binary_dataset(examples, positive_label=4.0, negative_label=9.0, dim=1)
 
     def test_count_preserved(self):
         examples = self.examples()
-        ds = to_binary_dataset(examples, 4.0, 9.0)
+        ds = to_binary_dataset(examples, 4.0, 9.0, dim=3)
         kept = sum(1 for ex in examples if ex.label in (4.0, 9.0))
         assert ds.n_samples == kept
+
+    def test_matrix_beyond_physical_memory_refused_before_allocation(self):
+        # Two rows of dimension 1e12 would need 16 TB; the check must fire
+        # before numpy is asked for any of it.
+        examples = [
+            RawExample(label=1.0, features=((1, 1.0),)),
+            RawExample(label=-1.0, features=((10**12, 1.0),)),
+        ]
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLarge):
+                to_binary_dataset(examples, 1.0, -1.0, dim=10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestNormalizeRows:
@@ -158,37 +165,6 @@ class TestNormalizeRows:
         once, _ = normalize_rows(ds)
         twice, _ = normalize_rows(once)
         assert np.abs(once.features - twice.features).max() <= 1e-12
-
-
-class TestSubsampleColumns:
-    def test_deterministic(self):
-        rng = np.random.default_rng(1)
-        ds = Dataset(features=rng.standard_normal((20, 30)), labels=np.ones(20))
-        first, cols1 = subsample_columns(ds, 10, seed=5)
-        second, cols2 = subsample_columns(ds, 10, seed=5)
-        np.testing.assert_array_equal(cols1, cols2)
-        np.testing.assert_array_equal(first.features, second.features)
-
-    def test_resample_rule_recovers(self):
-        # Only column 0 is dense; any other single column leaves most rows
-        # zero, forcing re-samples until column 0 is drawn.
-        features = np.zeros((10, 3))
-        features[:, 0] = 1.0
-        features[0, 1] = 1.0
-        features[0, 2] = 1.0
-        ds = Dataset(features=features, labels=np.ones(10))
-        reduced, cols = subsample_columns(ds, 1, seed=0)
-        np.testing.assert_array_equal(cols, [0])
-        assert reduced.features.shape == (10, 1)
-
-    def test_resample_exhausted(self):
-        # Every single column leaves 9 of 10 rows zero; no pick can succeed.
-        features = np.zeros((10, 3))
-        for j in range(3):
-            features[j, j] = 1.0
-        ds = Dataset(features=features, labels=np.ones(10))
-        with pytest.raises(ResampleExhausted):
-            subsample_columns(ds, 1, seed=0)
 
 
 class TestSyntheticProblems:

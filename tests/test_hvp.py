@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spanopt import ANALYTIC, CENTRAL_FD, Dataset, HvpMode, ObjectiveConfig, dense_hessian, extended_hvp, hvp
+from spanopt import ANALYTIC, CENTRAL_FD, Dataset, HvpMode, ObjectiveConfig, batch_hessian, dense_hessian, hvp
 from spanopt.errors import DimensionMismatch
 
 QUAD123 = ObjectiveConfig("quadratic", quadratic_spectrum=np.array([1.0, 2.0, 3.0]))
@@ -98,15 +98,17 @@ class TestHvp:
 
 
 class TestExtendedHvp:
+    """Extended products ``H_B(x) V`` for a (d, k) block: ``batch_hessian(...) @ V``."""
+
     def test_identity_block_reconstructs_hessian(self):
-        result = extended_hvp(QUAD123, None, None, np.zeros(3), np.eye(3), CENTRAL_FD)
+        result = batch_hessian(QUAD123, None, None, np.zeros(3), CENTRAL_FD) @ np.eye(3)
         np.testing.assert_allclose(result, np.diag([1.0, 2.0, 3.0]), atol=1e-10)
 
     def test_zero_column_stays_zero(self):
         cfg, data = logistic_instance(20, 5, 11)
         block = np.random.default_rng(12).standard_normal((5, 3))
         block[:, 1] = 0.0
-        result = extended_hvp(cfg, data, None, np.ones(5), block, CENTRAL_FD)
+        result = batch_hessian(cfg, data, None, np.ones(5), CENTRAL_FD) @ block
         np.testing.assert_array_equal(result[:, 1], np.zeros(5))
 
     def test_matches_dense_product(self):
@@ -116,12 +118,8 @@ class TestExtendedHvp:
         block = rng.standard_normal((15, 4))
         h = dense_hessian(cfg, data, None, x)
         for mode in (CENTRAL_FD, ANALYTIC):
-            result = extended_hvp(cfg, data, None, x, block, mode)
+            result = batch_hessian(cfg, data, None, x, mode) @ block
             assert np.linalg.norm(result - h @ block) <= 1e-6 * np.linalg.norm(h @ block)
-
-    def test_requires_2d(self):
-        with pytest.raises(DimensionMismatch):
-            extended_hvp(QUAD123, None, None, np.zeros(3), np.zeros(3), CENTRAL_FD)
 
 
 class TestFiniteDifferenceBlock:
@@ -139,19 +137,19 @@ class TestFiniteDifferenceBlock:
 
     def test_columns_match_single_products(self):
         cfg, data, batch, x, block = self.setup_block()
-        result = extended_hvp(cfg, data, batch, x, block, CENTRAL_FD)
+        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
         for j in range(block.shape[1]):
             single = hvp(cfg, data, batch, x, block[:, j], CENTRAL_FD)
             assert np.linalg.norm(result[:, j] - single) <= 1e-10 * np.linalg.norm(single)
 
     def test_matches_analytic(self):
         cfg, data, batch, x, block = self.setup_block()
-        result = extended_hvp(cfg, data, batch, x, block, CENTRAL_FD)
-        exact = extended_hvp(cfg, data, batch, x, block, ANALYTIC)
+        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
+        exact = batch_hessian(cfg, data, batch, x, ANALYTIC) @ block
         for j in range(block.shape[1]):
             assert np.linalg.norm(result[:, j] - exact[:, j]) <= 1e-6 * np.linalg.norm(exact[:, j])
 
     def test_zero_column_exact(self):
         cfg, data, batch, x, block = self.setup_block()
-        result = extended_hvp(cfg, data, batch, x, block, CENTRAL_FD)
+        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
         np.testing.assert_array_equal(result[:, 2], np.zeros(12))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spanopt import linalg
-from spanopt.errors import NoConvergence, RankDeficient, SingularSystem
+from spanopt.errors import NoConvergence, NonFiniteResult, RankDeficient, SingularSystem
 from spanopt.span import assemble_subspace
 
 
@@ -142,6 +142,13 @@ class TestSpectralNormSym:
 
     def test_zero_operator(self):
         assert linalg.spectral_norm_sym(lambda v: 0.0 * v, 3, seed=1) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e308, np.inf], ids=["overflowing", "infinite"])
+    def test_non_finite_estimate_raises(self, scale):
+        # ||1e308 v|| overflows to inf: normalizing by it once reported a zero
+        # norm, and an infinite operator spun to the iteration cap.
+        with pytest.raises(NonFiniteResult):
+            linalg.spectral_norm_sym(lambda v: scale * v, 3, seed=1)
 
     def test_matches_dense_eigensolver_on_difference_operator(self):
         # d=20 quadratic with a clear gap; compare the matrix-free probe

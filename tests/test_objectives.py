@@ -12,7 +12,6 @@ from spanopt import (
     batch_loss,
     dense_hessian,
     exact_hvp,
-    full_batch,
     loss_and_gradient,
     sample_batch,
 )
@@ -262,6 +261,3 @@ class TestSampleBatch:
         p = b / n
         sigma = math.sqrt(p * (1 - p) / draws)
         assert np.abs(freq - p).max() <= 4 * sigma
-
-    def test_full_batch_helper(self):
-        np.testing.assert_array_equal(full_batch(4), [0, 1, 2, 3])

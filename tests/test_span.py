@@ -1,7 +1,6 @@
 """Subspace construction, perturbed inverse, error probe, and the driver."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from spanopt import (
     build_subspace,
     dense_hessian,
     hessian_error_probe,
-    recommended_batch_size,
     run_span,
     span_step,
 )
@@ -359,11 +357,13 @@ class TestRunSpan:
         with pytest.raises(ConfigError, match="span.eta"):
             build_span_config(values, seed=3, probe=False)
 
-    def test_per_iteration_schedule(self):
-        cfg = quadratic(np.linspace(4.0, 1.0, 10))
-        span_cfg = SpanConfig(t_max=3, m=0, l=4, q=1, b=1, eta=[0.9, 0.5, 0.1], seed=0, hvp_mode=ANALYTIC)
-        _, trace = run_span(span_cfg, cfg, None, np.ones(10))
-        assert len(trace) == 3
+    @pytest.mark.parametrize(
+        "eta", [[0.9, 0.5, 0.1], np.array([0.5]), "0.5", 0.0, -1.0, float("nan")],
+        ids=["schedule", "array", "text", "zero", "negative", "nan"],
+    )
+    def test_eta_must_be_one_positive_number(self, eta):
+        with pytest.raises(ValueError):
+            SpanConfig(t_max=3, m=0, l=4, q=1, b=1, eta=eta, seed=0, hvp_mode=ANALYTIC)
 
 
 class TestContractionBound:
@@ -388,24 +388,3 @@ class TestContractionBound:
                 assert lam_min <= 2.0 * sigma_m1 + 1e-9
                 ratio = np.linalg.norm(state.x) / prev
                 assert ratio <= 1.0 - eta * sigma_d**2 / (36.0 * lam_min**2) + 1e-6
-
-
-class TestRecommendedBatchSize:
-    def test_direct_evaluation(self):
-        k, eps, l, m, d, n = 1.0, 1.0, 5, 1, 100, 10_000
-        expected = math.ceil(16.0 * k**2 / eps**2 * (l - m + math.log(2 * d)))
-        assert recommended_batch_size(k, eps, l, m, d, n) == expected == 149
-
-    def test_cap_at_dataset_size(self):
-        assert recommended_batch_size(1.0, 1.0, 5, 1, 100, 50) == 50
-
-    def test_monotone_decreasing_in_eps(self):
-        sizes = [recommended_batch_size(1.0, eps, 8, 2, 200, 10**9) for eps in (0.5, 1.0, 2.0, 100.0)]
-        assert sizes == sorted(sizes, reverse=True)
-        assert sizes[-1] >= 1
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            recommended_batch_size(1.0, 0.0, 5, 1, 100, 10)
-        with pytest.raises(ValueError):
-            recommended_batch_size(1.0, 1.0, 5, 5, 100, 10)
