@@ -18,7 +18,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NoMatchingExamples, ParseError
+from .errors import DimensionMismatch, DimensionTooLarge, NoMatchingExamples, ParseError
 from .linalg import derive_seed, gaussian_matrix
 from .objectives import Dataset, ObjectiveConfig
 
@@ -105,14 +105,18 @@ def to_binary_dataset(
 
     Examples with other labels are dropped.  ``dim`` is the feature
     dimension, normally the one :func:`load_libsvm` inferred from the whole
-    file.  A dense ``rows x dim`` matrix larger than the host's physical
-    memory raises :class:`DimensionTooLarge` before anything is allocated.
+    file.  A feature index above ``dim`` raises :class:`DimensionMismatch`,
+    and a dense ``rows x dim`` matrix larger than the host's physical memory
+    raises :class:`DimensionTooLarge`, both before the matrix is allocated.
     """
     kept = [ex for ex in examples if ex.label in (positive_label, negative_label)]
     if not kept:
         raise NoMatchingExamples(
             f"no examples labeled {positive_label} or {negative_label}"
         )
+    largest = max((index for ex in kept for index, _ in ex.features), default=0)
+    if largest > dim:
+        raise DimensionMismatch(f"feature index {largest} exceeds the dimension {dim}")
     needed = len(kept) * dim * 8
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:

@@ -1,14 +1,16 @@
 """Dense linear-algebra kernels shared by every other module.
 
-The factorizations are numpy's LAPACK wrappers behind the library's
-contracts: Householder QR with non-negative R diagonal and a rank tripwire
-(stable orthonormality is load-bearing for the subspace error bounds), and a
-symmetric eigensolver with values in descending order.  Two kernels stay
-local: Box-Muller Gaussian sampling over a PCG64 stream (reproducible from
-the 64-bit seed alone, independent of numpy's own normal sampler and so of
-its version), and a matrix-free power-iteration probe for symmetric operator
-norms.  The kernels map their failure modes onto the library's exception
-types.
+The factorizations sit behind the library's contracts.  Thin QR is shifted
+CholeskyQR3 built from numpy GEMMs and ``l x l`` LAPACK calls: a tall-skinny
+``d x l`` block costs three Gram products and three triangular applies,
+with R's diagonal positive by construction and a rank tripwire on it
+(stable orthonormality is load-bearing for the subspace error bounds).  The
+symmetric eigensolver is LAPACK's ``eigh`` with values in descending order.
+Two kernels stay local: Box-Muller Gaussian sampling over a PCG64 stream
+(reproducible from the 64-bit seed alone, independent of numpy's own normal
+sampler and so of its version), and a matrix-free power-iteration probe for
+symmetric operator norms.  The kernels map their failure modes onto the
+library's exception types.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import NoConvergence, NonFiniteResult, RankDeficient
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _RANK_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 _POWER_MAX_ITERS = 20_000
 
 
@@ -57,12 +60,24 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def qr_orthonormal(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of ``y`` via LAPACK's Householder QR.
+    """Orthonormal basis for the column span of a tall ``y``, by shifted CholeskyQR3.
 
-    Returns the thin Q factor (same shape as ``y``) with column signs chosen
-    so R has a non-negative diagonal.  Raises :class:`RankDeficient` when the
-    smallest R pivot falls below 1e-12 of the largest, which is the cheap
-    tripwire for numerically dependent columns.
+    Returns the thin Q factor (same shape as ``y``) of ``y = QR`` with R's
+    diagonal positive.  ``y`` is first scaled by the power of two nearest its
+    largest entry, so the Gram matrix neither overflows nor underflows.  Pass
+    one factors ``G = y^T y`` shifted by ``11 (dl + l(l+1)) eps trace(G)``,
+    which keeps Cholesky defined for ``cond(y)`` up to about 1e14; passes two
+    and three are plain CholeskyQR on the result and restore orthonormality
+    to roundoff (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J.
+    Sci. Comput. 2020).  numpy has no triangular solve, so each pass inverts
+    its ``l x l`` factor and applies it as one GEMM.  That is exact enough
+    for blocks whose pivots fall with their singular values, as sketches of a
+    decaying spectrum do; a block whose R is ill-conditioned with pivots near
+    one (Kahan-like) keeps a residual ``||y - QR||`` near ``cond(R) eps``.
+
+    Raises :class:`RankDeficient` when a Cholesky factorization fails or the
+    smallest pivot of R falls below 1e-12 of the largest, the cheap tripwire
+    for numerically dependent columns.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -70,18 +85,29 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     d, l = y.shape
     if d < l:
         raise ValueError(f"need at least as many rows as columns, got {d}x{l}")
-    if not np.isfinite(y).all():
+    peak = float(np.abs(y).max())  # NaN and Inf propagate through the max
+    if not math.isfinite(peak):
         raise NonFiniteResult("input contains NaN/Inf")
+    if peak == 0.0:
+        raise RankDeficient("all columns are zero")
 
-    q, r = np.linalg.qr(y)
-    diag = np.abs(np.diagonal(r))
-    if diag.min() <= _RANK_TOL * diag.max():
+    q = np.ldexp(y, -math.frexp(peak)[1])  # exact: entries now below 1 in magnitude
+    pivots = 1.0
+    for shift in (11.0 * (d * l + l * (l + 1)) * _EPS, 0.0, 0.0):
+        gram = q.T @ q
+        if shift:
+            gram.flat[:: l + 1] += shift * gram.trace()
+        try:
+            r = np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError:
+            raise RankDeficient("columns numerically dependent (Gram matrix not positive definite)") from None
+        q = q @ np.linalg.inv(r)
+        pivots = pivots * np.diagonal(r)  # diag(R3 R2 R1) is the product of the diagonals
+    if pivots.min() <= _RANK_TOL * pivots.max():
         raise RankDeficient(
-            f"columns numerically dependent (pivot ratio {diag.min():.3e}/{diag.max():.3e})"
+            f"columns numerically dependent (pivot ratio {pivots.min():.3e}/{pivots.max():.3e})"
         )
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return q
 
 
 @dataclass(frozen=True)

@@ -93,13 +93,10 @@ class ObjectiveConfig:
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    # Branch on the sign so exp never overflows (|z| > 30 is routine here).
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows (|z| > 30 is routine here); the numerator picks
+    # 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, without masked gathers.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_x(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> np.ndarray:
@@ -205,18 +202,19 @@ def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: Optional[np.ndarray]) ->
     return float(np.mean(_huber_loss_terms(margins))) + reg
 
 
+def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray) -> np.ndarray:
+    """Derivative of the per-sample loss with respect to its margin."""
+    if cfg.loss_kind == "logistic":
+        return -_stable_sigmoid(-margins)
+    return _huber_dmargin(margins)
+
+
 def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins) -> np.ndarray:
-    """Batch gradient over gathered rows at ``x``, or column-wise at each point of a (d, k) block."""
+    """Batch gradient over gathered rows at ``x``."""
     if cfg.loss_kind == "quadratic":
         spectrum = cfg.quadratic_spectrum if x.ndim == 1 else cfg.quadratic_spectrum[:, None]
         return spectrum * x + cfg.reg_a * x
-    if x.ndim == 2:
-        labels = labels[:, None]
-    if cfg.loss_kind == "logistic":
-        coeff = -labels * _stable_sigmoid(-margins)
-    else:
-        coeff = _huber_dmargin(margins) * labels
-    return rows.T @ coeff / rows.shape[0] + cfg.reg_a * x
+    return rows.T @ (labels * _margin_derivative(cfg, margins)) / rows.shape[0] + cfg.reg_a * x
 
 
 def _curvature_weights(cfg: ObjectiveConfig, rows: np.ndarray, labels: np.ndarray, x: np.ndarray):
@@ -236,8 +234,10 @@ class BatchHessian:
     gradient instead: each column is normalized (so the step never scales
     with ``||v||``, which grows geometrically during power iteration),
     perturbed by ``fd_step = sqrt(eps) * (1 + ||x||)`` both ways and rescaled
-    by its own norm, with the ``2k`` perturbed points of a block evaluated in
-    one pass; a zero column gives an exact zero.
+    by its own norm; a zero column gives an exact zero.  For sampled kinds
+    the perturbed margins come by linearity, ``m0 +/- labels * (rows @ s)``,
+    from base margins ``m0`` stored once, so a block of ``k`` columns takes
+    one ``k``-column GEMM each way rather than ``2k``.
     """
 
     cfg: ObjectiveConfig
@@ -246,6 +246,7 @@ class BatchHessian:
     labels: Optional[np.ndarray]
     weights: Optional[np.ndarray] = None  # analytic curvature weights of sampled kinds
     fd_step: Optional[float] = None
+    margins: Optional[np.ndarray] = None  # base margins of sampled kinds, for differences
 
     @classmethod
     def at(cls, cfg, data, batch, x, finite_difference: bool = False) -> "BatchHessian":
@@ -255,7 +256,7 @@ class BatchHessian:
         rows, labels = _batch_rows(cfg, data, batch)
         if finite_difference:
             step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
-            return cls(cfg, x, rows, labels, fd_step=step)
+            return cls(cfg, x, rows, labels, fd_step=step, margins=_margins(rows, labels, x))
         weights = None if rows is None else _curvature_weights(cfg, rows, labels, x)
         return cls(cfg, x, rows, labels, weights)
 
@@ -276,12 +277,17 @@ class BatchHessian:
         norms = np.linalg.norm(block, axis=0)
         live = norms > 0.0
         steps = block[:, live] * (self.fd_step / norms[live])
-        points = np.hstack([self.x[:, None] + steps, self.x[:, None] - steps])
-        margins = _margins(self.rows, self.labels, points)
-        grads = _gradient(self.cfg, self.rows, self.labels, points, margins)
+        if self.rows is None:
+            x = self.x[:, None]
+            diff = _gradient(self.cfg, None, None, x + steps, None)
+            diff -= _gradient(self.cfg, None, None, x - steps, None)
+        else:
+            m0, delta = self.margins[:, None], _margins(self.rows, self.labels, steps)
+            change = _margin_derivative(self.cfg, m0 + delta) - _margin_derivative(self.cfg, m0 - delta)
+            diff = self.rows.T @ (self.labels[:, None] * change) / self.rows.shape[0]
+            diff += 2.0 * self.cfg.reg_a * steps
         out = np.zeros_like(block)
-        k = steps.shape[1]
-        out[:, live] = (grads[:, :k] - grads[:, k:]) * (norms[live] / (2.0 * self.fd_step))
+        out[:, live] = diff * (norms[live] / (2.0 * self.fd_step))
         if not np.isfinite(out).all():
             raise NonFiniteResult("gradient difference overflowed at the perturbed point")
         return out if v.ndim == 2 else out[:, 0]

@@ -19,7 +19,7 @@ from spanopt.datasets import (
     synth_quadratic,
     to_binary_dataset,
 )
-from spanopt.errors import DimensionTooLarge, NoMatchingExamples, ParseError
+from spanopt.errors import DimensionMismatch, DimensionTooLarge, NoMatchingExamples, ParseError
 
 
 # Parser inputs: label / index:value lines built from well-formed,
@@ -122,6 +122,15 @@ class TestToBinaryDataset:
         ds = to_binary_dataset(examples, 4.0, 9.0, dim=3)
         kept = sum(1 for ex in examples if ex.label in (4.0, 9.0))
         assert ds.n_samples == kept
+
+    def test_index_beyond_dimension_is_typed(self):
+        # An index-3 feature with dim=2 used to end in numpy's bare IndexError.
+        examples = [
+            RawExample(label=1.0, features=((3, 1.0), (1, 2.0))),
+            RawExample(label=-1.0, features=((2, 1.0),)),
+        ]
+        with pytest.raises(DimensionMismatch, match="index 3 exceeds the dimension 2"):
+            to_binary_dataset(examples, 1.0, -1.0, dim=2)
 
     def test_matrix_beyond_physical_memory_refused_before_allocation(self):
         # Two rows of dimension 1e12 would need 16 TB; the check must fire

@@ -81,6 +81,59 @@ class TestQrOrthonormal:
         with pytest.raises(RankDeficient):
             linalg.qr_orthonormal(np.zeros((4, 2)))
 
+    @staticmethod
+    def graded_block(cond, d=5000, l=16, seed=0):
+        """``U diag(s) V^T`` with singular values from 1 down to ``1/cond``, randomly oriented."""
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((d, l)))[0]
+        v = np.linalg.qr(rng.standard_normal((l, l)))[0]
+        return (u * np.geomspace(1.0, 1.0 / cond, l)) @ v.T
+
+    @staticmethod
+    def pivot_ratio(r):
+        pivots = np.abs(np.diagonal(r))
+        return pivots.min() / pivots.max()
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+    def test_matches_householder_across_conditioning(self, cond):
+        y = self.graded_block(cond)
+        u = linalg.qr_orthonormal(y)
+        r = u.T @ y
+        assert np.abs(u.T @ u - np.eye(16)).max() <= 1e-14
+        assert np.linalg.norm(y - u @ r) <= 1e-14 * np.linalg.norm(y)
+        assert np.all(np.diagonal(r) >= 0.0)
+        householder = self.pivot_ratio(np.linalg.qr(y)[1])
+        assert abs(self.pivot_ratio(r) - householder) <= 0.1 * householder
+
+    def test_tripwire_agrees_with_householder_at_cond_1e14(self):
+        # At this conditioning the graded block's smallest Householder pivot
+        # is already below 1e-12 of the largest, so both factorizations refuse it.
+        y = self.graded_block(1e14)
+        assert self.pivot_ratio(np.linalg.qr(y)[1]) < 1e-12
+        with pytest.raises(RankDeficient):
+            linalg.qr_orthonormal(y)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_give_the_same_basis(self, scale):
+        # The Gram matrix of the raw block would overflow (1e400) or
+        # underflow (1e-400); prescaling by a power of two keeps it finite.
+        y = self.graded_block(1e4, d=300)
+        np.testing.assert_allclose(linalg.qr_orthonormal(scale * y), linalg.qr_orthonormal(y), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("column", ["duplicate", "zero"])
+    def test_dependent_column_raises(self, column):
+        y = np.random.default_rng(5).standard_normal((200, 8))
+        y[:, 5] = y[:, 2] if column == "duplicate" else 0.0
+        with pytest.raises(RankDeficient):
+            linalg.qr_orthonormal(y)
+
+    def test_non_finite_input_raises(self):
+        y = np.ones((4, 2))
+        for bad in (np.nan, np.inf, -np.inf):
+            y[1, 1] = bad
+            with pytest.raises(NonFiniteResult):
+                linalg.qr_orthonormal(y)
+
 
 class TestSymEigSmall:
     def test_diagonal_input(self):

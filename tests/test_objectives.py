@@ -16,6 +16,7 @@ from spanopt import (
     sample_batch,
 )
 from spanopt.errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge
+from spanopt.objectives import _stable_sigmoid
 
 
 def toy_logistic(n=20, d=5, seed=0, reg=0.05):
@@ -50,6 +51,27 @@ class TestDatasetInvariants:
     def test_normalized_flag_checked(self):
         with pytest.raises(ValueError):
             Dataset(features=np.array([[3.0, 4.0]]), labels=np.array([1.0]), normalized=True)
+
+
+class TestStableSigmoid:
+    def test_bit_identical_to_masked_branches(self):
+        # The sign-branched formula with masked gathers, written out: the
+        # unmasked form must reproduce it bit for bit, specials included (a
+        # NaN stays NaN; its sign bit is not part of the contract).
+        z = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0, 1e-300, -1e-300],
+            np.linspace(-800.0, 800.0, 200_001),
+        ])
+        expected = np.empty_like(z)
+        pos = z >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+        with np.errstate(invalid="ignore"):
+            got = _stable_sigmoid(z)
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
 class TestBatchLoss:
