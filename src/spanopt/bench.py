@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text with dotted section names
 (``span.l = 16``), '#' comments, and a comma-separated ``methods`` list; a
-key outside :data:`CONFIG_KEYS` is a configuration error.
+key outside :data:`CONFIG_KEYS` is a configuration error.  Loading decodes
+the config of every listed method through :data:`METHOD_KEYS`, so every
+configuration error surfaces before any method runs or any file is written.
 Every method in one experiment consumes the same normalized dataset and the
 same start point (zeros, then the shared variance-reduced warm-up), so the
 emitted traces are directly comparable.  Method failures are recorded
@@ -12,7 +14,7 @@ per-method without aborting the rest of the experiment.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -34,23 +36,7 @@ PLOT_MODES = ("loss_vs_time", "loss_vs_iter", "hessian_err")
 
 KNOWN_METHODS = ("span",) + baselines.METHODS
 
-_SPAN_KEYS = ("T", "m", "l", "q", "b", "eta", "seed", "grad_tol", "hvp")
-_BASELINE_KEYS = ("T", "eta", "b", "seed", "grad_tol", "m", "inner_steps", "s1")
-
-# Every key the loader reads.  Any other key is rejected, so a misspelled one
-# cannot silently leave its setting at the default.
-CONFIG_KEYS = frozenset(
-    (
-        "seed", "methods", "output_dir", "x0",
-        "objective.loss", "objective.reg_a",
-        "dataset.kind", "dataset.spectrum", "dataset.path", "dataset.positive_label",
-        "dataset.negative_label", "dataset.normalize", "dataset.n", "dataset.d",
-        "dataset.seed", "dataset.decay",
-        "preiterate.epochs", "preiterate.eta", "probe.hessian_error",
-    )
-    + tuple(f"span.{key}" for key in _SPAN_KEYS)
-    + tuple(f"{method}.{key}" for method in baselines.METHODS for key in _BASELINE_KEYS)
-)
+_RUNNERS = {"span": span.run_span, **baselines.RUNNERS}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -112,9 +98,55 @@ def _as_int(text: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
+def _as_hvp_mode(text: str, key: str) -> HvpMode:
+    try:
+        return HvpMode(kind=text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+_REQUIRED = object()  # the section must set the key
+_RUN_SEED = object()  # the key defaults to the top-level seed
+_INT, _FLOAT = (_as_int, _REQUIRED), (_as_float, _REQUIRED)
+_ONE = (_as_int, "1")
+_SEED = (_as_int, _RUN_SEED)
+_GRAD_TOL = (_as_float, "0.0")
+_OWN = (_as_int, None)  # absent: the method chooses (svrg and lissa pick their own inner_steps)
+
+# Per method, every key its runner reads: key -> (converter, default text).
+METHOD_KEYS = {
+    "span": {"T": _INT, "m": _INT, "l": _INT, "q": _ONE, "b": _ONE, "eta": (_as_float, "1.0"), "seed": _SEED,
+             "grad_tol": _GRAD_TOL, "hvp": (_as_hvp_mode, "finite_difference")},
+    "gd": {"T": _INT, "eta": _FLOAT, "grad_tol": _GRAD_TOL},
+    "svrg": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "b": _ONE, "inner_steps": _OWN},
+    "newsamp": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "b": _ONE, "m": _INT},
+    "lissa": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "inner_steps": _OWN, "s1": _ONE},
+}
+
+# Config-class field names of the keys that do not share them.
+_FIELDS = {"T": "t_max", "hvp": "hvp_mode"}
+
+# Every key the loader reads.  Any other key is rejected, so a misspelled one
+# cannot silently leave its setting at the default.
+CONFIG_KEYS = frozenset(
+    (
+        "seed", "methods", "output_dir", "x0",
+        "objective.loss", "objective.reg_a",
+        "dataset.kind", "dataset.spectrum", "dataset.path", "dataset.positive_label",
+        "dataset.negative_label", "dataset.normalize", "dataset.n", "dataset.d",
+        "dataset.seed", "dataset.decay",
+        "preiterate.epochs", "preiterate.eta", "probe.hessian_error",
+    )
+    + tuple(f"{method}.{key}" for method, keys in METHOD_KEYS.items() for key in keys)
+)
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything one `bench run` needs, decoded from flat key-value text."""
+    """Everything one `bench run` needs, decoded from flat key-value text.
+
+    ``method_configs`` holds the config of every method the file lists.
+    """
 
     seed: int
     output_dir: Path
@@ -123,9 +155,8 @@ class ExperimentConfig:
     data: Optional[Dataset]
     preiterate_epochs: int
     preiterate_eta: float
-    probe_hessian_error: bool
-    x0_kind: str = "zeros"
-    raw: dict[str, str] = field(default_factory=dict)
+    x0_kind: str
+    method_configs: dict[str, Union[span.SpanConfig, baselines.BaselineConfig]]
 
 
 def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset], Optional[np.ndarray]]:
@@ -216,6 +247,12 @@ def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
     if x0_kind not in ("zeros", "ones", "gaussian"):
         raise ConfigError(f"x0: expected zeros/ones/gaussian, got {x0_kind!r}")
 
+    probe = _as_bool(_get(values, "probe.hessian_error", "false"), "probe.hessian_error")
+    method_configs = {
+        m: build_span_config(values, seed, probe) if m == "span" else build_baseline_config(values, m, seed)
+        for m in methods
+    }
+
     return ExperimentConfig(
         seed=seed,
         output_dir=Path(_get(values, "output_dir", "bench_out")),
@@ -224,55 +261,36 @@ def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
         data=data,
         preiterate_epochs=_as_int(_get(values, "preiterate.epochs", "2"), "preiterate.epochs"),
         preiterate_eta=_as_float(_get(values, "preiterate.eta", "0.1"), "preiterate.eta"),
-        probe_hessian_error=_as_bool(_get(values, "probe.hessian_error", "false"), "probe.hessian_error"),
         x0_kind=x0_kind,
-        raw=values,
+        method_configs=method_configs,
     )
 
 
-def build_span_config(values: dict[str, str], seed: int, probe: bool) -> span.SpanConfig:
-    def get(key: str, default=None, required=False):
-        return _get(values, f"span.{key}", default=default, required=required)
+def _decode_section(values: dict[str, str], method: str, seed: int) -> dict:
+    """Config-class keyword arguments from one method's section, through :data:`METHOD_KEYS`."""
+    kwargs = {}
+    for key, (convert, default) in METHOD_KEYS[method].items():
+        name = f"{method}.{key}"
+        if default is _RUN_SEED:
+            default = str(seed)
+        text = _get(values, name, default, required=default is _REQUIRED)
+        if text is not None:
+            kwargs[_FIELDS.get(key, key)] = convert(text, name)
+    return kwargs
 
-    hvp_kind = get("hvp", "finite_difference")
+
+def build_span_config(values: dict[str, str], seed: int, probe: bool) -> span.SpanConfig:
+    kwargs = _decode_section(values, "span", seed)
     try:
-        mode = HvpMode(kind=hvp_kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        return span.SpanConfig(
-            t_max=_as_int(get("T", required=True), "span.T"),
-            m=_as_int(get("m", required=True), "span.m"),
-            l=_as_int(get("l", required=True), "span.l"),
-            q=_as_int(get("q", "1"), "span.q"),
-            b=_as_int(get("b", "1"), "span.b"),
-            eta=_as_float(get("eta", "1.0"), "span.eta"),
-            seed=_as_int(get("seed", str(seed)), "span.seed"),
-            grad_tol=_as_float(get("grad_tol", "0.0"), "span.grad_tol"),
-            hvp_mode=mode,
-            probe_hessian_error=probe,
-        )
+        return span.SpanConfig(probe_hessian_error=probe, **kwargs)
     except (ValueError, SpanOptError) as exc:
         raise ConfigError(f"span config: {exc}") from None
 
 
 def build_baseline_config(values: dict[str, str], method: str, seed: int) -> baselines.BaselineConfig:
-    def get(key: str, default=None, required=False):
-        return _get(values, f"{method}.{key}", default=default, required=required)
-
-    kwargs = dict(
-        method=method,
-        eta=_as_float(get("eta", required=True), f"{method}.eta"),
-        t_max=_as_int(get("T", required=True), f"{method}.T"),
-        b=_as_int(get("b", "1"), f"{method}.b"),
-        seed=_as_int(get("seed", str(seed)), f"{method}.seed"),
-        grad_tol=_as_float(get("grad_tol", "0.0"), f"{method}.grad_tol"),
-    )
-    for key in ("m", "inner_steps", "s1"):
-        if get(key) is not None:
-            kwargs[key] = _as_int(get(key), f"{method}.{key}")
+    kwargs = _decode_section(values, method, seed)
     try:
-        return baselines.BaselineConfig(**kwargs)
+        return baselines.BaselineConfig(method=method, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{method} config: {exc}") from None
 
@@ -373,15 +391,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         assert x0.tobytes() == x0_bytes, "start point drifted between method launches"
         trace_path = cfg.output_dir / f"{method}.csv"
         try:
-            if method == "span":
-                method_cfg = build_span_config(cfg.raw, cfg.seed, cfg.probe_hessian_error)
-                _, trace = span.run_span(method_cfg, cfg.objective, cfg.data, x0.copy())
-            else:
-                method_cfg = build_baseline_config(cfg.raw, method, cfg.seed)
-                runner = baselines.RUNNERS[method]
-                _, trace = runner(method_cfg, cfg.objective, cfg.data, x0.copy())
-        except ConfigError:
-            raise
+            _, trace = _RUNNERS[method](cfg.method_configs[method], cfg.objective, cfg.data, x0.copy())
         except SpanOptError as exc:
             log.warning("method %s failed: %s", method, exc)
             results.append(MethodResult(method, f"error: {exc}", None, None, None, None))
@@ -444,6 +454,8 @@ def emit_plot_data(
     columns: dict[str, list[TraceRecord]] = {}
     for path in trace_paths:
         name = Path(path).stem
+        if name in columns:
+            raise IncompatibleTraces(f"two traces are named {name!r}; columns are keyed by file stem")
         records = read_trace_csv(path)
         if not records:
             raise IncompatibleTraces(f"{path}: empty trace")

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     scale = sub.add_parser("scale", help="per-iteration timing over a list of dimensions")
-    scale.add_argument("config", help="config supplying span.l / span.m / span.q")
+    scale.add_argument("config", help="config whose span section supplies l, m and q")
     scale.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 100,400,1600")
     scale.add_argument("-o", "--output", default="scaling.csv", help="output table path")
     scale.add_argument("--steps", type=int, default=20, help="timed steps per dimension")
@@ -69,19 +69,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scale":
             values = bench.parse_config_text(Path(args.config).read_text())
             bench.check_config_keys(values)
+            sketch = bench.build_span_config(values, seed=0, probe=False)
             try:
                 dims = [int(d) for d in args.dims.split(",") if d.strip()]
             except ValueError:
                 raise ConfigError(f"--dims: expected integers, got {args.dims!r}") from None
             if not dims:
                 raise ConfigError("--dims list is empty")
-            rows = bench.per_iteration_scaling(
-                dims,
-                l=bench._as_int(values.get("span.l", "16"), "span.l"),
-                m=bench._as_int(values.get("span.m", "10"), "span.m"),
-                q=bench._as_int(values.get("span.q", "1"), "span.q"),
-                steps=args.steps,
-            )
+            rows = bench.per_iteration_scaling(dims, l=sketch.l, m=sketch.m, q=sketch.q, steps=args.steps)
             bench.write_scaling_csv(rows, args.output)
             for row in rows:
                 ns = "n/a" if row.newsamp_step_s is None else f"{row.newsamp_step_s:.6f}s"

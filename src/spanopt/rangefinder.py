@@ -21,10 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidRankParams, RankDeficient
-from .linalg import derive_seed, gaussian_matrix, qr_orthonormal
+from .linalg import gaussian_matrix, qr_orthonormal
 from .objectives import BatchHessian
-
-_RESAMPLE_ATTEMPTS = 4  # the first draw plus three fresh seeds
 
 
 @dataclass(frozen=True)
@@ -61,25 +59,17 @@ def power_range(hessian: BatchHessian, rc: RangeConfig, seed: int) -> np.ndarray
     """Orthonormal (d, l) basis spanning ``H_B(x)^{2q+1} Omega`` for Gaussian Omega.
 
     ``hessian`` is the batch operator from :func:`spanopt.hvp.batch_hessian`.
-    A rank-deficient sketch is retried with up to three fresh derived seeds;
-    a Gaussian block is dependent only with probability zero, so repeated
-    failure means the operator itself is degenerate and the final
-    :class:`RankDeficient` propagates.
+    A Gaussian block is dependent only with probability zero, so a
+    rank-deficient sketch means the operator itself is degenerate: the
+    :class:`RankDeficient` propagates rather than being redrawn.
     """
     rc.validate_for_dim(hessian.x.size)
-    last_error: RankDeficient | None = None
-    for attempt in range(_RESAMPLE_ATTEMPTS):
-        omega_seed = seed if attempt == 0 else derive_seed(seed, 0xF5, attempt)
-        y = gaussian_matrix(hessian.x.size, rc.l, omega_seed)
-        try:
-            for j in range(1, 2 * rc.q + 2):
-                y = hessian @ y
-                if rc.reorth and j < 2 * rc.q + 1:
-                    y = qr_orthonormal(y)
-            return qr_orthonormal(y)
-        except RankDeficient as exc:
-            last_error = exc
-    raise RankDeficient(f"sketch stayed rank-deficient after {_RESAMPLE_ATTEMPTS} resamples") from last_error
+    y = gaussian_matrix(hessian.x.size, rc.l, seed)
+    for j in range(1, 2 * rc.q + 2):
+        y = hessian @ y
+        if rc.reorth and j < 2 * rc.q + 1:
+            y = qr_orthonormal(y)
+    return qr_orthonormal(y)
 
 
 def _warm_range(

@@ -94,7 +94,8 @@ class SpanConfig:
             raise ValueError("grad_tol must be non-negative")
         if not isinstance(self.eta, numbers.Real) or not self.eta > 0:
             raise ValueError("eta must be a positive number")
-        # Sketch-shape consistency (including d) is checked by RangeConfig at run time.
+        # Raises InvalidRankParams on a bad sketch shape; l <= d waits for the data.
+        self.range_config()
 
     def range_config(self) -> RangeConfig:
         return RangeConfig(l=self.l, q=self.q, m=self.m)

@@ -27,7 +27,11 @@ from spanopt.bench import (
     read_trace_csv,
     run_experiment,
 )
+from spanopt.baselines import BaselineConfig
 from spanopt.errors import ConfigError, IncompatibleTraces
+from spanopt.span import SpanConfig
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -136,7 +140,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_experiment_config(path)
 
-    @pytest.mark.parametrize("line", ["span.fd_scale = 2", "span.lr = 0.1"])
+    @pytest.mark.parametrize(
+        "line",
+        ["span.fd_scale = 2", "span.lr = 0.1"]
+        # Keys no runner of that method reads.
+        + [f"{key} = 0" for key in ("gd.b", "gd.m", "gd.inner_steps", "gd.s1", "gd.seed", "svrg.m", "svrg.s1",
+                                    "newsamp.inner_steps", "newsamp.s1", "lissa.b", "lissa.m")],
+    )
     def test_unknown_key_exit_one(self, tmp_path, capsys, line):
         cfg = str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out") + line + "\n"))
         key = repr(line.split(" = ")[0])
@@ -162,11 +172,29 @@ class TestConfigParsing:
         data.write_text(_LIBSVM_TEXT)
         for base in _BASES.values():
             text = base.replace("{data}", str(data)) + _METHOD_LINES + f"output_dir = {tmp_path / 'out'}\n"
-            cfg = load_experiment_config(write_cfg(tmp_path, text))
-            build_span_config(cfg.raw, cfg.seed, cfg.probe_hessian_error)
+            load_experiment_config(write_cfg(tmp_path, text))
+            values = parse_config_text(text)
+            build_span_config(values, seed=0, probe=False)
             for method in KNOWN_METHODS[1:]:
-                build_baseline_config(cfg.raw, method, cfg.seed)
+                build_baseline_config(values, method, seed=0)
         assert read == CONFIG_KEYS
+
+    def test_method_config_error_before_any_method_runs(self, tmp_path, capsys):
+        # span is listed first and its section is complete; gd lacks its eta.
+        text = QUAD_CFG.format(out=tmp_path / "out").replace("gd.eta = 0.15\n", "")
+        assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
+        assert "config error: missing required config key 'gd.eta'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.stem)
+    def test_shipped_config_decodes(self, path):
+        cfg = load_experiment_config(path)
+        assert cfg.methods and list(cfg.method_configs) == cfg.methods
+        for method, method_cfg in cfg.method_configs.items():
+            if method == "span":
+                assert isinstance(method_cfg, SpanConfig)
+            else:
+                assert isinstance(method_cfg, BaselineConfig) and method_cfg.method == method
 
     def test_unknown_method(self, tmp_path):
         path = write_cfg(tmp_path, "methods = warp\ndataset.spectrum = 1,2\nobjective.loss = quadratic\n")
@@ -284,7 +312,7 @@ class TestRunExperiment:
         text = (
             "methods = gd\nobjective.loss = logistic\n"
             f"dataset.kind = libsvm\ndataset.path = {data_path}\n"
-            "dataset.positive_label = 1\ndataset.negative_label = 2\n"
+            "dataset.positive_label = 1\ndataset.negative_label = 2\ngd.T = 1\ngd.eta = 0.5\n"
         )
         assert load_experiment_config(write_cfg(tmp_path, text)).data.dim == 5
 
@@ -364,6 +392,18 @@ class TestPlotEmission:
         with pytest.raises(IncompatibleTraces):
             emit_plot_data([a], "spiral", tmp_path / "t.csv")
 
+    def test_repeated_trace_name_exit_one(self, tmp_path, capsys):
+        # Columns are keyed by file stem, so the second span.csv would replace the first.
+        a, _ = self.synthesize_traces(tmp_path)
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "span.csv").write_text(a.read_text())
+        out = tmp_path / "t.csv"
+        argv = ["plot", "loss_vs_iter", str(tmp_path / "a" / "span.csv"), str(tmp_path / "b" / "span.csv")]
+        assert cli.main(argv + ["-o", str(out)]) == 1
+        assert "config error: two traces are named 'span'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScalingHarness:
     def test_structure_and_cap(self, monkeypatch):
@@ -394,9 +434,17 @@ class TestCli:
         assert proc.returncode == 1
 
     def test_non_integer_method_seed_exit_one(self, tmp_path, capsys):
-        text = QUAD_CFG.format(out=tmp_path / "out") + "gd.seed = seven\n"
+        text = QUAD_CFG.format(out=tmp_path / "out") + "span.seed = seven\n"
         assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
-        assert "config error: gd.seed" in capsys.readouterr().err
+        assert "config error: span.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["span.l = 0", "span.q = -1", "span.m = 10\nspan.l = 12"],
+                             ids=["zero-width", "negative-power", "width-below-rank-plus-4"])
+    def test_bad_sketch_shape_exit_one(self, tmp_path, capsys, edit):
+        text = QUAD_CFG.format(out=tmp_path / "out") + edit + "\n"
+        assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
+        assert "config error: span config:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["l", "m", "q"])
     def test_scale_non_integer_sketch_shape_exit_one(self, tmp_path, capsys, key):

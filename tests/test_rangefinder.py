@@ -118,17 +118,27 @@ class TestPowerRange:
 
 
 class TestPowerRangeFailure:
-    def test_rank_deficient_operator_fails_after_retries(self):
-        # A rank-one batch Hessian cannot support a width-2 sketch; every
-        # resample produces dependent columns and the failure propagates.
-        from spanopt import Dataset
+    def test_rank_deficient_operator_fails_after_retries(self, monkeypatch):
+        # A rank-one batch Hessian cannot support a width-2 sketch; a redraw
+        # would produce dependent columns again, so the first failure
+        # propagates without one.
+        from spanopt import Dataset, rangefinder
         from spanopt.errors import RankDeficient
 
+        draws = []
+        real_draw = rangefinder.gaussian_matrix
+
+        def counting_draw(*args, **kwargs):
+            draws.append(args)
+            return real_draw(*args, **kwargs)
+
+        monkeypatch.setattr(rangefinder, "gaussian_matrix", counting_draw)
         data = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
         cfg = ObjectiveConfig("logistic", reg_a=0.0)
         rc = RangeConfig(l=2, q=0, m=0)
         with pytest.raises(RankDeficient):
             power_range(batch_hessian(cfg, data, None, np.zeros(2), ANALYTIC), rc, seed=0)
+        assert len(draws) == 1
 
 
 class TestMinPowerIterations:
