@@ -14,9 +14,9 @@ per-method without aborting the rest of the experiment.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -295,16 +295,22 @@ def build_baseline_config(values: dict[str, str], method: str, seed: int) -> bas
         raise ConfigError(f"{method} config: {exc}") from None
 
 
+def _cell(value) -> str:
+    """One CSV cell: empty for a missing value, ``repr`` for a float, else the value as text."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    path = Path(path)
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def write_trace_csv(path: Union[str, Path], trace: Sequence[TraceRecord]) -> None:
-    lines = [CSV_HEADER]
-    for record in trace:
-        hessian = "" if record.hessian_err is None else repr(record.hessian_err)
-        lam = "" if record.lambda_used is None else repr(record.lambda_used)
-        lines.append(
-            f"{record.iteration},{record.wall_clock_s!r},{record.loss!r},"
-            f"{record.grad_norm!r},{hessian},{lam}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, CSV_HEADER.split(","), map(astuple, trace))
 
 
 def read_trace_csv(path: Union[str, Path]) -> list[TraceRecord]:
@@ -312,22 +318,23 @@ def read_trace_csv(path: Union[str, Path]) -> list[TraceRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise IncompatibleTraces(f"{path}: unexpected or missing header")
     records = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise IncompatibleTraces(f"{path}: malformed row {line!r}")
-        records.append(
-            TraceRecord(
-                iteration=int(parts[0]),
-                wall_clock_s=float(parts[1]),
-                loss=float(parts[2]),
-                grad_norm=float(parts[3]),
-                hessian_err=float(parts[4]) if parts[4] else None,
-                lambda_used=float(parts[5]) if parts[5] else None,
+        try:
+            iteration, clock, loss, grad_norm, hessian_err, lambda_used = line.split(",")
+            records.append(
+                TraceRecord(
+                    iteration=int(iteration),
+                    wall_clock_s=float(clock),
+                    loss=float(loss),
+                    grad_norm=float(grad_norm),
+                    hessian_err=float(hessian_err) if hessian_err else None,
+                    lambda_used=float(lambda_used) if lambda_used else None,
+                )
             )
-        )
+        except ValueError:
+            raise IncompatibleTraces(f"{path}: line {line_no}: malformed row {line!r}") from None
     return records
 
 
@@ -409,15 +416,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
         )
 
-    summary_lines = ["method,status,final_loss,final_grad_norm,total_seconds"]
-    for r in results:
-        summary_lines.append(
-            f"{r.method},{r.status.split(':')[0]},"
-            f"{'' if r.final_loss is None else repr(r.final_loss)},"
-            f"{'' if r.final_grad_norm is None else repr(r.final_grad_norm)},"
-            f"{'' if r.total_seconds is None else repr(r.total_seconds)}"
-        )
-    (cfg.output_dir / "summary.csv").write_text("\n".join(summary_lines) + "\n")
+    _write_csv(
+        cfg.output_dir / "summary.csv",
+        ("method", "status", "final_loss", "final_grad_norm", "total_seconds"),
+        ((r.method, r.status.split(":")[0], r.final_loss, r.final_grad_norm, r.total_seconds) for r in results),
+    )
     return ExperimentResult(output_dir=cfg.output_dir, x0=x0, methods=results)
 
 
@@ -441,9 +444,10 @@ def emit_plot_data(
 ) -> Path:
     """Align traces on a shared abscissa into one plot-ready table.
 
-    ``loss_vs_iter`` uses iteration numbers; ``loss_vs_time`` uses the union
-    of wall-clock stamps with last-value carry-forward; ``hessian_err`` keeps
-    only methods that actually probed, warning about the rest.  The
+    ``loss_vs_iter`` uses iteration numbers, taking each trace's first row at
+    an iteration; ``loss_vs_time`` uses the union of wall-clock stamps with
+    last-value carry-forward; ``hessian_err`` is keyed like ``loss_vs_iter``
+    but keeps only methods that actually probed, warning about the rest.  The
     suboptimality option subtracts the best loss seen across all traces.
     """
     if mode not in PLOT_MODES:
@@ -461,6 +465,7 @@ def emit_plot_data(
             raise IncompatibleTraces(f"{path}: empty trace")
         columns[name] = records
 
+    field, offset = "loss", 0.0
     if mode == "hessian_err":
         kept = {}
         for name, records in columns.items():
@@ -471,47 +476,21 @@ def emit_plot_data(
                 log.warning("trace %s has no probe column; omitted from hessian_err table", name)
         if not kept:
             raise IncompatibleTraces("no trace has Hessian-error probes")
-        abscissa = sorted({r.iteration for rs in kept.values() for r in rs})
-        header = ["iteration"] + list(kept)
-        rows = []
-        for it in abscissa:
-            row = [str(it)]
-            for name in kept:
-                match = [r.hessian_err for r in kept[name] if r.iteration == it]
-                row.append(repr(match[0]) if match else "")
-            rows.append(row)
-    else:
-        offset = 0.0
-        if suboptimality:
-            offset = min(r.loss for rs in columns.values() for r in rs)
-        if mode == "loss_vs_iter":
-            abscissa = sorted({r.iteration for rs in columns.values() for r in rs})
-            header = ["iteration"] + list(columns)
-            rows = []
-            for it in abscissa:
-                row = [str(it)]
-                for name in columns:
-                    match = [r.loss for r in columns[name] if r.iteration == it]
-                    row.append(repr(match[0] - offset) if match else "")
-                rows.append(row)
-        else:
-            stamps = sorted({r.wall_clock_s for rs in columns.values() for r in rs})
-            header = ["wall_clock_s"] + list(columns)
-            series = {
-                name: _carry_forward(stamps, [(r.wall_clock_s, r.loss) for r in rs])
-                for name, rs in columns.items()
-            }
-            rows = []
-            for i, stamp in enumerate(stamps):
-                row = [repr(stamp)]
-                for name in columns:
-                    value = series[name][i]
-                    row.append("" if value is None else repr(value - offset))
-                rows.append(row)
+        columns, field = kept, "hessian_err"
+    elif suboptimality:
+        offset = min(r.loss for rs in columns.values() for r in rs)
 
-    out_path = Path(out_path)
-    out_path.write_text(",".join(header) + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
-    return out_path
+    key = "wall_clock_s" if mode == "loss_vs_time" else "iteration"
+    keys = sorted({getattr(r, key) for rs in columns.values() for r in rs})
+    series = []
+    for records in columns.values():
+        points = [(getattr(r, key), getattr(r, field) - offset) for r in records]
+        if key == "wall_clock_s":
+            series.append(_carry_forward(keys, points))
+        else:
+            first = dict(reversed(points))  # the first row at each iteration wins
+            series.append([first.get(k) for k in keys])
+    return _write_csv(out_path, [key, *columns], zip(keys, *series))
 
 
 def _scaling_spectrum(d: int) -> np.ndarray:
@@ -581,10 +560,4 @@ def _median_step_seconds(trace: Sequence[TraceRecord], warmup: int) -> float:
 
 
 def write_scaling_csv(rows: Sequence[ScalingRow], out_path: Union[str, Path]) -> Path:
-    lines = ["d,span_step_s,newsamp_step_s"]
-    for row in rows:
-        ns = "" if row.newsamp_step_s is None else repr(row.newsamp_step_s)
-        lines.append(f"{row.d},{row.span_step_s!r},{ns}")
-    out_path = Path(out_path)
-    out_path.write_text("\n".join(lines) + "\n")
-    return out_path
+    return _write_csv(out_path, ("d", "span_step_s", "newsamp_step_s"), map(astuple, rows))

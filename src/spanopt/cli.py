@@ -74,8 +74,10 @@ def main(argv: list[str] | None = None) -> int:
                 dims = [int(d) for d in args.dims.split(",") if d.strip()]
             except ValueError:
                 raise ConfigError(f"--dims: expected integers, got {args.dims!r}") from None
-            if not dims:
-                raise ConfigError("--dims list is empty")
+            if not dims or min(dims) < 1:
+                raise ConfigError(f"--dims: expected positive integers, got {args.dims!r}")
+            if args.steps < 1:
+                raise ConfigError(f"--steps: expected a positive integer, got {args.steps}")
             rows = bench.per_iteration_scaling(dims, l=sketch.l, m=sketch.m, q=sketch.q, steps=args.steps)
             bench.write_scaling_csv(rows, args.output)
             for row in rows:

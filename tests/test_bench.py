@@ -18,6 +18,7 @@ from spanopt.bench import (
     CONFIG_KEYS,
     CSV_HEADER,
     KNOWN_METHODS,
+    ScalingRow,
     build_baseline_config,
     build_span_config,
     emit_plot_data,
@@ -26,10 +27,12 @@ from spanopt.bench import (
     per_iteration_scaling,
     read_trace_csv,
     run_experiment,
+    write_scaling_csv,
+    write_trace_csv,
 )
 from spanopt.baselines import BaselineConfig
 from spanopt.errors import ConfigError, IncompatibleTraces
-from spanopt.span import SpanConfig
+from spanopt.span import SpanConfig, TraceRecord
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -392,6 +395,34 @@ class TestPlotEmission:
         with pytest.raises(IncompatibleTraces):
             emit_plot_data([a], "spiral", tmp_path / "t.csv")
 
+    # Unequal lengths, one stamp (1.0) in both traces, a probe column in beta
+    # only, and alpha's iteration 1 twice: iteration modes take the first row.
+    _PINNED_TRACES = {
+        "alpha": "0,0.5,4.0,2.0,,\n1,1.0,3.3,1.5,,0.25\n1,1.25,2.5,1.2,,0.5\n2,2.0,1.75,0.5,,\n",
+        "beta": "0,0.25,5.0,3.0,0.1,\n1,1.0,2.0,1.0,0.0625,1.5\n",
+    }
+    _PINNED_TABLES = {
+        ("loss_vs_time", False): (
+            "wall_clock_s,alpha,beta\n0.25,,5.0\n0.5,4.0,5.0\n1.0,3.3,2.0\n1.25,2.5,2.0\n2.0,1.75,2.0\n"
+        ),
+        ("loss_vs_time", True): (
+            "wall_clock_s,alpha,beta\n0.25,,3.25\n0.5,2.25,3.25\n1.0,1.5499999999999998,0.25\n1.25,0.75,0.25\n"
+            "2.0,0.0,0.25\n"
+        ),
+        ("loss_vs_iter", False): "iteration,alpha,beta\n0,4.0,5.0\n1,3.3,2.0\n2,1.75,\n",
+        ("loss_vs_iter", True): "iteration,alpha,beta\n0,2.25,3.25\n1,1.5499999999999998,0.25\n2,0.0,\n",
+        ("hessian_err", False): "iteration,beta\n0,0.1\n1,0.0625\n",
+        ("hessian_err", True): "iteration,beta\n0,0.1\n1,0.0625\n",
+    }
+
+    @pytest.mark.parametrize("mode, suboptimality", sorted(_PINNED_TABLES))
+    def test_pinned_table_text(self, tmp_path, mode, suboptimality):
+        paths = [tmp_path / f"{name}.csv" for name in self._PINNED_TRACES]
+        for path, rows in zip(paths, self._PINNED_TRACES.values()):
+            path.write_text(CSV_HEADER + "\n" + rows)
+        out = emit_plot_data(paths, mode, tmp_path / "t.csv", suboptimality=suboptimality)
+        assert out.read_text() == self._PINNED_TABLES[mode, suboptimality]
+
     def test_repeated_trace_name_exit_one(self, tmp_path, capsys):
         # Columns are keyed by file stem, so the second span.csv would replace the first.
         a, _ = self.synthesize_traces(tmp_path)
@@ -403,6 +434,22 @@ class TestPlotEmission:
         assert cli.main(argv + ["-o", str(out)]) == 1
         assert "config error: two traces are named 'span'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestWrittenBytes:
+    def test_trace_csv_bytes(self, tmp_path):
+        trace = [TraceRecord(0, 0.1, 2.0, 1.0), TraceRecord(1, 0.30000000000000004, 1.5, 0.5, 0.125, 2.0)]
+        write_trace_csv(tmp_path / "t.csv", trace)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"iteration,wall_clock_s,loss,grad_norm,hessian_err,lambda_used\n"
+            b"0,0.1,2.0,1.0,,\n1,0.30000000000000004,1.5,0.5,0.125,2.0\n"
+        )
+        assert read_trace_csv(tmp_path / "t.csv") == trace
+
+    def test_scaling_csv_bytes(self, tmp_path):
+        rows = [ScalingRow(100, 0.001, 0.25), ScalingRow(400, 1e-05, None)]
+        out = write_scaling_csv(rows, tmp_path / "s.csv")
+        assert out.read_bytes() == b"d,span_step_s,newsamp_step_s\n100,0.001,0.25\n400,1e-05,\n"
 
 
 class TestScalingHarness:
@@ -452,6 +499,35 @@ class TestCli:
         out = tmp_path / "scaling.csv"
         assert cli.main(["scale", str(write_cfg(tmp_path, text)), "--dims", "20", "-o", str(out)]) == 1
         assert f"config error: span.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--dims", "0"], "--dims"), (["--dims", "20,-3"], "--dims"),
+         (["--dims", "20", "--steps", "0"], "--steps"), (["--dims", "20", "--steps", "-2"], "--steps")],
+        ids=["zero-dim", "negative-dim", "zero-steps", "negative-steps"],
+    )
+    def test_scale_impossible_size_exit_one(self, tmp_path, capsys, flags, message):
+        # A zero dimension ended in a traceback; no steps wrote a NaN table and exited 0.
+        out = tmp_path / "scaling.csv"
+        cfg = str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out")))
+        assert cli.main(["scale", cfg, *flags, "-o", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scale_dimension_below_sketch_width_exit_two(self, tmp_path, capsys):
+        cfg = str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out")))  # span.l = 5
+        assert cli.main(["scale", cfg, "--dims", "3", "--steps", "1", "-o", str(tmp_path / "s.csv")]) == 2
+        assert "method failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1,0.1,abc,1.0,,", "1.5,0.1,2.0,1.0,,"],
+                             ids=["non-numeric", "fractional-iteration"])
+    def test_malformed_trace_row_exit_one(self, tmp_path, capsys, row):
+        trace = tmp_path / "span.csv"
+        trace.write_text(f"{CSV_HEADER}\n0,0.05,3.0,2.0,,\n{row}\n")
+        out = tmp_path / "t.csv"
+        assert cli.main(["plot", "loss_vs_iter", str(trace), "-o", str(out)]) == 1
+        assert f"config error: {trace}: line 3: malformed row {row!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "lines",
