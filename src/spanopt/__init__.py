@@ -28,7 +28,7 @@ _apply_thread_cap()
 
 from .baselines import BaselineConfig, run_gd, run_lissa, run_newsamp, run_svrg
 from .errors import SpanOptError
-from .hvp import ANALYTIC, CENTRAL_FD, HvpMode, batch_hessian, hvp
+from .hvp import ANALYTIC, CENTRAL_FD, HvpMode
 from .linalg import (
     EigenPairs,
     gaussian_matrix,
@@ -37,12 +37,11 @@ from .linalg import (
     sym_eig_small,
 )
 from .objectives import (
+    BatchHessian,
     Dataset,
     ObjectiveConfig,
     batch_gradient,
     batch_loss,
-    dense_hessian,
-    exact_hvp,
     loss_and_gradient,
     sample_batch,
 )
@@ -65,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ANALYTIC",
     "BaselineConfig",
+    "BatchHessian",
     "CENTRAL_FD",
     "Dataset",
     "EigenPairs",
@@ -79,14 +79,10 @@ __all__ = [
     "apply_inverse",
     "assemble_subspace",
     "batch_gradient",
-    "batch_hessian",
     "batch_loss",
     "build_subspace",
-    "dense_hessian",
-    "exact_hvp",
     "gaussian_matrix",
     "hessian_error_probe",
-    "hvp",
     "loss_and_gradient",
     "min_power_iterations",
     "power_range",

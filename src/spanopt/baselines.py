@@ -17,13 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergingSeries, IndefiniteBlock, InvalidRankParams, SingularSystem
-from .hvp import ANALYTIC, batch_hessian
+from .hvp import ANALYTIC
 from .linalg import derive_seed, spectral_norm_sym, sym_eig_small
 from .objectives import (
+    BatchHessian,
     Dataset,
     ObjectiveConfig,
     batch_gradient,
-    exact_hvp,
     loss_and_gradient,
     sample_batch,
 )
@@ -199,7 +199,7 @@ def run_newsamp(
         if data is not None:
             rng = np.random.default_rng(derive_seed(cfg.seed, 20, t))
             batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
-        eig = sym_eig_small(batch_hessian(objective, data, batch, x, ANALYTIC).dense())
+        eig = sym_eig_small(BatchHessian.at(objective, data, batch, x, ANALYTIC).dense())
         inv = newsamp_inverse(eig.values, eig.vectors, cfg.m)
         return x - cfg.eta * (inv @ grad), float(eig.values[cfg.m])
 
@@ -240,7 +240,7 @@ def lissa_hessian_scale(
     dividing by this value enforces that along the iterate path in practice.
     A zero Hessian at ``x0`` raises :class:`SingularSystem`.
     """
-    hessian = batch_hessian(objective, data, None, x0, ANALYTIC)
+    hessian = BatchHessian.at(objective, data, None, x0, ANALYTIC)
     norm = spectral_norm_sym(hessian.__matmul__, hessian.x.size, tol=1e-4, seed=seed)
     if norm == 0.0:
         raise SingularSystem("objective has zero curvature at x0")
@@ -268,7 +268,7 @@ def run_lissa(
 
         def sampled_hvp(u: np.ndarray) -> np.ndarray:
             idx = None if data is None else np.array([rng.integers(data.n_samples)])
-            return exact_hvp(objective, data, idx, x, u)
+            return BatchHessian.at(objective, data, idx, x, ANALYTIC) @ u
 
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):

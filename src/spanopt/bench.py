@@ -209,12 +209,26 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
     raise ConfigError(f"unknown dataset.kind {kind!r}")
 
 
-def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
+def _read_text(path: Path, error: type[SpanOptError]) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_config_values(path: Union[str, Path]) -> dict[str, str]:
+    """The key/value pairs of a config file, every key checked against :data:`CONFIG_KEYS`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    values = parse_config_text(path.read_text())
+    values = parse_config_text(_read_text(path, ConfigError))
     check_config_keys(values)
+    return values
+
+
+def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
+    values = read_config_values(path)
 
     seed = _as_int(_get(values, "seed", "0"), "seed")
     methods_text = _get(values, "methods", required=True)
@@ -314,7 +328,7 @@ def write_trace_csv(path: Union[str, Path], trace: Sequence[TraceRecord]) -> Non
 
 
 def read_trace_csv(path: Union[str, Path]) -> list[TraceRecord]:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(Path(path), IncompatibleTraces).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise IncompatibleTraces(f"{path}: unexpected or missing header")
     records = []
@@ -448,7 +462,8 @@ def emit_plot_data(
     an iteration; ``loss_vs_time`` uses the union of wall-clock stamps with
     last-value carry-forward; ``hessian_err`` is keyed like ``loss_vs_iter``
     but keeps only methods that actually probed, warning about the rest.  The
-    suboptimality option subtracts the best loss seen across all traces.
+    suboptimality option subtracts the best finite loss seen across all
+    traces, and refuses traces that hold none.
     """
     if mode not in PLOT_MODES:
         raise IncompatibleTraces(f"unknown plot mode {mode!r}")
@@ -478,7 +493,10 @@ def emit_plot_data(
             raise IncompatibleTraces("no trace has Hessian-error probes")
         columns, field = kept, "hessian_err"
     elif suboptimality:
-        offset = min(r.loss for rs in columns.values() for r in rs)
+        finite = [r.loss for rs in columns.values() for r in rs if np.isfinite(r.loss)]
+        if not finite:
+            raise IncompatibleTraces("no trace has a finite loss to measure suboptimality from")
+        offset = min(finite)
 
     key = "wall_clock_s" if mode == "loss_vs_time" else "iteration"
     keys = sorted({getattr(r, key) for rs in columns.values() for r in rs})

@@ -1,9 +1,10 @@
 """Command-line benchmark runner.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 when at least one
-requested method failed.  Set BENCH_THREADS to cap the numeric kernels'
-thread pools; the cap is applied in the package's `__init__`, before numpy is
-imported, so it must be decided at process start.
+Exit codes: 0 on success, 1 for configuration problems and command-line
+usage errors, 2 when at least one requested method failed.  Set
+BENCH_THREADS to cap the numeric kernels' thread pools; the cap is applied in
+the package's `__init__`, before numpy is imported, so it must be decided at
+process start.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ from . import bench
 from .errors import ConfigError, IncompatibleTraces, SpanOptError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, not argparse's 2, which here means a method failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bench",
         description="Run approximate-Newton benchmark experiments and emit plot-ready tables.",
     )
@@ -67,8 +76,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "scale":
-            values = bench.parse_config_text(Path(args.config).read_text())
-            bench.check_config_keys(values)
+            values = bench.read_config_values(args.config)
             sketch = bench.build_span_config(values, seed=0, probe=False)
             try:
                 dims = [int(d) for d in args.dims.split(",") if d.strip()]

@@ -1,18 +1,13 @@
-"""Batch Hessian products: central differences of batch gradients (the default) or analytic.
+"""How batch Hessian products are realized: central differences of batch gradients, or analytic.
 
-:func:`batch_hessian` builds the operator ``H_B(x)`` once per sampled batch,
-a :class:`~spanopt.objectives.BatchHessian`; every product against it, with
-a (d,) vector or a (d, k) block, reuses the gathered batch rows.
+An :class:`HvpMode` is the required ``mode`` of
+:meth:`spanopt.objectives.BatchHessian.at`, the one constructor of the batch
+Hessian operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import DimensionMismatch
-from .objectives import BatchHessian, Dataset, ObjectiveConfig
 
 HVP_KINDS = ("finite_difference", "analytic")
 
@@ -30,28 +25,3 @@ class HvpMode:
 
 ANALYTIC = HvpMode(kind="analytic")
 CENTRAL_FD = HvpMode(kind="finite_difference")
-
-
-def batch_hessian(
-    cfg: ObjectiveConfig,
-    data: Dataset | None,
-    batch: np.ndarray | None,
-    x: np.ndarray,
-    mode: HvpMode = CENTRAL_FD,
-) -> BatchHessian:
-    """The batch Hessian ``H_B(x)`` as an operator in the requested mode, built once per batch."""
-    return BatchHessian.at(cfg, data, batch, x, finite_difference=mode.kind == "finite_difference")
-
-
-def hvp(
-    cfg: ObjectiveConfig,
-    data: Dataset | None,
-    batch: np.ndarray | None,
-    x: np.ndarray,
-    v: np.ndarray,
-    mode: HvpMode = CENTRAL_FD,
-) -> np.ndarray:
-    """Batch Hessian-vector product ``H_B(x) v`` in the requested mode."""
-    if np.shape(v) != np.shape(x):
-        raise DimensionMismatch(f"v has shape {np.shape(v)}, x has {np.shape(x)}")
-    return batch_hessian(cfg, data, batch, x, mode) @ v

@@ -27,6 +27,11 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _RANK_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _POWER_MAX_ITERS = 20_000
+# Largest norm estimate spectral_norm_sym reports, the mirror of its 1e-300
+# zero floor: callers pad the estimate (lissa multiplies it by 1.25) and
+# difference operators sum terms of its size, so a larger one counts as
+# overflow.
+_NORM_LIMIT = 1e300
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -150,9 +155,11 @@ def spectral_norm_sym(
     Convergence is declared when successive estimates move by less than
     ``tol`` relatively (plus ``abs_tol``, for probing operators that may be
     roundoff-level zero); exceeding the iteration cap raises
-    :class:`NoConvergence`.  An estimate that is not finite (``||A v||``
-    overflowed, or ``A`` returned NaN/Inf) raises :class:`NonFiniteResult`
-    at once, since normalizing by it would turn the iterate to zero or NaN.
+    :class:`NoConvergence`.  When only the sum of squares in ``||A v||``
+    overflows, the norm is taken of ``A v`` scaled by its largest entry.  An
+    estimate that is NaN, infinite (``A`` returned NaN/Inf) or above 1e300
+    raises :class:`NonFiniteResult` at once, since normalizing by it would
+    turn the iterate to zero or NaN, or leave callers no room to scale it.
     """
     v = gaussian_matrix(d, 1, seed)[:, 0]
     norm_v = float(np.linalg.norm(v))
@@ -161,7 +168,11 @@ def spectral_norm_sym(
     for it in range(max_iters):
         w = apply(v)
         est = float(np.linalg.norm(w))
-        if not math.isfinite(est):
+        if math.isinf(est) and np.isfinite(w).all():
+            # The sum of squares overflowed, not w: rescale by its largest entry.
+            peak = float(np.abs(w).max())
+            est = peak * float(np.linalg.norm(w / peak))
+        if not est <= _NORM_LIMIT:
             raise NonFiniteResult(f"operator norm estimate is {est} at power iteration {it}")
         if est == 0.0 or est < 1e-300:
             # Random start annihilated: for a symmetric operator this happens

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge, NonFiniteResult
+from .hvp import HvpMode
 
 DENSE_HESSIAN_MAX_DIM = 512
 
@@ -228,13 +229,14 @@ def _curvature_weights(cfg: ObjectiveConfig, rows: np.ndarray, labels: np.ndarra
 class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
-    ``H @ v`` takes a (d,) vector or a (d, k) block.  Analytic products use
-    curvature weights computed once, and :meth:`dense` forms the matrix.
-    With ``fd_step`` set, products are central differences of the batch
-    gradient instead: each column is normalized (so the step never scales
-    with ``||v||``, which grows geometrically during power iteration),
-    perturbed by ``fd_step = sqrt(eps) * (1 + ||x||)`` both ways and rescaled
-    by its own norm; a zero column gives an exact zero.  For sampled kinds
+    :meth:`at` is the one constructor.  ``H @ v`` takes a (d,) vector or a
+    (d, k) block.  Analytic products use curvature weights computed once, and
+    :meth:`dense` forms the matrix.  With ``fd_step`` set, products are
+    central differences of the batch gradient instead: each column is
+    normalized (so the step never scales with ``||v||``, which grows
+    geometrically during power iteration), perturbed by
+    ``fd_step = sqrt(eps) * (1 + ||x||)`` both ways and rescaled by its own
+    norm; a zero column gives an exact zero.  For sampled kinds
     the perturbed margins come by linearity, ``m0 +/- labels * (rows @ s)``,
     from base margins ``m0`` stored once, so a block of ``k`` columns takes
     one ``k``-column GEMM each way rather than ``2k``.
@@ -249,12 +251,11 @@ class BatchHessian:
     margins: Optional[np.ndarray] = None  # base margins of sampled kinds, for differences
 
     @classmethod
-    def at(cls, cfg, data, batch, x, finite_difference: bool = False) -> "BatchHessian":
-        """Gather the batch at ``x``, for central-difference products if
-        ``finite_difference`` is set and analytic ones otherwise."""
+    def at(cls, cfg, data, batch, x, mode: HvpMode) -> "BatchHessian":
+        """Gather the batch at ``x`` for products in ``mode``: central differences or analytic."""
         x = _check_x(cfg, data, x)
         rows, labels = _batch_rows(cfg, data, batch)
-        if finite_difference:
+        if mode.kind == "finite_difference":
             step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
             return cls(cfg, x, rows, labels, fd_step=step, margins=_margins(rows, labels, x))
         weights = None if rows is None else _curvature_weights(cfg, rows, labels, x)
@@ -293,7 +294,7 @@ class BatchHessian:
         return out if v.ndim == 2 else out[:, 0]
 
     def dense(self) -> np.ndarray:
-        """The explicit analytic (d, d) matrix, capped at d <= 512."""
+        """The explicit (d, d) matrix of an analytic operator, capped at d <= 512."""
         d = self.x.size
         if d > DENSE_HESSIAN_MAX_DIM:
             raise DimensionTooLarge(f"dense Hessian capped at {DENSE_HESSIAN_MAX_DIM}, got d={d}")
@@ -303,27 +304,6 @@ class BatchHessian:
         h = 0.5 * (h + h.T)  # exact symmetry, not just up to BLAS rounding
         h[np.diag_indices(d)] += self.cfg.reg_a
         return h
-
-
-def exact_hvp(
-    cfg: ObjectiveConfig,
-    data: Optional[Dataset],
-    batch: Optional[np.ndarray],
-    x: np.ndarray,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Analytic batch Hessian product ``H_B(x) v``; ``v`` may be a (d, k) block."""
-    return BatchHessian.at(cfg, data, batch, x) @ v
-
-
-def dense_hessian(
-    cfg: ObjectiveConfig,
-    data: Optional[Dataset],
-    batch: Optional[np.ndarray],
-    x: np.ndarray,
-) -> np.ndarray:
-    """Explicit batch Hessian, capped at d <= 512; intended as a test oracle."""
-    return BatchHessian.at(cfg, data, batch, x).dense()
 
 
 def sample_batch(n: int, b: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,21 +6,19 @@ its columns align with the top eigendirections, then orthonormalized.  For
 span-preserving in exact arithmetic and numerically essential once the
 columns start collapsing toward the dominant eigenvector.
 
-The driver sketches fresh only at its first step.  Every later step carries
-the last basis forward through one more Hessian application (subspace
-iteration across steps), falling back to a fresh sketch when that block is
-rank-deficient.
+`span_step` sketches fresh only at a run's first step; every later step
+carries the last basis forward through one more Hessian application (see
+:func:`spanopt.span.build_subspace`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidRankParams, RankDeficient
+from .errors import InvalidRankParams
 from .linalg import gaussian_matrix, qr_orthonormal
 from .objectives import BatchHessian
 
@@ -58,7 +56,8 @@ class RangeConfig:
 def power_range(hessian: BatchHessian, rc: RangeConfig, seed: int) -> np.ndarray:
     """Orthonormal (d, l) basis spanning ``H_B(x)^{2q+1} Omega`` for Gaussian Omega.
 
-    ``hessian`` is the batch operator from :func:`spanopt.hvp.batch_hessian`.
+    ``hessian`` is the batch operator from
+    :meth:`spanopt.objectives.BatchHessian.at`.
     A Gaussian block is dependent only with probability zero, so a
     rank-deficient sketch means the operator itself is degenerate: the
     :class:`RankDeficient` propagates rather than being redrawn.
@@ -70,24 +69,6 @@ def power_range(hessian: BatchHessian, rc: RangeConfig, seed: int) -> np.ndarray
         if rc.reorth and j < 2 * rc.q + 1:
             y = qr_orthonormal(y)
     return qr_orthonormal(y)
-
-
-def _warm_range(
-    hessian: BatchHessian, rc: RangeConfig, seed: int, previous: Optional[np.ndarray]
-) -> np.ndarray:
-    """Basis for a driver step: ``qr(H_B previous)``, or a fresh sketch.
-
-    One Hessian application to the last step's basis replaces the ``2q + 1``
-    products and the Gaussian draw of a fresh sketch.  Without a previous
-    basis, or when its image is rank-deficient, the step sketches fresh from
-    ``seed``.
-    """
-    if previous is not None:
-        try:
-            return qr_orthonormal(hessian @ previous)
-        except RankDeficient:
-            pass
-    return power_range(hessian, rc, seed)
 
 
 def min_power_iterations(d: int, l: int, m: int) -> int:

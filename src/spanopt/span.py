@@ -1,9 +1,10 @@
 """The stochastic projected approximate-Newton optimizer.
 
-Each iteration sketches the batch Hessian into an orthonormal basis U (see
-:mod:`spanopt.rangefinder`; after the first step, by one subspace iteration
-from the last step's basis), forms the captured block Z^T U with one more
-block Hessian product, and applies the perturbed inverse
+Each iteration builds one batch Hessian operator H_B, sketches it into an
+orthonormal basis U (a powered Gaussian sketch from
+:mod:`spanopt.rangefinder` at the first step; after that, one subspace
+iteration from the last step's basis), forms the captured block Z^T U with
+one more block product, and applies the perturbed inverse
 
     U (Z^T U)^{-1} U^T  +  (1/lambda) (I - U U^T)
 
@@ -26,17 +27,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IndefiniteBlock, SingularSystem
-from .hvp import CENTRAL_FD, HvpMode, batch_hessian
-from .linalg import EigenPairs, derive_seed, spectral_norm_sym, sym_eig_small
+from .errors import IndefiniteBlock, RankDeficient, SingularSystem
+from .hvp import CENTRAL_FD, HvpMode
+from .linalg import EigenPairs, derive_seed, qr_orthonormal, spectral_norm_sym, sym_eig_small
 from .objectives import (
+    BatchHessian,
     Dataset,
     ObjectiveConfig,
     batch_gradient,
     loss_and_gradient,
     sample_batch,
 )
-from .rangefinder import RangeConfig, _warm_range, power_range
+from .rangefinder import RangeConfig, power_range
 
 # Stream tags so each stochastic sub-step of an iteration draws from its own
 # child of the run seed.
@@ -175,20 +177,23 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
 
 
 def build_subspace(
-    cfg: ObjectiveConfig,
-    data: Dataset | None,
-    batch: np.ndarray | None,
-    x: np.ndarray,
-    rc: RangeConfig,
-    seed: int,
-    mode: HvpMode = CENTRAL_FD,
+    hessian: BatchHessian, rc: RangeConfig, seed: int, previous: Optional[np.ndarray] = None
 ) -> Subspace:
-    """Sketch the batch Hessian at ``x`` and pick the safeguard perturbation.
+    """Sketch the batch Hessian into a basis and pick the safeguard perturbation.
 
-    One operator serves the ``2q + 1`` sketch products and ``Z = H_B U``.
+    With a ``previous`` basis, one product gives ``U = qr(H_B previous)``
+    in place of the ``2q + 1`` products and the Gaussian draw of a fresh
+    sketch.  Without one, or when that block is rank-deficient, ``U`` is a
+    fresh powered sketch from ``seed``.  One more product gives ``Z = H_B U``.
     """
-    hessian = batch_hessian(cfg, data, batch, x, mode)
-    u = power_range(hessian, rc, seed)
+    u = None
+    if previous is not None:
+        try:
+            u = qr_orthonormal(hessian @ previous)
+        except RankDeficient:
+            pass
+    if u is None:
+        u = power_range(hessian, rc, seed)
     return assemble_subspace(u, hessian @ u, rc.m)
 
 
@@ -205,21 +210,13 @@ def apply_inverse(s: Subspace, g: np.ndarray) -> np.ndarray:
     return captured + (g - s.u @ ug) / s.lam
 
 
-def hessian_error_probe(
-    s: Subspace,
-    cfg: ObjectiveConfig,
-    data: Dataset | None,
-    batch: np.ndarray | None,
-    x: np.ndarray,
-    mode: HvpMode = CENTRAL_FD,
-    seed: int = 0,
-) -> float:
+def hessian_error_probe(s: Subspace, hessian: BatchHessian, seed: int) -> float:
     """Operator-norm distance between the constructed and the true batch Hessian.
 
     Runs the power-iteration probe on the matrix-free difference operator
     v -> (U U^T H_B (U U^T v) + lambda (v - U U^T v)) - H_B v, so nothing
     dense is ever formed.  Both products of an iteration are one block
-    product against an operator built once for the whole probe.
+    product against ``hessian``, the operator ``s`` was built from.
 
     In finite-difference mode the products are central differences, so the
     difference operator is nonsymmetric at the finite-difference error
@@ -228,7 +225,6 @@ def hessian_error_probe(
     is not available to remove it; the bias sits far below the iteration's
     own stopping error (1e-6 relative).
     """
-    hessian = batch_hessian(cfg, data, batch, x, mode)
 
     def difference(v: np.ndarray) -> np.ndarray:
         uv = s.u @ (s.u.T @ v)
@@ -251,10 +247,11 @@ def span_step(
     """One iteration: sample, sketch, invert, step with the full gradient.
 
     The update direction uses the full-dataset gradient; only the Hessian
-    sketch is batched.  The first step of a run draws a fresh powered
-    sketch; later steps take ``U = qr(H_B U_prev)`` from the state's last
-    basis and sketch fresh only if that block is rank-deficient, always from
-    the step's own derived seed.  The loss and gradient at ``x_{t+1}`` come
+    sketch is batched.  The step builds one batch Hessian operator, which
+    :func:`build_subspace` and the Hessian-error probe share.  The first
+    step of a run draws a fresh powered sketch; later steps carry the
+    state's last basis forward, always with the step's own derived seed for
+    a fallback sketch.  The loss and gradient at ``x_{t+1}`` come
     from one full-data pass inside the step's wall clock; the gradient is
     carried in the returned state, and the trace row reports both.
     """
@@ -265,11 +262,9 @@ def span_step(
     if data is not None:
         rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_BATCH, t))
         batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
-    rc = cfg.range_config()
-    hessian = batch_hessian(objective, data, batch, state.x, cfg.hvp_mode)
+    hessian = BatchHessian.at(objective, data, batch, state.x, cfg.hvp_mode)
     previous = None if state.subspace is None else state.subspace.u
-    u = _warm_range(hessian, rc, derive_seed(cfg.seed, _STREAM_SKETCH, t), previous)
-    subspace = assemble_subspace(u, hessian @ u, rc.m)
+    subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t), previous)
     grad = state.grad if state.grad is not None else batch_gradient(objective, data, None, state.x)
     x_next = state.x - cfg.eta * apply_inverse(subspace, grad)
     loss, grad_next = loss_and_gradient(objective, data, x_next)
@@ -278,10 +273,7 @@ def span_step(
 
     hessian_err = None
     if cfg.probe_hessian_error:
-        hessian_err = hessian_error_probe(
-            subspace, objective, data, batch, state.x,
-            mode=cfg.hvp_mode, seed=derive_seed(cfg.seed, _STREAM_PROBE, t),
-        )
+        hessian_err = hessian_error_probe(subspace, hessian, derive_seed(cfg.seed, _STREAM_PROBE, t))
     record = TraceRecord(
         iteration=t + 1,
         wall_clock_s=elapsed,

@@ -12,6 +12,7 @@ import numpy as np
 from spanopt import (
     ANALYTIC,
     CENTRAL_FD,
+    BatchHessian,
     ObjectiveConfig,
     RangeConfig,
     SpanConfig,
@@ -20,10 +21,7 @@ from spanopt import (
     batch_gradient,
     batch_loss,
     build_subspace,
-    dense_hessian,
-    exact_hvp,
     hessian_error_probe,
-    hvp,
     min_power_iterations,
     run_span,
     sample_batch,
@@ -53,7 +51,7 @@ def newton_optimum(cfg, data, d, tol=1e-12):
         g = batch_gradient(cfg, data, None, x)
         if np.linalg.norm(g) <= tol:
             break
-        x = x - np.linalg.solve(dense_hessian(cfg, data, None, x), g)
+        x = x - np.linalg.solve(BatchHessian.at(cfg, data, None, x, ANALYTIC).dense(), g)
     return x
 
 
@@ -79,8 +77,9 @@ def test_criterion_1_approximation_bound_statistical():
     x = np.zeros(d)
     hits = 0
     for trial in range(200):
-        s = build_subspace(cfg, None, None, x, rc, seed=linalg.derive_seed(1234, trial), mode=ANALYTIC)
-        err = hessian_error_probe(s, cfg, None, None, x, mode=ANALYTIC, seed=trial)
+        hessian = BatchHessian.at(cfg, None, None, x, ANALYTIC)
+        s = build_subspace(hessian, rc, seed=linalg.derive_seed(1234, trial))
+        err = hessian_error_probe(s, hessian, seed=trial)
         hits += err <= bound
     elapsed = time.perf_counter() - start
     verdict(
@@ -95,8 +94,9 @@ def test_criterion_2_exact_capture_degeneracy():
     spectrum = np.linspace(10.0, 1.0, d)
     cfg = quadratic(spectrum)
     rc = RangeConfig(l=d, q=1, m=0)
-    s = build_subspace(cfg, None, None, np.zeros(d), rc, seed=4, mode=ANALYTIC)
-    err = hessian_error_probe(s, cfg, None, None, np.zeros(d), mode=ANALYTIC, seed=2)
+    hessian = BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC)
+    s = build_subspace(hessian, rc, seed=4)
+    err = hessian_error_probe(s, hessian, seed=2)
     span_cfg = SpanConfig(t_max=1, m=0, l=d, q=1, b=1, eta=1.0, seed=4, hvp_mode=ANALYTIC)
     x1, _ = run_span(span_cfg, cfg, None, np.arange(1.0, d + 1.0))
     dist = float(np.linalg.norm(x1))  # optimum is the origin
@@ -157,8 +157,8 @@ def test_criterion_4_hvp_fidelity():
         for _ in range(25):
             x = rng.standard_normal(d)
             v = rng.standard_normal(d)
-            fd = hvp(cfg, data, None, x, v, CENTRAL_FD)
-            exact = hvp(cfg, data, None, x, v, ANALYTIC)
+            fd = BatchHessian.at(cfg, data, None, x, CENTRAL_FD) @ v
+            exact = BatchHessian.at(cfg, data, None, x, ANALYTIC) @ v
             worst = max(worst, float(np.linalg.norm(fd - exact) / np.linalg.norm(exact)))
             checked += 1
     verdict("AC4", checked == 100 and worst <= 1e-5, f"worst relative error {worst:.2e} over {checked} pairs (cap 1e-5)")
@@ -180,10 +180,11 @@ def test_criterion_5_hessian_error_ordering():
         batch = sample_batch(data.n_samples, b, rng)
         x_eval = x_star + 0.1 * linalg.gaussian_matrix(d, 1, seed)[:, 0]  # near-path iterate
 
-        s = build_subspace(objective, data, batch, x_eval, rc, seed=linalg.derive_seed(778, seed), mode=ANALYTIC)
-        span_err = hessian_error_probe(s, objective, data, batch, x_eval, mode=ANALYTIC, seed=seed)
+        hessian = BatchHessian.at(objective, data, batch, x_eval, ANALYTIC)
+        s = build_subspace(hessian, rc, seed=linalg.derive_seed(778, seed))
+        span_err = hessian_error_probe(s, hessian, seed=seed)
 
-        h_batch = dense_hessian(objective, data, batch, x_eval)
+        h_batch = hessian.dense()
         eig = sym_eig_small(h_batch)
         newsamp_err = float(eig.values[m] - eig.values[-1])
 
@@ -194,7 +195,7 @@ def test_criterion_5_hessian_error_ordering():
 
         def sampled_hvp(u):
             idx = np.array([batch[rng2.integers(len(batch))]])
-            return exact_hvp(objective, data, idx, x_eval, u)
+            return BatchHessian.at(objective, data, idx, x_eval, ANALYTIC) @ u
 
         estimate = np.zeros((d, d))
         for _ in range(4):
@@ -275,7 +276,7 @@ def test_criterion_8_oracle_equivalences():
     for d in (10, 20, 30):
         spectrum = np.linspace(8.0, 1.0, d)
         cfg = quadratic(spectrum)
-        s = build_subspace(cfg, None, None, np.zeros(d), RangeConfig(l=6, q=2, m=2), seed=d, mode=ANALYTIC)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC), RangeConfig(l=6, q=2, m=2), seed=d)
         p = s.u @ s.u.T
         h_hat = p @ np.diag(spectrum) @ p + s.lam * (np.eye(d) - p)
         for _ in range(10):

@@ -372,6 +372,21 @@ class TestPlotEmission:
         lines = out.read_text().splitlines()
         assert lines[1] == "1,5.0,3.0"  # best loss seen anywhere is 5.0
 
+    def test_suboptimality_offset_skips_non_finite_loss(self, tmp_path):
+        # A leading nan loss once made the offset, and so every cell, nan.
+        trace = tmp_path / "span.csv"
+        trace.write_text(f"{CSV_HEADER}\n1,0.1,nan,1.0,,\n2,0.2,0.5,0.5,,\n")
+        out = emit_plot_data([trace], "loss_vs_iter", tmp_path / "t.csv", suboptimality=True)
+        assert out.read_text().splitlines() == ["iteration,span", "1,nan", "2,0.0"]
+
+    def test_suboptimality_without_finite_loss_exit_one(self, tmp_path, capsys):
+        trace = tmp_path / "span.csv"
+        trace.write_text(f"{CSV_HEADER}\n1,0.1,nan,1.0,,\n2,0.2,inf,0.5,,\n")
+        out = tmp_path / "t.csv"
+        assert cli.main(["plot", "loss_vs_iter", str(trace), "-o", str(out), "--suboptimality"]) == 1
+        assert "config error: no trace has a finite loss" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hessian_err_mode_omits_unprobed(self, tmp_path, caplog):
         a, b = self.synthesize_traces(tmp_path)
         out = emit_plot_data([a, b], "hessian_err", tmp_path / "t.csv")
@@ -528,6 +543,42 @@ class TestCli:
         assert cli.main(["plot", "loss_vs_iter", str(trace), "-o", str(out)]) == 1
         assert f"config error: {trace}: line 3: malformed row {row!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "scale", "plot"])
+    def test_non_utf8_file_exit_one(self, tmp_path, capsys, command):
+        # A file starting with bytes ff fe 00 ended each command in a UnicodeDecodeError traceback.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00seed = 1\n")
+        out = str(tmp_path / "t.csv")
+        argv = {
+            "run": ["run", str(path)],
+            "scale": ["scale", str(path), "--dims", "20", "-o", out],
+            "plot": ["plot", "loss_vs_iter", str(path), "-o", out],
+        }[command]
+        assert cli.main(argv) == 1
+        assert f"config error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", str(CONFIG_DIR / "quadratic-demo.cfg"), "--dims", "20", "--steps", "abc"],
+            ["plot", "spiral", "x.csv", "-o", "y.csv"],
+            [],
+        ],
+        ids=["non-integer-steps", "unknown-plot-mode", "no-command"],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        # argparse exits 2, the code documented for a method failure.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scale", "--help"])
+        assert exc.value.code == 0
+        assert "usage: bench scale" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "lines",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanopt import Dataset, batch_gradient, dense_hessian
+from spanopt import ANALYTIC, BatchHessian, Dataset, batch_gradient
 from spanopt.datasets import (
     RawExample,
     load_libsvm,
@@ -179,7 +179,8 @@ class TestNormalizeRows:
 class TestSyntheticProblems:
     def test_quadratic_spectrum_is_hessian(self):
         cfg, x_star = synth_quadratic([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(dense_hessian(cfg, None, None, np.zeros(3)), np.diag([1.0, 2.0, 3.0]))
+        h = BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC).dense()
+        np.testing.assert_array_equal(h, np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(x_star, np.zeros(3))
 
     def test_optimum_has_zero_gradient(self):
@@ -190,7 +191,7 @@ class TestSyntheticProblems:
         r = 1.5
         spectrum = r ** np.arange(5)
         cfg, _ = synth_quadratic(spectrum)
-        values = np.sort(np.diag(dense_hessian(cfg, None, None, np.zeros(5))))
+        values = np.sort(np.diag(BatchHessian.at(cfg, None, None, np.zeros(5), ANALYTIC).dense()))
         assert values[-1] / values[0] == pytest.approx(r**4)
 
     def test_classification_shapes_and_determinism(self):

@@ -7,12 +7,10 @@ from spanopt import (
     ANALYTIC,
     CENTRAL_FD,
     Dataset,
+    BatchHessian,
     HvpMode,
     ObjectiveConfig,
     batch_gradient,
-    batch_hessian,
-    dense_hessian,
-    hvp,
 )
 from spanopt.errors import DimensionMismatch
 
@@ -32,12 +30,12 @@ class TestHvp:
         # Linear gradient, perturbation around the origin: no cancellation,
         # so the central difference reproduces the product to roundoff.
         for mode in (CENTRAL_FD, ANALYTIC):
-            result = hvp(QUAD123, None, None, np.zeros(3), np.ones(3), mode)
+            result = BatchHessian.at(QUAD123, None, None, np.zeros(3), mode) @ np.ones(3)
             assert np.abs(result - [1.0, 2.0, 3.0]).max() <= 1e-10
 
     def test_zero_vector_short_circuit(self):
         cfg, data = logistic_instance(10, 4, 0)
-        result = hvp(cfg, data, None, np.ones(4), np.zeros(4), CENTRAL_FD)
+        result = BatchHessian.at(cfg, data, None, np.ones(4), CENTRAL_FD) @ np.zeros(4)
         np.testing.assert_array_equal(result, np.zeros(4))
 
     def test_fd_matches_analytic_logistic(self):
@@ -46,8 +44,8 @@ class TestHvp:
         for _ in range(25):
             x = rng.standard_normal(10)
             v = rng.standard_normal(10)
-            fd = hvp(cfg, data, None, x, v, CENTRAL_FD)
-            exact = hvp(cfg, data, None, x, v, ANALYTIC)
+            fd = BatchHessian.at(cfg, data, None, x, CENTRAL_FD) @ v
+            exact = BatchHessian.at(cfg, data, None, x, ANALYTIC) @ v
             assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
 
     def test_step_independent_of_direction_scale(self):
@@ -55,8 +53,8 @@ class TestHvp:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(6)
         v = rng.standard_normal(6)
-        small = hvp(cfg, data, None, x, v, CENTRAL_FD)
-        large = hvp(cfg, data, None, x, 1e6 * v, CENTRAL_FD)
+        small = BatchHessian.at(cfg, data, None, x, CENTRAL_FD) @ v
+        large = BatchHessian.at(cfg, data, None, x, CENTRAL_FD) @ (1e6 * v)
         np.testing.assert_allclose(large, 1e6 * small, rtol=1e-9)
 
     def test_only_central_and_analytic_kinds(self):
@@ -66,7 +64,7 @@ class TestHvp:
     def test_dimension_mismatch(self):
         cfg, data = logistic_instance(10, 4, 0)
         with pytest.raises(DimensionMismatch):
-            hvp(cfg, data, None, np.zeros(4), np.zeros(5), CENTRAL_FD)
+            BatchHessian.at(cfg, data, None, np.zeros(4), CENTRAL_FD) @ np.zeros(5)
 
     def test_symmetry_surrogate(self):
         cfg, data = logistic_instance(30, 8, 7)
@@ -76,9 +74,11 @@ class TestHvp:
             u = rng.standard_normal(8)
             v = rng.standard_normal(8)
             scale = np.linalg.norm(u) * np.linalg.norm(v)
-            fd_gap = u @ hvp(cfg, data, None, x, v, CENTRAL_FD) - v @ hvp(cfg, data, None, x, u, CENTRAL_FD)
+            fd = BatchHessian.at(cfg, data, None, x, CENTRAL_FD)
+            fd_gap = u @ (fd @ v) - v @ (fd @ u)
             assert abs(fd_gap) <= 1e-5 * scale
-            exact_gap = u @ hvp(cfg, data, None, x, v, ANALYTIC) - v @ hvp(cfg, data, None, x, u, ANALYTIC)
+            exact = BatchHessian.at(cfg, data, None, x, ANALYTIC)
+            exact_gap = u @ (exact @ v) - v @ (exact @ u)
             assert abs(exact_gap) <= 1e-12 * scale
 
     def test_linearity_analytic(self):
@@ -88,8 +88,9 @@ class TestHvp:
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
         alpha, beta = 1.7, -0.4
-        combined = hvp(cfg, data, None, x, alpha * u + beta * v, ANALYTIC)
-        parts = alpha * hvp(cfg, data, None, x, u, ANALYTIC) + beta * hvp(cfg, data, None, x, v, ANALYTIC)
+        hessian = BatchHessian.at(cfg, data, None, x, ANALYTIC)
+        combined = hessian @ (alpha * u + beta * v)
+        parts = alpha * (hessian @ u) + beta * (hessian @ v)
         assert np.linalg.norm(combined - parts) <= 1e-12 * np.linalg.norm(parts)
 
     def test_fd_accuracy_budget_d50(self):
@@ -101,24 +102,24 @@ class TestHvp:
             for _ in range(25):
                 x = rng.standard_normal(data.dim)
                 v = rng.standard_normal(data.dim)
-                fd = hvp(cfg, data, None, x, v, CENTRAL_FD)
-                exact = hvp(cfg, data, None, x, v, ANALYTIC)
+                fd = BatchHessian.at(cfg, data, None, x, CENTRAL_FD) @ v
+                exact = BatchHessian.at(cfg, data, None, x, ANALYTIC) @ v
                 worst = max(worst, np.linalg.norm(fd - exact) / np.linalg.norm(exact))
         assert worst <= 1e-5
 
 
 class TestExtendedHvp:
-    """Extended products ``H_B(x) V`` for a (d, k) block: ``batch_hessian(...) @ V``."""
+    """Extended products ``H_B(x) V`` for a (d, k) block: ``BatchHessian.at(...) @ V``."""
 
     def test_identity_block_reconstructs_hessian(self):
-        result = batch_hessian(QUAD123, None, None, np.zeros(3), CENTRAL_FD) @ np.eye(3)
+        result = BatchHessian.at(QUAD123, None, None, np.zeros(3), CENTRAL_FD) @ np.eye(3)
         np.testing.assert_allclose(result, np.diag([1.0, 2.0, 3.0]), atol=1e-10)
 
     def test_zero_column_stays_zero(self):
         cfg, data = logistic_instance(20, 5, 11)
         block = np.random.default_rng(12).standard_normal((5, 3))
         block[:, 1] = 0.0
-        result = batch_hessian(cfg, data, None, np.ones(5), CENTRAL_FD) @ block
+        result = BatchHessian.at(cfg, data, None, np.ones(5), CENTRAL_FD) @ block
         np.testing.assert_array_equal(result[:, 1], np.zeros(5))
 
     def test_matches_dense_product(self):
@@ -126,9 +127,9 @@ class TestExtendedHvp:
         rng = np.random.default_rng(14)
         x = rng.standard_normal(15)
         block = rng.standard_normal((15, 4))
-        h = dense_hessian(cfg, data, None, x)
+        h = BatchHessian.at(cfg, data, None, x, ANALYTIC).dense()
         for mode in (CENTRAL_FD, ANALYTIC):
-            result = batch_hessian(cfg, data, None, x, mode) @ block
+            result = BatchHessian.at(cfg, data, None, x, mode) @ block
             assert np.linalg.norm(result - h @ block) <= 1e-6 * np.linalg.norm(h @ block)
 
 
@@ -147,21 +148,21 @@ class TestFiniteDifferenceBlock:
 
     def test_columns_match_single_products(self):
         cfg, data, batch, x, block = self.setup_block()
-        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
+        result = BatchHessian.at(cfg, data, batch, x, CENTRAL_FD) @ block
         for j in range(block.shape[1]):
-            single = hvp(cfg, data, batch, x, block[:, j], CENTRAL_FD)
+            single = BatchHessian.at(cfg, data, batch, x, CENTRAL_FD) @ block[:, j]
             assert np.linalg.norm(result[:, j] - single) <= 1e-10 * np.linalg.norm(single)
 
     def test_matches_analytic(self):
         cfg, data, batch, x, block = self.setup_block()
-        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
-        exact = batch_hessian(cfg, data, batch, x, ANALYTIC) @ block
+        result = BatchHessian.at(cfg, data, batch, x, CENTRAL_FD) @ block
+        exact = BatchHessian.at(cfg, data, batch, x, ANALYTIC) @ block
         for j in range(block.shape[1]):
             assert np.linalg.norm(result[:, j] - exact[:, j]) <= 1e-6 * np.linalg.norm(exact[:, j])
 
     def test_zero_column_exact(self):
         cfg, data, batch, x, block = self.setup_block()
-        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
+        result = BatchHessian.at(cfg, data, batch, x, CENTRAL_FD) @ block
         np.testing.assert_array_equal(result[:, 2], np.zeros(12))
 
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm"])
@@ -180,7 +181,7 @@ class TestFiniteDifferenceBlock:
                 plus = batch_gradient(cfg, data, batch, x + s)
                 minus = batch_gradient(cfg, data, batch, x - s)
                 expected[:, j] = (plus - minus) * (norm / (2.0 * step))
-        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
+        result = BatchHessian.at(cfg, data, batch, x, CENTRAL_FD) @ block
         np.testing.assert_array_equal(result[:, 2], np.zeros(12))
         for j in (0, 1, 3, 4):
             assert np.linalg.norm(result[:, j] - expected[:, j]) <= 1e-7 * np.linalg.norm(expected[:, j])
@@ -188,7 +189,7 @@ class TestFiniteDifferenceBlock:
     def test_huber_matches_analytic_away_from_kinks(self):
         cfg, data, batch, x, block = self.setup_block()
         cfg = ObjectiveConfig("huber_svm", reg_a=cfg.reg_a)
-        result = batch_hessian(cfg, data, batch, x, CENTRAL_FD) @ block
-        exact = batch_hessian(cfg, data, batch, x, ANALYTIC) @ block
+        result = BatchHessian.at(cfg, data, batch, x, CENTRAL_FD) @ block
+        exact = BatchHessian.at(cfg, data, batch, x, ANALYTIC) @ block
         for j in (0, 1, 3, 4):
             assert np.linalg.norm(result[:, j] - exact[:, j]) <= 1e-6 * np.linalg.norm(exact[:, j])

@@ -203,6 +203,12 @@ class TestSpectralNormSym:
         with pytest.raises(NonFiniteResult):
             linalg.spectral_norm_sym(lambda v: scale * v, 3, seed=1)
 
+    def test_norm_whose_square_overflows(self):
+        # ||1e200 v||^2 overflows although ||1e200 v|| = 1e200 does not.
+        with np.errstate(over="ignore"):
+            norm = linalg.spectral_norm_sym(lambda v: 1e200 * v, 5)
+        assert norm == pytest.approx(1e200, rel=1e-12)
+
     def test_matches_dense_eigensolver_on_difference_operator(self):
         # d=20 quadratic with a clear gap; compare the matrix-free probe
         # against the dense eigensolver on the explicit difference.

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from spanopt import (
+    ANALYTIC,
+    BatchHessian,
     Dataset,
     ObjectiveConfig,
     batch_gradient,
     batch_loss,
-    dense_hessian,
-    exact_hvp,
     loss_and_gradient,
     sample_batch,
 )
@@ -171,16 +171,18 @@ class TestLossAndGradient:
 
 class TestExactHvp:
     def test_quadratic_constant_hessian(self):
-        np.testing.assert_allclose(exact_hvp(QUAD123, None, None, np.zeros(3), np.ones(3)), [1.0, 2.0, 3.0])
+        result = BatchHessian.at(QUAD123, None, None, np.zeros(3), ANALYTIC) @ np.ones(3)
+        np.testing.assert_allclose(result, [1.0, 2.0, 3.0])
 
     def test_zero_vector(self):
         cfg, data = toy_logistic()
-        np.testing.assert_array_equal(exact_hvp(cfg, data, None, np.zeros(5), np.zeros(5)), np.zeros(5))
+        result = BatchHessian.at(cfg, data, None, np.zeros(5), ANALYTIC) @ np.zeros(5)
+        np.testing.assert_array_equal(result, np.zeros(5))
 
     def test_single_sample_logistic_closed_form(self):
         cfg = ObjectiveConfig("logistic", reg_a=0.0)
         data = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
-        result = exact_hvp(cfg, data, None, np.zeros(2), np.array([1.0, 1.0]))
+        result = BatchHessian.at(cfg, data, None, np.zeros(2), ANALYTIC) @ np.array([1.0, 1.0])
         np.testing.assert_allclose(result, [0.25, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm"])
@@ -191,8 +193,9 @@ class TestExactHvp:
         for _ in range(20):
             x = rng.standard_normal(8)
             v = rng.standard_normal(8)
-            h = dense_hessian(cfg, data, None, x)
-            hv = exact_hvp(cfg, data, None, x, v)
+            hessian = BatchHessian.at(cfg, data, None, x, ANALYTIC)
+            h = hessian.dense()
+            hv = hessian @ v
             assert np.linalg.norm(hv - h @ v) <= 1e-10 * max(np.linalg.norm(h @ v), 1e-12)
 
     def test_matrix_argument_matches_columns(self):
@@ -200,24 +203,26 @@ class TestExactHvp:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(6)
         block = rng.standard_normal((6, 3))
-        full = exact_hvp(cfg, data, None, x, block)
+        hessian = BatchHessian.at(cfg, data, None, x, ANALYTIC)
+        full = hessian @ block
         for j in range(3):
-            np.testing.assert_allclose(full[:, j], exact_hvp(cfg, data, None, x, block[:, j]), atol=1e-12)
+            np.testing.assert_allclose(full[:, j], hessian @ block[:, j], atol=1e-12)
 
 
 class TestDenseHessian:
     def test_quadratic_diagonal(self):
-        np.testing.assert_array_equal(dense_hessian(QUAD123, None, None, np.zeros(3)), np.diag([1.0, 2.0, 3.0]))
+        h = BatchHessian.at(QUAD123, None, None, np.zeros(3), ANALYTIC).dense()
+        np.testing.assert_array_equal(h, np.diag([1.0, 2.0, 3.0]))
 
     def test_single_sample_logistic_with_reg(self):
         cfg = ObjectiveConfig("logistic", reg_a=0.5)
         data = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
-        h = dense_hessian(cfg, data, None, np.zeros(2))
+        h = BatchHessian.at(cfg, data, None, np.zeros(2), ANALYTIC).dense()
         np.testing.assert_allclose(h, [[0.75, 0.0], [0.0, 0.5]], atol=1e-15)
 
     def test_exactly_symmetric(self):
         cfg, data = toy_logistic(n=40, d=7, seed=5)
-        h = dense_hessian(cfg, data, None, np.full(7, 0.3))
+        h = BatchHessian.at(cfg, data, None, np.full(7, 0.3), ANALYTIC).dense()
         assert np.abs(h - h.T).max() == 0.0
 
     @pytest.mark.parametrize("kind,reg", [("logistic", 0.05), ("huber_svm", 0.05), ("quadratic", 0.0)])
@@ -231,18 +236,18 @@ class TestDenseHessian:
             cfg = ObjectiveConfig(kind, reg_a=reg)
         for _ in range(10):
             x = rng.standard_normal(5)
-            smallest = np.linalg.eigvalsh(dense_hessian(cfg, data, None, x)).min()
+            smallest = np.linalg.eigvalsh(BatchHessian.at(cfg, data, None, x, ANALYTIC).dense()).min()
             assert smallest >= cfg.reg_a - 1e-10
 
     def test_dimension_cap(self):
         cfg = ObjectiveConfig("quadratic", quadratic_spectrum=np.ones(600))
         with pytest.raises(DimensionTooLarge):
-            dense_hessian(cfg, None, None, np.zeros(600))
+            BatchHessian.at(cfg, None, None, np.zeros(600), ANALYTIC).dense()
 
     def test_matches_gradient_finite_difference(self):
         cfg, data = toy_logistic(n=12, d=4, seed=21, reg=0.3)
         x = np.full(4, 0.2)
-        h = dense_hessian(cfg, data, None, x)
+        h = BatchHessian.at(cfg, data, None, x, ANALYTIC).dense()
         eps = 1e-6
         for i in range(4):
             step = np.zeros(4)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spanopt import ANALYTIC, ObjectiveConfig, RangeConfig, batch_hessian, min_power_iterations, power_range
+from spanopt import ANALYTIC, BatchHessian, ObjectiveConfig, RangeConfig, min_power_iterations, power_range
 from spanopt import linalg
 from spanopt.errors import InvalidRankParams
 
@@ -42,7 +42,7 @@ class TestPowerRange:
         # H = c I maps the sketch to itself, so span(U) = span(Omega).
         cfg = quadratic([2.0, 2.0, 2.0, 2.0])
         rc = RangeConfig(l=2, q=1, m=0)
-        u = power_range(batch_hessian(cfg, None, None, np.zeros(4), ANALYTIC), rc, seed=3)
+        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), rc, seed=3)
         omega = linalg.gaussian_matrix(4, 2, 3)
         q_omega = linalg.qr_orthonormal(omega)
         assert np.abs(projector(u) - projector(q_omega)).max() <= 1e-8
@@ -51,7 +51,7 @@ class TestPowerRange:
         # spectrum (1, 2, 3): top-2 eigendirections are e3 then e2.
         cfg = quadratic([1.0, 2.0, 3.0])
         rc = RangeConfig(l=2, q=5, m=0)
-        u = power_range(batch_hessian(cfg, None, None, np.zeros(3), ANALYTIC), rc, seed=11)
+        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), rc, seed=11)
         p = projector(u)
         e2, e3 = np.eye(3)[:, 1], np.eye(3)[:, 2]
         assert np.linalg.norm(e3 - p @ e3) <= 1e-3
@@ -60,7 +60,7 @@ class TestPowerRange:
     def test_q_zero_is_plain_sketch(self):
         cfg = quadratic([3.0, 1.0, 0.5, 0.2])
         rc = RangeConfig(l=2, q=0, m=0)
-        u = power_range(batch_hessian(cfg, None, None, np.zeros(4), ANALYTIC), rc, seed=5)
+        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), rc, seed=5)
         h_omega = np.diag([3.0, 1.0, 0.5, 0.2]) @ linalg.gaussian_matrix(4, 2, 5)
         expected = linalg.qr_orthonormal(h_omega)
         assert np.abs(projector(u) - projector(expected)).max() <= 1e-8
@@ -71,7 +71,7 @@ class TestPowerRange:
             d = int(rng.integers(6, 30))
             spectrum = np.sort(rng.uniform(0.5, 5.0, size=d))[::-1]
             rc = RangeConfig(l=5, q=int(rng.integers(0, 4)), m=1)
-            u = power_range(batch_hessian(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC), rc, seed=seed)
+            u = power_range(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC), rc, seed=seed)
             assert np.abs(u.T @ u - np.eye(5)).max() <= 1e-10
 
     def test_reorthonormalized_loop_spans_same_space(self):
@@ -80,7 +80,7 @@ class TestPowerRange:
         spectrum = np.linspace(6.0, 1.0, 12)
         rc = RangeConfig(l=4, q=4, m=0)
         assert rc.reorth
-        u_re = power_range(batch_hessian(quadratic(spectrum), None, None, np.zeros(12), ANALYTIC), rc, seed=9)
+        u_re = power_range(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(12), ANALYTIC), rc, seed=9)
         u_raw = linalg.qr_orthonormal(np.diag(spectrum**9) @ linalg.gaussian_matrix(12, 4, 9))
         assert np.abs(projector(u_raw) - projector(u_re)).max() <= 1e-6
 
@@ -95,7 +95,7 @@ class TestPowerRange:
             total = 0.0
             for seed in range(50):
                 rc = RangeConfig(l=4, q=q, m=0)
-                u = power_range(batch_hessian(cfg, None, None, np.zeros(12), ANALYTIC), rc, seed=seed)
+                u = power_range(BatchHessian.at(cfg, None, None, np.zeros(12), ANALYTIC), rc, seed=seed)
                 p = projector(u)
                 total += np.linalg.norm(p @ h @ p)
             return total / 50.0
@@ -111,7 +111,7 @@ class TestPowerRange:
         rc = RangeConfig(l=1, q=5, m=0)  # re-orthonormalizing one column only rescales it
         aligned = 0
         for seed in range(100):
-            u = power_range(batch_hessian(cfg, None, None, np.zeros(3), ANALYTIC), rc, seed=seed)
+            u = power_range(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), rc, seed=seed)
             if abs(u[2, 0]) >= 0.99:
                 aligned += 1
         assert aligned >= 95
@@ -137,7 +137,7 @@ class TestPowerRangeFailure:
         cfg = ObjectiveConfig("logistic", reg_a=0.0)
         rc = RangeConfig(l=2, q=0, m=0)
         with pytest.raises(RankDeficient):
-            power_range(batch_hessian(cfg, data, None, np.zeros(2), ANALYTIC), rc, seed=0)
+            power_range(BatchHessian.at(cfg, data, None, np.zeros(2), ANALYTIC), rc, seed=0)
         assert len(draws) == 1
 
 

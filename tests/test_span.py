@@ -8,6 +8,7 @@ import pytest
 from spanopt import (
     ANALYTIC,
     CENTRAL_FD,
+    BatchHessian,
     Dataset,
     ObjectiveConfig,
     RangeConfig,
@@ -18,12 +19,13 @@ from spanopt import (
     batch_gradient,
     batch_loss,
     build_subspace,
-    dense_hessian,
     hessian_error_probe,
+    min_power_iterations,
     run_span,
     span_step,
 )
-from spanopt import linalg, objectives, rangefinder
+from spanopt import linalg, objectives
+from spanopt import span as span_module
 from spanopt.bench import build_span_config
 from spanopt.errors import ConfigError, IndefiniteBlock, RankDeficient, SingularSystem
 from spanopt.span import _STREAM_SKETCH
@@ -44,7 +46,7 @@ def newton_optimum(cfg, data, d, tol=1e-12):
         g = batch_gradient(cfg, data, None, x)
         if np.linalg.norm(g) <= tol:
             break
-        x = x - np.linalg.solve(dense_hessian(cfg, data, None, x), g)
+        x = x - np.linalg.solve(BatchHessian.at(cfg, data, None, x, ANALYTIC).dense(), g)
     return x
 
 
@@ -59,14 +61,14 @@ def small_logistic(n=40, d=8, seed=1, reg=0.05):
 class TestBuildSubspace:
     def test_full_width_block_is_similar_to_hessian(self):
         cfg = quadratic([1.0, 2.0, 3.0, 4.0])
-        s = build_subspace(cfg, None, None, np.zeros(4), RangeConfig(l=4, q=1, m=0), seed=2, mode=ANALYTIC)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), RangeConfig(l=4, q=1, m=0), seed=2)
         eigs = np.sort(np.linalg.eigvalsh(s.small_block))[::-1]
         np.testing.assert_allclose(eigs, [4.0, 3.0, 2.0, 1.0], atol=1e-8)
 
     def test_isotropic_operator_safeguard(self):
         c = 2.0
         cfg = quadratic([c] * 6)
-        s = build_subspace(cfg, None, None, np.zeros(6), RangeConfig(l=3, q=1, m=0), seed=1, mode=ANALYTIC)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(6), ANALYTIC), RangeConfig(l=3, q=1, m=0), seed=1)
         assert s.lambda_min == pytest.approx(c / 2, rel=1e-10)
         assert s.lam == pytest.approx(c / 2, rel=1e-10)
 
@@ -76,7 +78,7 @@ class TestBuildSubspace:
             d = 20
             spectrum = np.sort(rng.uniform(0.5, 8.0, size=d))[::-1]
             rc = RangeConfig(l=8, q=1, m=4)
-            s = build_subspace(quadratic(spectrum), None, None, np.zeros(d), rc, seed=seed, mode=ANALYTIC)
+            s = build_subspace(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC), rc, seed=seed)
             assert 0.0 < s.lam <= s.lambda_min
             assert np.abs(s.u.T @ s.u - np.eye(8)).max() <= 1e-10
             assert np.abs(s.small_block - s.small_block.T).max() <= 1e-8 * np.abs(s.small_block).max()
@@ -101,18 +103,18 @@ class TestBuildSubspace:
 class TestApplyInverse:
     def test_full_rank_is_exact_newton_inverse(self):
         cfg = quadratic([2.0, 4.0])
-        s = build_subspace(cfg, None, None, np.zeros(2), RangeConfig(l=2, q=1, m=0), seed=5, mode=ANALYTIC)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(2), ANALYTIC), RangeConfig(l=2, q=1, m=0), seed=5)
         np.testing.assert_allclose(apply_inverse(s, np.array([1.0, 1.0])), [0.5, 0.25], atol=1e-10)
 
     def test_zero_gradient(self):
         cfg = quadratic([1.0, 2.0, 3.0])
-        s = build_subspace(cfg, None, None, np.zeros(3), RangeConfig(l=2, q=1, m=0), seed=1, mode=ANALYTIC)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), RangeConfig(l=2, q=1, m=0), seed=1)
         np.testing.assert_array_equal(apply_inverse(s, np.zeros(3)), np.zeros(3))
 
     def test_inverts_explicit_construction(self):
         spectrum = np.linspace(9.0, 1.0, 10)
         cfg = quadratic(spectrum)
-        s = build_subspace(cfg, None, None, np.zeros(10), RangeConfig(l=6, q=2, m=2), seed=7, mode=ANALYTIC)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(10), ANALYTIC), RangeConfig(l=6, q=2, m=2), seed=7)
         h_hat = explicit_perturbed_hessian(s, np.diag(spectrum))
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -125,7 +127,7 @@ class TestApplyInverse:
         d, l = 12, 5
         spectrum = np.linspace(6.0, 1.0, d)
         cfg = quadratic(spectrum)
-        s = build_subspace(cfg, None, None, np.zeros(d), RangeConfig(l=l, q=2, m=1), seed=3, mode=ANALYTIC)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC), RangeConfig(l=l, q=2, m=1), seed=3)
         h_hat = explicit_perturbed_hessian(s, np.diag(spectrum))
         eigs = np.sort(np.linalg.eigvalsh(h_hat))
         block_eigs = np.sort(np.linalg.eigvalsh(s.small_block))
@@ -137,8 +139,9 @@ class TestHessianErrorProbe:
     def test_full_capture_is_exact(self):
         spectrum = np.linspace(5.0, 1.0, 8)
         cfg = quadratic(spectrum)
-        s = build_subspace(cfg, None, None, np.zeros(8), RangeConfig(l=8, q=1, m=0), seed=2, mode=ANALYTIC)
-        err = hessian_error_probe(s, cfg, None, None, np.zeros(8), mode=ANALYTIC, seed=1)
+        hessian = BatchHessian.at(cfg, None, None, np.zeros(8), ANALYTIC)
+        s = build_subspace(hessian, RangeConfig(l=8, q=1, m=0), seed=2)
+        err = hessian_error_probe(s, hessian, seed=1)
         assert err <= 1e-8
 
     def test_violated_safeguard_breaks_bound(self):
@@ -147,19 +150,21 @@ class TestHessianErrorProbe:
         spectrum = np.array([100.0] + [1.0] * 11)
         cfg = quadratic(spectrum)
         rc = RangeConfig(l=6, q=2, m=2)
-        s = build_subspace(cfg, None, None, np.zeros(12), rc, seed=3, mode=ANALYTIC)
+        hessian = BatchHessian.at(cfg, None, None, np.zeros(12), ANALYTIC)
+        s = build_subspace(hessian, rc, seed=3)
         sigma_m1 = spectrum[rc.m]
-        good_err = hessian_error_probe(s, cfg, None, None, np.zeros(12), mode=ANALYTIC, seed=1)
+        good_err = hessian_error_probe(s, hessian, seed=1)
         assert good_err <= 3.0 * sigma_m1
         bad = dataclasses.replace(s, lam=float(spectrum[0]))
-        bad_err = hessian_error_probe(bad, cfg, None, None, np.zeros(12), mode=ANALYTIC, seed=1)
+        bad_err = hessian_error_probe(bad, hessian, seed=1)
         assert bad_err > 3.0 * sigma_m1
 
     def test_probe_matches_dense_difference(self):
         spectrum = np.linspace(10.0, 1.0, 15)
         cfg = quadratic(spectrum)
-        s = build_subspace(cfg, None, None, np.zeros(15), RangeConfig(l=6, q=2, m=2), seed=9, mode=ANALYTIC)
-        probed = hessian_error_probe(s, cfg, None, None, np.zeros(15), mode=ANALYTIC, seed=5)
+        hessian = BatchHessian.at(cfg, None, None, np.zeros(15), ANALYTIC)
+        s = build_subspace(hessian, RangeConfig(l=6, q=2, m=2), seed=9)
+        probed = hessian_error_probe(s, hessian, seed=5)
         dense = np.abs(
             np.linalg.eigvalsh(explicit_perturbed_hessian(s, np.diag(spectrum)) - np.diag(spectrum))
         ).max()
@@ -178,13 +183,53 @@ class TestHessianErrorProbe:
         for seed in range(4):
             x = rng.standard_normal(12)
             batch = np.sort(rng.choice(80, 40, replace=False))
-            s = build_subspace(cfg, data, batch, x, rc, seed=seed, mode=ANALYTIC)
-            h = dense_hessian(cfg, data, batch, x)
+            hessian = BatchHessian.at(cfg, data, batch, x, ANALYTIC)
+            s = build_subspace(hessian, rc, seed=seed)
+            h = hessian.dense()
             dense = np.abs(np.linalg.eigvalsh(explicit_perturbed_hessian(s, h) - h)).max()
-            fd = hessian_error_probe(s, cfg, data, batch, x, mode=CENTRAL_FD, seed=seed)
-            analytic = hessian_error_probe(s, cfg, data, batch, x, mode=ANALYTIC, seed=seed)
+            fd = hessian_error_probe(s, BatchHessian.at(cfg, data, batch, x, CENTRAL_FD), seed=seed)
+            analytic = hessian_error_probe(s, hessian, seed=seed)
             assert fd == pytest.approx(dense, rel=1e-4)
             assert fd == pytest.approx(analytic, rel=1e-7)
+
+
+    def test_carried_basis_within_approximation_bound(self):
+        # The bound of criterion 1 covers a fresh Gaussian sketch; after its
+        # first step `run_span` carries its basis forward instead.  On the
+        # same d=50 quadratic, every probed row of every seeded run stays
+        # within 3 sigma_(m+1).
+        d, m, l = 50, 10, 16
+        spectrum = 1.0 + (50.0 - np.arange(1, d + 1)) / 5.0
+        bound = 3.0 * spectrum[m]
+        q = min_power_iterations(d, l, m)
+        worst = 0.0
+        for seed in range(20):
+            span_cfg = SpanConfig(
+                t_max=15, m=m, l=l, q=q, b=1, eta=1.0, seed=seed, hvp_mode=ANALYTIC, probe_hessian_error=True
+            )
+            _, trace = run_span(span_cfg, quadratic(spectrum), None, np.ones(d))
+            assert len(trace) == 15
+            worst = max(worst, *(record.hessian_err for record in trace))
+        assert worst <= bound
+
+    @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD], ids=["analytic", "finite-difference"])
+    def test_one_operator_per_probed_step(self, monkeypatch, mode):
+        # The sketch, the captured block and the probe share one operator.
+        built = []
+        real = objectives.BatchHessian.at
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(objectives.BatchHessian, "at", staticmethod(counting))
+        cfg, data = small_logistic()
+        span_cfg = SpanConfig(t_max=3, m=0, l=4, q=1, b=20, eta=0.5, seed=3, hvp_mode=mode, probe_hessian_error=True)
+        state = SpanState(x=np.zeros(8))
+        for t in range(3):
+            state, record = span_step(state, cfg, data, span_cfg)
+            assert len(built) == t + 1
+            assert record.hessian_err is not None
 
 
 class TestSpanStep:
@@ -240,8 +285,8 @@ class TestWarmStart:
         span_cfg = SpanConfig(t_max=1, m=0, l=4, q=2, b=1, eta=0.5, seed=11, hvp_mode=ANALYTIC)
         state, _ = span_step(SpanState(x=np.ones(10)), cfg, None, span_cfg)
         fresh = build_subspace(
-            cfg, None, None, np.ones(10), span_cfg.range_config(),
-            seed=linalg.derive_seed(11, _STREAM_SKETCH, 0), mode=ANALYTIC,
+            BatchHessian.at(cfg, None, None, np.ones(10), ANALYTIC), span_cfg.range_config(),
+            seed=linalg.derive_seed(11, _STREAM_SKETCH, 0),
         )
         assert np.array_equal(state.subspace.u, fresh.u)
 
@@ -250,14 +295,14 @@ class TestWarmStart:
         span_cfg = SpanConfig(t_max=2, m=0, l=4, q=2, b=1, eta=0.5, seed=11, hvp_mode=ANALYTIC)
         state, _ = span_step(SpanState(x=np.ones(10)), cfg, None, span_cfg)
         fresh = build_subspace(
-            cfg, None, None, state.x, span_cfg.range_config(),
-            seed=linalg.derive_seed(11, _STREAM_SKETCH, 1), mode=ANALYTIC,
+            BatchHessian.at(cfg, None, None, state.x, ANALYTIC), span_cfg.range_config(),
+            seed=linalg.derive_seed(11, _STREAM_SKETCH, 1),
         )
         warm, _ = span_step(state, cfg, None, span_cfg)
         assert not np.allclose(warm.subspace.u, fresh.u)
 
         raised = []
-        real = rangefinder.qr_orthonormal
+        real = span_module.qr_orthonormal
 
         def fail_once(y):
             if not raised:
@@ -265,7 +310,7 @@ class TestWarmStart:
                 raise RankDeficient("forced")
             return real(y)
 
-        monkeypatch.setattr(rangefinder, "qr_orthonormal", fail_once)
+        monkeypatch.setattr(span_module, "qr_orthonormal", fail_once)
         fallback, _ = span_step(state, cfg, None, span_cfg)
         assert raised == [(10, 4)]
         assert np.array_equal(fallback.subspace.u, fresh.u)
