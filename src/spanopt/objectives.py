@@ -230,9 +230,9 @@ class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
     :meth:`at` is the one constructor.  ``H @ v`` takes a (d,) vector or a
-    (d, k) block.  Analytic products use curvature weights computed once, and
-    :meth:`dense` forms the matrix.  With ``fd_step`` set, products are
-    central differences of the batch gradient instead: each column is
+    (d, k) block.  Analytic products use curvature weights computed once;
+    :meth:`dense` forms the matrix in either mode.  With ``fd_step`` set,
+    products are central differences of the batch gradient instead: each column is
     normalized (so the step never scales with ``||v||``, which grows
     geometrically during power iteration), perturbed by
     ``fd_step = sqrt(eps) * (1 + ||x||)`` both ways and rescaled by its own
@@ -294,13 +294,20 @@ class BatchHessian:
         return out if v.ndim == 2 else out[:, 0]
 
     def dense(self) -> np.ndarray:
-        """The explicit (d, d) matrix of an analytic operator, capped at d <= 512."""
+        """The explicit (d, d) matrix of ``H_B(x)`` in any product mode, capped at d <= 512.
+
+        A finite-difference operator stores no curvature weights, so they are
+        computed here; the matrix is the analytic one either way.
+        """
         d = self.x.size
         if d > DENSE_HESSIAN_MAX_DIM:
             raise DimensionTooLarge(f"dense Hessian capped at {DENSE_HESSIAN_MAX_DIM}, got d={d}")
         if self.rows is None:
             return np.diag(self.cfg.quadratic_spectrum + self.cfg.reg_a)
-        h = self.rows.T @ (self.weights[:, None] * self.rows) / self.rows.shape[0]
+        weights = self.weights
+        if weights is None:
+            weights = _curvature_weights(self.cfg, self.rows, self.labels, self.x)
+        h = self.rows.T @ (weights[:, None] * self.rows) / self.rows.shape[0]
         h = 0.5 * (h + h.T)  # exact symmetry, not just up to BLAS rounding
         h[np.diag_indices(d)] += self.cfg.reg_a
         return h

@@ -585,8 +585,9 @@ class TestCli:
         [
             "1 1:1 x\n2 1:0.5\n", "1\n2\n", "1 1:1e999\n2 1:0.5\n", "1 1:nan\n2 1:0.5\n",
             "1 1000000000000:1\n2 1:0.5\n",  # a 2 x 1e12 dense matrix, refused before allocation
+            "1 99999999999999999999:1\n2 1:0.5\n",  # an index the int64 index arrays cannot hold
         ],
-        ids=["malformed", "featureless", "overflow", "nan", "beyond-memory"],
+        ids=["malformed", "featureless", "overflow", "nan", "beyond-memory", "index-beyond-int64"],
     )
     def test_bad_libsvm_input_exit_one(self, tmp_path, capsys, lines):
         data_path = tmp_path / "bad.libsvm"

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanopt import ANALYTIC, BatchHessian, Dataset, batch_gradient
+from spanopt import datasets
 from spanopt.datasets import (
     RawExample,
+    SparseExamples,
     load_libsvm,
     normalize_rows,
     synth_classification,
@@ -30,6 +32,79 @@ _LINE = st.builds(lambda label, feats: " ".join([label, *feats]), _NUMBER, st.li
 _LIBSVM_TEXT = st.one_of(st.lists(_LINE, min_size=1, max_size=4).map("\n".join), st.text(max_size=40))
 
 
+def reference_load(stream):
+    """The per-line, per-token parser that the block loader replaced, kept as its oracle."""
+    labels, indptr, indices, values = [], [0], [], []
+    dim = 0
+    for line_no, line in enumerate(stream, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"non-numeric label {tokens[0]!r}", line_no) from None
+        if not math.isfinite(label):
+            raise ParseError(f"non-finite label {tokens[0]!r}", line_no)
+        prev_index = 0
+        for token in tokens[1:]:
+            index_str, sep, value_str = token.partition(":")
+            if not sep:
+                raise ParseError(f"malformed pair {token!r}", line_no)
+            try:
+                index = int(index_str)
+                value = float(value_str)
+            except ValueError:
+                raise ParseError(f"non-numeric token {token!r}", line_no) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {token!r}", line_no)
+            if index < 1:
+                raise ParseError(f"index {index} must be >= 1", line_no)
+            if index <= prev_index:
+                raise ParseError(f"index {index} not strictly increasing after {prev_index}", line_no)
+            prev_index = index
+            indices.append(index - 1)
+            values.append(value)
+        dim = max(dim, prev_index)
+        labels.append(label)
+        indptr.append(len(indices))
+    arrays = (
+        np.array(labels, dtype=float),
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(values, dtype=float),
+    )
+    return SparseExamples(*arrays), dim
+
+
+def parse_outcome(load, text):
+    """What ``load`` makes of ``text``: the exact bytes of its arrays and dim, or its error."""
+    try:
+        examples, dim = load(io.StringIO(text))
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    arrays = (examples.labels, examples.indptr, examples.indices, examples.values)
+    return "parsed", dim, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def csr(*rows):
+    """Examples from (label, ((1-based index, value), ...)) rows, unchecked, as the loader stores them."""
+    indptr = np.cumsum([0] + [len(features) for _, features in rows])
+    pairs = [pair for _, features in rows for pair in features]
+    return SparseExamples(
+        labels=np.array([label for label, _ in rows], dtype=float),
+        indptr=indptr.astype(np.int64),
+        indices=np.array([index - 1 for index, _ in pairs], dtype=np.int64),
+        values=np.array([value for _, value in pairs], dtype=float),
+    )
+
+
+def block_text(lines):
+    """``lines`` well-formed example lines: labels 1-3, two features each, largest index 8."""
+    return [f"{1 + i % 3} {1 + i % 5}:0.5 {7 + i % 2}:{i}.25" for i in range(lines)]
+
+
 class TestLoadLibsvm:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_LIBSVM_TEXT)
@@ -42,20 +117,83 @@ class TestLoadLibsvm:
             assert math.isfinite(ex.label)
             assert all(1 <= index <= dim and math.isfinite(value) for index, value in ex.features)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_LIBSVM_TEXT)
+    def test_matches_the_per_token_reference(self, text):
+        assert parse_outcome(load_libsvm, text) == parse_outcome(reference_load, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 1:2:3 4\n",  # as many ':' as pairs, but not one each
+            "1 :5\n", "1 5:\n", "1 3:1 :\n", "-1 1::2\n",
+            "+1 +3:+.5 1_0:2_5\n", "\u0661 \u0661:\u0662\n",  # signs, underscores, Arabic-Indic digits
+            "1\t1:1\r\n2 2:1\x0c3:1\n   # indented comment\n",
+            "1 9223372036854775807:1\n", "1 -99999999999999999999:1\n",
+            "1 1:1e-320 2:-0.0 3:1e308\n", "nan\n", "1 2:1 1:1\n\n\n2 x:1\n",
+        ],
+    )
+    def test_matches_the_per_token_reference_on_edge_cases(self, text):
+        assert parse_outcome(load_libsvm, text) == parse_outcome(reference_load, text)
+
+    @pytest.mark.parametrize("offset", [0, 1, datasets._BLOCK_LINES - 1])
+    @pytest.mark.parametrize(
+        "bad_line,message",
+        [
+            ("1 2:0.5 x", "malformed pair 'x'"),
+            ("2 1:0.5 4:y", "non-numeric token '4:y'"),
+            ("1 5:1 3:1", "index 3 not strictly increasing after 5"),
+            ("2 1:1 2:inf", "non-finite value '2:inf'"),
+        ],
+        ids=["malformed-pair", "non-numeric", "out-of-order", "non-finite"],
+    )
+    def test_error_line_in_a_later_block(self, offset, bad_line, message):
+        # Two comment lines shift line numbers off example counts; the bad
+        # example is the first, second or last one of the second block.
+        lines = ["# header", "", *block_text(2 * datasets._BLOCK_LINES + 10)]
+        at = 2 + datasets._BLOCK_LINES + offset
+        lines[at] = bad_line
+        text = "\n".join(lines)
+        with pytest.raises(ParseError) as exc:
+            load_libsvm(io.StringIO(text))
+        assert exc.value.line == at + 1
+        assert str(exc.value) == f"line {at + 1}: {message}"
+        assert parse_outcome(load_libsvm, text) == parse_outcome(reference_load, text)
+
+    def test_comments_and_blanks_at_a_block_edge(self):
+        lines = block_text(2 * datasets._BLOCK_LINES + 10)
+        edge = datasets._BLOCK_LINES
+        lines[edge - 1 : edge - 1] = ["# before the edge", "   "]
+        lines[edge + 2 : edge + 2] = ["", "#after"]
+        text = "\n".join(lines) + "\n\n# trailing\n"
+        outcome = parse_outcome(load_libsvm, text)
+        assert outcome[0] == "parsed"
+        assert outcome == parse_outcome(reference_load, text)
+        examples, dim = load_libsvm(io.StringIO(text))
+        assert len(examples) == 2 * datasets._BLOCK_LINES + 10 and dim == 8
+
+    def test_index_beyond_int64_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="index 99999999999999999999 exceeds") as exc:
+            load_libsvm(io.StringIO("1 1:1\n1 99999999999999999999:1\n"))
+        assert exc.value.line == 2
+
     def test_basic_line(self):
         examples, dim = load_libsvm(io.StringIO("1 1:0.5 3:0.25\n"))
         assert dim == 3
-        assert examples == [RawExample(label=1.0, features=((1, 0.5), (3, 0.25)))]
+        assert list(examples) == [RawExample(label=1.0, features=((1, 0.5), (3, 0.25)))]
+        np.testing.assert_array_equal(examples.indptr, [0, 2])
+        np.testing.assert_array_equal(examples.indices, [0, 2])
+        np.testing.assert_array_equal(examples.values, [0.5, 0.25])
 
     def test_empty_file(self):
         examples, dim = load_libsvm(io.StringIO(""))
-        assert examples == [] and dim == 0
+        assert len(examples) == 0 and dim == 0
 
     def test_comments_blanks_and_trailing_whitespace(self):
         text = "# header comment\n\n-1 2:1.5   \n   \n1 1:2\n"
         examples, dim = load_libsvm(io.StringIO(text))
         assert len(examples) == 2 and dim == 2
-        assert examples[0].label == -1.0
+        assert examples.labels[0] == -1.0
 
     def test_index_order_enforced(self):
         with pytest.raises(ParseError) as exc:
@@ -91,12 +229,8 @@ class TestLoadLibsvm:
 
 class TestToBinaryDataset:
     def examples(self):
-        return [
-            RawExample(label=4.0, features=((1, 1.0),)),
-            RawExample(label=9.0, features=((2, 2.0),)),
-            RawExample(label=7.0, features=((3, 3.0),)),
-            RawExample(label=4.0, features=((1, -1.0), (3, 1.0))),
-        ]
+        examples, _ = load_libsvm(io.StringIO("4 1:1\n9 2:2\n7 3:3\n4 1:-1 3:1\n"))
+        return examples
 
     def test_mapping_and_dropping(self):
         ds = to_binary_dataset(self.examples(), positive_label=4.0, negative_label=9.0, dim=3)
@@ -105,15 +239,12 @@ class TestToBinaryDataset:
         np.testing.assert_array_equal(ds.features[1], [0.0, 2.0, 0.0])
 
     def test_identity_mapping(self):
-        examples = [
-            RawExample(label=1.0, features=((1, 1.0),)),
-            RawExample(label=-1.0, features=((1, 2.0),)),
-        ]
+        examples, _ = load_libsvm(io.StringIO("1 1:1\n-1 1:2\n"))
         ds = to_binary_dataset(examples, positive_label=1.0, negative_label=-1.0, dim=1)
         np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
 
     def test_no_matching_examples(self):
-        examples = [RawExample(label=3.0, features=((1, 1.0),))]
+        examples, _ = load_libsvm(io.StringIO("3 1:1\n"))
         with pytest.raises(NoMatchingExamples):
             to_binary_dataset(examples, positive_label=4.0, negative_label=9.0, dim=1)
 
@@ -125,20 +256,14 @@ class TestToBinaryDataset:
 
     def test_index_beyond_dimension_is_typed(self):
         # An index-3 feature with dim=2 used to end in numpy's bare IndexError.
-        examples = [
-            RawExample(label=1.0, features=((3, 1.0), (1, 2.0))),
-            RawExample(label=-1.0, features=((2, 1.0),)),
-        ]
+        examples = csr((1.0, ((3, 1.0), (1, 2.0))), (-1.0, ((2, 1.0),)))
         with pytest.raises(DimensionMismatch, match="index 3 exceeds the dimension 2"):
             to_binary_dataset(examples, 1.0, -1.0, dim=2)
 
     def test_matrix_beyond_physical_memory_refused_before_allocation(self):
         # Two rows of dimension 1e12 would need 16 TB; the check must fire
         # before numpy is asked for any of it.
-        examples = [
-            RawExample(label=1.0, features=((1, 1.0),)),
-            RawExample(label=-1.0, features=((10**12, 1.0),)),
-        ]
+        examples = csr((1.0, ((1, 1.0),)), (-1.0, ((10**12, 1.0),)))
         tracemalloc.start()
         try:
             with pytest.raises(DimensionTooLarge):
@@ -147,6 +272,18 @@ class TestToBinaryDataset:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_dense_rows_match_the_examples(self):
+        examples, dim = load_libsvm(io.StringIO("\n".join(block_text(50))))
+        ds = to_binary_dataset(examples, 1.0, 2.0, dim=dim)
+        expected = [ex for ex in examples if ex.label in (1.0, 2.0)]
+        assert ds.n_samples == len(expected)
+        for row, ex in zip(ds.features, expected):
+            dense = np.zeros(dim)
+            for index, value in ex.features:
+                dense[index - 1] = value
+            np.testing.assert_array_equal(row, dense)
+        np.testing.assert_array_equal(ds.labels, [1.0 if ex.label == 1.0 else -1.0 for ex in expected])
 
 
 class TestNormalizeRows:

@@ -7,6 +7,7 @@ import pytest
 
 from spanopt import (
     ANALYTIC,
+    CENTRAL_FD,
     BatchHessian,
     Dataset,
     ObjectiveConfig,
@@ -238,6 +239,18 @@ class TestDenseHessian:
             x = rng.standard_normal(5)
             smallest = np.linalg.eigvalsh(BatchHessian.at(cfg, data, None, x, ANALYTIC).dense()).min()
             assert smallest >= cfg.reg_a - 1e-10
+
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic"])
+    def test_finite_difference_operator_gives_the_analytic_matrix(self, kind):
+        # dense() is the matrix of H_B(x) whatever the product mode.
+        if kind == "quadratic":
+            cfg, data = QUAD123, None
+        else:
+            cfg, data = toy_logistic(n=3, d=3, seed=8)
+            cfg = ObjectiveConfig(kind, reg_a=cfg.reg_a)
+        x = np.array([0.4, -0.2, 0.1])
+        fd = BatchHessian.at(cfg, data, None, x, CENTRAL_FD).dense()
+        np.testing.assert_array_equal(fd, BatchHessian.at(cfg, data, None, x, ANALYTIC).dense())
 
     def test_dimension_cap(self):
         cfg = ObjectiveConfig("quadratic", quadratic_spectrum=np.ones(600))
