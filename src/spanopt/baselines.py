@@ -10,6 +10,7 @@ full-data pass of its own), and determinism keyed by the config seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,8 +59,12 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.eta < 0 or self.t_max < 0 or self.b < 1 or self.s1 < 1:
-            raise ValueError("eta, t_max, b, s1 must be non-negative/positive")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be a finite non-negative number")
+        if not self.grad_tol >= 0:
+            raise ValueError("grad_tol must be non-negative")
+        if self.t_max < 0 or self.b < 1 or self.s1 < 1:
+            raise ValueError("t_max, b, s1 must be non-negative/positive")
         if self.method == "newsamp" and (self.m is None or self.m < 1):
             raise ValueError("newsamp needs a positive truncation rank m")
         if self.inner_steps is not None and self.inner_steps < 1:

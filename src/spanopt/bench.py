@@ -2,13 +2,18 @@
 
 Configs are flat ``key = value`` text with dotted section names
 (``span.l = 16``), '#' comments, and a comma-separated ``methods`` list; a
-key outside :data:`CONFIG_KEYS` is a configuration error.  Loading decodes
-the config of every listed method through :data:`METHOD_KEYS`, so every
-configuration error surfaces before any method runs or any file is written.
-Every method in one experiment consumes the same normalized dataset and the
-same start point (zeros, then the shared variance-reduced warm-up), so the
-emitted traces are directly comparable.  Method failures are recorded
-per-method without aborting the rest of the experiment.
+key outside :data:`CONFIG_KEYS` is a configuration error.  One key table,
+:data:`CONFIG_SECTIONS`, gives every section's keys with their converters
+and defaults, and one decoder reads every section through it.  Loading
+builds every object a run needs: the dataset, the objective, the shared
+warm-up's config (its keys are checked like every method's) and the config
+of every listed method.  So every configuration error surfaces before any
+method runs or any file is written.  Every method in one experiment consumes
+the same normalized dataset (:func:`datasets.normalize_rows` rescales rows
+whose squared norm would overflow or underflow) and the same start point
+(zeros, then the shared variance-reduced warm-up), so the emitted traces are
+directly comparable.  Method failures are recorded per-method without
+aborting the rest of the experiment.
 """
 
 from __future__ import annotations
@@ -105,6 +110,47 @@ def _as_hvp_mode(text: str, key: str) -> HvpMode:
         raise ConfigError(f"{key}: {exc}") from None
 
 
+def _as_text(text: str, key: str) -> str:
+    return text
+
+
+def _as_path(text: str, key: str) -> Path:
+    return Path(text)
+
+
+def _as_file(text: str, key: str) -> Path:
+    path = Path(text)
+    if not path.exists():
+        raise ConfigError(f"{key} does not exist: {path}")
+    return path
+
+
+def _as_methods(text: str, key: str) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError("methods list is empty")
+    for method in methods:
+        if method not in KNOWN_METHODS:
+            raise ConfigError(f"unknown method {method!r} (known: {', '.join(KNOWN_METHODS)})")
+    return methods
+
+
+def _as_x0(text: str, key: str) -> str:
+    if text not in ("zeros", "ones", "gaussian"):
+        raise ConfigError(f"{key}: expected zeros/ones/gaussian, got {text!r}")
+    return text
+
+
+def _as_spectrum(text: str, key: str) -> np.ndarray:
+    try:
+        spectrum = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"{key}: bad number in {text!r}") from None
+    if not np.all((spectrum > 0) & np.isfinite(spectrum)):
+        raise ConfigError(f"{key} must be positive finite reals")
+    return spectrum
+
+
 _REQUIRED = object()  # the section must set the key
 _RUN_SEED = object()  # the key defaults to the top-level seed
 _INT, _FLOAT = (_as_int, _REQUIRED), (_as_float, _REQUIRED)
@@ -112,9 +158,25 @@ _ONE = (_as_int, "1")
 _SEED = (_as_int, _RUN_SEED)
 _GRAD_TOL = (_as_float, "0.0")
 _OWN = (_as_int, None)  # absent: the method chooses (svrg and lissa pick their own inner_steps)
+_NORMALIZE = (_as_bool, "true")
 
-# Per method, every key its runner reads: key -> (converter, default text).
-METHOD_KEYS = {
+# Per section, every key the loader reads: key -> (converter, default text).
+# The config writes a key as ``<section>.<key>``, except that the top-level
+# section "" writes it bare and a dataset kind's section ``dataset.<kind>``
+# writes it as ``dataset.<key>``.
+CONFIG_SECTIONS = {
+    "": {"seed": (_as_int, "0"), "methods": (_as_methods, _REQUIRED), "output_dir": (_as_path, "bench_out"),
+         "x0": (_as_x0, "zeros")},
+    "objective": {"loss": (_as_text, _REQUIRED), "reg_a": (_as_float, "0.0")},
+    "dataset": {"kind": (_as_text, None)},  # absent: inferred from dataset.spectrum or dataset.path
+    "dataset.quadratic": {"spectrum": (_as_spectrum, _REQUIRED)},
+    "dataset.libsvm": {"path": (_as_file, _REQUIRED), "positive_label": _FLOAT, "negative_label": _FLOAT,
+                       "normalize": _NORMALIZE},
+    "dataset.synth_classification": {"n": _INT, "d": _INT, "seed": _SEED, "decay": (_as_float, "1.5"),
+                                     "normalize": _NORMALIZE},
+    "preiterate": {"epochs": (_as_int, "2"), "eta": (_as_float, "0.1")},
+    "probe": {"hessian_error": (_as_bool, "false")},
+    # One section per method: every key its runner reads.
     "span": {"T": _INT, "m": _INT, "l": _INT, "q": _ONE, "b": _ONE, "eta": (_as_float, "1.0"), "seed": _SEED,
              "grad_tol": _GRAD_TOL, "hvp": (_as_hvp_mode, "finite_difference")},
     "gd": {"T": _INT, "eta": _FLOAT, "grad_tol": _GRAD_TOL},
@@ -123,28 +185,47 @@ METHOD_KEYS = {
     "lissa": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "inner_steps": _OWN, "s1": _ONE},
 }
 
-# Config-class field names of the keys that do not share them.
-_FIELDS = {"T": "t_max", "hvp": "hvp_mode"}
+# Field names of the keys whose config class or builder names them otherwise.
+_FIELDS = {"T": "t_max", "epochs": "t_max", "hvp": "hvp_mode", "loss": "loss_kind", "x0": "x0_kind"}
+
+
+def _config_key(section: str, key: str) -> str:
+    prefix = section.split(".")[0]
+    return f"{prefix}.{key}" if prefix else key
+
 
 # Every key the loader reads.  Any other key is rejected, so a misspelled one
 # cannot silently leave its setting at the default.
-CONFIG_KEYS = frozenset(
-    (
-        "seed", "methods", "output_dir", "x0",
-        "objective.loss", "objective.reg_a",
-        "dataset.kind", "dataset.spectrum", "dataset.path", "dataset.positive_label",
-        "dataset.negative_label", "dataset.normalize", "dataset.n", "dataset.d",
-        "dataset.seed", "dataset.decay",
-        "preiterate.epochs", "preiterate.eta", "probe.hessian_error",
-    )
-    + tuple(f"{method}.{key}" for method, keys in METHOD_KEYS.items() for key in keys)
-)
+CONFIG_KEYS = frozenset(_config_key(section, key) for section, keys in CONFIG_SECTIONS.items() for key in keys)
+
+
+def _decode_section(values: dict[str, str], section: str, seed: Optional[int] = None) -> dict:
+    """Field values of one section through :data:`CONFIG_SECTIONS`; a key absent with no default is left out."""
+    kwargs = {}
+    for key, (convert, default) in CONFIG_SECTIONS[section].items():
+        name = _config_key(section, key)
+        if default is _RUN_SEED:
+            default = str(seed)
+        text = _get(values, name, default, required=default is _REQUIRED)
+        if text is not None:
+            kwargs[_FIELDS.get(key, key)] = convert(text, name)
+    return kwargs
+
+
+def _build(context: str, factory, **kwargs):
+    """``factory(**kwargs)``; a value it rejects raises :class:`ConfigError` naming ``context``."""
+    try:
+        return factory(**kwargs)
+    except (ValueError, SpanOptError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one `bench run` needs, decoded from flat key-value text.
+    """Everything one `bench run` needs, built from flat key-value text.
 
+    ``warmup`` is the shared variance-reduced warm-up, ``None`` when
+    ``preiterate.epochs = 0`` or the problem is a quadratic;
     ``method_configs`` holds the config of every method the file lists.
     """
 
@@ -153,14 +234,14 @@ class ExperimentConfig:
     methods: list[str]
     objective: ObjectiveConfig
     data: Optional[Dataset]
-    preiterate_epochs: int
-    preiterate_eta: float
+    warmup: Optional[baselines.BaselineConfig]
     x0_kind: str
     method_configs: dict[str, Union[span.SpanConfig, baselines.BaselineConfig]]
 
 
 def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset], Optional[np.ndarray]]:
-    kind = _get(values, "dataset.kind", default=None)
+    """The sampled dataset, or a quadratic's spectrum, from the ``dataset`` sections."""
+    kind = _decode_section(values, "dataset").get("kind")
     if kind is None:
         if "dataset.spectrum" in values:
             kind = "quadratic"
@@ -168,45 +249,20 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
             kind = "libsvm"
         else:
             raise ConfigError("no dataset: set dataset.kind, dataset.spectrum, or dataset.path")
-
+    if f"dataset.{kind}" not in CONFIG_SECTIONS:
+        raise ConfigError(f"unknown dataset.kind {kind!r}")
+    kwargs = _decode_section(values, f"dataset.{kind}", seed)
     if kind == "quadratic":
-        spectrum_text = _get(values, "dataset.spectrum", required=True)
-        try:
-            spectrum = np.array([float(v) for v in spectrum_text.split(",")])
-        except ValueError:
-            raise ConfigError(f"dataset.spectrum: bad number in {spectrum_text!r}") from None
-        if spectrum.size == 0 or not np.all((spectrum > 0) & np.isfinite(spectrum)):
-            raise ConfigError("dataset.spectrum must be positive finite reals")
-        return None, spectrum
-
-    if kind == "libsvm":
-        path = Path(_get(values, "dataset.path", required=True))
-        if not path.exists():
-            raise ConfigError(f"dataset.path does not exist: {path}")
-        pos = _as_float(_get(values, "dataset.positive_label", required=True), "dataset.positive_label")
-        neg = _as_float(_get(values, "dataset.negative_label", required=True), "dataset.negative_label")
-        try:
-            examples, dim = datasets.load_libsvm(path)
-            ds = datasets.to_binary_dataset(examples, pos, neg, dim=dim)
-        except (ParseError, NoMatchingExamples, DimensionTooLarge, ValueError) as exc:
-            raise ConfigError(f"dataset.path {path}: {exc}") from None
-        if _as_bool(_get(values, "dataset.normalize", "true"), "dataset.normalize"):
-            ds, _ = datasets.normalize_rows(ds)
-        return ds, None
-
+        return None, kwargs["spectrum"]
     if kind == "synth_classification":
-        n = _as_int(_get(values, "dataset.n", required=True), "dataset.n")
-        d = _as_int(_get(values, "dataset.d", required=True), "dataset.d")
-        dataset_seed = _as_int(_get(values, "dataset.seed", str(seed)), "dataset.seed")
-        decay = _as_float(_get(values, "dataset.decay", "1.5"), "dataset.decay")
-        normalize = _as_bool(_get(values, "dataset.normalize", "true"), "dataset.normalize")
-        try:
-            ds = datasets.synth_classification(n=n, d=d, seed=dataset_seed, decay=decay, normalize=normalize)
-        except ValueError as exc:
-            raise ConfigError(f"dataset: {exc}") from None
-        return ds, None
-
-    raise ConfigError(f"unknown dataset.kind {kind!r}")
+        return _build("dataset", datasets.synth_classification, **kwargs), None
+    path = kwargs["path"]
+    try:
+        examples, dim = datasets.load_libsvm(path)
+        ds = datasets.to_binary_dataset(examples, kwargs["positive_label"], kwargs["negative_label"], dim=dim)
+    except (ParseError, NoMatchingExamples, DimensionTooLarge, ValueError) as exc:
+        raise ConfigError(f"dataset.path {path}: {exc}") from None
+    return (datasets.normalize_rows(ds)[0] if kwargs["normalize"] else ds), None
 
 
 def _read_text(path: Path, error: type[SpanOptError]) -> str:
@@ -228,85 +284,38 @@ def read_config_values(path: Union[str, Path]) -> dict[str, str]:
 
 
 def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
+    """Decode a config file and build every object its run needs; a bad value raises :class:`ConfigError`."""
     values = read_config_values(path)
-
-    seed = _as_int(_get(values, "seed", "0"), "seed")
-    methods_text = _get(values, "methods", required=True)
-    methods = [m.strip() for m in methods_text.split(",") if m.strip()]
-    if not methods:
-        raise ConfigError("methods list is empty")
-    for method in methods:
-        if method not in KNOWN_METHODS:
-            raise ConfigError(f"unknown method {method!r} (known: {', '.join(KNOWN_METHODS)})")
-
+    run = _decode_section(values, "")
+    seed = run["seed"]
     data, spectrum = _build_dataset(values, seed)
-    loss_kind = _get(values, "objective.loss", required=True)
-    reg_a = _as_float(_get(values, "objective.reg_a", "0.0"), "objective.reg_a")
-    try:
-        objective = ObjectiveConfig(
-            loss_kind=loss_kind,
-            reg_a=reg_a,
-            quadratic_spectrum=spectrum if loss_kind == "quadratic" else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if loss_kind == "quadratic" and spectrum is None:
-        raise ConfigError("quadratic objective needs dataset.spectrum")
+    fields = _decode_section(values, "objective")
+    loss_kind = fields["loss_kind"]
+    objective = _build(
+        "objective", ObjectiveConfig, quadratic_spectrum=spectrum if loss_kind == "quadratic" else None, **fields
+    )
     if loss_kind != "quadratic" and data is None:
         raise ConfigError(f"{loss_kind} objective needs a sampled dataset")
-    if "svrg" in methods and data is None:
+    if "svrg" in run["methods"] and data is None:
         raise ConfigError("svrg needs a sampled dataset, and quadratics carry no samples")
 
-    x0_kind = _get(values, "x0", "zeros")
-    if x0_kind not in ("zeros", "ones", "gaussian"):
-        raise ConfigError(f"x0: expected zeros/ones/gaussian, got {x0_kind!r}")
-
-    probe = _as_bool(_get(values, "probe.hessian_error", "false"), "probe.hessian_error")
-    method_configs = {
-        m: build_span_config(values, seed, probe) if m == "span" else build_baseline_config(values, m, seed)
-        for m in methods
-    }
-
-    return ExperimentConfig(
-        seed=seed,
-        output_dir=Path(_get(values, "output_dir", "bench_out")),
-        methods=methods,
-        objective=objective,
-        data=data,
-        preiterate_epochs=_as_int(_get(values, "preiterate.epochs", "2"), "preiterate.epochs"),
-        preiterate_eta=_as_float(_get(values, "preiterate.eta", "0.1"), "preiterate.eta"),
-        x0_kind=x0_kind,
-        method_configs=method_configs,
-    )
+    preiterate = _decode_section(values, "preiterate")  # decoded even where no warm-up runs
+    warmup = None
+    if data is not None and preiterate["t_max"] != 0:
+        warmup = _build("preiterate", baselines.BaselineConfig, method="svrg", b=1, seed=seed, **preiterate)
+    probe = _decode_section(values, "probe")["hessian_error"]
+    method_configs = {m: build_method_config(values, m, seed, probe) for m in run["methods"]}
+    return ExperimentConfig(**run, objective=objective, data=data, warmup=warmup, method_configs=method_configs)
 
 
-def _decode_section(values: dict[str, str], method: str, seed: int) -> dict:
-    """Config-class keyword arguments from one method's section, through :data:`METHOD_KEYS`."""
-    kwargs = {}
-    for key, (convert, default) in METHOD_KEYS[method].items():
-        name = f"{method}.{key}"
-        if default is _RUN_SEED:
-            default = str(seed)
-        text = _get(values, name, default, required=default is _REQUIRED)
-        if text is not None:
-            kwargs[_FIELDS.get(key, key)] = convert(text, name)
-    return kwargs
-
-
-def build_span_config(values: dict[str, str], seed: int, probe: bool) -> span.SpanConfig:
-    kwargs = _decode_section(values, "span", seed)
-    try:
-        return span.SpanConfig(probe_hessian_error=probe, **kwargs)
-    except (ValueError, SpanOptError) as exc:
-        raise ConfigError(f"span config: {exc}") from None
-
-
-def build_baseline_config(values: dict[str, str], method: str, seed: int) -> baselines.BaselineConfig:
+def build_method_config(
+    values: dict[str, str], method: str, seed: int, probe: bool = False
+) -> Union[span.SpanConfig, baselines.BaselineConfig]:
+    """One method's config from its section; ``probe`` turns on span's Hessian-error probe."""
     kwargs = _decode_section(values, method, seed)
-    try:
-        return baselines.BaselineConfig(method=method, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{method} config: {exc}") from None
+    if method == "span":
+        return _build("span config", span.SpanConfig, probe_hessian_error=probe, **kwargs)
+    return _build(f"{method} config", baselines.BaselineConfig, method=method, **kwargs)
 
 
 def _cell(value) -> str:
@@ -373,21 +382,6 @@ class ExperimentResult:
         return all(m.status == "ok" for m in self.methods)
 
 
-def _preiterate(cfg: ExperimentConfig, x0: np.ndarray) -> np.ndarray:
-    """Shared warm-up: a fixed number of variance-reduced epochs from x0."""
-    if cfg.preiterate_epochs <= 0 or cfg.data is None:
-        return x0
-    warm = baselines.BaselineConfig(
-        method="svrg",
-        eta=cfg.preiterate_eta,
-        t_max=cfg.preiterate_epochs,
-        b=1,
-        seed=cfg.seed,
-    )
-    x, _ = baselines.run_svrg(warm, cfg.objective, cfg.data, x0)
-    return x
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured method from one shared start point; write one CSV each.
 
@@ -404,7 +398,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         start = gaussian_matrix(dim, 1, derive_seed(cfg.seed, 60))[:, 0]
     else:
         start = np.zeros(dim)
-    x0 = _preiterate(cfg, start)
+    # The shared warm-up: a fixed number of variance-reduced epochs from the start point.
+    x0 = start if cfg.warmup is None else baselines.run_svrg(cfg.warmup, cfg.objective, cfg.data, start)[0]
     x0_bytes = x0.tobytes()
 
     results: list[MethodResult] = []

@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "scale":
             values = bench.read_config_values(args.config)
-            sketch = bench.build_span_config(values, seed=0, probe=False)
+            sketch = bench.build_method_config(values, "span", seed=0)
             try:
                 dims = [int(d) for d in args.dims.split(",") if d.strip()]
             except ValueError:

@@ -33,6 +33,7 @@ _LABEL_NOISE = 0.05  # flip probability of synthetic classification labels
 _BLOCK_LINES = 1024
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 _INDEX_MAX = np.iinfo(np.int64).max  # largest index the int64 index arrays hold
+_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)  # below it a row's squared norm is not a normal number
 
 
 @dataclass(frozen=True)
@@ -247,13 +248,22 @@ def normalize_rows(ds: Dataset) -> tuple[Dataset, int]:
     """Scale each nonzero row to unit Euclidean norm; zero rows pass through.
 
     Returns the normalized dataset and the count of zero rows left untouched.
-    Idempotent: normalizing twice changes nothing beyond roundoff.
+    Idempotent: normalizing twice changes nothing beyond roundoff.  A row
+    whose squared norm overflows, or underflows below the smallest normal
+    number, is first divided by its largest magnitude, so rows of any finite
+    scale come out unit-norm; every other row takes one division by its norm.
     """
-    norms = np.linalg.norm(ds.features, axis=1)
-    zero_rows = int(np.sum(norms == 0.0))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(ds.features, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
     features = ds.features / safe[:, None]
-    return Dataset(features=features, labels=ds.labels.copy(), normalized=True), zero_rows
+    extreme = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))  # zero rows among them
+    rows = ds.features[extreme]
+    peaks = np.abs(rows).max(axis=1)
+    nonzero = peaks > 0.0
+    scaled = rows[nonzero] / peaks[nonzero, None]
+    features[extreme[nonzero]] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return Dataset(features=features, labels=ds.labels.copy()), int(extreme.size - np.count_nonzero(nonzero))
 
 
 def synth_quadratic(spectrum) -> tuple[ObjectiveConfig, np.ndarray]:

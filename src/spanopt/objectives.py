@@ -31,7 +31,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -48,11 +47,6 @@ class Dataset:
             raise ValueError("features contain NaN/Inf")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be exactly -1 or +1")
-        if self.normalized:
-            norms = np.linalg.norm(features, axis=1)
-            nonzero = norms > 0
-            if nonzero.any() and np.abs(norms[nonzero] - 1.0).max() > 1e-10:
-                raise ValueError("normalized flag set but rows are not unit-norm")
 
     @property
     def n_samples(self) -> int:

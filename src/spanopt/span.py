@@ -20,6 +20,7 @@ for the trace row, and carried into the next step.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -92,10 +93,10 @@ class SpanConfig:
             raise ValueError("t_max must be non-negative")
         if self.b < 1:
             raise ValueError("batch size must be positive")
-        if self.grad_tol < 0:
+        if not self.grad_tol >= 0:
             raise ValueError("grad_tol must be non-negative")
-        if not isinstance(self.eta, numbers.Real) or not self.eta > 0:
-            raise ValueError("eta must be a positive number")
+        if not isinstance(self.eta, numbers.Real) or not 0 < self.eta < math.inf:
+            raise ValueError("eta must be a finite positive number")
         # Raises InvalidRankParams on a bad sketch shape; l <= d waits for the data.
         self.range_config()
 

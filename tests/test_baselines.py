@@ -37,6 +37,19 @@ def toy_logistic(n=20, d=2, seed=0, reg=0.1):
     return ObjectiveConfig("logistic", reg_a=reg), Dataset(features=x, labels=labels)
 
 
+class TestBaselineConfig:
+    # Under a NaN eta a run traced NaN; under a negative grad_tol its stop rule never fired.
+    @pytest.mark.parametrize("eta", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    def test_eta_must_be_finite_and_non_negative(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            BaselineConfig(method="gd", eta=eta, t_max=3)
+
+    @pytest.mark.parametrize("grad_tol", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_grad_tol_must_be_non_negative(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol"):
+            BaselineConfig(method="gd", eta=0.5, t_max=3, grad_tol=grad_tol)
+
+
 class TestGradientDescent:
     def test_unit_curvature_one_step(self):
         cfg = BaselineConfig(method="gd", eta=1.0, t_max=1)

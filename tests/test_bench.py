@@ -19,8 +19,7 @@ from spanopt.bench import (
     CSV_HEADER,
     KNOWN_METHODS,
     ScalingRow,
-    build_baseline_config,
-    build_span_config,
+    build_method_config,
     emit_plot_data,
     load_experiment_config,
     parse_config_text,
@@ -177,9 +176,8 @@ class TestConfigParsing:
             text = base.replace("{data}", str(data)) + _METHOD_LINES + f"output_dir = {tmp_path / 'out'}\n"
             load_experiment_config(write_cfg(tmp_path, text))
             values = parse_config_text(text)
-            build_span_config(values, seed=0, probe=False)
-            for method in KNOWN_METHODS[1:]:
-                build_baseline_config(values, method, seed=0)
+            for method in KNOWN_METHODS:
+                build_method_config(values, method, seed=0)
         assert read == CONFIG_KEYS
 
     def test_method_config_error_before_any_method_runs(self, tmp_path, capsys):
@@ -626,18 +624,21 @@ class TestCli:
             ("synth", "newsamp.m = 6", 2),  # truncation rank not below d
             ("libsvm", "methods = lissa\nobjective.reg_a = 0", 2),  # zero curvature at x0 = 0
             ("synth", "objective.reg_a = 1e300\nx0 = ones\nmethods = newsamp", 2),  # iterate overflows
+            ("synth", "preiterate.eta = -1", 1),  # the warm-up's config was built after the output directory
+            ("synth", "preiterate.epochs = -1", 1),  # silently meant no warm-up
         ],
         ids=["svrg-quadratic", "nan-number", "inf-spectrum", "empty-synth", "newsamp-rank", "lissa-flat",
-             "newsamp-overflow"],
+             "newsamp-overflow", "negative-warmup-eta", "negative-warmup-epochs"],
     )
     def test_found_tracebacks_exit_cleanly(self, tmp_path, capsys, base, edit, code):
-        # Each of these ended in a ValueError traceback before.
+        # Each of these ended in a ValueError traceback before, or was accepted.
         data = tmp_path / "data.libsvm"
         data.write_text(_LIBSVM_TEXT)
         text = _BASES[base].replace("{data}", str(data)) + _METHOD_LINES + edit + "\n"
         assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == code
         if code == 1:
             assert "config error:" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_method_failure_exit_two(self, tmp_path):
         spectrum = ",".join(["1.0"] * 600)

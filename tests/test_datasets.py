@@ -292,12 +292,19 @@ class TestNormalizeRows:
         normalized, zero_rows = normalize_rows(ds)
         np.testing.assert_allclose(normalized.features, [[0.6, 0.8]])
         assert zero_rows == 0
-        assert normalized.normalized
 
     def test_unit_row_unchanged(self):
         ds = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
         normalized, _ = normalize_rows(ds)
         np.testing.assert_array_equal(normalized.features, ds.features)
+
+    def test_rows_whose_squared_norm_overflows_or_underflows(self):
+        # The first row's squared norm overflowed to inf and the row came back
+        # zero; the second's underflowed to 0 and it passed through unscaled.
+        ds = Dataset(features=np.array([[3e200, 4e200], [1e-200, 1e-200]]), labels=np.array([1.0, -1.0]))
+        normalized, zero_rows = normalize_rows(ds)
+        np.testing.assert_allclose(normalized.features, [[0.6, 0.8], [math.sqrt(0.5), math.sqrt(0.5)]])
+        assert zero_rows == 0
 
     def test_zero_row_flagged_and_untouched(self):
         ds = Dataset(features=np.array([[0.0, 0.0], [3.0, 4.0]]), labels=np.array([1.0, -1.0]))

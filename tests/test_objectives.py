@@ -49,10 +49,6 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([1.0]))
 
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError):
-            Dataset(features=np.array([[3.0, 4.0]]), labels=np.array([1.0]), normalized=True)
-
 
 class TestStableSigmoid:
     def test_bit_identical_to_masked_branches(self):

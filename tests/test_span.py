@@ -26,7 +26,8 @@ from spanopt import (
 )
 from spanopt import linalg, objectives
 from spanopt import span as span_module
-from spanopt.bench import build_span_config
+from spanopt.bench import build_method_config
+from spanopt.datasets import synth_classification
 from spanopt.errors import ConfigError, IndefiniteBlock, RankDeficient, SingularSystem
 from spanopt.span import _STREAM_SKETCH
 
@@ -211,6 +212,35 @@ class TestHessianErrorProbe:
             assert len(trace) == 15
             worst = max(worst, *(record.hessian_err for record in trace))
         assert worst <= bound
+
+    @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD], ids=["analytic", "finite-difference"])
+    def test_carried_basis_within_approximation_bound_logistic(self, monkeypatch, mode):
+        # The logistic half: a logistic batch Hessian moves with the batch and
+        # the iterate, so each step's bound is 3 sigma_(m+1) of its own batch
+        # Hessian, read off the dense analytic matrix at the step's batch and x.
+        built = []
+        real = objectives.BatchHessian.at
+
+        def recording(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(objectives.BatchHessian, "at", staticmethod(recording))
+        d, m, l = 30, 4, 10
+        objective = ObjectiveConfig("logistic", reg_a=1e-3)
+        data = synth_classification(n=300, d=d, seed=0)
+        q = min_power_iterations(d, l, m)
+        for seed in range(10):
+            span_cfg = SpanConfig(
+                t_max=12, m=m, l=l, q=q, b=150, eta=1.0, seed=seed, hvp_mode=mode, probe_hessian_error=True
+            )
+            state = SpanState(x=np.zeros(d))
+            for _ in range(12):
+                built.clear()
+                state, record = span_step(state, objective, data, span_cfg)
+                (cfg, step_data, batch, x, _), = built
+                sigma = np.linalg.eigvalsh(real(cfg, step_data, batch, x, ANALYTIC).dense())[::-1]
+                assert record.hessian_err <= 3.0 * sigma[m]
 
     @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD], ids=["analytic", "finite-difference"])
     def test_one_operator_per_probed_step(self, monkeypatch, mode):
@@ -400,15 +430,20 @@ class TestRunSpan:
     def test_auto_step_schedule_rejected(self):
         values = {"span.T": "5", "span.m": "10", "span.l": "16", "span.eta": "auto"}
         with pytest.raises(ConfigError, match="span.eta"):
-            build_span_config(values, seed=3, probe=False)
+            build_method_config(values, "span", seed=3)
 
     @pytest.mark.parametrize(
-        "eta", [[0.9, 0.5, 0.1], np.array([0.5]), "0.5", 0.0, -1.0, float("nan")],
-        ids=["schedule", "array", "text", "zero", "negative", "nan"],
+        "eta", [[0.9, 0.5, 0.1], np.array([0.5]), "0.5", 0.0, -1.0, float("nan"), float("inf")],
+        ids=["schedule", "array", "text", "zero", "negative", "nan", "inf"],
     )
     def test_eta_must_be_one_positive_number(self, eta):
         with pytest.raises(ValueError):
             SpanConfig(t_max=3, m=0, l=4, q=1, b=1, eta=eta, seed=0, hvp_mode=ANALYTIC)
+
+    @pytest.mark.parametrize("grad_tol", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_grad_tol_must_be_non_negative(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SpanConfig(t_max=3, m=0, l=4, q=1, b=1, eta=1.0, seed=0, hvp_mode=ANALYTIC, grad_tol=grad_tol)
 
 
 class TestContractionBound:
