@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .objectives import (
     Dataset,
     ObjectiveConfig,
     batch_gradient,
+    batch_gradient_difference,
+    gather_batches,
     loss_and_gradient,
     sample_batch,
 )
@@ -33,6 +35,10 @@ from .span import TraceRecord
 METHODS = ("gd", "svrg", "newsamp", "lissa")
 
 _DIVERGENCE_LIMIT = 1e8
+
+# svrg and lissa gather the rows of consecutive batches at once, up to about
+# this many stored feature entries (128 KiB of values) per gather.
+_GATHER_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,25 @@ def run_gd(
     return _run(cfg, objective, data, x0, lambda t, x, grad: (x - cfg.eta * grad, None))
 
 
+def _drawn_batches(
+    objective: ObjectiveConfig,
+    data: Dataset,
+    draw: Callable[[], np.ndarray],
+    size: int,
+    total: int,
+) -> Iterator[tuple]:
+    """``(rows, labels)`` of ``total`` batches of ``size`` rows, ``draw()`` after ``draw()``.
+
+    The batches are drawn in stream order, but a run of them at a time,
+    whose rows :func:`gather_batches` gathers at once: a few-row batch then
+    costs no gather of its own.
+    """
+    per_row = max(1, -(-data.stored // data.n_samples))
+    per_run = max(1, _GATHER_ENTRIES // (size * per_row))
+    for first in range(0, total, per_run):
+        yield from gather_batches(objective, data, [draw() for _ in range(min(per_run, total - first))])
+
+
 def svrg_gradient_estimate(
     objective: ObjectiveConfig,
     data: Dataset,
@@ -126,14 +151,12 @@ def svrg_gradient_estimate(
 ) -> np.ndarray:
     """Variance-reduced estimate grad f_B(w) - grad f_B(snapshot) + grad F(snapshot).
 
-    At w == snapshot the first two terms cancel exactly and the estimate
+    The arithmetic of every step of :func:`run_svrg`, for one batch.  At
+    w == snapshot the first two terms cancel exactly and the estimate
     equals the stored full gradient to the bit.
     """
-    return (
-        batch_gradient(objective, data, batch, w)
-        - batch_gradient(objective, data, batch, snapshot)
-        + snapshot_grad
-    )
+    ((rows, labels),) = gather_batches(objective, data, [batch])
+    return batch_gradient_difference(objective, rows, labels, w, snapshot) + snapshot_grad
 
 
 def run_svrg(
@@ -146,19 +169,21 @@ def run_svrg(
 
     Each epoch snapshots the current iterate, whose full gradient the last
     trace row already computed, then takes ``inner_steps`` batched steps
-    (default: one pass, ceil(N / b)).
+    (default: one pass, ceil(N / b)).  The batches are drawn in stream
+    order a run at a time, and each run's rows are gathered at once; every
+    step is :func:`svrg_gradient_estimate`'s arithmetic on its batch.
     """
     if data is None:
         raise ValueError("svrg needs sampled data")
     n = data.n_samples
+    b = min(cfg.b, n)
     steps_per_epoch = cfg.inner_steps or max(1, -(-n // cfg.b))
 
     def epoch(t: int, snapshot: np.ndarray, snapshot_grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 10, t))
         x = snapshot
-        for _ in range(steps_per_epoch):
-            batch = sample_batch(n, min(cfg.b, n), rng)
-            estimate = svrg_gradient_estimate(objective, data, batch, x, snapshot, snapshot_grad)
+        for rows, labels in _drawn_batches(objective, data, lambda: sample_batch(n, b, rng), b, steps_per_epoch):
+            estimate = batch_gradient_difference(objective, rows, labels, x, snapshot) + snapshot_grad
             x = x - cfg.eta * estimate
         return x, None
 
@@ -262,18 +287,26 @@ def run_lissa(
 
     Each iteration averages ``s1`` independent depth-``inner_steps``
     recursions whose Hessian products come from single random samples
-    (analytic GLM products).  The objective is rescaled by a spectral-norm
-    probe at x0 and the resulting direction unscaled.
+    (analytic GLM products), drawn in stream order and gathered a run at a
+    time.  The objective is rescaled by a spectral-norm probe at x0 and the
+    resulting direction unscaled.
     """
     depth = cfg.inner_steps if cfg.inner_steps is not None else 100
     scale = lissa_hessian_scale(objective, data, x0, seed=derive_seed(cfg.seed, 30))
 
     def step(t: int, x: np.ndarray, grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
+        if data is None:
+            sampled_hvp = BatchHessian.at(objective, None, None, x, ANALYTIC).__matmul__
+        else:
+            def draw() -> np.ndarray:
+                return np.array([rng.integers(data.n_samples)])
 
-        def sampled_hvp(u: np.ndarray) -> np.ndarray:
-            idx = None if data is None else np.array([rng.integers(data.n_samples)])
-            return BatchHessian.at(objective, data, idx, x, ANALYTIC) @ u
+            samples = _drawn_batches(objective, data, draw, 1, cfg.s1 * depth)
+
+            def sampled_hvp(u: np.ndarray) -> np.ndarray:
+                rows, labels = next(samples)
+                return BatchHessian.of_rows(objective, rows, labels, x, ANALYTIC) @ u
 
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):

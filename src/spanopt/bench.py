@@ -325,6 +325,17 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def check_output_dir(path: Union[str, Path]) -> None:
+    """Raise :class:`ConfigError` unless the directory ``path`` would be written in exists.
+
+    Table writers call it before the work that fills the table, so a
+    mistyped ``-o`` is refused before any timing or trace reading.
+    """
+    folder = Path(path).parent
+    if not folder.is_dir():
+        raise ConfigError(f"{path}: output directory {folder} does not exist")
+
+
 def _write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     path = Path(path)
     lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
@@ -464,6 +475,7 @@ def emit_plot_data(
         raise IncompatibleTraces(f"unknown plot mode {mode!r}")
     if not trace_paths:
         raise IncompatibleTraces("no trace files given")
+    check_output_dir(out_path)
 
     columns: dict[str, list[TraceRecord]] = {}
     for path in trace_paths:

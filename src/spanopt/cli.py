@@ -86,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--dims: expected positive integers, got {args.dims!r}")
             if args.steps < 1:
                 raise ConfigError(f"--steps: expected a positive integer, got {args.steps}")
+            bench.check_output_dir(args.output)
             rows = bench.per_iteration_scaling(dims, l=sketch.l, m=sketch.m, q=sketch.q, steps=args.steps)
             bench.write_scaling_csv(rows, args.output)
             for row in rows:

@@ -2,9 +2,10 @@
 
 Covers the sparse text wire format (one ``<label> <idx>:<val> ...`` example
 per line, 1-based indices, gzip accepted by extension) parsed into CSR
-arrays, binary label filtering/mapping into a dense feature matrix (CSR
-features are the next step), unit-norm row normalization, and synthetic
-problem generators for the controlled-spectrum test suites.
+arrays, binary label filtering/mapping into a dataset whose features stay
+CSR (``scipy.sparse``, imported only here and only then), unit-norm row
+normalization in either storage format, and dense synthetic problem
+generators for the controlled-spectrum test suites.
 """
 
 from __future__ import annotations
@@ -12,24 +13,20 @@ from __future__ import annotations
 import gzip
 import io
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, NoReturn, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooLarge, NoMatchingExamples, ParseError
+from .errors import DimensionMismatch, NoMatchingExamples, ParseError
 from .linalg import derive_seed, gaussian_matrix
 from .objectives import Dataset, ObjectiveConfig
 
 _LABEL_NOISE = 0.05  # flip probability of synthetic classification labels
 
 
-# Examples converted to arrays at a time.  It bounds the token strings alive
-# at once, and smaller blocks leave smaller holes in the C heap for the dense
-# matrices that follow: on the perfbench libsvm-fd workload (glibc malloc),
-# peak RSS read 232-265 MB with 1024-line blocks and 270-271 MB with 4096.
+# Examples converted to arrays at a time; it bounds the token strings alive at once.
 _BLOCK_LINES = 1024
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 _INDEX_MAX = np.iinfo(np.int64).max  # largest index the int64 index arrays hold
@@ -206,16 +203,16 @@ def to_binary_dataset(
     negative_label: float,
     dim: int,
 ) -> Dataset:
-    """Keep the two requested label classes, map them to +1 / -1, and densify.
+    """Keep the two requested label classes and map them to +1 / -1; the features stay CSR.
 
     Examples with other labels are dropped.  ``dim`` is the feature
     dimension, normally the one :func:`load_libsvm` inferred from the whole
-    file.  A feature index above ``dim`` raises :class:`DimensionMismatch`,
-    and a dense ``rows x dim`` matrix larger than the host's physical memory
-    raises :class:`DimensionTooLarge`, both before the matrix is allocated.
-    The features are still stored densely; the matrix is filled with one
-    scatter of the kept CSR values.
+    file.  A feature index above ``dim`` raises :class:`DimensionMismatch`.
+    The kept examples' CSR arrays become the dataset's ``scipy.sparse`` CSR
+    features, the first use of scipy in a process.
     """
+    from scipy import sparse
+
     keep = (examples.labels == positive_label) | (examples.labels == negative_label)
     kept = int(np.count_nonzero(keep))
     if not kept:
@@ -228,18 +225,9 @@ def to_binary_dataset(
     largest = int(columns.max()) + 1 if columns.size else 0  # back to the file's 1-based index
     if largest > dim:
         raise DimensionMismatch(f"feature index {largest} exceeds the dimension {dim}")
-    needed = kept * dim * 8
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > available:
-        raise DimensionTooLarge(
-            f"dense {kept} x {dim} feature matrix needs {needed} bytes, "
-            f"more than the {available} bytes of physical memory"
-        )
-    # Allocation order measured for peak RSS: the matrix after the column
-    # gather, before the row numbers.
-    features = np.zeros((kept, dim))
-    rows = np.repeat(np.arange(kept), counts[keep])
-    features[rows, columns] = examples.values[stored]
+    indptr = np.zeros(kept + 1, dtype=np.int64)
+    np.cumsum(counts[keep], out=indptr[1:])
+    features = sparse.csr_array((examples.values[stored], columns, indptr), shape=(kept, dim))
     labels = np.where(examples.labels[keep] == positive_label, 1.0, -1.0)
     return Dataset(features=features, labels=labels)
 
@@ -247,23 +235,58 @@ def to_binary_dataset(
 def normalize_rows(ds: Dataset) -> tuple[Dataset, int]:
     """Scale each nonzero row to unit Euclidean norm; zero rows pass through.
 
-    Returns the normalized dataset and the count of zero rows left untouched.
-    Idempotent: normalizing twice changes nothing beyond roundoff.  A row
-    whose squared norm overflows, or underflows below the smallest normal
-    number, is first divided by its largest magnitude, so rows of any finite
-    scale come out unit-norm; every other row takes one division by its norm.
+    Returns the normalized dataset, in the input's storage format, and the
+    count of zero rows left untouched.  Idempotent: normalizing twice
+    changes nothing beyond roundoff.  A row whose squared norm overflows, or
+    underflows below the smallest normal number, is first divided by its
+    largest magnitude, so rows of any finite scale come out unit-norm; every
+    other row takes one division by its norm.  CSR data has only its stored
+    values scaled.
     """
+    if isinstance(ds.matrix, np.ndarray):
+        features, zero_rows = _normalize_dense(ds.matrix)
+    else:
+        features = ds.matrix.copy()
+        features.data, zero_rows = _normalize_csr(features.data, features.indptr)
+    return Dataset(features=features, labels=ds.labels.copy()), zero_rows
+
+
+def _normalize_dense(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(ds.features, axis=1)
+        norms = np.linalg.norm(matrix, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
-    features = ds.features / safe[:, None]
+    features = matrix / safe[:, None]
     extreme = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))  # zero rows among them
-    rows = ds.features[extreme]
+    rows = matrix[extreme]
     peaks = np.abs(rows).max(axis=1)
     nonzero = peaks > 0.0
     scaled = rows[nonzero] / peaks[nonzero, None]
     features[extreme[nonzero]] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
-    return Dataset(features=features, labels=ds.labels.copy()), int(extreme.size - np.count_nonzero(nonzero))
+    return features, int(extreme.size - np.count_nonzero(nonzero))
+
+
+def _normalize_csr(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, int]:
+    """The stored values of CSR rows scaled as :func:`normalize_rows` says, and the zero-row count."""
+    n = indptr.size - 1
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
+    # np.maximum.reduceat gives an empty segment the next row's first value
+    # (or fails past the end), so only rows that store something take part.
+    peaks = np.zeros(n)
+    stores = indptr[1:] > indptr[:-1]
+    peaks[stores] = np.maximum.reduceat(np.abs(values), indptr[:-1][stores])
+    zero = peaks == 0.0
+    extreme = (norms < _NORM_FLOOR) | np.isinf(norms)  # zero rows among them
+    divisor = np.where(extreme, peaks, norms)
+    divisor[zero] = 1.0
+    scaled = values / divisor[row_of]
+    again = (extreme & ~zero)[row_of]  # the stored values of extreme nonzero rows
+    if again.any():
+        part = scaled[again]
+        part_norms = np.sqrt(np.bincount(row_of[again], weights=part * part, minlength=n))
+        scaled[again] = part / part_norms[row_of[again]]
+    return scaled, int(np.count_nonzero(zero))
 
 
 def synth_quadratic(spectrum) -> tuple[ObjectiveConfig, np.ndarray]:

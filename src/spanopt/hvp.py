@@ -1,8 +1,8 @@
 """How batch Hessian products are realized: central differences of batch gradients, or analytic.
 
 An :class:`HvpMode` is the required ``mode`` of
-:meth:`spanopt.objectives.BatchHessian.at`, the one constructor of the batch
-Hessian operator.
+:meth:`spanopt.objectives.BatchHessian.at` and ``of_rows``, the constructors of
+the batch Hessian operator.
 """
 
 from __future__ import annotations

@@ -6,12 +6,20 @@ prescribed diagonal spectrum.  The quadratic kind carries no samples (batch
 arguments are ignored) and exists as the controlled-spectrum test bed.  The
 regularizer ``(a/2)||x||^2`` sits outside the sample mean, so it contributes
 in full to every batch quantity.
+
+A :class:`Dataset` stores its features dense or as ``scipy.sparse`` CSR.
+Every sampled computation reads them through :func:`_batch_rows` and the
+same few products (``rows @ x``, ``rows.T @ y``), which both formats
+provide, so one code path serves both.  This module never imports scipy: only
+CSR data, built by whoever imported it, brings it in.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -25,36 +33,78 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 LOSS_KINDS = ("logistic", "huber_svm", "quadratic")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Labeled instances: an (n, d) feature matrix and labels in {-1, +1}."""
+def _check_fits(entries: int, what: str) -> None:
+    """Raise :class:`DimensionTooLarge` before allocating ``entries`` doubles beyond physical memory."""
+    needed = entries * 8
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise DimensionTooLarge(f"{what} needs {needed} bytes, more than the {available} bytes of physical memory")
 
-    features: np.ndarray
+
+@dataclass(frozen=True, init=False)
+class Dataset:
+    """Labeled instances: an (n, d) feature matrix and labels in {-1, +1}.
+
+    ``features`` is anything numpy reads as a 2-D float array, stored dense,
+    or a ``scipy.sparse`` matrix, stored in canonical CSR form (sorted
+    indices, no duplicates).  ``matrix`` is the matrix as stored; the
+    ``features`` property is always the dense ndarray, built on each access
+    for CSR data.  A CSR dataset whose single dense feature vector would not
+    fit in physical memory raises :class:`DimensionTooLarge`: every solve
+    needs such vectors.
+    """
+
+    matrix: Any  # (n, d) float ndarray, or a scipy.sparse CSR array
     labels: np.ndarray
 
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        object.__setattr__(self, "features", features)
+    def __init__(self, features, labels):
+        sparse = sys.modules.get("scipy.sparse")  # a sparse matrix means scipy is loaded
+        csr = sparse is not None and sparse.issparse(features)
+        if csr:
+            matrix = sparse.csr_array(features, dtype=float)
+            if not matrix.has_canonical_format:
+                matrix = matrix.copy()
+                matrix.sum_duplicates()
+        else:
+            matrix = np.asarray(features, dtype=float)
+            if matrix.ndim != 2:
+                raise ValueError("features must be a 2-D array")
+        values = matrix.data if csr else matrix
+        labels = np.asarray(labels, dtype=float)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "labels", labels)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if features.shape[0] < 1 or features.shape[1] < 1:
+        if matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ValueError("dataset must have at least one sample and one feature")
-        if labels.shape != (features.shape[0],):
+        if labels.shape != (matrix.shape[0],):
             raise ValueError("labels must be one per row of features")
-        if not np.isfinite(features).all():
+        if not np.isfinite(values).all():
             raise ValueError("features contain NaN/Inf")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be exactly -1 or +1")
+        if csr:
+            _check_fits(matrix.shape[1], f"a feature vector of dimension {matrix.shape[1]}")
+
+    @property
+    def features(self) -> np.ndarray:
+        """The dense (n, d) feature matrix; for CSR data a new array, refused beyond physical memory."""
+        if isinstance(self.matrix, np.ndarray):
+            return self.matrix
+        n, d = self.matrix.shape
+        _check_fits(n * d, f"dense {n} x {d} feature matrix")
+        return self.matrix.toarray()
+
+    @property
+    def stored(self) -> int:
+        """Feature entries the matrix stores: ``n * d`` dense, the nonzeros for CSR."""
+        return int(self.matrix.size)
 
     @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -116,11 +166,11 @@ def _batch_rows(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[n
     if cfg.loss_kind == "quadratic":
         return None, None
     if batch is None:
-        return data.features, data.labels
+        return data.matrix, data.labels
     batch = np.asarray(batch, dtype=int)
     if batch.size == 0:
         raise BatchTooLarge("batch must be nonempty")
-    return data.features[batch], data.labels[batch]
+    return data.matrix[batch], data.labels[batch]
 
 
 def _huber_loss_terms(margins: np.ndarray) -> np.ndarray:
@@ -223,7 +273,9 @@ def _curvature_weights(cfg: ObjectiveConfig, rows: np.ndarray, labels: np.ndarra
 class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
-    :meth:`at` is the one constructor.  ``H @ v`` takes a (d,) vector or a
+    :meth:`at` gathers a batch and builds the operator; :meth:`of_rows`
+    builds it over rows already gathered by :func:`gather_batches`, which
+    support products but not :meth:`dense`.  ``H @ v`` takes a (d,) vector or a
     (d, k) block.  Analytic products use curvature weights computed once;
     :meth:`dense` forms the matrix in either mode.  With ``fd_step`` set,
     products are central differences of the batch gradient instead: each column is
@@ -238,7 +290,7 @@ class BatchHessian:
 
     cfg: ObjectiveConfig
     x: np.ndarray
-    rows: Optional[np.ndarray]  # None for quadratics
+    rows: Any  # the batch rows, dense or CSR; None for quadratics
     labels: Optional[np.ndarray]
     weights: Optional[np.ndarray] = None  # analytic curvature weights of sampled kinds
     fd_step: Optional[float] = None
@@ -249,6 +301,11 @@ class BatchHessian:
         """Gather the batch at ``x`` for products in ``mode``: central differences or analytic."""
         x = _check_x(cfg, data, x)
         rows, labels = _batch_rows(cfg, data, batch)
+        return cls.of_rows(cfg, rows, labels, x, mode)
+
+    @classmethod
+    def of_rows(cls, cfg, rows, labels, x: np.ndarray, mode: HvpMode) -> "BatchHessian":
+        """The operator at a checked ``x`` over gathered batch rows and labels."""
         if mode.kind == "finite_difference":
             step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
             return cls(cfg, x, rows, labels, fd_step=step, margins=_margins(rows, labels, x))
@@ -301,10 +358,78 @@ class BatchHessian:
         weights = self.weights
         if weights is None:
             weights = _curvature_weights(self.cfg, self.rows, self.labels, self.x)
-        h = self.rows.T @ (weights[:, None] * self.rows) / self.rows.shape[0]
+        if isinstance(self.rows, np.ndarray):
+            h = self.rows.T @ (weights[:, None] * self.rows) / self.rows.shape[0]
+        else:
+            h = (self.rows.T @ self.rows.multiply(weights[:, None])).toarray() / self.rows.shape[0]
         h = 0.5 * (h + h.T)  # exact symmetry, not just up to BLAS rounding
         h[np.diag_indices(d)] += self.cfg.reg_a
         return h
+
+
+class _Coordinates:
+    """A few sparse rows as (row, column, value) triples.
+
+    Supports the products the objectives take, ``rows @ x`` for a vector or a
+    block and ``rows.T @ y``, as numpy bincounts that add each row's terms in
+    stored order.  A batch of a few rows then costs a few microseconds where
+    scipy spends tens on each call.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]):
+        self.rows, self.cols, self.values, self.shape = rows, cols, values, shape
+
+    @property
+    def T(self) -> "_Coordinates":
+        return _Coordinates(self.cols, self.rows, self.values, self.shape[::-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.shape[0])
+        out = np.empty((self.shape[0], x.shape[1]))
+        for j in range(x.shape[1]):
+            out[:, j] = self @ x[:, j]
+        return out
+
+
+def gather_batches(cfg: ObjectiveConfig, data: Dataset, batches: Sequence[np.ndarray]) -> list[tuple]:
+    """Each batch's ``(rows, labels)``, with the rows of all the batches gathered at once.
+
+    Dense rows are views into one gathered block.  CSR rows are
+    coordinate triples cut from one gathered CSR block, so a batch of a few
+    rows takes no scipy call of its own.  Quadratics carry no samples: every
+    batch gets ``(None, None)``.
+    """
+    sizes = [len(batch) for batch in batches]
+    rows, labels = _batch_rows(cfg, data, np.concatenate(batches))
+    bounds = np.cumsum([0] + sizes).tolist()
+    if rows is None:
+        return [(None, None)] * len(batches)
+    if isinstance(rows, np.ndarray):
+        return [(rows[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    # Each stored value's row, counted from the first row of its own batch.
+    row_in_batch = np.arange(rows.shape[0]) - np.repeat(bounds[:-1], sizes)
+    local = np.repeat(row_in_batch, np.diff(rows.indptr))
+    stored = rows.indptr[bounds].tolist()
+    return [
+        (_Coordinates(local[a:b], rows.indices[a:b], rows.data[a:b], (size, rows.shape[1])), labels[lo:hi])
+        for size, lo, hi, a, b in zip(sizes, bounds, bounds[1:], stored, stored[1:])
+    ]
+
+
+def batch_gradient_difference(cfg: ObjectiveConfig, rows, labels, w: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
+    """``grad f_B(w) - grad f_B(snapshot)`` over rows from :func:`gather_batches`.
+
+    Both margins come from one 2-column product, so at ``w == snapshot``
+    they are equal to the bit, their loss derivatives cancel and the
+    difference is exactly zero.  The gradient is then one product of the
+    difference of the two margin derivatives.
+    """
+    if rows is None:
+        return _gradient(cfg, None, None, w, None) - _gradient(cfg, None, None, snapshot, None)
+    derivative = _margin_derivative(cfg, _margins(rows, labels, np.array((w, snapshot)).T))
+    change = labels * (derivative[:, 0] - derivative[:, 1])
+    return rows.T @ change / rows.shape[0] + cfg.reg_a * (w - snapshot)
 
 
 def sample_batch(n: int, b: int, rng: np.random.Generator) -> np.ndarray:

@@ -527,6 +527,25 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["scale", "plot"])
+    def test_missing_output_directory_exit_one_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # The missing directory was found only when the table was written, after every dimension was timed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before the output directory was checked")
+
+        monkeypatch.setattr(bench, "per_iteration_scaling", refuse)
+        monkeypatch.setattr(bench, "read_trace_csv", refuse)
+        trace = tmp_path / "span.csv"
+        trace.write_text(f"{CSV_HEADER}\n1,0.05,3.0,2.0,,\n")
+        out = tmp_path / "missing" / "t.csv"
+        argv = {
+            "scale": ["scale", str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out"))), "--dims", "20"],
+            "plot": ["plot", "loss_vs_iter", str(trace)],
+        }[command]
+        assert cli.main([*argv, "-o", str(out)]) == 1
+        assert f"config error: {out}: output directory {out.parent} does not exist" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_scale_dimension_below_sketch_width_exit_two(self, tmp_path, capsys):
         cfg = str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out")))  # span.l = 5
         assert cli.main(["scale", cfg, "--dims", "3", "--steps", "1", "-o", str(tmp_path / "s.csv")]) == 2
@@ -582,7 +601,7 @@ class TestCli:
         "lines",
         [
             "1 1:1 x\n2 1:0.5\n", "1\n2\n", "1 1:1e999\n2 1:0.5\n", "1 1:nan\n2 1:0.5\n",
-            "1 1000000000000:1\n2 1:0.5\n",  # a 2 x 1e12 dense matrix, refused before allocation
+            "1 1000000000000:1\n2 1:0.5\n",  # one feature vector of 1e12 entries, refused before allocation
             "1 99999999999999999999:1\n2 1:0.5\n",  # an index the int64 index arrays cannot hold
         ],
         ids=["malformed", "featureless", "overflow", "nan", "beyond-memory", "index-beyond-int64"],
