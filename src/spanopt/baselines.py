@@ -1,17 +1,20 @@
 """Reference optimizers for head-to-head benchmarking.
 
 Gradient descent, variance-reduced SGD with snapshots, truncated-eigenvalue
-subsampled Newton, and Neumann-series inverse estimation all share the
-driver conventions of :mod:`spanopt.span`: full-gradient trace rows, a
-cumulative wall clock that includes the fused loss and gradient at each new
+subsampled Newton, and Neumann-series inverse estimation each supply one
+update, ``step(t, x, grad)``, and run it through the step loop of
+:mod:`spanopt.span`: its stop rule, and its per-step bracket, whose
+cumulative wall clock includes the fused loss and gradient at each new
 iterate (the gradient is carried into the next step, so each step makes one
-full-data pass of its own), and determinism keyed by the config seed.
+full-data pass of its own) and which builds the full-gradient trace rows.
+A baseline's update returns the next iterate, its lambda column (newsamp's
+flattening eigenvalue, else ``None``) and ``None, None``: it carries no
+basis and has no probe.  Determinism is keyed by the config seed.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -24,13 +27,11 @@ from .objectives import (
     BatchHessian,
     Dataset,
     ObjectiveConfig,
-    batch_gradient,
     batch_gradient_difference,
     gather_batches,
-    loss_and_gradient,
     sample_batch,
 )
-from .span import TraceRecord
+from .span import TraceRecord, _check_run_length, _drive, _step
 
 METHODS = ("gd", "svrg", "newsamp", "lissa")
 
@@ -67,49 +68,13 @@ class BaselineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 <= self.eta < math.inf:
             raise ValueError("eta must be a finite non-negative number")
-        if not self.grad_tol >= 0:
-            raise ValueError("grad_tol must be non-negative")
-        if self.t_max < 0 or self.b < 1 or self.s1 < 1:
-            raise ValueError("t_max, b, s1 must be non-negative/positive")
+        _check_run_length(self.t_max, self.grad_tol)
+        if self.b < 1 or self.s1 < 1:
+            raise ValueError("b and s1 must be positive")
         if self.method == "newsamp" and (self.m is None or self.m < 1):
             raise ValueError("newsamp needs a positive truncation rank m")
         if self.inner_steps is not None and self.inner_steps < 1:
             raise ValueError("inner_steps must be positive when given")
-
-
-_Step = Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, Optional[float]]]
-
-
-def _run(
-    cfg: BaselineConfig,
-    objective: ObjectiveConfig,
-    data: Dataset | None,
-    x0: np.ndarray,
-    step: _Step,
-) -> tuple[np.ndarray, list[TraceRecord]]:
-    """The loop every baseline shares: ``step(t, x, grad)`` gives the next
-    iterate and its lambda column.
-
-    The full-data gradient at each iterate comes with its loss from one pass,
-    inside the step's clock, and is handed to the next step; only the first
-    step computes a gradient of its own.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    grad = None
-    trace: list[TraceRecord] = []
-    elapsed = 0.0
-    for t in range(cfg.t_max):
-        start = time.perf_counter()
-        if grad is None:
-            grad = batch_gradient(objective, data, None, x)
-        x, lambda_used = step(t, x, grad)
-        loss, grad = loss_and_gradient(objective, data, x)
-        elapsed += time.perf_counter() - start
-        record = TraceRecord(t + 1, elapsed, loss, float(np.linalg.norm(grad)), lambda_used=lambda_used)
-        trace.append(record)
-        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
-            break
-    return x, trace
 
 
 def run_gd(
@@ -119,7 +84,7 @@ def run_gd(
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Plain full-gradient descent: x <- x - eta * grad F(x)."""
-    return _run(cfg, objective, data, x0, lambda t, x, grad: (x - cfg.eta * grad, None))
+    return _drive(cfg, x0, _step, objective, data, lambda t, x, grad: (x - cfg.eta * grad, None, None, None))
 
 
 def _drawn_batches(
@@ -173,8 +138,8 @@ def run_svrg(
     order a run at a time, and each run's rows are gathered at once; every
     step is :func:`svrg_gradient_estimate`'s arithmetic on its batch.
     """
-    if data is None:
-        raise ValueError("svrg needs sampled data")
+    if data is None or objective.loss_kind == "quadratic":
+        raise ValueError("svrg needs sampled data, and quadratics carry no samples")
     n = data.n_samples
     b = min(cfg.b, n)
     steps_per_epoch = cfg.inner_steps or max(1, -(-n // cfg.b))
@@ -185,9 +150,9 @@ def run_svrg(
         for rows, labels in _drawn_batches(objective, data, lambda: sample_batch(n, b, rng), b, steps_per_epoch):
             estimate = batch_gradient_difference(objective, rows, labels, x, snapshot) + snapshot_grad
             x = x - cfg.eta * estimate
-        return x, None
+        return x, None, None, None
 
-    return _run(cfg, objective, data, x0, epoch)
+    return _drive(cfg, x0, _step, objective, data, epoch)
 
 
 def newsamp_inverse(values: np.ndarray, vectors: np.ndarray, m: int) -> np.ndarray:
@@ -231,9 +196,9 @@ def run_newsamp(
             batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
         eig = sym_eig_small(BatchHessian.at(objective, data, batch, x, ANALYTIC).dense())
         inv = newsamp_inverse(eig.values, eig.vectors, cfg.m)
-        return x - cfg.eta * (inv @ grad), float(eig.values[cfg.m])
+        return x - cfg.eta * (inv @ grad), float(eig.values[cfg.m]), None, None
 
-    return _run(cfg, objective, data, x0, step)
+    return _drive(cfg, x0, _step, objective, data, step)
 
 
 def neumann_inverse_apply(
@@ -296,8 +261,8 @@ def run_lissa(
 
     def step(t: int, x: np.ndarray, grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
-        if data is None:
-            sampled_hvp = BatchHessian.at(objective, None, None, x, ANALYTIC).__matmul__
+        if data is None or objective.loss_kind == "quadratic":
+            sampled_hvp = BatchHessian.at(objective, data, None, x, ANALYTIC).__matmul__
         else:
             def draw() -> np.ndarray:
                 return np.array([rng.integers(data.n_samples)])
@@ -311,9 +276,9 @@ def run_lissa(
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):
             estimates += neumann_inverse_apply(sampled_hvp, grad, depth, scale)
-        return x - cfg.eta * (estimates / cfg.s1), None
+        return x - cfg.eta * (estimates / cfg.s1), None, None, None
 
-    return _run(cfg, objective, data, x0, step)
+    return _drive(cfg, x0, _step, objective, data, step)
 
 
 RUNNERS = {

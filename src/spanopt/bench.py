@@ -19,9 +19,9 @@ aborting the rest of the experiment.
 from __future__ import annotations
 
 import logging
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -35,7 +35,13 @@ from .span import TraceRecord
 
 log = logging.getLogger("spanopt.bench")
 
-CSV_HEADER = "iteration,wall_clock_s,loss,grad_norm,hessian_err,lambda_used"
+# The trace columns are TraceRecord's fields, in order.  A cell is read as
+# its field's type, int or float; an empty cell is None where that is the
+# field's default.
+CSV_HEADER = ",".join(f.name for f in fields(TraceRecord))
+_TRACE_CELLS = [
+    (int if get_type_hints(TraceRecord)[f.name] is int else float, f.default is None) for f in fields(TraceRecord)
+]
 
 PLOT_MODES = ("loss_vs_time", "loss_vs_iter", "hessian_err")
 
@@ -129,9 +135,11 @@ def _as_methods(text: str, key: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
         raise ConfigError("methods list is empty")
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in KNOWN_METHODS:
             raise ConfigError(f"unknown method {method!r} (known: {', '.join(KNOWN_METHODS)})")
+        if method in methods[:i]:
+            raise ConfigError(f"method {method!r} is listed twice")
     return methods
 
 
@@ -251,6 +259,10 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
             raise ConfigError("no dataset: set dataset.kind, dataset.spectrum, or dataset.path")
     if f"dataset.{kind}" not in CONFIG_SECTIONS:
         raise ConfigError(f"unknown dataset.kind {kind!r}")
+    own = {_config_key(section, key) for section in ("dataset", f"dataset.{kind}") for key in CONFIG_SECTIONS[section]}
+    foreign = sorted(key for key in values if key.startswith("dataset.") and key not in own)
+    if foreign:
+        raise ConfigError(f"{', '.join(map(repr, foreign))} not read by dataset.kind {kind!r}")
     kwargs = _decode_section(values, f"dataset.{kind}", seed)
     if kind == "quadratic":
         return None, kwargs["spectrum"]
@@ -356,17 +368,10 @@ def read_trace_csv(path: Union[str, Path]) -> list[TraceRecord]:
         if not line.strip():
             continue
         try:
-            iteration, clock, loss, grad_norm, hessian_err, lambda_used = line.split(",")
-            records.append(
-                TraceRecord(
-                    iteration=int(iteration),
-                    wall_clock_s=float(clock),
-                    loss=float(loss),
-                    grad_norm=float(grad_norm),
-                    hessian_err=float(hessian_err) if hessian_err else None,
-                    lambda_used=float(lambda_used) if lambda_used else None,
-                )
-            )
+            records.append(TraceRecord(*(
+                None if optional and not cell else convert(cell)
+                for (convert, optional), cell in zip(_TRACE_CELLS, line.split(","), strict=True)
+            )))
         except ValueError:
             raise IncompatibleTraces(f"{path}: line {line_no}: malformed row {line!r}") from None
     return records

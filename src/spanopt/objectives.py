@@ -16,6 +16,7 @@ CSR data, built by whoever imported it, brings it in.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -118,15 +119,15 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.reg_a < 0:
-            raise ValueError("reg_a must be non-negative")
+        if not 0 <= self.reg_a < math.inf:
+            raise ValueError("reg_a must be a finite non-negative number")
         if self.loss_kind == "quadratic":
             if self.quadratic_spectrum is None:
                 raise ValueError("quadratic objective needs a spectrum")
             spectrum = np.asarray(self.quadratic_spectrum, dtype=float)
             object.__setattr__(self, "quadratic_spectrum", spectrum)
-            if spectrum.ndim != 1 or spectrum.size == 0 or np.any(spectrum <= 0):
-                raise ValueError("quadratic spectrum must be positive reals")
+            if spectrum.ndim != 1 or spectrum.size == 0 or not 0 < spectrum.min() <= spectrum.max() < math.inf:
+                raise ValueError("quadratic spectrum must be positive finite reals")
         elif self.quadratic_spectrum is not None:
             raise ValueError("quadratic_spectrum only applies to the quadratic kind")
 
@@ -397,14 +398,12 @@ def gather_batches(cfg: ObjectiveConfig, data: Dataset, batches: Sequence[np.nda
 
     Dense rows are views into one gathered block.  CSR rows are
     coordinate triples cut from one gathered CSR block, so a batch of a few
-    rows takes no scipy call of its own.  Quadratics carry no samples: every
-    batch gets ``(None, None)``.
+    rows takes no scipy call of its own.  Sampled kinds only: quadratics carry
+    no samples.
     """
     sizes = [len(batch) for batch in batches]
     rows, labels = _batch_rows(cfg, data, np.concatenate(batches))
     bounds = np.cumsum([0] + sizes).tolist()
-    if rows is None:
-        return [(None, None)] * len(batches)
     if isinstance(rows, np.ndarray):
         return [(rows[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     # Each stored value's row, counted from the first row of its own batch.
@@ -425,8 +424,6 @@ def batch_gradient_difference(cfg: ObjectiveConfig, rows, labels, w: np.ndarray,
     difference is exactly zero.  The gradient is then one product of the
     difference of the two margin derivatives.
     """
-    if rows is None:
-        return _gradient(cfg, None, None, w, None) - _gradient(cfg, None, None, snapshot, None)
     derivative = _margin_derivative(cfg, _margins(rows, labels, np.array((w, snapshot)).T))
     change = labels * (derivative[:, 0] - derivative[:, 1])
     return rows.T @ change / rows.shape[0] + cfg.reg_a * (w - snapshot)

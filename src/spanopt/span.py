@@ -13,9 +13,14 @@ is the safeguard min( sigma_{m+1}(Z^T U), 0.5 * sigma_min(Z^T U) ): large
 enough that the complement term does not dominate the inverse, small
 enough that it does not inflate the approximation error.  The true batch
 spectrum is unobservable, so both quantities are read off the captured
-block; the value actually used is recorded in every trace row.  The
-full-data gradient at each iterate is computed once, together with the loss
-for the trace row, and carried into the next step.
+block; the value actually used is recorded in every trace row.
+
+Every method, the baselines of :mod:`spanopt.baselines` included, runs
+through this module's one step loop, which steps from a :class:`SpanState`
+until ``t_max`` steps or the gradient-norm tolerance, and its one per-step
+bracket around the method's update.  The bracket's clock covers
+the update and the fused full-data loss and gradient at the new iterate,
+whose gradient is carried into the next step; it builds the trace row.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +78,18 @@ class Subspace:
     sigma_proxy_m1: float
 
 
+def _check_run_length(t_max, grad_tol) -> None:
+    """Raise ``ValueError`` unless the step loop can run ``t_max`` steps to ``grad_tol``.
+
+    Every method's config calls it: ``t_max`` must be a non-negative
+    integer, and ``grad_tol`` non-negative (NaN would never stop a run).
+    """
+    if not isinstance(t_max, numbers.Integral) or t_max < 0:
+        raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
+    if not grad_tol >= 0:
+        raise ValueError("grad_tol must be non-negative")
+
+
 @dataclass(frozen=True)
 class SpanConfig:
     """Driver hyperparameters: iteration budget, sketch shape, batch size, step size."""
@@ -89,12 +106,9 @@ class SpanConfig:
     probe_hessian_error: bool = False
 
     def __post_init__(self):
-        if self.t_max < 0:
-            raise ValueError("t_max must be non-negative")
+        _check_run_length(self.t_max, self.grad_tol)
         if self.b < 1:
             raise ValueError("batch size must be positive")
-        if not self.grad_tol >= 0:
-            raise ValueError("grad_tol must be non-negative")
         if not isinstance(self.eta, numbers.Real) or not 0 < self.eta < math.inf:
             raise ValueError("eta must be a finite positive number")
         # Raises InvalidRankParams on a bad sketch shape; l <= d waits for the data.
@@ -122,14 +136,15 @@ class TraceRecord:
     lambda_used: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class SpanState:
-    """Immutable driver state between steps.
+class SpanState(NamedTuple):
+    """Immutable state between steps, for every method.
 
-    ``subspace`` is the last step's sketch, whose basis the next step
-    carries forward; ``grad`` is the full-data gradient at ``x``.  A state
-    without them (the start of a run) sketches fresh and computes its own
-    gradient.
+    ``subspace`` is span's last sketch, whose basis the next step carries
+    forward (``None`` for the baselines); ``grad`` is the full-data gradient
+    at ``x``.  A state without them (the start of a run) sketches fresh and
+    computes its own gradient.  A tuple, not a dataclass: the loop builds
+    one per step, and the cheapest first-order steps take tens of
+    microseconds.
     """
 
     x: np.ndarray
@@ -239,6 +254,46 @@ def hessian_error_probe(s: Subspace, hessian: BatchHessian, seed: int) -> float:
     return spectral_norm_sym(difference, hessian.x.size, tol=_PROBE_TOL, seed=seed, abs_tol=floor)
 
 
+# A method's update: ``(t, x, grad) -> (x_next, lambda_used, subspace, probe)``.
+# ``subspace`` is the basis to carry, ``None`` outside span; ``probe``, when
+# not ``None``, gives the trace row's Hessian error once the clock has stopped.
+_Update = Callable[[int, np.ndarray, np.ndarray], tuple]
+
+
+def _step(
+    state: SpanState, objective: ObjectiveConfig, data: Dataset | None, update: _Update
+) -> tuple[SpanState, TraceRecord]:
+    """One step of any method under the shared clock, and its trace row.
+
+    The clock covers the gradient at ``state.x`` (computed here only at the
+    start of a run, carried after that), the update, and the fused
+    full-data loss and gradient at the new iterate.  The gradient goes into
+    the returned state for the next step; the probe runs off the clock.
+    """
+    start = time.perf_counter()
+    grad = state.grad if state.grad is not None else batch_gradient(objective, data, None, state.x)
+    x, lambda_used, subspace, probe = update(state.t, state.x, grad)
+    loss, grad = loss_and_gradient(objective, data, x)
+    elapsed = state.elapsed_s + (time.perf_counter() - start)
+    t = state.t + 1
+    # np.linalg.norm's own arithmetic for a vector, without its argument handling.
+    record = TraceRecord(t, elapsed, loss, math.sqrt(grad.dot(grad)), None if probe is None else probe(), lambda_used)
+    return SpanState(x, t, elapsed, subspace, grad), record
+
+
+def _drive(cfg, x0: np.ndarray, step: Callable, *args) -> tuple[np.ndarray, list[TraceRecord]]:
+    """Run ``step(state, *args)`` from ``x0`` for ``cfg.t_max`` steps, or until a
+    row's gradient norm is at most a positive ``cfg.grad_tol``."""
+    state = SpanState(np.asarray(x0, dtype=float).copy())
+    trace: list[TraceRecord] = []
+    for _ in range(cfg.t_max):
+        state, record = step(state, *args)
+        trace.append(record)
+        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
+            break
+    return state.x, trace
+
+
 def span_step(
     state: SpanState,
     objective: ObjectiveConfig,
@@ -252,38 +307,25 @@ def span_step(
     :func:`build_subspace` and the Hessian-error probe share.  The first
     step of a run draws a fresh powered sketch; later steps carry the
     state's last basis forward, always with the step's own derived seed for
-    a fallback sketch.  The loss and gradient at ``x_{t+1}`` come
-    from one full-data pass inside the step's wall clock; the gradient is
-    carried in the returned state, and the trace row reports both.
+    a fallback sketch.  The clock, the carried gradient and the trace row
+    are the shared step bracket's.
     """
-    t = state.t
-    start = time.perf_counter()
 
-    batch = None
-    if data is not None:
-        rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_BATCH, t))
-        batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
-    hessian = BatchHessian.at(objective, data, batch, state.x, cfg.hvp_mode)
-    previous = None if state.subspace is None else state.subspace.u
-    subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t), previous)
-    grad = state.grad if state.grad is not None else batch_gradient(objective, data, None, state.x)
-    x_next = state.x - cfg.eta * apply_inverse(subspace, grad)
-    loss, grad_next = loss_and_gradient(objective, data, x_next)
+    def update(t: int, x: np.ndarray, grad: np.ndarray):
+        batch = None
+        if data is not None:
+            rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_BATCH, t))
+            batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
+        hessian = BatchHessian.at(objective, data, batch, x, cfg.hvp_mode)
+        previous = None if state.subspace is None else state.subspace.u
+        subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t), previous)
+        probe = None
+        if cfg.probe_hessian_error:
+            def probe():
+                return hessian_error_probe(subspace, hessian, derive_seed(cfg.seed, _STREAM_PROBE, t))
+        return x - cfg.eta * apply_inverse(subspace, grad), subspace.lam, subspace, probe
 
-    elapsed = state.elapsed_s + (time.perf_counter() - start)
-
-    hessian_err = None
-    if cfg.probe_hessian_error:
-        hessian_err = hessian_error_probe(subspace, hessian, derive_seed(cfg.seed, _STREAM_PROBE, t))
-    record = TraceRecord(
-        iteration=t + 1,
-        wall_clock_s=elapsed,
-        loss=loss,
-        grad_norm=float(np.linalg.norm(grad_next)),
-        hessian_err=hessian_err,
-        lambda_used=subspace.lam,
-    )
-    return SpanState(x=x_next, t=t + 1, elapsed_s=elapsed, subspace=subspace, grad=grad_next), record
+    return _step(state, objective, data, update)
 
 
 def run_span(
@@ -293,11 +335,4 @@ def run_span(
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Run the full driver: ``t_max`` steps or until the gradient norm drops below tolerance."""
-    state = SpanState(x=np.asarray(x0, dtype=float).copy())
-    trace: list[TraceRecord] = []
-    for _ in range(cfg.t_max):
-        state, record = span_step(state, objective, data, cfg)
-        trace.append(record)
-        if cfg.grad_tol > 0.0 and record.grad_norm <= cfg.grad_tol:
-            break
-    return state.x, trace
+    return _drive(cfg, x0, span_step, objective, data, cfg)

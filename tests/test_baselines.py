@@ -1,4 +1,6 @@
-"""Reference-optimizer contracts: gd, svrg, newsamp, lissa."""
+"""Reference-optimizer contracts: gd, svrg, newsamp, lissa, and the step loop they share with span."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from spanopt import (
     BaselineConfig,
     Dataset,
     ObjectiveConfig,
+    SpanConfig,
     batch_gradient,
     batch_loss,
     run_gd,
     run_lissa,
     run_newsamp,
+    run_span,
     run_svrg,
 )
 from spanopt import objectives
@@ -49,6 +53,12 @@ class TestBaselineConfig:
         with pytest.raises(ValueError, match="grad_tol"):
             BaselineConfig(method="gd", eta=0.5, t_max=3, grad_tol=grad_tol)
 
+    # A fractional t_max was accepted, and the run ended in a TypeError from range().
+    @pytest.mark.parametrize("t_max", [2.5, -1, "3", float("nan")], ids=["fractional", "negative", "text", "nan"])
+    def test_t_max_must_be_a_non_negative_integer(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            BaselineConfig(method="gd", eta=0.5, t_max=t_max)
+
 
 class TestGradientDescent:
     def test_unit_curvature_one_step(self):
@@ -77,6 +87,14 @@ class TestGradientDescent:
 
 
 class TestSvrg:
+    @pytest.mark.parametrize("with_data", [False, True], ids=["no-data", "quadratic-with-data"])
+    def test_needs_sampled_data(self, with_data):
+        # A quadratic carries no samples, whatever dataset comes with it.
+        _, data = toy_logistic(n=6, d=2)
+        bl = BaselineConfig(method="svrg", eta=0.1, t_max=2, b=2)
+        with pytest.raises(ValueError, match="svrg needs sampled data"):
+            run_svrg(bl, quadratic([1.0, 2.0]), data if with_data else None, np.ones(2))
+
     def test_snapshot_identity_is_exact(self):
         cfg, data = toy_logistic()
         snapshot = np.array([0.3, -0.7])
@@ -155,6 +173,18 @@ class TestNewsamp:
 
 
 class TestLissa:
+    def test_quadratic_ignores_a_dataset(self):
+        # A quadratic's Hessian products take the full operator, with or without a dataset.
+        _, data = toy_logistic(n=6, d=3)
+        objective = quadratic([2.0, 1.0, 0.5])
+        bl = BaselineConfig(method="lissa", eta=1.0, t_max=3, s1=2, inner_steps=10, seed=6)
+        x_alone, alone = run_lissa(bl, objective, None, np.ones(3))
+        x_data, with_data = run_lissa(bl, objective, data, np.ones(3))
+        np.testing.assert_array_equal(x_alone, x_data)
+        assert [dataclasses.replace(r, wall_clock_s=0.0) for r in alone] == [
+            dataclasses.replace(r, wall_clock_s=0.0) for r in with_data
+        ]
+
     def test_geometric_closed_form_on_half_identity(self):
         # H = 0.5 I: after j steps the estimate is (2 - 2 * 0.5^(j+1)) g.
         g = np.array([1.0, -2.0, 0.5])
@@ -226,19 +256,32 @@ class TestLissa:
         assert [r.loss for r in t1] == [r.loss for r in t2]
 
 
+# Every method's runner, and its settings for the shared-contract runs on a
+# toy logistic problem of dimension 4 (span's sketch width l = 4 needs d >= 4).
+RUNNERS = {"span": run_span, "gd": run_gd, "svrg": run_svrg, "newsamp": run_newsamp, "lissa": run_lissa}
+SETTINGS = {
+    "span": dict(eta=1.0, m=0, l=4, q=1, b=12),
+    "gd": dict(eta=0.5),
+    "svrg": dict(eta=0.3, b=3, inner_steps=4),
+    "newsamp": dict(eta=1.0, m=1, b=12),
+    "lissa": dict(eta=1.0, s1=2, inner_steps=20),
+}
+
+
+def method_config(method, **kwargs):
+    if method == "span":
+        return SpanConfig(**SETTINGS[method], **kwargs)
+    return BaselineConfig(method=method, **SETTINGS[method], **kwargs)
+
+
 class TestSharedTraceContract:
     def test_wall_clock_non_decreasing_everywhere(self):
-        cfg, data = toy_logistic(n=10, d=3, seed=10)
-        runs = [
-            run_gd(BaselineConfig(method="gd", eta=0.5, t_max=4), cfg, data, np.zeros(3)),
-            run_svrg(BaselineConfig(method="svrg", eta=0.5, t_max=4, b=2, seed=0), cfg, data, np.zeros(3)),
-            run_newsamp(BaselineConfig(method="newsamp", eta=1.0, t_max=4, m=1, b=10, seed=0), cfg, data, np.zeros(3)),
-            run_lissa(BaselineConfig(method="lissa", eta=1.0, t_max=4, s1=2, inner_steps=20, seed=0), cfg, data, np.zeros(3)),
-        ]
-        for _, trace in runs:
+        cfg, data = toy_logistic(n=10, d=4, seed=10)
+        for method, runner in RUNNERS.items():
+            _, trace = runner(method_config(method, t_max=4, seed=0), cfg, data, np.zeros(4))
             stamps = [r.wall_clock_s for r in trace]
-            assert all(b >= a for a, b in zip(stamps, stamps[1:]))
-            assert [r.iteration for r in trace] == [1, 2, 3, 4]
+            assert all(b >= a for a, b in zip(stamps, stamps[1:])), method
+            assert [r.iteration for r in trace] == [1, 2, 3, 4], method
 
     def test_one_full_gradient_per_iteration(self, monkeypatch):
         # The gradient at each new iterate comes with its loss and is carried
@@ -253,25 +296,35 @@ class TestSharedTraceContract:
             return real(objective, rows, *rest)
 
         monkeypatch.setattr(objectives, "_gradient", counting)
-        for runner, bl in (
-            (run_gd, BaselineConfig(method="gd", eta=0.5, t_max=5)),
-            (run_svrg, BaselineConfig(method="svrg", eta=0.3, t_max=5, b=3, inner_steps=4, seed=2)),
-        ):
+        for method, runner in RUNNERS.items():
             full.clear()
-            _, trace = runner(bl, cfg, data, np.zeros(4))
-            assert len(trace) == 5
-            assert sum(full) == 6
+            _, trace = runner(method_config(method, t_max=5, seed=2), cfg, data, np.zeros(4))
+            assert len(trace) == 5, method
+            assert sum(full) == 6, method
 
-    @pytest.mark.parametrize("method", ["gd", "svrg", "newsamp", "lissa"])
+    @pytest.mark.parametrize("method", ["gd", "svrg", "newsamp", "lissa", "span"])
     def test_rows_equal_fresh_loss_and_gradient(self, method):
         # Each row's loss and gradient norm are those of batch_loss and
         # batch_gradient at the iterate the row reports, bit for bit.
-        cfg, data = toy_logistic(n=24, d=3, seed=12)
-        settings = {"gd": dict(eta=0.5), "svrg": dict(eta=0.3, b=3, inner_steps=4),
-                    "newsamp": dict(eta=1.0, m=1, b=12), "lissa": dict(eta=1.0, s1=2, inner_steps=20)}
-        runner = {"gd": run_gd, "svrg": run_svrg, "newsamp": run_newsamp, "lissa": run_lissa}[method]
+        cfg, data = toy_logistic(n=24, d=4, seed=12)
         for t_max in (1, 2, 3):
-            bl = BaselineConfig(method=method, t_max=t_max, seed=4, **settings[method])
-            x, trace = runner(bl, cfg, data, np.zeros(3))
+            x, trace = RUNNERS[method](method_config(method, t_max=t_max, seed=4), cfg, data, np.zeros(4))
             assert trace[-1].loss == batch_loss(cfg, data, None, x)
             assert trace[-1].grad_norm == float(np.linalg.norm(batch_gradient(cfg, data, None, x)))
+
+    @pytest.mark.parametrize("method", ["span", "gd", "svrg", "newsamp", "lissa"])
+    def test_grad_tol_stops_early(self, method):
+        # A run with grad_tol stops at the first row whose gradient norm is at
+        # most the tolerance, and its rows up to there are those of the run
+        # without one, apart from the wall clock.
+        cfg, data = toy_logistic(n=24, d=4, seed=12)
+        runner = RUNNERS[method]
+        _, full = runner(method_config(method, t_max=8, seed=5), cfg, data, np.zeros(4))
+        tol = full[2].grad_norm
+        stop = next(i for i, r in enumerate(full) if r.grad_norm <= tol)
+        x, trace = runner(method_config(method, t_max=8, seed=5, grad_tol=tol), cfg, data, np.zeros(4))
+        assert len(trace) == stop + 1
+        assert [dataclasses.replace(r, wall_clock_s=0.0) for r in trace] == [
+            dataclasses.replace(r, wall_clock_s=0.0) for r in full[: stop + 1]
+        ]
+        assert trace[-1].loss == batch_loss(cfg, data, None, x)

@@ -1,6 +1,7 @@
 """Experiment runner, trace schema, plot emission, and the CLI surface."""
 
 import contextlib
+import gzip
 import io
 import os
 import subprocess
@@ -200,6 +201,13 @@ class TestConfigParsing:
     def test_unknown_method(self, tmp_path):
         path = write_cfg(tmp_path, "methods = warp\ndataset.spectrum = 1,2\nobjective.loss = quadratic\n")
         with pytest.raises(ConfigError):
+            load_experiment_config(path)
+
+    def test_repeated_method(self, tmp_path):
+        # `gd, gd` ran gd twice: the second trace overwrote the first and summary.csv had two gd rows.
+        text = QUAD_CFG.format(out=tmp_path / "out").replace("methods = span, gd", "methods = gd, span, gd")
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match="'gd' is listed twice"):
             load_experiment_config(path)
 
     def test_missing_file(self):
@@ -658,6 +666,57 @@ class TestCli:
         if code == 1:
             assert "config error:" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "base, lines, foreign",
+        [
+            ("synth", "dataset.spectrum = 1,2,3\ndataset.path = /nonexistent", "'dataset.path', 'dataset.spectrum'"),
+            ("synth", "dataset.positive_label = 1", "'dataset.positive_label'"),
+            ("quadratic", "dataset.n = 12", "'dataset.n'"),
+            ("quadratic", "dataset.seed = 3", "'dataset.seed'"),
+            ("libsvm", "dataset.decay = 2.0", "'dataset.decay'"),
+        ],
+        ids=["synth-spectrum-path", "synth-label", "quadratic-n", "quadratic-seed", "libsvm-decay"],
+    )
+    def test_other_dataset_kinds_keys_exit_one(self, tmp_path, capsys, base, lines, foreign):
+        # Keys of another dataset kind were ignored, and the run exited 0.
+        data = tmp_path / "data.libsvm"
+        data.write_text(_LIBSVM_TEXT)
+        text = _BASES[base].replace("{data}", str(data)) + _METHOD_LINES + lines + "\n"
+        assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {foreign} not read by dataset.kind" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_csr_traces_are_deterministic(self, tmp_path):
+        # The gzipped libsvm experiment of CI, every method on CSR features, run
+        # twice: the traces agree byte for byte outside the wall-clock column.
+        data = tmp_path / "data.libsvm.gz"
+        data.write_bytes(gzip.compress(
+            b"# class 3 is dropped\n1 1:0.5 3:1 5:0.25\n2 2:1.5 4:0.5\n3 1:1 2:1\n1 2:0.25 3:0.5\n"
+            b"2 1:1 5:2\n1 4:1\n2 3:0.75 4:0.25\n"
+        ))
+        config = write_cfg(tmp_path, (
+            "methods = span, gd, svrg, newsamp, lissa\nobjective.loss = logistic\nobjective.reg_a = 0.01\n"
+            f"dataset.kind = libsvm\ndataset.path = {data}\ndataset.positive_label = 1\ndataset.negative_label = 2\n"
+            "span.T = 3\nspan.m = 1\nspan.l = 5\nspan.b = 4\ngd.T = 3\ngd.eta = 1.0\n"
+            "svrg.T = 2\nsvrg.eta = 0.5\nsvrg.b = 2\nnewsamp.T = 3\nnewsamp.m = 2\nnewsamp.eta = 1.0\nnewsamp.b = 4\n"
+            "lissa.T = 3\nlissa.eta = 1.0\nlissa.inner_steps = 5\nprobe.hessian_error = true\n"
+        ))
+        assert not isinstance(load_experiment_config(config).data.matrix, np.ndarray)
+        for out in ("a", "b"):
+            assert cli.main(["run", str(config), "--output-dir", str(tmp_path / out)]) == 0
+
+        def without_clock(path, column):
+            lines = [line.split(",") for line in path.read_text().splitlines()]
+            drop = lines[0].index(column)
+            return [cells[:drop] + cells[drop + 1:] for cells in lines]
+
+        for method in KNOWN_METHODS:
+            a, b = tmp_path / "a" / f"{method}.csv", tmp_path / "b" / f"{method}.csv"
+            assert without_clock(a, "wall_clock_s") == without_clock(b, "wall_clock_s"), method
+        summaries = [without_clock(tmp_path / out / "summary.csv", "total_seconds") for out in ("a", "b")]
+        assert summaries[0] == summaries[1]
 
     def test_method_failure_exit_two(self, tmp_path):
         spectrum = ",".join(["1.0"] * 600)

@@ -40,6 +40,25 @@ def central_difference_gradient(f, x, h=1e-6):
 QUAD123 = ObjectiveConfig("quadratic", quadratic_spectrum=np.array([1.0, 2.0, 3.0]))
 
 
+class TestObjectiveConfig:
+    # A NaN reg_a passed `reg_a < 0`, and a run on an infinite spectrum wrote NaN rows without an error.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(loss_kind="logistic", reg_a=-1.0),
+            dict(loss_kind="logistic", reg_a=float("nan")),
+            dict(loss_kind="logistic", reg_a=float("inf")),
+            dict(loss_kind="quadratic", quadratic_spectrum=[1.0, 0.0]),
+            dict(loss_kind="quadratic", quadratic_spectrum=[1.0, float("inf")]),
+            dict(loss_kind="quadratic", quadratic_spectrum=[float("nan"), 1.0]),
+        ],
+        ids=["negative-reg", "nan-reg", "inf-reg", "zero-eigenvalue", "inf-eigenvalue", "nan-eigenvalue"],
+    )
+    def test_values_it_cannot_run_are_refused(self, kwargs):
+        with pytest.raises(ValueError):
+            ObjectiveConfig(**kwargs)
+
+
 class TestDatasetInvariants:
     def test_label_values_enforced(self):
         with pytest.raises(ValueError):
