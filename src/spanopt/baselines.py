@@ -31,7 +31,7 @@ from .objectives import (
     gather_batches,
     sample_batch,
 )
-from .span import TraceRecord, _check_run_length, _drive, _step
+from .span import TraceRecord, _check_count, _check_run_length, _drive, _step
 
 METHODS = ("gd", "svrg", "newsamp", "lissa")
 
@@ -69,12 +69,14 @@ class BaselineConfig:
         if not 0 <= self.eta < math.inf:
             raise ValueError("eta must be a finite non-negative number")
         _check_run_length(self.t_max, self.grad_tol)
-        if self.b < 1 or self.s1 < 1:
-            raise ValueError("b and s1 must be positive")
-        if self.method == "newsamp" and (self.m is None or self.m < 1):
+        _check_count("b", self.b)
+        _check_count("s1", self.s1)
+        if self.m is not None:
+            _check_count("m", self.m)
+        elif self.method == "newsamp":
             raise ValueError("newsamp needs a positive truncation rank m")
-        if self.inner_steps is not None and self.inner_steps < 1:
-            raise ValueError("inner_steps must be positive when given")
+        if self.inner_steps is not None:
+            _check_count("inner_steps", self.inner_steps)
 
 
 def run_gd(

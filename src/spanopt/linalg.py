@@ -1,10 +1,13 @@
 """Dense linear-algebra kernels shared by every other module.
 
-The factorizations sit behind the library's contracts.  Thin QR is shifted
-CholeskyQR3 built from numpy GEMMs and ``l x l`` LAPACK calls: a tall-skinny
-``d x l`` block costs three Gram products and three triangular applies,
-with R's diagonal positive by construction and a rank tripwire on it
-(stable orthonormality is load-bearing for the subspace error bounds).  The
+The factorizations sit behind the library's contracts.  Thin QR is built
+from numpy GEMMs and ``l x l`` LAPACK calls.  A tall-skinny ``d x l`` block
+takes plain CholeskyQR2, two Gram products and two triangular applies, when
+its first Cholesky factor bounds its condition number within the limit that
+CholeskyQR2 is proven stable for, about ``0.18 (eps (dl + l(l+1)))^(-1/2)``;
+any other block takes shifted CholeskyQR3, three of each.  R's diagonal is
+positive by construction, with a rank tripwire on it (stable orthonormality
+is load-bearing for the subspace error bounds).  The
 symmetric eigensolver is LAPACK's ``eigh`` with values in descending order.
 Two kernels stay local: Box-Muller Gaussian sampling over a PCG64 stream
 (reproducible from the 64-bit seed alone, independent of numpy's own normal
@@ -26,6 +29,9 @@ from .errors import NoConvergence, NonFiniteResult, RankDeficient
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _RANK_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+# Gram traces for which qr_orthonormal tries CholeskyQR2 on the unscaled block.
+_GRAM_TRACE_MIN = 2.0**-600
+_GRAM_TRACE_MAX = 2.0**600
 _POWER_MAX_ITERS = 20_000
 # Largest norm estimate spectral_norm_sym reports, the mirror of its 1e-300
 # zero floor: callers pad the estimate (lissa multiplies it by 1.25) and
@@ -65,24 +71,43 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def qr_orthonormal(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of a tall ``y``, by shifted CholeskyQR3.
+    """Orthonormal basis for the column span of a tall ``y``, by CholeskyQR2 or shifted CholeskyQR3.
 
     Returns the thin Q factor (same shape as ``y``) of ``y = QR`` with R's
-    diagonal positive.  ``y`` is first scaled by the power of two nearest its
-    largest entry, so the Gram matrix neither overflows nor underflows.  Pass
-    one factors ``G = y^T y`` shifted by ``11 (dl + l(l+1)) eps trace(G)``,
-    which keeps Cholesky defined for ``cond(y)`` up to about 1e14; passes two
-    and three are plain CholeskyQR on the result and restore orthonormality
-    to roundoff (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J.
-    Sci. Comput. 2020).  numpy has no triangular solve, so each pass inverts
-    its ``l x l`` factor and applies it as one GEMM.  That is exact enough
-    for blocks whose pivots fall with their singular values, as sketches of a
-    decaying spectrum do; a block whose R is ill-conditioned with pivots near
-    one (Kahan-like) keeps a residual ``||y - QR||`` near ``cond(R) eps``.
+    diagonal positive.  numpy has no triangular solve, so each pass factors
+    a Gram matrix, inverts its ``l x l`` Cholesky factor and applies it as
+    one GEMM.
 
-    Raises :class:`RankDeficient` when a Cholesky factorization fails or the
-    smallest pivot of R falls below 1e-12 of the largest, the cheap tripwire
-    for numerically dependent columns.
+    The first try is plain CholeskyQR2 on ``y`` as given: two Gram products
+    and two GEMMs.  It is stable, with orthonormality and residual at
+    roundoff, while ``cond(y) <= sqrt(2)/8 * (eps (dl + l(l+1)))^(-1/2)``
+    (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015: ``8 cond(y)
+    sqrt(u (dl + l(l+1))) <= 1`` with unit roundoff ``u = eps/2``), about
+    4e4 at ``5000 x 16``.  Its result is kept only when the first Cholesky
+    factorization succeeds and ``||R1||_F ||R1^-1||_F``, an upper bound on
+    ``cond(y)`` read off the first factor, is within that limit, and only
+    for a Gram trace in [2^-600, 2^600]: the trace bounds every Gram entry,
+    so nothing overflows, and any product that underflows is far below the
+    Gram's own rounding error for a block that passes the limit.  Sketches
+    carried from the previous step pass; in them ``cond(y)`` is that of the
+    Hessian on the carried subspace.
+
+    Any other block goes through shifted CholeskyQR3.  ``y`` is first scaled
+    by the power of two nearest its largest entry, so the Gram matrix
+    neither overflows nor underflows.  Pass one factors ``G = y^T y``
+    shifted by ``11 (dl + l(l+1)) eps trace(G)``, which keeps Cholesky
+    defined for ``cond(y)`` up to about 1e14; passes two and three are plain
+    CholeskyQR on the result and restore orthonormality to roundoff (Fukaya,
+    Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J. Sci. Comput. 2020).
+    Applying explicit inverses is exact enough for blocks whose pivots fall
+    with their singular values, as sketches of a decaying spectrum do; a
+    block whose R is ill-conditioned with pivots near one (Kahan-like) keeps
+    a residual ``||y - QR||`` near ``cond(R) eps``.
+
+    Raises :class:`NonFiniteResult` for NaN or Inf input, and
+    :class:`RankDeficient` when a Cholesky factorization of the shifted path
+    fails or, on either path, the smallest pivot of R falls below 1e-12 of
+    the largest: the cheap tripwire for numerically dependent columns.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -90,6 +115,11 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     d, l = y.shape
     if d < l:
         raise ValueError(f"need at least as many rows as columns, got {d}x{l}")
+
+    q = _cholesky_qr2(y)
+    if q is not None:
+        return q
+
     peak = float(np.abs(y).max())  # NaN and Inf propagate through the max
     if not math.isfinite(peak):
         raise NonFiniteResult("input contains NaN/Inf")
@@ -108,6 +138,40 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
             raise RankDeficient("columns numerically dependent (Gram matrix not positive definite)") from None
         q = q @ np.linalg.inv(r)
         pivots = pivots * np.diagonal(r)  # diag(R3 R2 R1) is the product of the diagonals
+    return _checked_pivots(q, pivots)
+
+
+def _cholesky_qr2(y: np.ndarray) -> np.ndarray | None:
+    """``Q`` of ``y`` by plain CholeskyQR2 when that is provably stable, else ``None``.
+
+    The conditions are :func:`qr_orthonormal`'s: a Gram trace inside
+    [2^-600, 2^600], and ``||R1||_F ||R1^-1||_F`` at most
+    ``sqrt(2)/8 (eps (dl + l(l+1)))^(-1/2)``.
+    """
+    d, l = y.shape
+    with np.errstate(all="ignore"):  # NaN, Inf or an overflowing Gram only fail the checks
+        gram = y.T @ y
+        trace = float(gram.trace())
+        if not _GRAM_TRACE_MIN <= trace <= _GRAM_TRACE_MAX:
+            return None
+        try:
+            r1 = np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError:
+            return None
+        r1_inv = np.linalg.inv(r1)
+        # ||R1||_F^2 = trace(R1^T R1) = trace(G) up to roundoff.
+        cond_bound = math.sqrt(trace) * float(np.linalg.norm(r1_inv))
+    if not cond_bound <= math.sqrt(2.0) / 8.0 / math.sqrt(_EPS * (d * l + l * (l + 1))):
+        return None
+    q = y @ r1_inv
+    # Within the limit Q1 is orthonormal to well under one (Yamamoto et al.), so
+    # Q1^T Q1 is positive definite and this Cholesky cannot fail.
+    r2 = np.linalg.cholesky(q.T @ q).T
+    return _checked_pivots(q @ np.linalg.inv(r2), np.diagonal(r1) * np.diagonal(r2))
+
+
+def _checked_pivots(q: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """``q``, unless R's diagonal ``pivots`` trip the rank tripwire."""
     if pivots.min() <= _RANK_TOL * pivots.max():
         raise RankDeficient(
             f"columns numerically dependent (pivot ratio {pivots.min():.3e}/{pivots.max():.3e})"

@@ -6,9 +6,9 @@ its columns align with the top eigendirections, then orthonormalized.  For
 span-preserving in exact arithmetic and numerically essential once the
 columns start collapsing toward the dominant eigenvector.
 
-`span_step` sketches fresh only at a run's first step; every later step
-carries the last basis forward through one more Hessian application (see
-:func:`spanopt.span.build_subspace`).
+:func:`spanopt.span.span_step` sketches fresh only at a run's first step,
+or when the carried block loses rank; every other step carries the last
+basis forward through one more Hessian application.
 """
 
 from __future__ import annotations

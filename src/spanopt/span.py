@@ -90,6 +90,16 @@ def _check_run_length(t_max, grad_tol) -> None:
         raise ValueError("grad_tol must be non-negative")
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless the config field ``name`` is a positive integer.
+
+    Sizes and counts feed ``range`` and index draws, where a fractional
+    value would end the run in a ``TypeError``.
+    """
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpanConfig:
     """Driver hyperparameters: iteration budget, sketch shape, batch size, step size."""
@@ -107,8 +117,7 @@ class SpanConfig:
 
     def __post_init__(self):
         _check_run_length(self.t_max, self.grad_tol)
-        if self.b < 1:
-            raise ValueError("batch size must be positive")
+        _check_count("b", self.b)
         if not isinstance(self.eta, numbers.Real) or not 0 < self.eta < math.inf:
             raise ValueError("eta must be a finite positive number")
         # Raises InvalidRankParams on a bad sketch shape; l <= d waits for the data.
@@ -192,24 +201,13 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
     )
 
 
-def build_subspace(
-    hessian: BatchHessian, rc: RangeConfig, seed: int, previous: Optional[np.ndarray] = None
-) -> Subspace:
-    """Sketch the batch Hessian into a basis and pick the safeguard perturbation.
+def build_subspace(hessian: BatchHessian, rc: RangeConfig, seed: int) -> Subspace:
+    """Sketch the batch Hessian afresh into a basis and pick the safeguard perturbation.
 
-    With a ``previous`` basis, one product gives ``U = qr(H_B previous)``
-    in place of the ``2q + 1`` products and the Gaussian draw of a fresh
-    sketch.  Without one, or when that block is rank-deficient, ``U`` is a
-    fresh powered sketch from ``seed``.  One more product gives ``Z = H_B U``.
+    ``U`` is the powered Gaussian sketch from ``seed`` (``2q + 1``
+    products); one more product gives ``Z = H_B U``.
     """
-    u = None
-    if previous is not None:
-        try:
-            u = qr_orthonormal(hessian @ previous)
-        except RankDeficient:
-            pass
-    if u is None:
-        u = power_range(hessian, rc, seed)
+    u = power_range(hessian, rc, seed)
     return assemble_subspace(u, hessian @ u, rc.m)
 
 
@@ -222,8 +220,10 @@ def apply_inverse(s: Subspace, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     ug = s.u.T @ g
     v, w = s.block_eig.vectors, s.block_eig.values
-    captured = s.u @ (v @ ((v.T @ ug) / w))
-    return captured + (g - s.u @ ug) / s.lam
+    # One product with U gives both U c and U U^T g.  Not U (c - ug/lambda) + g/lambda:
+    # for lambda << w_max that sum cancels away the captured part.
+    captured, projected = (s.u @ np.column_stack((v @ ((v.T @ ug) / w), ug))).T
+    return captured + (g - projected) / s.lam
 
 
 def hessian_error_probe(s: Subspace, hessian: BatchHessian, seed: int) -> float:
@@ -304,11 +304,13 @@ def span_step(
 
     The update direction uses the full-dataset gradient; only the Hessian
     sketch is batched.  The step builds one batch Hessian operator, which
-    :func:`build_subspace` and the Hessian-error probe share.  The first
-    step of a run draws a fresh powered sketch; later steps carry the
-    state's last basis forward, always with the step's own derived seed for
-    a fallback sketch.  The clock, the carried gradient and the trace row
-    are the shared step bracket's.
+    the sketch, ``Z`` and the Hessian-error probe share.  The first step of
+    a run draws a fresh powered sketch (:func:`build_subspace`); later steps
+    carry the state's last basis forward, ``U = qr(H_B U_prev)``, one
+    product in place of ``2q + 1``.  When that block is rank-deficient the
+    step sketches afresh.  A fresh sketch's seed is derived from the run
+    seed and the step index, and only when one is drawn.  The clock, the
+    carried gradient and the trace row are the shared step bracket's.
     """
 
     def update(t: int, x: np.ndarray, grad: np.ndarray):
@@ -317,8 +319,16 @@ def span_step(
             rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_BATCH, t))
             batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
         hessian = BatchHessian.at(objective, data, batch, x, cfg.hvp_mode)
-        previous = None if state.subspace is None else state.subspace.u
-        subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t), previous)
+        u = None
+        if state.subspace is not None:
+            try:
+                u = qr_orthonormal(hessian @ state.subspace.u)
+            except RankDeficient:
+                pass  # the carried block lost rank: sketch afresh
+        if u is None:
+            subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t))
+        else:
+            subspace = assemble_subspace(u, hessian @ u, cfg.m)
         probe = None
         if cfg.probe_hessian_error:
             def probe():

@@ -59,6 +59,13 @@ class TestBaselineConfig:
         with pytest.raises(ValueError, match="t_max"):
             BaselineConfig(method="gd", eta=0.5, t_max=t_max)
 
+    # A fractional size or count was accepted, and the run ended in a TypeError
+    # from rng.choice or range().
+    @pytest.mark.parametrize("field", ["b", "s1", "m", "inner_steps"])
+    def test_sizes_and_counts_must_be_positive_integers(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+            BaselineConfig(method="newsamp", eta=0.5, t_max=2, **{"m": 2, field: 2.5})
+
 
 class TestGradientDescent:
     def test_unit_curvature_one_step(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spanopt import linalg
+from spanopt import ANALYTIC, ObjectiveConfig, SpanConfig, SpanState, linalg, span_step
 from spanopt.errors import NoConvergence, NonFiniteResult, RankDeficient, SingularSystem
 from spanopt.span import assemble_subspace
 
@@ -133,6 +133,103 @@ class TestQrOrthonormal:
             y[1, 1] = bad
             with pytest.raises(NonFiniteResult):
                 linalg.qr_orthonormal(y)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Shapes of the Gram matrices ``np.linalg.cholesky`` factors while the test runs."""
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+class TestQrPaths:
+    """CholeskyQR2 on blocks it is proven stable for, shifted CholeskyQR3 on the rest."""
+
+    # The shifted path makes three factorizations, after the failed or refused trial.
+    FALLBACK_CALLS = 1 + 3
+
+    @staticmethod
+    def unit_triangular_block(d=5000, l=16, seed=0):
+        """``Q R`` with R unit upper triangular, -1 above the diagonal: every pivot one, cond(R) ~2e5."""
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, l)))[0]
+        return q @ (np.eye(l) - np.triu(np.ones((l, l)), 1))
+
+    @staticmethod
+    def assert_orthonormal_with_residual(y, u, residual_tol):
+        r = u.T @ y
+        assert np.abs(u.T @ u - np.eye(y.shape[1])).max() <= 1e-14
+        assert np.linalg.norm(y - u @ r) <= residual_tol * np.linalg.norm(y)
+        assert np.all(np.diagonal(r) >= 0.0)
+
+    def test_well_conditioned_block_takes_two_passes(self, cholesky_calls):
+        y = TestQrOrthonormal.graded_block(1e3)
+        u = linalg.qr_orthonormal(y)
+        assert len(cholesky_calls) == 2
+        self.assert_orthonormal_with_residual(y, u, 1e-14)
+
+    def test_ill_conditioned_block_falls_back(self, cholesky_calls):
+        y = TestQrOrthonormal.graded_block(1e8)
+        u = linalg.qr_orthonormal(y)
+        assert len(cholesky_calls) == self.FALLBACK_CALLS
+        self.assert_orthonormal_with_residual(y, u, 1e-14)
+
+    def test_block_past_the_limit_with_unit_pivots_falls_back(self, cholesky_calls):
+        y = self.unit_triangular_block()
+        cond = np.linalg.cond(y)
+        d, l = y.shape
+        assert cond > np.sqrt(2.0) / 8.0 / np.sqrt(np.finfo(float).eps * (d * l + l * (l + 1)))
+        u = linalg.qr_orthonormal(y)
+        assert len(cholesky_calls) == self.FALLBACK_CALLS
+        # The documented limit of applying explicit inverses: residual near cond(R) eps.
+        self.assert_orthonormal_with_residual(y, u, cond * np.finfo(float).eps)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_fall_back_without_warnings(self, scale, cholesky_calls):
+        # The trial Gram overflows to Inf or underflows to zero: no trial
+        # factorization, and the shifted path's prescaling takes over.
+        y = TestQrOrthonormal.graded_block(1e4, d=300)
+        u = linalg.qr_orthonormal(scale * y)
+        assert len(cholesky_calls) == 3
+        np.testing.assert_allclose(u, linalg.qr_orthonormal(y), rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_without_warnings(self, bad):
+        y = np.random.default_rng(5).standard_normal((200, 8))
+        y[3, 4] = bad
+        with pytest.raises(NonFiniteResult):
+            linalg.qr_orthonormal(y)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", ["duplicate", "zero", "all zero"])
+    def test_dependent_columns_raise_without_warnings(self, column):
+        y = np.random.default_rng(5).standard_normal((200, 8))
+        if column == "all zero":
+            y[:] = 0.0
+        else:
+            y[:, 5] = y[:, 2] if column == "duplicate" else 0.0
+        with pytest.raises(RankDeficient):
+            linalg.qr_orthonormal(y)
+
+    def test_warm_span_step_takes_two_passes(self, cholesky_calls):
+        # The wide-quadratic benchmark's shape: d=5000, ten outliers over a flat tail, l=16.
+        rng = np.random.default_rng(0)
+        spectrum = np.concatenate([np.geomspace(1000.0, 50.0, 10), np.sort(1.0 + rng.random(4990))[::-1]])
+        objective = ObjectiveConfig("quadratic", quadratic_spectrum=spectrum)
+        cfg = SpanConfig(t_max=3, m=10, l=16, q=1, b=1, eta=0.6, seed=7, hvp_mode=ANALYTIC)
+        state, _ = span_step(SpanState(x=np.ones(5000)), objective, None, cfg)
+        for _ in range(2):
+            cholesky_calls.clear()
+            state, _ = span_step(state, objective, None, cfg)
+            assert cholesky_calls == [(16, 16)] * 2
 
 
 class TestSymEigSmall:

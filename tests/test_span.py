@@ -442,6 +442,12 @@ class TestRunSpan:
         with pytest.raises(ValueError, match="t_max"):
             SpanConfig(t_max=t_max, m=0, l=4, q=1, b=1, eta=1.0, seed=0, hvp_mode=ANALYTIC)
 
+    # A fractional b was accepted, and the run ended in a TypeError from rng.choice.
+    @pytest.mark.parametrize("b", [2.5, 0, "3"], ids=["fractional", "zero", "text"])
+    def test_b_must_be_a_positive_integer(self, b):
+        with pytest.raises(ValueError, match="^b must be a positive integer"):
+            SpanConfig(t_max=2, m=0, l=4, q=1, b=b, eta=1.0, seed=0, hvp_mode=ANALYTIC)
+
 
 class TestContractionBound:
     def test_per_step_ratio_within_contraction_bound(self):
