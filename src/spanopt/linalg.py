@@ -231,7 +231,8 @@ def spectral_norm_sym(
     prev = math.inf
     for it in range(max_iters):
         w = apply(v)
-        est = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):  # an overflowed sum of squares is handled below
+            est = float(np.linalg.norm(w))
         if math.isinf(est) and np.isfinite(w).all():
             # The sum of squares overflowed, not w: rescale by its largest entry.
             peak = float(np.abs(w).max())

@@ -12,6 +12,10 @@ Every sampled computation reads them through :func:`_batch_rows` and the
 same few products (``rows @ x``, ``rows.T @ y``), which both formats
 provide, so one code path serves both.  This module never imports scipy: only
 CSR data, built by whoever imported it, brings it in.
+
+The logistic full-data pass takes one ``exp`` per sample: the loss terms
+``max(-m, 0) + log1p(e)`` and the margin derivative ``-sigmoid(-m)`` both
+come from the same ``e = exp(-|m|)`` of each margin ``m``.
 """
 
 from __future__ import annotations
@@ -138,10 +142,16 @@ class ObjectiveConfig:
         return None
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows (|z| > 30 is routine here); the numerator picks
-    # 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, without masked gathers.
-    e = np.exp(-np.abs(z))
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows (|z| > 30 is routine here).
+    return np.exp(-np.abs(z))
+
+
+def _stable_sigmoid(z: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
+    # The numerator picks 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below,
+    # without masked gathers.  ``e`` is exp(-|z|) when the caller has it.
+    if e is None:
+        e = _exp_neg_abs(z)
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -223,11 +233,14 @@ def loss_and_gradient(
 
     Equal bit for bit to ``batch_loss`` and ``batch_gradient`` with
     ``batch=None``: both come from the same margins by the same arithmetic.
+    For logistic loss the pass takes one ``exp`` per sample, ``exp(-|m|)``
+    of each margin, which the loss and the margin derivative share.
     """
     x = _check_x(cfg, data, x)
     rows, labels = _batch_rows(cfg, data, None)
     margins = _margins(rows, labels, x)
-    return _loss(cfg, x, margins), _gradient(cfg, rows, labels, x, margins)
+    e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
+    return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e)
 
 
 def _margins(rows, labels, x: np.ndarray) -> Optional[np.ndarray]:
@@ -239,34 +252,40 @@ def _margins(rows, labels, x: np.ndarray) -> Optional[np.ndarray]:
     return labels * (rows @ x)
 
 
-def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: Optional[np.ndarray]) -> float:
+def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: Optional[np.ndarray], e=None) -> float:
+    """Mean loss plus regularizer; ``e`` is ``exp(-|margins|)`` when the caller has it."""
     reg = 0.5 * cfg.reg_a * float(x @ x)
     if cfg.loss_kind == "quadratic":
         return 0.5 * float(x @ (cfg.quadratic_spectrum * x)) + reg
     if cfg.loss_kind == "logistic":
-        return float(np.mean(np.logaddexp(0.0, -margins))) + reg
+        # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), with no overflow.
+        if e is None:
+            e = _exp_neg_abs(margins)
+        return float(np.mean(np.maximum(-margins, 0.0) + np.log1p(e))) + reg
     return float(np.mean(_huber_loss_terms(margins))) + reg
 
 
-def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray) -> np.ndarray:
+def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.ndarray:
     """Derivative of the per-sample loss with respect to its margin."""
     if cfg.loss_kind == "logistic":
-        return -_stable_sigmoid(-margins)
+        return -_stable_sigmoid(-margins, e)
     return _huber_dmargin(margins)
 
 
-def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins) -> np.ndarray:
+def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None) -> np.ndarray:
     """Batch gradient over gathered rows at ``x``."""
     if cfg.loss_kind == "quadratic":
         spectrum = cfg.quadratic_spectrum if x.ndim == 1 else cfg.quadratic_spectrum[:, None]
         return spectrum * x + cfg.reg_a * x
-    return rows.T @ (labels * _margin_derivative(cfg, margins)) / rows.shape[0] + cfg.reg_a * x
+    return rows.T @ (labels * _margin_derivative(cfg, margins, e)) / rows.shape[0] + cfg.reg_a * x
 
 
 def _curvature_weights(cfg: ObjectiveConfig, rows: np.ndarray, labels: np.ndarray, x: np.ndarray):
     if cfg.loss_kind == "logistic":
-        s = _stable_sigmoid(rows @ x)
-        return s * (1.0 - s)
+        # sigmoid(z) sigmoid(-z) = e / (1 + e)^2: even in z, and accurate to a
+        # few ulps where sigmoid(z) itself rounds to 1.
+        e = _exp_neg_abs(rows @ x)
+        return e / (1.0 + e) ** 2
     return _huber_curvature(labels * (rows @ x))
 
 

@@ -1,5 +1,7 @@
 """Kernel-level contracts: sampling, QR, small eigensolver, small-solve tripwires, norm probe."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,13 @@ class TestSpectralNormSym:
         # norm, and an infinite operator spun to the iteration cap.
         with pytest.raises(NonFiniteResult):
             linalg.spectral_norm_sym(lambda v: scale * v, 3, seed=1)
+
+    def test_overflowing_estimate_raises_without_a_warning(self):
+        # The overflow in ||A v|| is handled inside, so numpy's warning stays there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult):
+                linalg.spectral_norm_sym(lambda v: 1e308 * v, 3, seed=1)
 
     def test_norm_whose_square_overflows(self):
         # ||1e200 v||^2 overflows although ||1e200 v|| = 1e200 does not.

@@ -17,7 +17,8 @@ from spanopt import (
     sample_batch,
 )
 from spanopt.errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge
-from spanopt.objectives import _stable_sigmoid
+from spanopt import objectives
+from spanopt.objectives import _margin_derivative, _stable_sigmoid
 
 
 def toy_logistic(n=20, d=5, seed=0, reg=0.05):
@@ -183,6 +184,63 @@ class TestLossAndGradient:
         cfg, data = toy_logistic()
         with pytest.raises(DimensionMismatch):
             loss_and_gradient(cfg, data, np.zeros(4))
+
+
+# Margins over the whole range of exp(-|m|): zeros of both signs and the
+# edges where exp(-745) is subnormal and exp(-746) is zero.
+PIN_MARGINS = np.concatenate([np.linspace(-800.0, 800.0, 2001), [0.0, -0.0, 745.0, -745.0, 746.0, -746.0]])
+
+
+class TestLogisticKernel:
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_one_exp_per_sample_and_no_logaddexp(self, csr, monkeypatch):
+        cfg, data = toy_logistic(n=30, d=6, seed=3)
+        if csr:
+            from scipy import sparse
+
+            data = Dataset(sparse.csr_array(data.features), data.labels)
+        sizes = {"exp": [], "logaddexp": []}
+        for name, seen in sizes.items():
+            real = getattr(np, name)
+
+            def counting(*args, _real=real, _seen=seen, **kwargs):
+                _seen.append(np.size(args[0]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        loss_and_gradient(cfg, data, np.full(6, 0.5))
+        assert sizes == {"exp": [30], "logaddexp": []}
+
+    def test_loss_matches_logaddexp(self):
+        cfg = ObjectiveConfig("logistic")
+        data = Dataset(PIN_MARGINS[:, None], np.ones(PIN_MARGINS.size))
+        x = np.ones(1)
+        expected = np.logaddexp(0.0, -PIN_MARGINS)
+        assert batch_loss(cfg, data, None, x) == pytest.approx(np.mean(expected), rel=1e-15, abs=0.0)
+        for i, term in enumerate(expected):  # each term alone: the mean hides the small ones
+            assert batch_loss(cfg, data, np.array([i]), x) == pytest.approx(term, rel=1e-15, abs=0.0)
+
+    def test_derivative_from_the_shared_exp_is_the_sigmoid(self):
+        cfg = ObjectiveConfig("logistic")
+        expected = (-_stable_sigmoid(-PIN_MARGINS)).tobytes()
+        e = objectives._exp_neg_abs(PIN_MARGINS)
+        assert _margin_derivative(cfg, PIN_MARGINS, e).tobytes() == expected
+        assert _margin_derivative(cfg, PIN_MARGINS).tobytes() == expected
+
+    def test_curvature_weights_even_and_accurate(self):
+        # sigmoid(z) sigmoid(-z) = e / (1 + e)^2 with e = exp(-|z|), against
+        # extended precision where the platform has it.
+        z = np.linspace(0.0, 700.0, 7001)
+        labels = np.where(np.arange(z.size) % 2, 1.0, -1.0)
+        cfg = ObjectiveConfig("logistic")
+
+        def weights(values):
+            return BatchHessian.at(cfg, Dataset(values[:, None], labels), None, np.ones(1), ANALYTIC).weights
+
+        assert np.array_equal(weights(z), weights(-z))
+        e = np.exp(-z.astype(np.longdouble))
+        exact = e / (1 + e) ** 2
+        assert float(np.max(np.abs(weights(z) - exact) / exact)) <= 1e-14
 
 
 class TestExactHvp:
