@@ -19,7 +19,7 @@ aborting the rest of the experiment.
 from __future__ import annotations
 
 import logging
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union, get_type_hints
 
@@ -36,11 +36,12 @@ from .span import TraceRecord
 log = logging.getLogger("spanopt.bench")
 
 # The trace columns are TraceRecord's fields, in order.  A cell is read as
-# its field's type, int or float; an empty cell is None where that is the
-# field's default.
-CSV_HEADER = ",".join(f.name for f in fields(TraceRecord))
+# its field's type, int or float; an empty cell is None where the field has
+# a default (always None).
+CSV_HEADER = ",".join(TraceRecord._fields)
 _TRACE_CELLS = [
-    (int if get_type_hints(TraceRecord)[f.name] is int else float, f.default is None) for f in fields(TraceRecord)
+    (int if get_type_hints(TraceRecord)[name] is int else float, name in TraceRecord._field_defaults)
+    for name in TraceRecord._fields
 ]
 
 PLOT_MODES = ("loss_vs_time", "loss_vs_iter", "hessian_err")
@@ -356,7 +357,7 @@ def _write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Seq
 
 
 def write_trace_csv(path: Union[str, Path], trace: Sequence[TraceRecord]) -> None:
-    _write_csv(path, CSV_HEADER.split(","), map(astuple, trace))
+    _write_csv(path, TraceRecord._fields, trace)
 
 
 def read_trace_csv(path: Union[str, Path]) -> list[TraceRecord]:

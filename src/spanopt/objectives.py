@@ -275,8 +275,7 @@ def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.
 def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None) -> np.ndarray:
     """Batch gradient over gathered rows at ``x``."""
     if cfg.loss_kind == "quadratic":
-        spectrum = cfg.quadratic_spectrum if x.ndim == 1 else cfg.quadratic_spectrum[:, None]
-        return spectrum * x + cfg.reg_a * x
+        return cfg.quadratic_spectrum * x + cfg.reg_a * x
     return rows.T @ (labels * _margin_derivative(cfg, margins, e)) / rows.shape[0] + cfg.reg_a * x
 
 
@@ -296,16 +295,19 @@ class BatchHessian:
     :meth:`at` gathers a batch and builds the operator; :meth:`of_rows`
     builds it over rows already gathered by :func:`gather_batches`, which
     support products but not :meth:`dense`.  ``H @ v`` takes a (d,) vector or a
-    (d, k) block.  Analytic products use curvature weights computed once;
-    :meth:`dense` forms the matrix in either mode.  With ``fd_step`` set,
-    products are central differences of the batch gradient instead: each column is
-    normalized (so the step never scales with ``||v||``, which grows
-    geometrically during power iteration), perturbed by
-    ``fd_step = sqrt(eps) * (1 + ||x||)`` both ways and rescaled by its own
-    norm; a zero column gives an exact zero.  For sampled kinds
-    the perturbed margins come by linearity, ``m0 +/- labels * (rows @ s)``,
-    from base margins ``m0`` stored once, so a block of ``k`` columns takes
-    one ``k``-column GEMM each way rather than ``2k``.
+    (d, k) block.  Quadratics give ``(spectrum + a) v`` in both modes: that is
+    the central difference of their linear gradient, exactly.  For sampled
+    kinds every product takes one path, ``t = rows @ v``, then a per-sample
+    term ``y``, then ``rows.T @ y / b + a v``; the modes differ only in ``y``.
+    Analytic products use curvature weights computed once, ``y = weights * t``.
+    With ``fd_step`` ``h`` set, ``y`` is a central difference of the margin
+    derivative ``phi'`` from base margins ``m0`` stored once:
+    ``labels * (phi'(m0 + delta) - phi'(m0 - delta)) * ||v|| / (2h)`` with
+    ``delta = labels * t * h / ||v||`` per column.  So the perturbation along
+    each column has size ``h = sqrt(eps) * (1 + ||x||)`` whatever ``||v||``
+    is (it grows geometrically during power iteration), and a zero column
+    gives an exact zero.  :meth:`dense` forms the analytic matrix in either
+    mode.
     """
 
     cfg: ObjectiveConfig
@@ -336,33 +338,23 @@ class BatchHessian:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.x.size:
             raise DimensionMismatch(f"v has leading size {v.shape[0]}, expected {self.x.size}")
-        if self.fd_step is not None:
-            return self._central_difference(v)
         if self.rows is None:
             scale = self.cfg.quadratic_spectrum + self.cfg.reg_a
             return scale[:, None] * v if v.ndim == 2 else scale * v
-        weights = self.weights[:, None] if v.ndim == 2 else self.weights
-        return self.rows.T @ (weights * (self.rows @ v)) / self.rows.shape[0] + self.cfg.reg_a * v
-
-    def _central_difference(self, v: np.ndarray) -> np.ndarray:
-        block = v if v.ndim == 2 else v[:, None]
-        norms = np.linalg.norm(block, axis=0)
-        live = norms > 0.0
-        steps = block[:, live] * (self.fd_step / norms[live])
-        if self.rows is None:
-            x = self.x[:, None]
-            diff = _gradient(self.cfg, None, None, x + steps, None)
-            diff -= _gradient(self.cfg, None, None, x - steps, None)
+        per_sample = (slice(None), None) if v.ndim == 2 else slice(None)  # a (b,) array against each column
+        t = self.rows @ v
+        if self.fd_step is None:
+            y = self.weights[per_sample] * t
         else:
-            m0, delta = self.margins[:, None], _margins(self.rows, self.labels, steps)
+            norms = np.linalg.norm(v, axis=0)
+            labels, m0 = self.labels[per_sample], self.margins[per_sample]
+            delta = labels * t * (self.fd_step / np.where(norms > 0.0, norms, 1.0))
             change = _margin_derivative(self.cfg, m0 + delta) - _margin_derivative(self.cfg, m0 - delta)
-            diff = self.rows.T @ (self.labels[:, None] * change) / self.rows.shape[0]
-            diff += 2.0 * self.cfg.reg_a * steps
-        out = np.zeros_like(block)
-        out[:, live] = diff * (norms[live] / (2.0 * self.fd_step))
-        if not np.isfinite(out).all():
+            y = labels * change * (norms / (2.0 * self.fd_step))
+        out = self.rows.T @ y / self.rows.shape[0] + self.cfg.reg_a * v
+        if self.fd_step is not None and not np.isfinite(out).all():
             raise NonFiniteResult("gradient difference overflowed at the perturbed point")
-        return out if v.ndim == 2 else out[:, 0]
+        return out
 
     def dense(self) -> np.ndarray:
         """The explicit (d, d) matrix of ``H_B(x)`` in any product mode, capped at d <= 512.

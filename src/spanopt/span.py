@@ -66,8 +66,7 @@ class Subspace:
     ``u`` is the orthonormal (d, l) basis, ``small_block`` the symmetrized
     captured block Z^T U with ``Z = H_B U``, ``block_eig`` its eigenpairs,
     and ``lam`` the perturbation actually used.  ``lambda_min`` is half the
-    block's smallest eigenvalue; ``sigma_proxy_m1`` its (m+1)-th eigenvalue,
-    the observable stand-in for the batch Hessian's (m+1)-th eigenvalue.
+    block's smallest eigenvalue.
     """
 
     u: np.ndarray
@@ -75,7 +74,6 @@ class Subspace:
     block_eig: EigenPairs
     lam: float
     lambda_min: float
-    sigma_proxy_m1: float
 
 
 def _check_run_length(t_max, grad_tol) -> None:
@@ -127,14 +125,14 @@ class SpanConfig:
         return RangeConfig(l=self.l, q=self.q, m=self.m)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One benchmark row at the iterate a step produced.
 
     ``wall_clock_s`` is cumulative.  It includes the full-data loss and
     gradient at that iterate (one fused pass, whose gradient the next step
     reuses) and excludes the rest of the trace bookkeeping, such as the
-    Hessian-error probe.
+    Hessian-error probe.  A tuple, like :class:`SpanState`: every step of
+    every method builds one.
     """
 
     iteration: int
@@ -190,6 +188,7 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
             "batch Hessian is not positive definite on the sketch"
         )
     lambda_min = 0.5 * smallest
+    # The block's (m+1)-th eigenvalue: the observable stand-in for the batch Hessian's.
     sigma_proxy = float(eig.values[m]) if m < eig.values.size else float(eig.values[-1])
     return Subspace(
         u=u,
@@ -197,7 +196,6 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
         block_eig=eig,
         lam=min(lambda_min, sigma_proxy),
         lambda_min=lambda_min,
-        sigma_proxy_m1=sigma_proxy,
     )
 
 

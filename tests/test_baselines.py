@@ -1,6 +1,5 @@
 """Reference-optimizer contracts: gd, svrg, newsamp, lissa, and the step loop they share with span."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -188,8 +187,8 @@ class TestLissa:
         x_alone, alone = run_lissa(bl, objective, None, np.ones(3))
         x_data, with_data = run_lissa(bl, objective, data, np.ones(3))
         np.testing.assert_array_equal(x_alone, x_data)
-        assert [dataclasses.replace(r, wall_clock_s=0.0) for r in alone] == [
-            dataclasses.replace(r, wall_clock_s=0.0) for r in with_data
+        assert [r._replace(wall_clock_s=0.0) for r in alone] == [
+            r._replace(wall_clock_s=0.0) for r in with_data
         ]
 
     def test_geometric_closed_form_on_half_identity(self):
@@ -331,7 +330,7 @@ class TestSharedTraceContract:
         stop = next(i for i, r in enumerate(full) if r.grad_norm <= tol)
         x, trace = runner(method_config(method, t_max=8, seed=5, grad_tol=tol), cfg, data, np.zeros(4))
         assert len(trace) == stop + 1
-        assert [dataclasses.replace(r, wall_clock_s=0.0) for r in trace] == [
-            dataclasses.replace(r, wall_clock_s=0.0) for r in full[: stop + 1]
+        assert [r._replace(wall_clock_s=0.0) for r in trace] == [
+            r._replace(wall_clock_s=0.0) for r in full[: stop + 1]
         ]
         assert trace[-1].loss == batch_loss(cfg, data, None, x)

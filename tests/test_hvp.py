@@ -33,6 +33,29 @@ class TestHvp:
             result = BatchHessian.at(QUAD123, None, None, np.zeros(3), mode) @ np.ones(3)
             assert np.abs(result - [1.0, 2.0, 3.0]).max() <= 1e-10
 
+    def test_quadratic_fd_is_the_analytic_product(self):
+        # The central difference of a linear gradient is the product itself.
+        cfg = ObjectiveConfig("quadratic", reg_a=0.3, quadratic_spectrum=np.array([1.0, 2.5, 7.0, 0.1]))
+        rng = np.random.default_rng(3)
+        hessian = BatchHessian.at(cfg, None, None, rng.standard_normal(4), CENTRAL_FD)
+        scale = cfg.quadratic_spectrum + cfg.reg_a
+        v = rng.standard_normal(4)
+        np.testing.assert_array_equal(hessian @ v, scale * v)
+        block = rng.standard_normal((4, 3))
+        block[:, 1] = 0.0
+        np.testing.assert_array_equal(hessian @ block, scale[:, None] * block)
+
+    def test_fd_on_zero_rows_is_the_regularizer(self):
+        # Zero rows carry no curvature, so only the regularizer's ``a v`` is left.
+        labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        cfg, data = ObjectiveConfig("logistic", reg_a=0.05), Dataset(features=np.zeros((5, 4)), labels=labels)
+        rng = np.random.default_rng(4)
+        hessian = BatchHessian.at(cfg, data, None, rng.standard_normal(4), CENTRAL_FD)
+        v = rng.standard_normal(4)
+        np.testing.assert_array_equal(hessian @ v, cfg.reg_a * v)
+        block = rng.standard_normal((4, 3))
+        np.testing.assert_array_equal(hessian @ block, cfg.reg_a * block)
+
     def test_zero_vector_short_circuit(self):
         cfg, data = logistic_instance(10, 4, 0)
         result = BatchHessian.at(cfg, data, None, np.ones(4), CENTRAL_FD) @ np.zeros(4)
