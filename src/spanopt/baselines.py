@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DivergingSeries, IndefiniteBlock, InvalidRankParams, SingularSystem
+from .errors import DivergingSeries, IndefiniteBlock, InvalidRankParams, NonFiniteResult, SingularSystem
 from .hvp import ANALYTIC
 from .linalg import derive_seed, spectral_norm_sym, sym_eig_small
 from .objectives import (
@@ -138,7 +138,9 @@ def run_svrg(
     trace row already computed, then takes ``inner_steps`` batched steps
     (default: one pass, ceil(N / b)).  The batches are drawn in stream
     order a run at a time, and each run's rows are gathered at once; every
-    step is :func:`svrg_gradient_estimate`'s arithmetic on its batch.
+    step is :func:`svrg_gradient_estimate`'s arithmetic on its batch.  An
+    epoch whose iterate ends non-finite raises :class:`NonFiniteResult`;
+    it is checked once per epoch, not per inner step.
     """
     if data is None or objective.loss_kind == "quadratic":
         raise ValueError("svrg needs sampled data, and quadratics carry no samples")
@@ -149,9 +151,12 @@ def run_svrg(
     def epoch(t: int, snapshot: np.ndarray, snapshot_grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 10, t))
         x = snapshot
-        for rows, labels in _drawn_batches(objective, data, lambda: sample_batch(n, b, rng), b, steps_per_epoch):
-            estimate = batch_gradient_difference(objective, rows, labels, x, snapshot) + snapshot_grad
-            x = x - cfg.eta * estimate
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged epoch fails the check below
+            for rows, labels in _drawn_batches(objective, data, lambda: sample_batch(n, b, rng), b, steps_per_epoch):
+                estimate = batch_gradient_difference(objective, rows, labels, x, snapshot) + snapshot_grad
+                x = x - cfg.eta * estimate
+        if not np.isfinite(x).all():
+            raise NonFiniteResult(f"svrg iterate is not finite after epoch {t + 1}")
         return x, None, None, None
 
     return _drive(cfg, x0, _step, objective, data, epoch)

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     scale = sub.add_parser("scale", help="per-iteration timing over a list of dimensions")
-    scale.add_argument("config", help="config whose span section supplies l, m and q")
+    scale.add_argument("config", help="config whose span section supplies l and q, and newsamp's rank m")
     scale.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 100,400,1600")
     scale.add_argument("-o", "--output", default="scaling.csv", help="output table path")
     scale.add_argument("--steps", type=int, default=20, help="timed steps per dimension")

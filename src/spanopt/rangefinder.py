@@ -14,6 +14,7 @@ basis forward through one more Hessian application.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,13 @@ from .objectives import BatchHessian
 class RangeConfig:
     """Sketch width ``l``, power exponent ``q``, and the target rank ``m``.
 
-    The error analysis wants ``m + 4 <= l``; that is enforced whenever a rank
-    target is set.  ``m = 0`` disables the rank-target bookkeeping (the
-    sigma proxy then falls back to the top eigenvalue), which is the only
-    way to run problems with ``d < 5``.
+    ``m`` is the rank the error analysis targets, not an input of the step:
+    the safeguard is half the captured block's smallest eigenvalue, which
+    by Cauchy interlacing is at most half of sigma_{m+1}(H_B) for any
+    ``m < l``.  The analysis wants ``m + 4 <= l``; that is enforced whenever
+    a rank target is set.  ``m = 0`` sets none, which is the only way to run
+    problems with ``d < 5``.  All three must be integers: they size arrays
+    and loops.
     """
 
     l: int
@@ -38,8 +42,9 @@ class RangeConfig:
     m: int
 
     def __post_init__(self):
-        if self.l < 1 or self.q < 0 or self.m < 0:
-            raise InvalidRankParams(f"bad sketch parameters l={self.l}, q={self.q}, m={self.m}")
+        integral = all(isinstance(v, numbers.Integral) for v in (self.l, self.q, self.m))
+        if not integral or self.l < 1 or self.q < 0 or self.m < 0:
+            raise InvalidRankParams(f"bad sketch parameters l={self.l!r}, q={self.q!r}, m={self.m!r}")
         if self.m >= 1 and self.m + 4 > self.l:
             raise InvalidRankParams(f"need m + 4 <= l, got m={self.m}, l={self.l}")
 

@@ -9,11 +9,13 @@ one more block product, and applies the perturbed inverse
     U (Z^T U)^{-1} U^T  +  (1/lambda) (I - U U^T)
 
 to the full gradient, inverting the block through its eigenpairs.  lambda
-is the safeguard min( sigma_{m+1}(Z^T U), 0.5 * sigma_min(Z^T U) ): large
-enough that the complement term does not dominate the inverse, small
-enough that it does not inflate the approximation error.  The true batch
-spectrum is unobservable, so both quantities are read off the captured
-block; the value actually used is recorded in every trace row.
+is the safeguard 0.5 * sigma_min(Z^T U), recorded in every trace row:
+large enough that the complement term does not dominate the inverse, and
+small enough for the error analysis with no estimate of the unobservable
+sigma_{m+1}(H_B).  By Cauchy interlacing, sigma_min(U^T H_B U) <=
+sigma_l(H_B) <= sigma_{m+1}(H_B) for any rank target m < l, so lambda
+meets the condition lambda <= 2 sigma_{m+1} that the contraction analysis
+needs.
 
 Every method, the baselines of :mod:`spanopt.baselines` included, runs
 through this module's one step loop, which steps from a :class:`SpanState`
@@ -65,15 +67,13 @@ class Subspace:
 
     ``u`` is the orthonormal (d, l) basis, ``small_block`` the symmetrized
     captured block Z^T U with ``Z = H_B U``, ``block_eig`` its eigenpairs,
-    and ``lam`` the perturbation actually used.  ``lambda_min`` is half the
-    block's smallest eigenvalue.
+    and ``lam`` the perturbation, half the block's smallest eigenvalue.
     """
 
     u: np.ndarray
     small_block: np.ndarray
     block_eig: EigenPairs
     lam: float
-    lambda_min: float
 
 
 def _check_run_length(t_max, grad_tol) -> None:
@@ -161,11 +161,11 @@ class SpanState(NamedTuple):
     grad: Optional[np.ndarray] = None
 
 
-def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
+def assemble_subspace(u: np.ndarray, z: np.ndarray) -> Subspace:
     """Finish subspace construction from a basis and its Hessian image.
 
     Symmetrizes the captured block (finite differences break symmetry at
-    O(h)), reads off the safeguard quantities, and raises
+    O(h)), sets the safeguard to half its smallest eigenvalue, and raises
     :class:`SingularSystem` when the block's smallest eigenvalue is, in
     magnitude, 1e-12 of its largest or less (a zero up to roundoff, on either
     side of 0, or a condition number of 1e12 or more): its inverse would be
@@ -187,26 +187,17 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray, m: int) -> Subspace:
             f"captured block has eigenvalue {smallest:.3e} < 0; "
             "batch Hessian is not positive definite on the sketch"
         )
-    lambda_min = 0.5 * smallest
-    # The block's (m+1)-th eigenvalue: the observable stand-in for the batch Hessian's.
-    sigma_proxy = float(eig.values[m]) if m < eig.values.size else float(eig.values[-1])
-    return Subspace(
-        u=u,
-        small_block=block,
-        block_eig=eig,
-        lam=min(lambda_min, sigma_proxy),
-        lambda_min=lambda_min,
-    )
+    return Subspace(u=u, small_block=block, block_eig=eig, lam=0.5 * smallest)
 
 
 def build_subspace(hessian: BatchHessian, rc: RangeConfig, seed: int) -> Subspace:
-    """Sketch the batch Hessian afresh into a basis and pick the safeguard perturbation.
+    """Sketch the batch Hessian afresh into a basis and set the safeguard perturbation.
 
     ``U`` is the powered Gaussian sketch from ``seed`` (``2q + 1``
     products); one more product gives ``Z = H_B U``.
     """
     u = power_range(hessian, rc, seed)
-    return assemble_subspace(u, hessian @ u, rc.m)
+    return assemble_subspace(u, hessian @ u)
 
 
 def apply_inverse(s: Subspace, g: np.ndarray) -> np.ndarray:
@@ -326,7 +317,7 @@ def span_step(
         if u is None:
             subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t))
         else:
-            subspace = assemble_subspace(u, hessian @ u, cfg.m)
+            subspace = assemble_subspace(u, hessian @ u)
         probe = None
         if cfg.probe_hessian_error:
             def probe():

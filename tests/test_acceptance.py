@@ -127,7 +127,7 @@ def test_criterion_3_contraction_on_quadratics():
         for _ in range(30):
             prev = np.linalg.norm(state.x)
             state, _ = span_step(state, cfg, None, span_cfg)
-            lam_min = state.subspace.lambda_min
+            lam_min = state.subspace.lam
             assert lam_min <= 2.0 * sigma_m1 + 1e-9  # contraction analysis requires this
             ratio = np.linalg.norm(state.x) / prev
             bound = 1.0 - eta * sigma_d**2 / (36.0 * lam_min**2)

@@ -136,6 +136,15 @@ class TestSvrg:
         np.testing.assert_array_equal(x1, x2)
         assert [r.loss for r in t1] == [r.loss for r in t2]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_epoch_raises_without_warnings(self):
+        # The iterate overflowed inside the epoch with numpy warnings, and the
+        # next full-data pass ran on it.
+        cfg, data = toy_logistic(n=15, d=3, seed=4, reg=1e300)
+        bl = BaselineConfig(method="svrg", eta=0.5, t_max=3, b=2, seed=9)
+        with pytest.raises(NonFiniteResult, match="epoch 1"):
+            run_svrg(bl, cfg, data, np.ones(3))
+
 
 class TestNewsamp:
     def test_truncated_inverse_diagonal_case(self):

@@ -278,12 +278,12 @@ class TestSolveSmall:
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularSystem):
-            assemble_subspace(np.eye(2), a, 0)
+            assemble_subspace(np.eye(2), a)
 
     def test_near_singular_condition_tripwire(self):
         a = np.diag([1.0, 1e-13])
         with pytest.raises(SingularSystem):
-            assemble_subspace(np.eye(2), a, 0)
+            assemble_subspace(np.eye(2), a)
 
 
 class TestSpectralNormSym:

@@ -28,7 +28,7 @@ from spanopt import linalg, objectives
 from spanopt import span as span_module
 from spanopt.bench import build_method_config
 from spanopt.datasets import synth_classification
-from spanopt.errors import ConfigError, IndefiniteBlock, RankDeficient, SingularSystem
+from spanopt.errors import ConfigError, IndefiniteBlock, InvalidRankParams, RankDeficient, SingularSystem
 from spanopt.span import _STREAM_SKETCH
 
 
@@ -70,7 +70,6 @@ class TestBuildSubspace:
         c = 2.0
         cfg = quadratic([c] * 6)
         s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(6), ANALYTIC), RangeConfig(l=3, q=1, m=0), seed=1)
-        assert s.lambda_min == pytest.approx(c / 2, rel=1e-10)
         assert s.lam == pytest.approx(c / 2, rel=1e-10)
 
     def test_safeguard_postcondition(self):
@@ -80,24 +79,46 @@ class TestBuildSubspace:
             spectrum = np.sort(rng.uniform(0.5, 8.0, size=d))[::-1]
             rc = RangeConfig(l=8, q=1, m=4)
             s = build_subspace(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC), rc, seed=seed)
-            assert 0.0 < s.lam <= s.lambda_min
+            assert s.lam == 0.5 * s.block_eig.values[-1]
             assert np.abs(s.u.T @ s.u - np.eye(8)).max() <= 1e-10
             assert np.abs(s.small_block - s.small_block.T).max() <= 1e-8 * np.abs(s.small_block).max()
+
+    @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD], ids=["analytic", "finite-difference"])
+    @pytest.mark.parametrize("m", [0, 1, 4], ids=["m=0", "m=1", "m=l-4"])
+    def test_safeguard_is_half_the_smallest_block_eigenvalue(self, m, mode):
+        # One rule whatever the rank target, for a fresh sketch and a carried
+        # basis alike; by interlacing it is at most half of sigma_l(H_B).
+        d, l = 20, 8
+        objective = ObjectiveConfig("logistic", reg_a=1e-3)
+        data = synth_classification(n=200, d=d, seed=m)
+        rc = RangeConfig(l=l, q=1, m=m)
+        rng = np.random.default_rng(m)
+        for seed in range(4):
+            batch = objectives.sample_batch(200, 80, rng)
+            x = rng.standard_normal(d)
+            hessian = BatchHessian.at(objective, data, batch, x, mode)
+            fresh = build_subspace(hessian, rc, seed=seed)
+            u = linalg.qr_orthonormal(hessian @ fresh.u)
+            carried = assemble_subspace(u, hessian @ u)
+            sigma = np.linalg.eigvalsh(BatchHessian.at(objective, data, batch, x, ANALYTIC).dense())[::-1]
+            for s in (fresh, carried):
+                assert s.lam == 0.5 * s.block_eig.values[-1]
+                assert s.lam <= 0.5 * sigma[l - 1] * (1.0 + 1e-6)
 
     def test_indefinite_block_raises(self):
         u = np.eye(3)[:, :2]
         z = np.diag([-1.0, 2.0, 0.0])[:, :2]  # captured block diag(-1, 2)
         with pytest.raises(IndefiniteBlock):
-            assemble_subspace(u, z, 0)
+            assemble_subspace(u, z)
 
     def test_ill_conditioned_block_raises(self):
         u = np.eye(3)[:, :2]
         with pytest.raises(SingularSystem):
-            assemble_subspace(u, np.diag([1.0, 1e-13, 0.0])[:, :2], 0)
+            assemble_subspace(u, np.diag([1.0, 1e-13, 0.0])[:, :2])
         # An exactly singular block's zero eigenvalue may land on either side of 0.
         with pytest.raises(SingularSystem):
-            assemble_subspace(np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), 0)
-        s = assemble_subspace(u, np.diag([1.0, 1e-6, 0.0])[:, :2], 0)
+            assemble_subspace(np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]))
+        s = assemble_subspace(u, np.diag([1.0, 1e-6, 0.0])[:, :2])
         np.testing.assert_allclose(apply_inverse(s, np.array([1.0, 1.0, 0.0])), [1.0, 1e6, 0.0])
 
 
@@ -411,6 +432,18 @@ class TestRunSpan:
             assert a.grad_norm == b.grad_norm
             assert a.lambda_used == b.lambda_used
 
+    def test_rank_target_does_not_enter_the_step(self):
+        # m is the analysis's rank target: two runs that differ only in m
+        # agree in every column but the clock, the probed error included.
+        objective = ObjectiveConfig("logistic", reg_a=1e-3)
+        data = synth_classification(n=300, d=30, seed=2)
+        runs = []
+        for m in (1, 12):
+            span_cfg = SpanConfig(t_max=6, m=m, l=16, q=1, b=150, eta=1.0, seed=5, probe_hessian_error=True)
+            x, trace = run_span(span_cfg, objective, data, np.zeros(30))
+            runs.append((x.tobytes(), [record._replace(wall_clock_s=0.0) for record in trace]))
+        assert runs[0] == runs[1]
+
     def test_wall_clock_non_decreasing(self):
         cfg = quadratic(np.linspace(4.0, 1.0, 10))
         span_cfg = SpanConfig(t_max=6, m=0, l=4, q=1, b=1, eta=0.5, seed=0, hvp_mode=ANALYTIC)
@@ -448,6 +481,17 @@ class TestRunSpan:
         with pytest.raises(ValueError, match="^b must be a positive integer"):
             SpanConfig(t_max=2, m=0, l=4, q=1, b=b, eta=1.0, seed=0, hvp_mode=ANALYTIC)
 
+    # A fractional l, q or m was accepted, and the run ended in a TypeError or
+    # IndexError; a text l failed at construction with a TypeError.
+    @pytest.mark.parametrize(
+        "field, value", [("l", 8.5), ("q", 1.5), ("m", 2.5), ("l", "16")],
+        ids=["fractional-l", "fractional-q", "fractional-m", "text-l"],
+    )
+    def test_sketch_shape_must_be_integers(self, field, value):
+        shape = {"l": 8, "q": 1, "m": 2, field: value}
+        with pytest.raises(InvalidRankParams, match="bad sketch parameters"):
+            SpanConfig(t_max=2, b=4, eta=1.0, seed=0, **shape)
+
 
 class TestContractionBound:
     def test_per_step_ratio_within_contraction_bound(self):
@@ -467,7 +511,7 @@ class TestContractionBound:
             for _ in range(10):
                 prev = np.linalg.norm(state.x)
                 state, _ = span_step(state, cfg, None, cfg_seeded)
-                lam_min = state.subspace.lambda_min
+                lam_min = state.subspace.lam
                 assert lam_min <= 2.0 * sigma_m1 + 1e-9
                 ratio = np.linalg.norm(state.x) / prev
                 assert ratio <= 1.0 - eta * sigma_d**2 / (36.0 * lam_min**2) + 1e-6
