@@ -108,24 +108,6 @@ def _drawn_batches(
         yield from gather_batches(objective, data, [draw() for _ in range(min(per_run, total - first))])
 
 
-def svrg_gradient_estimate(
-    objective: ObjectiveConfig,
-    data: Dataset,
-    batch: np.ndarray,
-    w: np.ndarray,
-    snapshot: np.ndarray,
-    snapshot_grad: np.ndarray,
-) -> np.ndarray:
-    """Variance-reduced estimate grad f_B(w) - grad f_B(snapshot) + grad F(snapshot).
-
-    The arithmetic of every step of :func:`run_svrg`, for one batch.  At
-    w == snapshot the first two terms cancel exactly and the estimate
-    equals the stored full gradient to the bit.
-    """
-    ((rows, labels),) = gather_batches(objective, data, [batch])
-    return batch_gradient_difference(objective, rows, labels, w, snapshot) + snapshot_grad
-
-
 def run_svrg(
     cfg: BaselineConfig,
     objective: ObjectiveConfig,
@@ -137,10 +119,11 @@ def run_svrg(
     Each epoch snapshots the current iterate, whose full gradient the last
     trace row already computed, then takes ``inner_steps`` batched steps
     (default: one pass, ceil(N / b)).  The batches are drawn in stream
-    order a run at a time, and each run's rows are gathered at once; every
-    step is :func:`svrg_gradient_estimate`'s arithmetic on its batch.  An
-    epoch whose iterate ends non-finite raises :class:`NonFiniteResult`;
-    it is checked once per epoch, not per inner step.
+    order a run at a time, and each run's rows are gathered at once.  A
+    step moves along ``grad f_B(w) - grad f_B(snapshot) + grad F(snapshot)``,
+    whose first two terms are one :func:`batch_gradient_difference`, exactly
+    zero at ``w == snapshot``.  An epoch whose iterate ends non-finite raises
+    :class:`NonFiniteResult`; it is checked once per epoch, not per inner step.
     """
     if data is None or objective.loss_kind == "quadratic":
         raise ValueError("svrg needs sampled data, and quadratics carry no samples")
@@ -219,13 +202,13 @@ def neumann_inverse_apply(
     Runs u <- g + u - H u / scale for ``depth`` steps starting from u = g
     (so depth 0 returns g / scale, the zeroth-order term) and returns
     u / scale.  Requires ``||H / scale|| < 1`` to converge; growth past 1e8
-    raises :class:`DivergingSeries`.  ``g`` may be a matrix, in which case
-    ``apply_hvp`` must accept one.
+    or to NaN or Inf raises :class:`DivergingSeries`.  ``g`` may be a
+    matrix, in which case ``apply_hvp`` must accept one.
     """
     u = np.asarray(g, dtype=float).copy()
     for _ in range(depth):
         u = g + u - apply_hvp(u) / scale
-        if not np.isfinite(u).all() or float(np.abs(u).max()) > _DIVERGENCE_LIMIT:
+        if not float(np.abs(u).max()) <= _DIVERGENCE_LIMIT:  # NaN and Inf fail it too
             raise DivergingSeries("Neumann recursion exceeded 1e8; operator not contractive")
     return u / scale
 

@@ -382,7 +382,6 @@ def read_trace_csv(path: Union[str, Path]) -> list[TraceRecord]:
 class MethodResult:
     method: str
     status: str  # "ok" or "error: <message>"
-    trace_path: Optional[Path]
     final_loss: Optional[float]
     final_grad_norm: Optional[float]
     total_seconds: Optional[float]
@@ -422,20 +421,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     results: list[MethodResult] = []
     for method in cfg.methods:
         assert x0.tobytes() == x0_bytes, "start point drifted between method launches"
-        trace_path = cfg.output_dir / f"{method}.csv"
         try:
             _, trace = _RUNNERS[method](cfg.method_configs[method], cfg.objective, cfg.data, x0.copy())
         except SpanOptError as exc:
             log.warning("method %s failed: %s", method, exc)
-            results.append(MethodResult(method, f"error: {exc}", None, None, None, None))
+            results.append(MethodResult(method, f"error: {exc}", None, None, None))
             continue
-        write_trace_csv(trace_path, trace)
+        write_trace_csv(cfg.output_dir / f"{method}.csv", trace)
         last = trace[-1] if trace else None
         results.append(
             MethodResult(
                 method=method,
                 status="ok",
-                trace_path=trace_path,
                 final_loss=last.loss if last else None,
                 final_grad_norm=last.grad_norm if last else None,
                 total_seconds=last.wall_clock_s if last else 0.0,
@@ -463,7 +460,7 @@ def _carry_forward(abscissa: list[float], points: list[tuple[float, float]]) -> 
 
 
 def emit_plot_data(
-    trace_paths: Sequence[Union[str, Path]],
+    paths: Sequence[Union[str, Path]],
     mode: str,
     out_path: Union[str, Path],
     suboptimality: bool = False,
@@ -479,12 +476,12 @@ def emit_plot_data(
     """
     if mode not in PLOT_MODES:
         raise IncompatibleTraces(f"unknown plot mode {mode!r}")
-    if not trace_paths:
+    if not paths:
         raise IncompatibleTraces("no trace files given")
     check_output_dir(out_path)
 
     columns: dict[str, list[TraceRecord]] = {}
-    for path in trace_paths:
+    for path in paths:
         name = Path(path).stem
         if name in columns:
             raise IncompatibleTraces(f"two traces are named {name!r}; columns are keyed by file stem")

@@ -192,15 +192,28 @@ def sym_eig_small(a: np.ndarray) -> EigenPairs:
 
     The input is symmetrized internally ((A + A^T)/2); callers are expected
     to pass matrices that are symmetric up to roundoff.  Values come back in
-    descending order.
+    descending order.  NaN or Inf in the symmetrized matrix raises :class:`NonFiniteResult`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # Inf and NaN fail the check below
+        a = 0.5 * (a + a.T)
     if not np.isfinite(a).all():
-        raise NonFiniteResult("input contains NaN/Inf")
-    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+        raise NonFiniteResult("input contains NaN/Inf, or its symmetrization overflows")
+    values, vectors = np.linalg.eigh(a)
     return EigenPairs(values=values[::-1], vectors=vectors[:, ::-1])
+
+
+def _unoverflowed_norm(w: np.ndarray, norm: float) -> float:
+    """``norm``, ``||w||`` from the sum of squares, unless that overflowed for a finite ``w``.
+
+    Then ``w`` is scaled by its largest entry before its norm is taken.
+    """
+    if math.isinf(norm) and np.isfinite(w).all():
+        peak = float(np.abs(w).max())
+        return peak * float(np.linalg.norm(w / peak))
+    return norm
 
 
 def spectral_norm_sym(
@@ -231,12 +244,8 @@ def spectral_norm_sym(
     prev = math.inf
     for it in range(max_iters):
         w = apply(v)
-        with np.errstate(over="ignore"):  # an overflowed sum of squares is handled below
-            est = float(np.linalg.norm(w))
-        if math.isinf(est) and np.isfinite(w).all():
-            # The sum of squares overflowed, not w: rescale by its largest entry.
-            peak = float(np.abs(w).max())
-            est = peak * float(np.linalg.norm(w / peak))
+        with np.errstate(over="ignore"):  # an overflowed sum of squares is handled next
+            est = _unoverflowed_norm(w, float(np.linalg.norm(w)))
         if not est <= _NORM_LIMIT:
             raise NonFiniteResult(f"operator norm estimate is {est} at power iteration {it}")
         if est == 0.0 or est < 1e-300:

@@ -279,13 +279,13 @@ def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None
     return rows.T @ (labels * _margin_derivative(cfg, margins, e)) / rows.shape[0] + cfg.reg_a * x
 
 
-def _curvature_weights(cfg: ObjectiveConfig, rows: np.ndarray, labels: np.ndarray, x: np.ndarray):
+def _curvature_weights(cfg: ObjectiveConfig, margins: np.ndarray):
     if cfg.loss_kind == "logistic":
-        # sigmoid(z) sigmoid(-z) = e / (1 + e)^2: even in z, and accurate to a
-        # few ulps where sigmoid(z) itself rounds to 1.
-        e = _exp_neg_abs(rows @ x)
+        # sigmoid(m) sigmoid(-m) = e / (1 + e)^2: even in m, and accurate to a
+        # few ulps where sigmoid(m) itself rounds to 1.
+        e = _exp_neg_abs(margins)
         return e / (1.0 + e) ** 2
-    return _huber_curvature(labels * (rows @ x))
+    return _huber_curvature(margins)
 
 
 @dataclass(frozen=True)
@@ -295,13 +295,15 @@ class BatchHessian:
     :meth:`at` gathers a batch and builds the operator; :meth:`of_rows`
     builds it over rows already gathered by :func:`gather_batches`, which
     support products but not :meth:`dense`.  ``H @ v`` takes a (d,) vector or a
-    (d, k) block.  Quadratics give ``(spectrum + a) v`` in both modes: that is
-    the central difference of their linear gradient, exactly.  For sampled
-    kinds every product takes one path, ``t = rows @ v``, then a per-sample
-    term ``y``, then ``rows.T @ y / b + a v``; the modes differ only in ``y``.
-    Analytic products use curvature weights computed once, ``y = weights * t``.
-    With ``fd_step`` ``h`` set, ``y`` is a central difference of the margin
-    derivative ``phi'`` from base margins ``m0`` stored once:
+    (d, k) block.  A quadratic's ``weights`` are its diagonal ``spectrum + a``,
+    its product ``weights * v`` in both modes: the central difference of its
+    linear gradient, exactly.  A sampled kind's ``margins`` are its base
+    margins ``m0 = labels * (rows @ x)``, in both modes, and every product
+    takes one path, ``t = rows @ v``, then a per-sample term ``y``, then
+    ``rows.T @ y / b + a v``; the modes differ only in ``y``.  Analytic
+    ``weights`` are the curvature weights at ``m0``, and ``y = weights * t``.
+    With ``fd_step`` ``h`` set there are no ``weights``, and ``y`` is a
+    central difference of the margin derivative ``phi'``:
     ``labels * (phi'(m0 + delta) - phi'(m0 - delta)) * ||v|| / (2h)`` with
     ``delta = labels * t * h / ||v||`` per column.  So the perturbation along
     each column has size ``h = sqrt(eps) * (1 + ||x||)`` whatever ``||v||``
@@ -314,9 +316,9 @@ class BatchHessian:
     x: np.ndarray
     rows: Any  # the batch rows, dense or CSR; None for quadratics
     labels: Optional[np.ndarray]
-    weights: Optional[np.ndarray] = None  # analytic curvature weights of sampled kinds
+    weights: Optional[np.ndarray]  # a quadratic's diagonal, or analytic curvature weights
+    margins: Optional[np.ndarray] = None  # base margins of sampled kinds
     fd_step: Optional[float] = None
-    margins: Optional[np.ndarray] = None  # base margins of sampled kinds, for differences
 
     @classmethod
     def at(cls, cfg, data, batch, x, mode: HvpMode) -> "BatchHessian":
@@ -328,19 +330,19 @@ class BatchHessian:
     @classmethod
     def of_rows(cls, cfg, rows, labels, x: np.ndarray, mode: HvpMode) -> "BatchHessian":
         """The operator at a checked ``x`` over gathered batch rows and labels."""
+        if rows is None:
+            return cls(cfg, x, None, None, cfg.quadratic_spectrum + cfg.reg_a)
+        margins = _margins(rows, labels, x)
         if mode.kind == "finite_difference":
-            step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
-            return cls(cfg, x, rows, labels, fd_step=step, margins=_margins(rows, labels, x))
-        weights = None if rows is None else _curvature_weights(cfg, rows, labels, x)
-        return cls(cfg, x, rows, labels, weights)
+            return cls(cfg, x, rows, labels, None, margins, _SQRT_EPS * (1.0 + float(np.linalg.norm(x))))
+        return cls(cfg, x, rows, labels, _curvature_weights(cfg, margins), margins)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.x.size:
             raise DimensionMismatch(f"v has leading size {v.shape[0]}, expected {self.x.size}")
         if self.rows is None:
-            scale = self.cfg.quadratic_spectrum + self.cfg.reg_a
-            return scale[:, None] * v if v.ndim == 2 else scale * v
+            return self.weights[:, None] * v if v.ndim == 2 else self.weights * v
         per_sample = (slice(None), None) if v.ndim == 2 else slice(None)  # a (b,) array against each column
         t = self.rows @ v
         if self.fd_step is None:
@@ -360,16 +362,16 @@ class BatchHessian:
         """The explicit (d, d) matrix of ``H_B(x)`` in any product mode, capped at d <= 512.
 
         A finite-difference operator stores no curvature weights, so they are
-        computed here; the matrix is the analytic one either way.
+        computed here from its margins; the matrix is the analytic one either way.
         """
         d = self.x.size
         if d > DENSE_HESSIAN_MAX_DIM:
             raise DimensionTooLarge(f"dense Hessian capped at {DENSE_HESSIAN_MAX_DIM}, got d={d}")
         if self.rows is None:
-            return np.diag(self.cfg.quadratic_spectrum + self.cfg.reg_a)
+            return np.diag(self.weights)
         weights = self.weights
         if weights is None:
-            weights = _curvature_weights(self.cfg, self.rows, self.labels, self.x)
+            weights = _curvature_weights(self.cfg, self.margins)
         if isinstance(self.rows, np.ndarray):
             h = self.rows.T @ (weights[:, None] * self.rows) / self.rows.shape[0]
         else:

@@ -35,9 +35,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import IndefiniteBlock, RankDeficient, SingularSystem
+from .errors import IndefiniteBlock, NonFiniteResult, RankDeficient, SingularSystem
 from .hvp import CENTRAL_FD, HvpMode
-from .linalg import EigenPairs, derive_seed, qr_orthonormal, spectral_norm_sym, sym_eig_small
+from .linalg import EigenPairs, _unoverflowed_norm, derive_seed, qr_orthonormal, spectral_norm_sym, sym_eig_small
 from .objectives import (
     BatchHessian,
     Dataset,
@@ -65,13 +65,12 @@ _PROBE_TOL = 1e-6
 class Subspace:
     """Per-iteration sketch state from which the approximate inverse is applied.
 
-    ``u`` is the orthonormal (d, l) basis, ``small_block`` the symmetrized
-    captured block Z^T U with ``Z = H_B U``, ``block_eig`` its eigenpairs,
-    and ``lam`` the perturbation, half the block's smallest eigenvalue.
+    ``u`` is the orthonormal (d, l) basis, ``block_eig`` the eigenpairs of
+    the symmetrized captured block Z^T U with ``Z = H_B U`` (the block's one
+    copy), and ``lam`` the perturbation, half the block's smallest eigenvalue.
     """
 
     u: np.ndarray
-    small_block: np.ndarray
     block_eig: EigenPairs
     lam: float
 
@@ -164,8 +163,9 @@ class SpanState(NamedTuple):
 def assemble_subspace(u: np.ndarray, z: np.ndarray) -> Subspace:
     """Finish subspace construction from a basis and its Hessian image.
 
-    Symmetrizes the captured block (finite differences break symmetry at
-    O(h)), sets the safeguard to half its smallest eigenvalue, and raises
+    Takes the eigenpairs of the captured block, which :func:`sym_eig_small`
+    symmetrizes (finite differences break symmetry at O(h)), sets the
+    safeguard to half its smallest eigenvalue, and raises
     :class:`SingularSystem` when the block's smallest eigenvalue is, in
     magnitude, 1e-12 of its largest or less (a zero up to roundoff, on either
     side of 0, or a condition number of 1e12 or more): its inverse would be
@@ -173,9 +173,7 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray) -> Subspace:
     :class:`IndefiniteBlock`; for the in-scope convex objectives that means
     the model is mis-specified.
     """
-    block = z.T @ u
-    block = 0.5 * (block + block.T)
-    eig = sym_eig_small(block)
+    eig = sym_eig_small(z.T @ u)
     smallest = float(eig.values[-1])
     scale = float(np.abs(eig.values).max())
     if abs(smallest) * _BLOCK_COND_LIMIT <= scale:
@@ -187,7 +185,7 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray) -> Subspace:
             f"captured block has eigenvalue {smallest:.3e} < 0; "
             "batch Hessian is not positive definite on the sketch"
         )
-    return Subspace(u=u, small_block=block, block_eig=eig, lam=0.5 * smallest)
+    return Subspace(u=u, block_eig=eig, lam=0.5 * smallest)
 
 
 def build_subspace(hessian: BatchHessian, rc: RangeConfig, seed: int) -> Subspace:
@@ -237,9 +235,9 @@ def hessian_error_probe(s: Subspace, hessian: BatchHessian, seed: int) -> float:
         return s.u @ (s.u.T @ h_uv) + s.lam * (v - uv) - h_v
 
     # At full capture the difference is roundoff-level and slightly
-    # nonsymmetric; an absolute floor keyed to the captured block's scale
-    # lets the probe settle there instead of chasing noise.
-    floor = 1e-11 * float(np.linalg.norm(s.small_block))
+    # nonsymmetric; an absolute floor keyed to the captured block's Frobenius
+    # norm lets the probe settle there instead of chasing noise.
+    floor = 1e-11 * float(np.linalg.norm(s.block_eig.values))
     return spectral_norm_sym(difference, hessian.x.size, tol=_PROBE_TOL, seed=seed, abs_tol=floor)
 
 
@@ -258,6 +256,8 @@ def _step(
     start of a run, carried after that), the update, and the fused
     full-data loss and gradient at the new iterate.  The gradient goes into
     the returned state for the next step; the probe runs off the clock.
+    A new row whose loss or gradient norm is not finite raises
+    :class:`NonFiniteResult`: the run has diverged.
     """
     start = time.perf_counter()
     grad = state.grad if state.grad is not None else batch_gradient(objective, data, None, state.x)
@@ -266,7 +266,10 @@ def _step(
     elapsed = state.elapsed_s + (time.perf_counter() - start)
     t = state.t + 1
     # np.linalg.norm's own arithmetic for a vector, without its argument handling.
-    record = TraceRecord(t, elapsed, loss, math.sqrt(grad.dot(grad)), None if probe is None else probe(), lambda_used)
+    grad_norm = _unoverflowed_norm(grad, math.sqrt(grad.dot(grad)))
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise NonFiniteResult(f"loss {loss} or gradient norm {grad_norm} is not finite at step {t}")
+    record = TraceRecord(t, elapsed, loss, grad_norm, None if probe is None else probe(), lambda_used)
     return SpanState(x, t, elapsed, subspace, grad), record
 
 

@@ -28,10 +28,11 @@ from spanopt import (
     span_step,
 )
 from spanopt import linalg
-from spanopt.baselines import neumann_inverse_apply, newsamp_inverse, svrg_gradient_estimate
+from spanopt.baselines import neumann_inverse_apply, newsamp_inverse
 from spanopt.bench import load_experiment_config, read_trace_csv, per_iteration_scaling, run_experiment
 from spanopt.datasets import synth_classification
 from spanopt.linalg import sym_eig_small
+from spanopt.objectives import batch_gradient_difference, gather_batches
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -309,7 +310,8 @@ def test_criterion_8_oracle_equivalences():
     cfg = ObjectiveConfig("logistic", reg_a=0.1)
     snapshot = rng.standard_normal(4)
     mu = batch_gradient(cfg, data, None, snapshot)
-    estimate = svrg_gradient_estimate(cfg, data, np.array([1, 5, 9]), snapshot, snapshot, mu)
+    ((rows, labels),) = gather_batches(cfg, data, [np.array([1, 5, 9])])
+    estimate = batch_gradient_difference(cfg, rows, labels, snapshot, snapshot) + mu
     svrg_ok = bool(np.array_equal(estimate, mu))
 
     verdict(

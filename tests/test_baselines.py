@@ -22,14 +22,19 @@ from spanopt.baselines import (
     lissa_hessian_scale,
     neumann_inverse_apply,
     newsamp_inverse,
-    svrg_gradient_estimate,
 )
+from spanopt.datasets import synth_classification
 from spanopt.errors import DivergingSeries, NonFiniteResult
 from spanopt.linalg import sym_eig_small
 
 
 def quadratic(spectrum):
     return ObjectiveConfig("quadratic", quadratic_spectrum=np.asarray(spectrum, dtype=float))
+
+
+def overflowing_logistic():
+    # With x0 = ones, the L2 term alone puts the gradient at 1e300 per entry.
+    return ObjectiveConfig("logistic", reg_a=1e300), synth_classification(n=40, d=8, seed=0)
 
 
 def toy_logistic(n=20, d=2, seed=0, reg=0.1):
@@ -105,8 +110,9 @@ class TestSvrg:
         cfg, data = toy_logistic()
         snapshot = np.array([0.3, -0.7])
         mu = batch_gradient(cfg, data, None, snapshot)
-        batch = np.array([2, 5, 11])
-        estimate = svrg_gradient_estimate(cfg, data, batch, snapshot, snapshot, mu)
+        # A run_svrg step's estimate, over the rows of one gathered batch.
+        ((rows, labels),) = objectives.gather_batches(cfg, data, [np.array([2, 5, 11])])
+        estimate = objectives.batch_gradient_difference(cfg, rows, labels, snapshot, snapshot) + mu
         np.testing.assert_array_equal(estimate, mu)  # bitwise
 
     def test_single_sample_dataset_reduces_to_gd(self):
@@ -230,6 +236,11 @@ class TestLissa:
         with pytest.raises(DivergingSeries):
             neumann_inverse_apply(lambda u: 3.0 * u, np.ones(2), depth=100)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_operator_raises(self, value):
+        with pytest.raises(DivergingSeries):
+            neumann_inverse_apply(lambda u: np.full_like(u, value), np.ones(2), depth=3)
+
     def test_direction_matches_dense_solve_on_quadratic(self):
         spectrum = np.array([0.2, 0.35, 0.5, 0.7, 0.9])
         objective = quadratic(spectrum)
@@ -326,6 +337,26 @@ class TestSharedTraceContract:
             x, trace = RUNNERS[method](method_config(method, t_max=t_max, seed=4), cfg, data, np.zeros(4))
             assert trace[-1].loss == batch_loss(cfg, data, None, x)
             assert trace[-1].grad_norm == float(np.linalg.norm(batch_gradient(cfg, data, None, x)))
+
+    def test_diverging_step_raises(self):
+        # gd's first iterate overflows: the run wrote rows (inf, inf), then
+        # (nan, nan), and returned normally.  The step's own numpy warnings print.
+        cfg, data = overflowing_logistic()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NonFiniteResult, match="at step 1"):
+                run_gd(BaselineConfig(method="gd", eta=0.5, t_max=3), cfg, data, np.ones(8))
+
+    def test_grad_norm_whose_square_overflows(self):
+        # newsamp's first iterate has a finite gradient whose sum of squares
+        # overflows; its row read grad_norm = inf beside a finite loss.
+        cfg, data = overflowing_logistic()
+        bl = BaselineConfig(method="newsamp", eta=1.0, t_max=1, m=2, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            x, trace = run_newsamp(bl, cfg, data, np.ones(8))
+        g = batch_gradient(cfg, data, None, x)
+        peak = np.abs(g).max()
+        assert np.isfinite(trace[0].loss) and np.isfinite(trace[0].grad_norm)
+        assert trace[0].grad_norm == peak * np.linalg.norm(g / peak)
 
     @pytest.mark.parametrize("method", ["span", "gd", "svrg", "newsamp", "lissa"])
     def test_grad_tol_stops_early(self, method):

@@ -641,6 +641,29 @@ class TestCli:
                 code = cli.main(["run", str(config), "--output-dir", str(tmp / "out")])
         assert code in (0, 2) or (code == 1 and "config error:" in err.getvalue()), err.getvalue()
 
+    def test_diverging_method_fails_and_overflowing_norm_stays_finite(self, tmp_path, capsys):
+        # gd's iterate overflows at its first step: it wrote rows (inf, inf),
+        # then (nan, nan), and reported ok.  newsamp's first iterates have
+        # finite gradients whose sum of squares overflows: their grad_norm
+        # read inf.  Each step's numpy overflow warnings still print.
+        text = (
+            "seed = 0\nmethods = gd, newsamp\nx0 = ones\nobjective.loss = logistic\nobjective.reg_a = 1e300\n"
+            "dataset.kind = synth_classification\ndataset.n = 40\ndataset.d = 8\ndataset.seed = 0\n"
+            "preiterate.epochs = 0\ngd.T = 3\ngd.eta = 0.5\nnewsamp.T = 3\nnewsamp.m = 2\nnewsamp.eta = 1.0\n"
+        )
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(out)])
+        assert code == 2
+        printed = capsys.readouterr().out
+        assert "gd: error: loss inf or gradient norm inf is not finite at step 1" in printed
+        assert "newsamp: ok" in printed
+        assert not (out / "gd.csv").exists()
+        trace = read_trace_csv(out / "newsamp.csv")
+        assert len(trace) == 3
+        assert all(np.isfinite(r.grad_norm) for r in trace)
+        assert trace[0].loss > 1e269
+
     @pytest.mark.parametrize(
         "base, edit, code",
         [

@@ -272,6 +272,14 @@ class TestSymEigSmall:
         np.testing.assert_allclose(rebuilt, sym, atol=1e-10)
 
 
+    def test_overflowing_symmetrization_raises(self):
+        # Finite entries whose sum a + a^T overflows: eigh once ran on an
+        # infinite matrix.  The overflow is handled inside, without a warning.
+        a = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+        with pytest.raises(NonFiniteResult):
+            linalg.sym_eig_small(a)
+
+
 class TestSolveSmall:
     """Tripwires of the small solve on the captured block, its eigen-inverse in ``span``."""
 

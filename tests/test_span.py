@@ -63,8 +63,7 @@ class TestBuildSubspace:
     def test_full_width_block_is_similar_to_hessian(self):
         cfg = quadratic([1.0, 2.0, 3.0, 4.0])
         s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), RangeConfig(l=4, q=1, m=0), seed=2)
-        eigs = np.sort(np.linalg.eigvalsh(s.small_block))[::-1]
-        np.testing.assert_allclose(eigs, [4.0, 3.0, 2.0, 1.0], atol=1e-8)
+        np.testing.assert_allclose(s.block_eig.values, [4.0, 3.0, 2.0, 1.0], atol=1e-8)
 
     def test_isotropic_operator_safeguard(self):
         c = 2.0
@@ -78,10 +77,15 @@ class TestBuildSubspace:
             d = 20
             spectrum = np.sort(rng.uniform(0.5, 8.0, size=d))[::-1]
             rc = RangeConfig(l=8, q=1, m=4)
-            s = build_subspace(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC), rc, seed=seed)
+            hessian = BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC)
+            s = build_subspace(hessian, rc, seed=seed)
             assert s.lam == 0.5 * s.block_eig.values[-1]
             assert np.abs(s.u.T @ s.u - np.eye(8)).max() <= 1e-10
-            assert np.abs(s.small_block - s.small_block.T).max() <= 1e-8 * np.abs(s.small_block).max()
+            # The eigenpairs are those of the symmetrized captured block.
+            block = (hessian @ s.u).T @ s.u
+            symmetrized = 0.5 * (block + block.T)
+            v, w = s.block_eig.vectors, s.block_eig.values
+            assert np.abs(v @ np.diag(w) @ v.T - symmetrized).max() <= 1e-12 * np.abs(symmetrized).max()
 
     @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD], ids=["analytic", "finite-difference"])
     @pytest.mark.parametrize("m", [0, 1, 4], ids=["m=0", "m=1", "m=l-4"])
@@ -152,7 +156,7 @@ class TestApplyInverse:
         s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC), RangeConfig(l=l, q=2, m=1), seed=3)
         h_hat = explicit_perturbed_hessian(s, np.diag(spectrum))
         eigs = np.sort(np.linalg.eigvalsh(h_hat))
-        block_eigs = np.sort(np.linalg.eigvalsh(s.small_block))
+        block_eigs = np.sort(s.block_eig.values)
         expected = np.sort(np.concatenate([block_eigs, np.full(d - l, s.lam)]))
         np.testing.assert_allclose(eigs, expected, atol=1e-8 * spectrum[0])
 
