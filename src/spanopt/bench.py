@@ -402,7 +402,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured method from one shared start point; write one CSV each.
 
     A failing method is recorded as ``error: ...`` in its result row and in
-    the summary; the other methods still run.
+    the summary, and any trace it left in ``output_dir`` from an earlier run
+    is removed; the other methods still run.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     dim = cfg.objective.dim if cfg.objective.dim is not None else cfg.data.dim
@@ -425,6 +426,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             _, trace = _RUNNERS[method](cfg.method_configs[method], cfg.objective, cfg.data, x0.copy())
         except SpanOptError as exc:
             log.warning("method %s failed: %s", method, exc)
+            (cfg.output_dir / f"{method}.csv").unlink(missing_ok=True)
             results.append(MethodResult(method, f"error: {exc}", None, None, None))
             continue
         write_trace_csv(cfg.output_dir / f"{method}.csv", trace)

@@ -88,9 +88,9 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     ``cond(y)`` read off the first factor, is within that limit, and only
     for a Gram trace in [2^-600, 2^600]: the trace bounds every Gram entry,
     so nothing overflows, and any product that underflows is far below the
-    Gram's own rounding error for a block that passes the limit.  Sketches
+    Gram's own rounding error for a block that passes the limit.  Images
     carried from the previous step pass; in them ``cond(y)`` is that of the
-    Hessian on the carried subspace.
+    previous step's batch Hessian on its basis.
 
     Any other block goes through shifted CholeskyQR3.  ``y`` is first scaled
     by the power of two nearest its largest entry, so the Gram matrix

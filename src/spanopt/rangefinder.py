@@ -7,8 +7,9 @@ span-preserving in exact arithmetic and numerically essential once the
 columns start collapsing toward the dominant eigenvector.
 
 :func:`spanopt.span.span_step` sketches fresh only at a run's first step,
-or when the carried block loses rank; every other step carries the last
-basis forward through one more Hessian application.
+or when the carried image loses rank; every other step orthonormalizes the
+last step's Hessian image ``H_B' U_prev``, which that step already computed
+for its captured block, so it makes no sketch product of its own.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """The stochastic projected approximate-Newton optimizer.
 
-Each iteration builds one batch Hessian operator H_B, sketches it into an
-orthonormal basis U (a powered Gaussian sketch from
-:mod:`spanopt.rangefinder` at the first step; after that, one subspace
-iteration from the last step's basis), forms the captured block Z^T U with
-one more block product, and applies the perturbed inverse
+Each iteration builds one batch Hessian operator H_B, takes an orthonormal
+basis U (a powered Gaussian sketch from :mod:`spanopt.rangefinder` at the
+first step; after that, the orthonormalized image H_B' U_prev that the last
+step already computed on its own batch B'), makes one block product
+Z = H_B U, forms the captured block Z^T U, and applies the perturbed inverse
 
     U (Z^T U)^{-1} U^T  +  (1/lambda) (I - U U^T)
 
@@ -13,9 +13,11 @@ is the safeguard 0.5 * sigma_min(Z^T U), recorded in every trace row:
 large enough that the complement term does not dominate the inverse, and
 small enough for the error analysis with no estimate of the unobservable
 sigma_{m+1}(H_B).  By Cauchy interlacing, sigma_min(U^T H_B U) <=
-sigma_l(H_B) <= sigma_{m+1}(H_B) for any rank target m < l, so lambda
+sigma_l(H_B) <= sigma_{m+1}(H_B) for any rank target m < l and any
+orthonormal U, a basis carried from the previous batch included, so lambda
 meets the condition lambda <= 2 sigma_{m+1} that the contraction analysis
-needs.
+needs.  Z is kept as the next step's pre-QR block, so a carried step makes
+one block product, subspace iteration that reuses its product.
 
 Every method, the baselines of :mod:`spanopt.baselines` included, runs
 through this module's one step loop, which steps from a :class:`SpanState`
@@ -68,11 +70,14 @@ class Subspace:
     ``u`` is the orthonormal (d, l) basis, ``block_eig`` the eigenpairs of
     the symmetrized captured block Z^T U with ``Z = H_B U`` (the block's one
     copy), and ``lam`` the perturbation, half the block's smallest eigenvalue.
+    ``image`` is ``Z`` itself, the (d, l) block the next step orthonormalizes
+    into its basis in place of a product of its own.
     """
 
     u: np.ndarray
     block_eig: EigenPairs
     lam: float
+    image: np.ndarray
 
 
 def _check_run_length(t_max, grad_tol) -> None:
@@ -145,12 +150,12 @@ class TraceRecord(NamedTuple):
 class SpanState(NamedTuple):
     """Immutable state between steps, for every method.
 
-    ``subspace`` is span's last sketch, whose basis the next step carries
-    forward (``None`` for the baselines); ``grad`` is the full-data gradient
-    at ``x``.  A state without them (the start of a run) sketches fresh and
-    computes its own gradient.  A tuple, not a dataclass: the loop builds
-    one per step, and the cheapest first-order steps take tens of
-    microseconds.
+    ``subspace`` is span's last sketch, whose image ``H_B U`` the next step
+    orthonormalizes into its basis (``None`` for the baselines); ``grad`` is
+    the full-data gradient at ``x``.  A state without them (the start of a
+    run) sketches fresh and computes its own gradient.  A tuple, not a
+    dataclass: the loop builds one per step, and the cheapest first-order
+    steps take tens of microseconds.
     """
 
     x: np.ndarray
@@ -185,7 +190,7 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray) -> Subspace:
             f"captured block has eigenvalue {smallest:.3e} < 0; "
             "batch Hessian is not positive definite on the sketch"
         )
-    return Subspace(u=u, block_eig=eig, lam=0.5 * smallest)
+    return Subspace(u=u, block_eig=eig, lam=0.5 * smallest, image=z)
 
 
 def build_subspace(hessian: BatchHessian, rc: RangeConfig, seed: int) -> Subspace:
@@ -242,7 +247,7 @@ def hessian_error_probe(s: Subspace, hessian: BatchHessian, seed: int) -> float:
 
 
 # A method's update: ``(t, x, grad) -> (x_next, lambda_used, subspace, probe)``.
-# ``subspace`` is the basis to carry, ``None`` outside span; ``probe``, when
+# ``subspace`` is the sketch to carry, ``None`` outside span; ``probe``, when
 # not ``None``, gives the trace row's Hessian error once the clock has stopped.
 _Update = Callable[[int, np.ndarray, np.ndarray], tuple]
 
@@ -296,13 +301,16 @@ def span_step(
 
     The update direction uses the full-dataset gradient; only the Hessian
     sketch is batched.  The step builds one batch Hessian operator, which
-    the sketch, ``Z`` and the Hessian-error probe share.  The first step of
-    a run draws a fresh powered sketch (:func:`build_subspace`); later steps
-    carry the state's last basis forward, ``U = qr(H_B U_prev)``, one
-    product in place of ``2q + 1``.  When that block is rank-deficient the
-    step sketches afresh.  A fresh sketch's seed is derived from the run
-    seed and the step index, and only when one is drawn.  The clock, the
-    carried gradient and the trace row are the shared step bracket's.
+    ``Z``, the Hessian-error probe and any fresh sketch share.  The first
+    step of a run draws a fresh powered sketch (:func:`build_subspace`);
+    later steps carry the last step's image forward, ``U = qr(H_B' U_prev)``
+    with ``H_B'`` the previous step's operator, and make the one product
+    ``Z = H_B U`` on this step's batch: 1 block product in place of
+    ``2q + 2``, so the captured block stays ``U^T H_B U`` of this batch.
+    When the carried image is rank-deficient the step sketches afresh.  A
+    fresh sketch's seed is derived from the run seed and the step index,
+    and only when one is drawn.  The clock, the carried gradient and the
+    trace row are the shared step bracket's.
     """
 
     def update(t: int, x: np.ndarray, grad: np.ndarray):
@@ -314,9 +322,9 @@ def span_step(
         u = None
         if state.subspace is not None:
             try:
-                u = qr_orthonormal(hessian @ state.subspace.u)
+                u = qr_orthonormal(state.subspace.image)
             except RankDeficient:
-                pass  # the carried block lost rank: sketch afresh
+                pass  # the carried image lost rank: sketch afresh
         if u is None:
             subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t))
         else:

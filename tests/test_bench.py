@@ -664,6 +664,24 @@ class TestCli:
         assert all(np.isfinite(r.grad_norm) for r in trace)
         assert trace[0].loss > 1e269
 
+    def test_failed_method_removes_its_stale_trace(self, tmp_path, capsys):
+        # A rerun into a directory holding an earlier gd.csv left it beside
+        # a summary that says error, and `bench plot` read it as a result.
+        text = (
+            "seed = 0\nmethods = gd\nx0 = ones\nobjective.loss = logistic\nobjective.reg_a = 1e300\n"
+            "dataset.kind = synth_classification\ndataset.n = 40\ndataset.d = 8\ndataset.seed = 0\n"
+            "preiterate.epochs = 0\ngd.T = 3\ngd.eta = 0.5\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        write_trace_csv(out / "gd.csv", [TraceRecord(1, 0.1, 1.0, 1.0)])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(out)])
+        assert code == 2
+        assert "gd: error" in capsys.readouterr().out
+        assert not (out / "gd.csv").exists()
+        assert (out / "summary.csv").read_text().splitlines()[1].startswith("gd,error,")
+
     @pytest.mark.parametrize(
         "base, edit, code",
         [

@@ -318,7 +318,8 @@ class TestWarmStart:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_block_products_per_step(self, monkeypatch, q):
         # Step 0 sketches fresh: 2q + 1 products and Z.  Every later step
-        # carries the basis: one product to refresh U and one for Z.
+        # orthonormalizes the last step's Z into its basis and makes one
+        # product, its own Z.
         counts = []
         real = objectives.BatchHessian.__matmul__
 
@@ -333,7 +334,44 @@ class TestWarmStart:
         for _ in range(5):
             counts.append(0)
             state, _ = span_step(state, cfg, data, span_cfg)
-        assert counts == [2 * q + 2, 2, 2, 2, 2]
+        assert counts == [2 * q + 2, 1, 1, 1, 1]
+
+    def test_quadratic_carried_basis_is_one_power_step(self):
+        # A quadratic's H_B depends on neither the batch nor x, so the image
+        # carried from the last step is the product H U_prev itself.
+        cfg = quadratic(np.linspace(6.0, 1.0, 10))
+        span_cfg = SpanConfig(t_max=6, m=0, l=4, q=2, b=1, eta=0.5, seed=11, hvp_mode=ANALYTIC)
+        hessian = BatchHessian.at(cfg, None, None, np.zeros(10), ANALYTIC)
+        state, _ = span_step(SpanState(x=np.ones(10)), cfg, None, span_cfg)
+        for _ in range(5):
+            previous_u = state.subspace.u
+            state, _ = span_step(state, cfg, None, span_cfg)
+            assert np.array_equal(state.subspace.u, linalg.qr_orthonormal(hessian @ previous_u))
+
+    @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD], ids=["analytic", "finite-difference"])
+    def test_carried_block_is_on_the_current_batch(self, monkeypatch, mode):
+        # The basis comes from the previous batch's product; the block and
+        # the safeguard must still be those of this step's own batch Hessian.
+        built = []
+        real_at = objectives.BatchHessian.at
+
+        def recording_at(*args):
+            built.append(real_at(*args))
+            return built[-1]
+
+        monkeypatch.setattr(objectives.BatchHessian, "at", staticmethod(recording_at))
+        cfg, data = small_logistic()
+        span_cfg = SpanConfig(t_max=6, m=0, l=4, q=1, b=20, eta=0.5, seed=3, hvp_mode=mode)
+        tol = 1e-12 if mode == ANALYTIC else 1e-6
+        state, _ = span_step(SpanState(x=np.zeros(8)), cfg, data, span_cfg)
+        for _ in range(5):
+            state, _ = span_step(state, cfg, data, span_cfg)
+            dense = built[-1].dense()
+            u = state.subspace.u
+            expected = np.linalg.eigvalsh(u.T @ dense @ u)[::-1]
+            np.testing.assert_allclose(state.subspace.block_eig.values, expected, rtol=0, atol=tol * expected[0])
+            l = u.shape[1]
+            assert state.subspace.lam <= 0.5 * np.linalg.eigvalsh(dense)[::-1][l - 1] * (1.0 + tol)
 
     def test_step_zero_is_the_fresh_sketch(self):
         cfg = quadratic(np.linspace(6.0, 1.0, 10))
