@@ -14,8 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-from . import bench
-from .errors import ConfigError, IncompatibleTraces, SpanOptError
+from . import bench, objectives
+from .errors import ConfigError, DimensionTooLarge, IncompatibleTraces, SpanOptError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +84,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--dims: expected integers, got {args.dims!r}") from None
             if not dims or min(dims) < 1:
                 raise ConfigError(f"--dims: expected positive integers, got {args.dims!r}")
+            try:  # every solve needs d-vectors
+                objectives._check_fits(max(dims), f"a vector of dimension {max(dims)}")
+            except DimensionTooLarge as exc:
+                raise ConfigError(f"--dims: {exc}") from None
             if args.steps < 1:
                 raise ConfigError(f"--steps: expected a positive integer, got {args.steps}")
             bench.check_output_dir(args.output)

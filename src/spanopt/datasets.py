@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoMatchingExamples, ParseError
 from .linalg import derive_seed, gaussian_matrix
-from .objectives import Dataset, ObjectiveConfig
+from .objectives import Dataset, ObjectiveConfig, _check_fits
 
 _LABEL_NOISE = 0.05  # flip probability of synthetic classification labels
 
@@ -205,12 +205,15 @@ def to_binary_dataset(
 ) -> Dataset:
     """Keep the two requested label classes and map them to +1 / -1; the features stay CSR.
 
-    Examples with other labels are dropped.  ``dim`` is the feature
-    dimension, normally the one :func:`load_libsvm` inferred from the whole
-    file.  A feature index above ``dim`` raises :class:`DimensionMismatch`.
+    Examples with other labels are dropped.  Equal labels raise
+    ``ValueError``: they would map every kept example to +1.  ``dim`` is the
+    feature dimension, normally the one :func:`load_libsvm` inferred from the
+    whole file.  A feature index above ``dim`` raises :class:`DimensionMismatch`.
     The kept examples' CSR arrays become the dataset's ``scipy.sparse`` CSR
     features, the first use of scipy in a process.
     """
+    if positive_label == negative_label:
+        raise ValueError(f"positive and negative labels are both {positive_label}")
     from scipy import sparse
 
     keep = (examples.labels == positive_label) | (examples.labels == negative_label)
@@ -312,9 +315,12 @@ def synth_classification(
     spectrum of a linear model decays polynomially; labels come from a
     planted unit-norm direction, and each flips with probability 0.05.
     Rows are unit-normalized by default, matching the benchmark preprocessing.
+    A feature matrix beyond physical memory raises :class:`DimensionTooLarge`
+    before anything is drawn.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
+    _check_fits(n * d, f"dense {n} x {d} feature matrix")
     features = gaussian_matrix(n, d, derive_seed(seed, 50))
     scales = np.arange(1, d + 1, dtype=float) ** (-decay)
     features *= scales

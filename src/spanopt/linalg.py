@@ -1,13 +1,12 @@
 """Dense linear-algebra kernels shared by every other module.
 
-The factorizations sit behind the library's contracts.  Thin QR is built
-from numpy GEMMs and ``l x l`` LAPACK calls.  A tall-skinny ``d x l`` block
-takes plain CholeskyQR2, two Gram products and two triangular applies, when
-its first Cholesky factor bounds its condition number within the limit that
-CholeskyQR2 is proven stable for, about ``0.18 (eps (dl + l(l+1)))^(-1/2)``;
-any other block takes shifted CholeskyQR3, three of each.  R's diagonal is
-positive by construction, with a rank tripwire on it (stable orthonormality
-is load-bearing for the subspace error bounds).  The
+The factorizations sit behind the library's contracts.  Thin QR of a
+tall-skinny ``d x l`` block takes plain CholeskyQR2, two Gram products and
+two triangular applies, when its first Cholesky factor bounds its condition
+number within the limit that CholeskyQR2 is proven stable for, about
+``0.18 (eps (dl + l(l+1)))^(-1/2)``; any other block takes LAPACK's
+Householder QR.  R's diagonal is made positive, with a rank tripwire on it
+(stable orthonormality is load-bearing for the subspace error bounds).  The
 symmetric eigensolver is LAPACK's ``eigh`` with values in descending order.
 Two kernels stay local: Box-Muller Gaussian sampling over a PCG64 stream
 (reproducible from the 64-bit seed alone, independent of numpy's own normal
@@ -62,7 +61,7 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     n = rows * cols
     half = (n + 1) // 2
     rng = np.random.Generator(np.random.PCG64(int(seed) & _SEED_MASK))
-    u1 = 1.0 - rng.random(half)  # shift to (0, 1] so the log is finite
+    u1 = 1.0 - rng.random(half)  # in (0, 1], so the log is finite
     u2 = rng.random(half)
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2
@@ -71,43 +70,34 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def qr_orthonormal(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of a tall ``y``, by CholeskyQR2 or shifted CholeskyQR3.
+    """Orthonormal basis for the column span of a tall ``y``, by CholeskyQR2 or Householder QR.
 
     Returns the thin Q factor (same shape as ``y``) of ``y = QR`` with R's
-    diagonal positive.  numpy has no triangular solve, so each pass factors
-    a Gram matrix, inverts its ``l x l`` Cholesky factor and applies it as
-    one GEMM.
+    diagonal positive.
 
     The first try is plain CholeskyQR2 on ``y`` as given: two Gram products
-    and two GEMMs.  It is stable, with orthonormality and residual at
-    roundoff, while ``cond(y) <= sqrt(2)/8 * (eps (dl + l(l+1)))^(-1/2)``
-    (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015: ``8 cond(y)
-    sqrt(u (dl + l(l+1))) <= 1`` with unit roundoff ``u = eps/2``), about
-    4e4 at ``5000 x 16``.  Its result is kept only when the first Cholesky
-    factorization succeeds and ``||R1||_F ||R1^-1||_F``, an upper bound on
-    ``cond(y)`` read off the first factor, is within that limit, and only
-    for a Gram trace in [2^-600, 2^600]: the trace bounds every Gram entry,
-    so nothing overflows, and any product that underflows is far below the
-    Gram's own rounding error for a block that passes the limit.  Images
-    carried from the previous step pass; in them ``cond(y)`` is that of the
-    previous step's batch Hessian on its basis.
+    and two GEMMs, each pass applying the inverse of an ``l x l`` Cholesky
+    factor (numpy has no triangular solve).  It is stable, with
+    orthonormality and residual at roundoff, while ``cond(y) <= sqrt(2)/8 *
+    (eps (dl + l(l+1)))^(-1/2)`` (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya,
+    ETNA 2015: ``8 cond(y) sqrt(u (dl + l(l+1))) <= 1`` with unit roundoff
+    ``u = eps/2``), about 4e4 at ``5000 x 16``.  Its result is kept only when
+    the first Cholesky factorization succeeds and ``||R1||_F ||R1^-1||_F``,
+    an upper bound on ``cond(y)`` read off the first factor, is within that
+    limit, and only for a Gram trace in [2^-600, 2^600]: the trace bounds
+    every Gram entry, so nothing overflows, and any product that underflows
+    is far below the Gram's own rounding error for a block that passes the
+    limit.  Images carried from the previous step pass; in them ``cond(y)``
+    is that of the previous step's batch Hessian on its basis.
 
-    Any other block goes through shifted CholeskyQR3.  ``y`` is first scaled
-    by the power of two nearest its largest entry, so the Gram matrix
-    neither overflows nor underflows.  Pass one factors ``G = y^T y``
-    shifted by ``11 (dl + l(l+1)) eps trace(G)``, which keeps Cholesky
-    defined for ``cond(y)`` up to about 1e14; passes two and three are plain
-    CholeskyQR on the result and restore orthonormality to roundoff (Fukaya,
-    Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J. Sci. Comput. 2020).
-    Applying explicit inverses is exact enough for blocks whose pivots fall
-    with their singular values, as sketches of a decaying spectrum do; a
-    block whose R is ill-conditioned with pivots near one (Kahan-like) keeps
-    a residual ``||y - QR||`` near ``cond(R) eps``.
+    Any other block, a fresh sketch of a decaying spectrum for one, goes
+    through LAPACK's Householder QR, which is backward stable at any scale
+    and conditioning, and the columns whose R pivot is negative change sign.
 
     Raises :class:`NonFiniteResult` for NaN or Inf input, and
-    :class:`RankDeficient` when a Cholesky factorization of the shifted path
-    fails or, on either path, the smallest pivot of R falls below 1e-12 of
-    the largest: the cheap tripwire for numerically dependent columns.
+    :class:`RankDeficient` when, on either path, the smallest pivot of R
+    falls below 1e-12 of the largest: the cheap tripwire for numerically
+    dependent columns.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -120,25 +110,11 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     if q is not None:
         return q
 
-    peak = float(np.abs(y).max())  # NaN and Inf propagate through the max
-    if not math.isfinite(peak):
+    if not np.isfinite(y).all():
         raise NonFiniteResult("input contains NaN/Inf")
-    if peak == 0.0:
-        raise RankDeficient("all columns are zero")
-
-    q = np.ldexp(y, -math.frexp(peak)[1])  # exact: entries now below 1 in magnitude
-    pivots = 1.0
-    for shift in (11.0 * (d * l + l * (l + 1)) * _EPS, 0.0, 0.0):
-        gram = q.T @ q
-        if shift:
-            gram.flat[:: l + 1] += shift * gram.trace()
-        try:
-            r = np.linalg.cholesky(gram).T
-        except np.linalg.LinAlgError:
-            raise RankDeficient("columns numerically dependent (Gram matrix not positive definite)") from None
-        q = q @ np.linalg.inv(r)
-        pivots = pivots * np.diagonal(r)  # diag(R3 R2 R1) is the product of the diagonals
-    return _checked_pivots(q, pivots)
+    q, r = np.linalg.qr(y)
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)  # R's diagonal positive, Q's columns to match
+    return _checked_pivots(q * signs, np.abs(np.diagonal(r)))
 
 
 def _cholesky_qr2(y: np.ndarray) -> np.ndarray | None:

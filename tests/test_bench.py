@@ -524,11 +524,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--dims", "0"], "--dims"), (["--dims", "20,-3"], "--dims"),
-         (["--dims", "20", "--steps", "0"], "--steps"), (["--dims", "20", "--steps", "-2"], "--steps")],
-        ids=["zero-dim", "negative-dim", "zero-steps", "negative-steps"],
+         (["--dims", "20", "--steps", "0"], "--steps"), (["--dims", "20", "--steps", "-2"], "--steps"),
+         (["--dims", "100000000000", "--steps", "1"], "--dims: a vector of dimension 100000000000 needs")],
+        ids=["zero-dim", "negative-dim", "zero-steps", "negative-steps", "beyond-memory-dim"],
     )
     def test_scale_impossible_size_exit_one(self, tmp_path, capsys, flags, message):
-        # A zero dimension ended in a traceback; no steps wrote a NaN table and exited 0.
+        # A zero dimension, or one whose vectors outgrow memory, ended in a
+        # traceback; no steps wrote a NaN table and exited 0.
         out = tmp_path / "scaling.csv"
         cfg = str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out")))
         assert cli.main(["scale", cfg, *flags, "-o", str(out)]) == 1
@@ -694,9 +696,12 @@ class TestCli:
             ("synth", "objective.reg_a = 1e300\nx0 = ones\nmethods = newsamp", 2),  # iterate overflows
             ("synth", "preiterate.eta = -1", 1),  # the warm-up's config was built after the output directory
             ("synth", "preiterate.epochs = -1", 1),  # silently meant no warm-up
+            ("synth", "dataset.n = 1000000000\ndataset.d = 1000000", 1),  # refused before anything is drawn
+            ("libsvm", "dataset.negative_label = 1", 1),  # every example became +1, and the run went on
         ],
         ids=["svrg-quadratic", "nan-number", "inf-spectrum", "empty-synth", "newsamp-rank", "lissa-flat",
-             "newsamp-overflow", "negative-warmup-eta", "negative-warmup-epochs"],
+             "newsamp-overflow", "negative-warmup-eta", "negative-warmup-epochs", "synth-beyond-memory",
+             "equal-labels"],
     )
     def test_found_tracebacks_exit_cleanly(self, tmp_path, capsys, base, edit, code):
         # Each of these ended in a ValueError traceback before, or was accepted.

@@ -248,6 +248,11 @@ class TestToBinaryDataset:
         with pytest.raises(NoMatchingExamples):
             to_binary_dataset(examples, positive_label=4.0, negative_label=9.0, dim=1)
 
+    def test_equal_labels_raise(self):
+        # Every kept example was mapped to +1, and a solver ran on one class.
+        with pytest.raises(ValueError, match="both 4.0"):
+            to_binary_dataset(self.examples(), positive_label=4.0, negative_label=4.0, dim=3)
+
     def test_count_preserved(self):
         examples = self.examples()
         ds = to_binary_dataset(examples, 4.0, 9.0, dim=3)

@@ -115,12 +115,21 @@ class TestQrOrthonormal:
         with pytest.raises(RankDeficient):
             linalg.qr_orthonormal(y)
 
+    @staticmethod
+    def assert_thin_qr_factor(y, u):
+        """``u`` is the unique thin Q of ``y``: orthonormal, residual at roundoff, ``u^T y`` upper triangular, diagonal >= 0."""
+        y = y / np.abs(y).max()  # so the norms below neither overflow nor underflow
+        TestQrPaths.assert_orthonormal_with_residual(y, u, 1e-14)
+        r = u.T @ y
+        assert np.abs(np.tril(r, -1)).max() <= 1e-14 * np.abs(r).max()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scales_give_the_same_basis(self, scale):
         # The Gram matrix of the raw block would overflow (1e400) or
-        # underflow (1e-400); prescaling by a power of two keeps it finite.
-        y = self.graded_block(1e4, d=300)
-        np.testing.assert_allclose(linalg.qr_orthonormal(scale * y), linalg.qr_orthonormal(y), rtol=0, atol=1e-13)
+        # underflow (1e-400); the basis is still the thin-QR factor of the block.
+        y = scale * self.graded_block(1e4, d=300)
+        self.assert_thin_qr_factor(y, linalg.qr_orthonormal(y))
 
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
     def test_dependent_column_raises(self, column):
@@ -151,11 +160,22 @@ def cholesky_calls(monkeypatch):
     return calls
 
 
-class TestQrPaths:
-    """CholeskyQR2 on blocks it is proven stable for, shifted CholeskyQR3 on the rest."""
+@pytest.fixture
+def householder_calls(monkeypatch):
+    """Shapes of the blocks ``np.linalg.qr`` factors while the test runs."""
+    calls = []
+    real = np.linalg.qr
 
-    # The shifted path makes three factorizations, after the failed or refused trial.
-    FALLBACK_CALLS = 1 + 3
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+class TestQrPaths:
+    """CholeskyQR2 on blocks it is proven stable for, Householder QR on the rest."""
 
     @staticmethod
     def unit_triangular_block(d=5000, l=16, seed=0):
@@ -176,31 +196,45 @@ class TestQrPaths:
         assert len(cholesky_calls) == 2
         self.assert_orthonormal_with_residual(y, u, 1e-14)
 
-    def test_ill_conditioned_block_falls_back(self, cholesky_calls):
+    def test_ill_conditioned_block_falls_back(self, cholesky_calls, householder_calls):
         y = TestQrOrthonormal.graded_block(1e8)
+        householder_calls.clear()
         u = linalg.qr_orthonormal(y)
-        assert len(cholesky_calls) == self.FALLBACK_CALLS
+        # The refused trial factorization, then one Householder QR.
+        assert cholesky_calls == [(16, 16)] and householder_calls == [y.shape]
         self.assert_orthonormal_with_residual(y, u, 1e-14)
 
-    def test_block_past_the_limit_with_unit_pivots_falls_back(self, cholesky_calls):
+    def test_block_past_the_limit_with_unit_pivots_falls_back(self, cholesky_calls, householder_calls):
         y = self.unit_triangular_block()
         cond = np.linalg.cond(y)
         d, l = y.shape
         assert cond > np.sqrt(2.0) / 8.0 / np.sqrt(np.finfo(float).eps * (d * l + l * (l + 1)))
+        householder_calls.clear()
         u = linalg.qr_orthonormal(y)
-        assert len(cholesky_calls) == self.FALLBACK_CALLS
-        # The documented limit of applying explicit inverses: residual near cond(R) eps.
-        self.assert_orthonormal_with_residual(y, u, cond * np.finfo(float).eps)
+        assert cholesky_calls == [(16, 16)] and householder_calls == [y.shape]
+        self.assert_orthonormal_with_residual(y, u, 1e-14)
+
+    @pytest.mark.parametrize("a", [4.0, 5.0])
+    def test_kahan_like_block_keeps_the_residual_at_roundoff(self, a):
+        # Q (I + a N), N strictly upper triangular Gaussian: pivots one, cond(R)
+        # 4e9 and 1e11.  Applying an explicit R^-1 would leave a residual near
+        # cond(R) eps (1e-13 and 3e-12).
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.standard_normal((5000, 16)))[0]
+        y = q @ (np.eye(16) + a * np.triu(rng.standard_normal((16, 16)), 1))
+        assert np.linalg.cond(y) >= 1e9
+        self.assert_orthonormal_with_residual(y, linalg.qr_orthonormal(y), 1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_extreme_scales_fall_back_without_warnings(self, scale, cholesky_calls):
+    def test_extreme_scales_fall_back_without_warnings(self, scale, cholesky_calls, householder_calls):
         # The trial Gram overflows to Inf or underflows to zero: no trial
-        # factorization, and the shifted path's prescaling takes over.
-        y = TestQrOrthonormal.graded_block(1e4, d=300)
-        u = linalg.qr_orthonormal(scale * y)
-        assert len(cholesky_calls) == 3
-        np.testing.assert_allclose(u, linalg.qr_orthonormal(y), rtol=0, atol=1e-13)
+        # factorization, and Householder QR, which scales as it goes, takes over.
+        y = scale * TestQrOrthonormal.graded_block(1e4, d=300)
+        householder_calls.clear()
+        u = linalg.qr_orthonormal(y)
+        assert cholesky_calls == [] and householder_calls == [y.shape]
+        TestQrOrthonormal.assert_thin_qr_factor(y, u)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
