@@ -16,6 +16,13 @@ CSR data, built by whoever imported it, brings it in.
 The logistic full-data pass takes one ``exp`` per sample: the loss terms
 ``max(-m, 0) + log1p(e)`` and the margin derivative ``-sigmoid(-m)`` both
 come from the same ``e = exp(-|m|)`` of each margin ``m``.
+
+The per-sample kernels (the full pass, :class:`BatchHessian` products, the
+margin derivative and the curvature weights) write their elementwise steps
+in place, into arrays they allocated themselves, and never into an array a
+caller passed in.  Each element still takes the same IEEE operations in the
+same order as the plain expressions, apart from commuting a single product or
+sum, so the results are the same bits with fewer full-size temporaries.
 """
 
 from __future__ import annotations
@@ -144,15 +151,24 @@ class ObjectiveConfig:
 
 def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows (|z| > 30 is routine here).
-    return np.exp(-np.abs(z))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
 
 
 def _stable_sigmoid(z: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
-    # The numerator picks 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below,
-    # without masked gathers.  ``e`` is exp(-|z|) when the caller has it.
-    if e is None:
-        e = _exp_neg_abs(z)
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """sigmoid(z) in a new array; ``e`` is exp(-|z|) when the caller has it."""
+    return _sigmoid_where(z >= 0, _exp_neg_abs(z) if e is None else e)
+
+
+def _sigmoid_where(upper: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # The numerator picks 1/(1 + e^-z) where ``upper`` (z >= 0) and
+    # e^z/(1 + e^z) below, without masked gathers.  Taking the mask rather
+    # than z spares the margin derivative a negated copy of its margins.
+    # ``e`` is not written.
+    s = np.where(upper, 1.0, e)
+    s /= 1.0 + e
+    return s
 
 
 def _check_x(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> np.ndarray:
@@ -249,7 +265,9 @@ def _margins(rows, labels, x: np.ndarray) -> Optional[np.ndarray]:
         return None
     if x.ndim == 2:
         labels = labels[:, None]
-    return labels * (rows @ x)
+    margins = rows @ x
+    margins *= labels
+    return margins
 
 
 def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: Optional[np.ndarray], e=None) -> float:
@@ -261,14 +279,22 @@ def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: Optional[np.ndarray], e=
         # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), with no overflow.
         if e is None:
             e = _exp_neg_abs(margins)
-        return float(np.mean(np.maximum(-margins, 0.0) + np.log1p(e))) + reg
+        terms = np.negative(margins)
+        np.maximum(terms, 0.0, out=terms)
+        terms += np.log1p(e)
+        return float(np.mean(terms)) + reg
     return float(np.mean(_huber_loss_terms(margins))) + reg
 
 
 def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.ndarray:
-    """Derivative of the per-sample loss with respect to its margin."""
+    """Derivative of the per-sample loss with respect to its margin, in a new array.
+
+    ``e`` is ``exp(-|margins|)`` when the caller has it; neither is written.
+    """
     if cfg.loss_kind == "logistic":
-        return -_stable_sigmoid(-margins, e)
+        # -sigmoid(-m): -m >= 0 exactly where m <= 0, and exp(-|-m|) is e.
+        s = _sigmoid_where(margins <= 0.0, _exp_neg_abs(margins) if e is None else e)
+        return np.negative(s, out=s)
     return _huber_dmargin(margins)
 
 
@@ -276,7 +302,12 @@ def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None
     """Batch gradient over gathered rows at ``x``."""
     if cfg.loss_kind == "quadratic":
         return cfg.quadratic_spectrum * x + cfg.reg_a * x
-    return rows.T @ (labels * _margin_derivative(cfg, margins, e)) / rows.shape[0] + cfg.reg_a * x
+    y = _margin_derivative(cfg, margins, e)
+    y *= labels
+    grad = rows.T @ y
+    grad /= rows.shape[0]
+    grad += cfg.reg_a * x
+    return grad
 
 
 def _curvature_weights(cfg: ObjectiveConfig, margins: np.ndarray):
@@ -284,7 +315,9 @@ def _curvature_weights(cfg: ObjectiveConfig, margins: np.ndarray):
         # sigmoid(m) sigmoid(-m) = e / (1 + e)^2: even in m, and accurate to a
         # few ulps where sigmoid(m) itself rounds to 1.
         e = _exp_neg_abs(margins)
-        return e / (1.0 + e) ** 2
+        weights = 1.0 + e
+        np.square(weights, out=weights)
+        return np.divide(e, weights, out=weights)
     return _huber_curvature(margins)
 
 
@@ -309,7 +342,10 @@ class BatchHessian:
     each column has size ``h = sqrt(eps) * (1 + ||x||)`` whatever ``||v||``
     is (it grows geometrically during power iteration), and a zero column
     gives an exact zero.  :meth:`dense` forms the analytic matrix in either
-    mode.
+    mode.  A product writes only into arrays it allocates: ``t`` becomes
+    ``y`` (analytic) or ``delta`` in place, and ``m0 - delta`` then reuses
+    ``delta``'s buffer.  It never writes ``v``, the stored ``margins``,
+    ``weights`` or ``labels``, or the rows.
     """
 
     cfg: ObjectiveConfig
@@ -346,14 +382,20 @@ class BatchHessian:
         per_sample = (slice(None), None) if v.ndim == 2 else slice(None)  # a (b,) array against each column
         t = self.rows @ v
         if self.fd_step is None:
-            y = self.weights[per_sample] * t
+            t *= self.weights[per_sample]
+            y = t
         else:
             norms = np.linalg.norm(v, axis=0)
             labels, m0 = self.labels[per_sample], self.margins[per_sample]
-            delta = labels * t * (self.fd_step / np.where(norms > 0.0, norms, 1.0))
-            change = _margin_derivative(self.cfg, m0 + delta) - _margin_derivative(self.cfg, m0 - delta)
-            y = labels * change * (norms / (2.0 * self.fd_step))
-        out = self.rows.T @ y / self.rows.shape[0] + self.cfg.reg_a * v
+            t *= labels
+            t *= self.fd_step / np.where(norms > 0.0, norms, 1.0)  # t is delta now
+            y = _margin_derivative(self.cfg, m0 + t)
+            y -= _margin_derivative(self.cfg, np.subtract(m0, t, out=t))
+            y *= labels
+            y *= norms / (2.0 * self.fd_step)
+        out = self.rows.T @ y
+        out /= self.rows.shape[0]
+        out += self.cfg.reg_a * v
         if self.fd_step is not None and not np.isfinite(out).all():
             raise NonFiniteResult("gradient difference overflowed at the perturbed point")
         return out
@@ -399,6 +441,8 @@ class _Coordinates:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
+            if not self.values.size:  # bincount of no entries is int64, whatever its weights
+                return np.zeros(self.shape[0])
             return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.shape[0])
         out = np.empty((self.shape[0], x.shape[1]))
         for j in range(x.shape[1]):
