@@ -186,7 +186,7 @@ CONFIG_SECTIONS = {
     "preiterate": {"epochs": (_as_int, "2"), "eta": (_as_float, "0.1")},
     "probe": {"hessian_error": (_as_bool, "false")},
     # One section per method: every key its runner reads.
-    "span": {"T": _INT, "m": _INT, "l": _INT, "q": _ONE, "b": _ONE, "eta": (_as_float, "1.0"), "seed": _SEED,
+    "span": {"T": _INT, "m": _INT, "l": _INT, "q": _ONE, "b": _ONE, "eta": (_as_float, "0.55"), "seed": _SEED,
              "grad_tol": _GRAD_TOL, "hvp": (_as_hvp_mode, "finite_difference")},
     "gd": {"T": _INT, "eta": _FLOAT, "grad_tol": _GRAD_TOL},
     "svrg": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "b": _ONE, "inner_steps": _OWN},

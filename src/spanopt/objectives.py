@@ -13,9 +13,15 @@ same few products (``rows @ x``, ``rows.T @ y``), which both formats
 provide, so one code path serves both.  This module never imports scipy: only
 CSR data, built by whoever imported it, brings it in.
 
-The logistic full-data pass takes one ``exp`` per sample: the loss terms
+Each pass forms one per-pass quantity that its loss and gradient share: the
+margins ``m = labels * (rows @ x)`` of a sampled kind, or a quadratic's one
+product ``s * x`` with its spectrum ``s``, from which the loss is
+``0.5 * x @ (s * x)`` and the gradient is ``s * x`` itself.  The logistic
+full-data pass takes one ``exp`` per sample: the loss terms
 ``max(-m, 0) + log1p(e)`` and the margin derivative ``-sigmoid(-m)`` both
-come from the same ``e = exp(-|m|)`` of each margin ``m``.
+come from the same ``e = exp(-|m|)`` of each margin ``m``.  A zero
+regularizer costs nothing: ``x @ x`` and ``a * x`` are taken only when
+``a != 0``, and a quadratic's Hessian diagonal is then its spectrum.
 
 The per-sample kernels (the full pass, :class:`BatchHessian` products, the
 margin derivative and the curvature weights) write their elementwise steps
@@ -225,7 +231,7 @@ def batch_loss(
     """Mean loss over the batch plus the full regularizer ``(a/2)||x||^2``."""
     x = _check_x(cfg, data, x)
     rows, labels = _batch_rows(cfg, data, batch)
-    return _loss(cfg, x, _margins(rows, labels, x))
+    return _loss(cfg, x, _per_pass(cfg, rows, labels, x))
 
 
 def batch_gradient(
@@ -237,7 +243,7 @@ def batch_gradient(
     """Exact gradient of :func:`batch_loss`."""
     x = _check_x(cfg, data, x)
     rows, labels = _batch_rows(cfg, data, batch)
-    return _gradient(cfg, rows, labels, x, _margins(rows, labels, x))
+    return _gradient(cfg, rows, labels, x, _per_pass(cfg, rows, labels, x))
 
 
 def loss_and_gradient(
@@ -248,21 +254,27 @@ def loss_and_gradient(
     """Full-data loss and gradient at ``x`` from one pass over the data.
 
     Equal bit for bit to ``batch_loss`` and ``batch_gradient`` with
-    ``batch=None``: both come from the same margins by the same arithmetic.
-    For logistic loss the pass takes one ``exp`` per sample, ``exp(-|m|)``
-    of each margin, which the loss and the margin derivative share.
+    ``batch=None``: both come from the same per-pass quantity (the margins,
+    or a quadratic's ``s * x``) by the same arithmetic.  For logistic loss
+    the pass takes one ``exp`` per sample, ``exp(-|m|)`` of each margin,
+    which the loss and the margin derivative share.
     """
     x = _check_x(cfg, data, x)
     rows, labels = _batch_rows(cfg, data, None)
-    margins = _margins(rows, labels, x)
+    margins = _per_pass(cfg, rows, labels, x)
     e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
     return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e)
 
 
-def _margins(rows, labels, x: np.ndarray) -> Optional[np.ndarray]:
-    """``labels * (rows @ x)``, column-wise for a (d, k) block; None for quadratics."""
+def _per_pass(cfg: ObjectiveConfig, rows, labels, x: np.ndarray) -> np.ndarray:
+    """What one pass's loss and gradient share: the margins, or a quadratic's ``spectrum * x``."""
     if rows is None:
-        return None
+        return cfg.quadratic_spectrum * x
+    return _margins(rows, labels, x)
+
+
+def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
+    """``labels * (rows @ x)``, column-wise for a (d, k) block."""
     if x.ndim == 2:
         labels = labels[:, None]
     margins = rows @ x
@@ -270,20 +282,28 @@ def _margins(rows, labels, x: np.ndarray) -> Optional[np.ndarray]:
     return margins
 
 
-def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: Optional[np.ndarray], e=None) -> float:
-    """Mean loss plus regularizer; ``e`` is ``exp(-|margins|)`` when the caller has it."""
-    reg = 0.5 * cfg.reg_a * float(x @ x)
+def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: np.ndarray, e=None) -> float:
+    """Mean loss plus regularizer from :func:`_per_pass`'s ``margins`` (``s * x`` for a quadratic).
+
+    ``e`` is ``exp(-|margins|)`` when the caller has it.  A zero ``reg_a``
+    adds nothing, so an overflowing ``x @ x`` cannot turn the loss into
+    ``0 * inf = nan``.
+    """
     if cfg.loss_kind == "quadratic":
-        return 0.5 * float(x @ (cfg.quadratic_spectrum * x)) + reg
-    if cfg.loss_kind == "logistic":
+        loss = 0.5 * float(x @ margins)
+    elif cfg.loss_kind == "logistic":
         # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), with no overflow.
         if e is None:
             e = _exp_neg_abs(margins)
         terms = np.negative(margins)
         np.maximum(terms, 0.0, out=terms)
         terms += np.log1p(e)
-        return float(np.mean(terms)) + reg
-    return float(np.mean(_huber_loss_terms(margins))) + reg
+        loss = float(np.mean(terms))
+    else:
+        loss = float(np.mean(_huber_loss_terms(margins)))
+    if cfg.reg_a:
+        loss += 0.5 * cfg.reg_a * float(x @ x)
+    return loss
 
 
 def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.ndarray:
@@ -299,14 +319,19 @@ def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.
 
 
 def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None) -> np.ndarray:
-    """Batch gradient over gathered rows at ``x``."""
+    """Batch gradient over gathered rows at ``x`` from :func:`_per_pass`'s ``margins``.
+
+    A quadratic's gradient is its ``margins``, ``s * x``, when ``reg_a`` is
+    zero: the caller's array, returned as it is.
+    """
     if cfg.loss_kind == "quadratic":
-        return cfg.quadratic_spectrum * x + cfg.reg_a * x
+        return margins + cfg.reg_a * x if cfg.reg_a else margins
     y = _margin_derivative(cfg, margins, e)
     y *= labels
     grad = rows.T @ y
     grad /= rows.shape[0]
-    grad += cfg.reg_a * x
+    if cfg.reg_a:
+        grad += cfg.reg_a * x
     return grad
 
 
@@ -328,9 +353,10 @@ class BatchHessian:
     :meth:`at` gathers a batch and builds the operator; :meth:`of_rows`
     builds it over rows already gathered by :func:`gather_batches`, which
     support products but not :meth:`dense`.  ``H @ v`` takes a (d,) vector or a
-    (d, k) block.  A quadratic's ``weights`` are its diagonal ``spectrum + a``,
-    its product ``weights * v`` in both modes: the central difference of its
-    linear gradient, exactly.  A sampled kind's ``margins`` are its base
+    (d, k) block.  A quadratic's ``weights`` are its diagonal ``spectrum + a``
+    (the config's own spectrum array when ``a`` is zero), its product
+    ``weights * v`` in both modes: the central difference of its linear
+    gradient, exactly.  A sampled kind's ``margins`` are its base
     margins ``m0 = labels * (rows @ x)``, in both modes, and every product
     takes one path, ``t = rows @ v``, then a per-sample term ``y``, then
     ``rows.T @ y / b + a v``; the modes differ only in ``y``.  Analytic
@@ -367,7 +393,8 @@ class BatchHessian:
     def of_rows(cls, cfg, rows, labels, x: np.ndarray, mode: HvpMode) -> "BatchHessian":
         """The operator at a checked ``x`` over gathered batch rows and labels."""
         if rows is None:
-            return cls(cfg, x, None, None, cfg.quadratic_spectrum + cfg.reg_a)
+            spectrum = cfg.quadratic_spectrum
+            return cls(cfg, x, None, None, spectrum + cfg.reg_a if cfg.reg_a else spectrum)
         margins = _margins(rows, labels, x)
         if mode.kind == "finite_difference":
             return cls(cfg, x, rows, labels, None, margins, _SQRT_EPS * (1.0 + float(np.linalg.norm(x))))

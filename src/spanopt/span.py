@@ -111,7 +111,7 @@ class SpanConfig:
     l: int
     q: int
     b: int
-    eta: float = 1.0
+    eta: float = 0.55
     seed: int = 0
     grad_tol: float = 0.0
     hvp_mode: HvpMode = CENTRAL_FD

@@ -96,6 +96,38 @@ class TestGradientDescent:
         losses = [r.loss for r in trace]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    @pytest.mark.parametrize("reg", [0.0, 0.3])
+    def test_same_bits_as_the_plain_loop(self, reg):
+        # Every iterate and every row are those of x <- x - eta * (s * x + a * x)
+        # written out, with the loss 0.5 * x @ (s * x) + 0.5 * a * x @ x.
+        rng = np.random.default_rng(24)
+        s = rng.uniform(0.5, 5.0, size=50)
+        objective = ObjectiveConfig("quadratic", reg_a=reg, quadratic_spectrum=s)
+        eta = 0.15
+        x = rng.standard_normal(50)
+        got, trace = run_gd(BaselineConfig(method="gd", eta=eta, t_max=20), objective, None, x)
+        for row in trace:
+            x = x - eta * (s * x + reg * x)
+            assert row.loss == 0.5 * float(x @ (s * x)) + 0.5 * reg * float(x @ x)
+            assert row.grad_norm == float(np.linalg.norm(s * x + reg * x))
+        assert len(trace) == 20
+        assert got.tobytes() == x.tobytes()
+
+    def test_zero_regularizer_whose_squared_norm_overflows(self):
+        # The row read loss nan (0 * inf from reg_a * x @ x) and the run raised
+        # NonFiniteResult at step 1; the loss is 1e300.
+        objective = ObjectiveConfig("quadratic", reg_a=0.0, quadratic_spectrum=[1e-10, 1e-10])
+        x0 = np.array([1e155, 1e155])
+        x, trace = run_gd(BaselineConfig(method="gd", eta=0.0, t_max=1), objective, None, x0)
+        np.testing.assert_array_equal(x, x0)
+        assert trace[0].loss == pytest.approx(1e300, rel=1e-15)
+
+    def test_positive_regularizer_whose_squared_norm_overflows_raises(self):
+        objective = ObjectiveConfig("quadratic", reg_a=0.1, quadratic_spectrum=[1e-10, 1e-10])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NonFiniteResult, match="at step 1"):
+                run_gd(BaselineConfig(method="gd", eta=0.0, t_max=1), objective, None, np.array([1e155, 1e155]))
+
 
 class TestSvrg:
     @pytest.mark.parametrize("with_data", [False, True], ids=["no-data", "quadratic-with-data"])

@@ -186,6 +186,66 @@ class TestLossAndGradient:
             loss_and_gradient(cfg, data, np.zeros(4))
 
 
+class TestQuadraticPass:
+    # One product s * x per evaluation: the loss is 0.5 * x @ (s * x) and the
+    # gradient s * x, plus the regularizer's terms only when reg_a != 0.  The
+    # bits are those of the plain expressions, evaluated in this order.
+    @pytest.mark.parametrize("reg", [0.0, 0.3])
+    def test_same_bits_as_the_plain_expressions(self, reg):
+        rng = np.random.default_rng(24)
+        s = rng.uniform(0.1, 10.0, size=200)
+        cfg = ObjectiveConfig("quadratic", reg_a=reg, quadratic_spectrum=s)
+        for x in (rng.standard_normal(200), 1e3 * rng.standard_normal(200), np.zeros(200)):
+            expected_loss = 0.5 * float(x @ (s * x)) + 0.5 * reg * float(x @ x)
+            expected_grad = s * x + reg * x
+            loss, grad = loss_and_gradient(cfg, None, x)
+            assert loss == batch_loss(cfg, None, None, x) == expected_loss
+            assert grad.tobytes() == batch_gradient(cfg, None, None, x).tobytes() == expected_grad.tobytes()
+
+    def test_gradient_and_hessian_diagonal_share_nothing_with_the_caller(self):
+        s = np.array([1.0, 2.0, 3.0])
+        cfg = ObjectiveConfig("quadratic", quadratic_spectrum=s)
+        x = np.ones(3)
+        grad = batch_gradient(cfg, None, None, x)
+        grad[:] = -1.0  # a caller may write the gradient it was given
+        np.testing.assert_array_equal(cfg.quadratic_spectrum, s)
+        np.testing.assert_array_equal(x, np.ones(3))
+        np.testing.assert_array_equal(BatchHessian.at(cfg, None, None, x, ANALYTIC) @ x, s)
+
+
+class TestZeroRegularizer:
+    # reg_a = 0 adds nothing, not 0 * ||x||^2: where x @ x overflows, that
+    # term was 0 * inf = nan beside a finite loss.
+    def test_quadratic_whose_squared_norm_overflows(self):
+        cfg = ObjectiveConfig("quadratic", reg_a=0.0, quadratic_spectrum=[1e-10, 1e-10])
+        x = np.array([1e155, 1e155])
+        loss, grad = loss_and_gradient(cfg, None, x)
+        assert loss == pytest.approx(1e300, rel=1e-15)
+        assert loss == batch_loss(cfg, None, None, x)
+        np.testing.assert_array_equal(grad, 1e-10 * x)
+
+    def test_logistic_whose_squared_norm_overflows(self):
+        _, data = toy_logistic(n=30, d=6, seed=9)
+        cfg = ObjectiveConfig("logistic", reg_a=0.0)
+        x = np.full(6, 1e155)
+        loss, grad = loss_and_gradient(cfg, data, x)
+        assert math.isfinite(loss) and np.isfinite(grad).all()
+        assert loss == batch_loss(cfg, data, None, x)
+        assert np.array_equal(grad, batch_gradient(cfg, data, None, x))
+        margins = data.labels * (data.features @ x)
+        assert loss == pytest.approx(float(np.mean(np.logaddexp(0.0, -margins))), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_positive_regularizer_still_overflows(self, kind):
+        if kind == "quadratic":
+            cfg, data = ObjectiveConfig(kind, reg_a=0.1, quadratic_spectrum=[1e-10, 1e-10]), None
+        else:
+            cfg, data = ObjectiveConfig(kind, reg_a=0.1), toy_logistic(n=30, d=2, seed=9)[1]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            loss, _ = loss_and_gradient(cfg, data, np.array([1e155, 1e155]))
+        assert loss == math.inf
+
+
 # Margins over the whole range of exp(-|m|): zeros of both signs and the
 # edges where exp(-745) is subnormal and exp(-746) is zero.
 PIN_MARGINS = np.concatenate([np.linspace(-800.0, 800.0, 2001), [0.0, -0.0, 745.0, -745.0, 746.0, -746.0]])

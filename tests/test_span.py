@@ -498,6 +498,13 @@ class TestRunSpan:
         with pytest.raises(ConfigError, match="span.eta"):
             build_method_config(values, "span", seed=3)
 
+    def test_default_eta_contracts_an_uncaptured_direction(self):
+        # eta = 1 scales an uncaptured direction near sigma_min(Z^T U) by about
+        # 1 - 2 eta = -1; the default sits near 1/2, in SpanConfig and in bench.
+        assert SpanConfig(t_max=3, m=0, l=4, q=1, b=1).eta == 0.55
+        values = {"span.T": "5", "span.m": "10", "span.l": "16"}
+        assert build_method_config(values, "span", seed=3).eta == 0.55
+
     @pytest.mark.parametrize(
         "eta", [[0.9, 0.5, 0.1], np.array([0.5]), "0.5", 0.0, -1.0, float("nan"), float("inf")],
         ids=["schedule", "array", "text", "zero", "negative", "nan", "inf"],
