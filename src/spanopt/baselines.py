@@ -28,12 +28,11 @@ from .objectives import (
     Dataset,
     ObjectiveConfig,
     batch_gradient_difference,
+    draw_batch,
     gather_batches,
     sample_batch,
 )
 from .span import TraceRecord, _check_count, _check_run_length, _drive, _step
-
-METHODS = ("gd", "svrg", "newsamp", "lissa")
 
 _DIVERGENCE_LIMIT = 1e8
 
@@ -180,10 +179,7 @@ def run_newsamp(
     """
 
     def step(t: int, x: np.ndarray, grad: np.ndarray):
-        batch = None
-        if data is not None:
-            rng = np.random.default_rng(derive_seed(cfg.seed, 20, t))
-            batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
+        batch = draw_batch(data, cfg.b, cfg.seed, 20, t)
         eig = sym_eig_small(BatchHessian.at(objective, data, batch, x, ANALYTIC).dense())
         inv = newsamp_inverse(eig.values, eig.vectors, cfg.m)
         return x - cfg.eta * (inv @ grad), float(eig.values[cfg.m]), None, None
@@ -277,3 +273,5 @@ RUNNERS = {
     "newsamp": run_newsamp,
     "lissa": run_lissa,
 }
+
+METHODS = tuple(RUNNERS)

@@ -4,7 +4,8 @@ Configs are flat ``key = value`` text with dotted section names
 (``span.l = 16``), '#' comments, and a comma-separated ``methods`` list; a
 key outside :data:`CONFIG_KEYS` is a configuration error.  One key table,
 :data:`CONFIG_SECTIONS`, gives every section's keys with their converters
-and defaults, and one decoder reads every section through it.  Loading
+and the defaults only bench decides (any other absent key takes its
+reader's default), and one decoder reads every section through it.  Loading
 builds every object a run needs: the dataset, the objective, the shared
 warm-up's config (its keys are checked like every method's) and the config
 of every listed method.  So every configuration error surfaces before any
@@ -46,9 +47,9 @@ _TRACE_CELLS = [
 
 PLOT_MODES = ("loss_vs_time", "loss_vs_iter", "hessian_err")
 
-KNOWN_METHODS = ("span",) + baselines.METHODS
-
 _RUNNERS = {"span": span.run_span, **baselines.RUNNERS}
+
+KNOWN_METHODS = tuple(_RUNNERS)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -151,47 +152,43 @@ def _as_x0(text: str, key: str) -> str:
 
 
 def _as_spectrum(text: str, key: str) -> np.ndarray:
+    # Only parsed here: ObjectiveConfig says what a valid spectrum is.
     try:
-        spectrum = np.array([float(v) for v in text.split(",")])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ConfigError(f"{key}: bad number in {text!r}") from None
-    if not np.all((spectrum > 0) & np.isfinite(spectrum)):
-        raise ConfigError(f"{key} must be positive finite reals")
-    return spectrum
 
 
 _REQUIRED = object()  # the section must set the key
 _RUN_SEED = object()  # the key defaults to the top-level seed
 _INT, _FLOAT = (_as_int, _REQUIRED), (_as_float, _REQUIRED)
-_ONE = (_as_int, "1")
 _SEED = (_as_int, _RUN_SEED)
-_GRAD_TOL = (_as_float, "0.0")
-_OWN = (_as_int, None)  # absent: the method chooses (svrg and lissa pick their own inner_steps)
-_NORMALIZE = (_as_bool, "true")
+# Absent: left out, so the class or generator that reads the key applies its own default.
+_OWN_INT, _OWN_FLOAT = (_as_int, None), (_as_float, None)
 
-# Per section, every key the loader reads: key -> (converter, default text).
-# The config writes a key as ``<section>.<key>``, except that the top-level
-# section "" writes it bare and a dataset kind's section ``dataset.<kind>``
-# writes it as ``dataset.<key>``.
+# Per section, every key the loader reads: key -> (converter, default text),
+# a default only where bench alone decides it.  The config writes a key as
+# ``<section>.<key>``, except that the top-level section "" writes it bare
+# and a dataset kind's section ``dataset.<kind>`` writes it as ``dataset.<key>``.
 CONFIG_SECTIONS = {
     "": {"seed": (_as_int, "0"), "methods": (_as_methods, _REQUIRED), "output_dir": (_as_path, "bench_out"),
          "x0": (_as_x0, "zeros")},
-    "objective": {"loss": (_as_text, _REQUIRED), "reg_a": (_as_float, "0.0")},
+    "objective": {"loss": (_as_text, _REQUIRED), "reg_a": _OWN_FLOAT},
     "dataset": {"kind": (_as_text, None)},  # absent: inferred from dataset.spectrum or dataset.path
     "dataset.quadratic": {"spectrum": (_as_spectrum, _REQUIRED)},
     "dataset.libsvm": {"path": (_as_file, _REQUIRED), "positive_label": _FLOAT, "negative_label": _FLOAT,
-                       "normalize": _NORMALIZE},
-    "dataset.synth_classification": {"n": _INT, "d": _INT, "seed": _SEED, "decay": (_as_float, "1.5"),
-                                     "normalize": _NORMALIZE},
+                       "normalize": (_as_bool, "true")},
+    "dataset.synth_classification": {"n": _INT, "d": _INT, "seed": _SEED, "decay": _OWN_FLOAT,
+                                     "normalize": (_as_bool, None)},
     "preiterate": {"epochs": (_as_int, "2"), "eta": (_as_float, "0.1")},
     "probe": {"hessian_error": (_as_bool, "false")},
     # One section per method: every key its runner reads.
-    "span": {"T": _INT, "m": _INT, "l": _INT, "q": _ONE, "b": _ONE, "eta": (_as_float, "0.55"), "seed": _SEED,
-             "grad_tol": _GRAD_TOL, "hvp": (_as_hvp_mode, "finite_difference")},
-    "gd": {"T": _INT, "eta": _FLOAT, "grad_tol": _GRAD_TOL},
-    "svrg": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "b": _ONE, "inner_steps": _OWN},
-    "newsamp": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "b": _ONE, "m": _INT},
-    "lissa": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _GRAD_TOL, "inner_steps": _OWN, "s1": _ONE},
+    "span": {"T": _INT, "m": _INT, "l": _INT, "q": (_as_int, "1"), "b": (_as_int, "1"), "eta": _OWN_FLOAT,
+             "seed": _SEED, "grad_tol": _OWN_FLOAT, "hvp": (_as_hvp_mode, None)},
+    "gd": {"T": _INT, "eta": _FLOAT, "grad_tol": _OWN_FLOAT},
+    "svrg": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _OWN_FLOAT, "b": _OWN_INT, "inner_steps": _OWN_INT},
+    "newsamp": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _OWN_FLOAT, "b": _OWN_INT, "m": _INT},
+    "lissa": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _OWN_FLOAT, "inner_steps": _OWN_INT, "s1": _OWN_INT},
 }
 
 # Field names of the keys whose config class or builder names them otherwise.
@@ -551,26 +548,25 @@ def per_iteration_scaling(
     the per-run medians.  Medians reject stray slow steps and the min across
     interleaved rounds rejects whole contention windows, neither of which
     says anything about the algorithms.  The dense baseline is skipped above
-    its dimension cap, ``objectives.DENSE_HESSIAN_MAX_DIM``.
+    its dimension cap, ``objectives.DENSE_HESSIAN_MAX_DIM``.  ``m`` is its rank
+    (``span`` ignores it); one below 1 raises :class:`ConfigError` before any timing.
     """
     span_samples: dict[int, list[float]] = {d: [] for d in dims}
     newsamp_samples: dict[int, list[float]] = {d: [] for d in dims}
     for round_idx in range(rounds):
+        span_cfg = span.SpanConfig(
+            t_max=steps + warmup, m=m, l=l, q=q, b=1,
+            eta=0.5, seed=seed + round_idx, hvp_mode=HvpMode(kind="analytic"),
+        )
+        ns_cfg = _build("span.m", baselines.BaselineConfig, method="newsamp", eta=0.5, t_max=steps + warmup,
+                        m=m, seed=seed + round_idx)
         for d in dims:
             objective, _ = datasets.synth_quadratic(_scaling_spectrum(d))
             x0 = np.full(d, 1.0)
-            span_cfg = span.SpanConfig(
-                t_max=steps + warmup, m=m, l=l, q=q, b=1,
-                eta=0.5, seed=seed + round_idx, hvp_mode=HvpMode(kind="analytic"),
-            )
             _, trace = span.run_span(span_cfg, objective, None, x0)
             span_samples[d].append(_median_step_seconds(trace, warmup))
 
             if d <= objectives.DENSE_HESSIAN_MAX_DIM:
-                ns_cfg = baselines.BaselineConfig(
-                    method="newsamp", eta=0.5, t_max=steps + warmup, b=1, m=m,
-                    seed=seed + round_idx,
-                )
                 _, ns_trace = baselines.run_newsamp(ns_cfg, objective, None, x0)
                 newsamp_samples[d].append(_median_step_seconds(ns_trace, warmup))
     return [

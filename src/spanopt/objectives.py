@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge, NonFiniteResult
 from .hvp import HvpMode
+from .linalg import derive_seed
 
 DENSE_HESSIAN_MAX_DIM = 512
 
@@ -162,11 +163,6 @@ def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _stable_sigmoid(z: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
-    """sigmoid(z) in a new array; ``e`` is exp(-|z|) when the caller has it."""
-    return _sigmoid_where(z >= 0, _exp_neg_abs(z) if e is None else e)
-
-
 def _sigmoid_where(upper: np.ndarray, e: np.ndarray) -> np.ndarray:
     # The numerator picks 1/(1 + e^-z) where ``upper`` (z >= 0) and
     # e^z/(1 + e^z) below, without masked gathers.  Taking the mask rather
@@ -209,7 +205,8 @@ def _batch_rows(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[n
 def _huber_loss_terms(margins: np.ndarray) -> np.ndarray:
     # Branch boundaries (margin 3/2 and 1/2) belong to the smoother side so
     # the gradient stays continuous; the loss value agrees there either way.
-    quad = 0.5 * (1.5 - margins) ** 2
+    # Clipped to the branch's own range, so a discarded margin's square cannot overflow.
+    quad = 0.5 * np.clip(1.5 - margins, 0.0, 1.0) ** 2
     lin = 1.0 - margins
     return np.where(margins >= 1.5, 0.0, np.where(margins >= 0.5, quad, lin))
 
@@ -511,6 +508,17 @@ def batch_gradient_difference(cfg: ObjectiveConfig, rows, labels, w: np.ndarray,
     derivative = _margin_derivative(cfg, _margins(rows, labels, np.array((w, snapshot)).T))
     change = labels * (derivative[:, 0] - derivative[:, 1])
     return rows.T @ change / rows.shape[0] + cfg.reg_a * (w - snapshot)
+
+
+def draw_batch(data: Optional[Dataset], b: int, *seed_path: int) -> Optional[np.ndarray]:
+    """One step's batch: ``min(b, n)`` distinct rows from the stream ``derive_seed(*seed_path)``.
+
+    Without data (a quadratic) it returns ``None`` and derives no seed.
+    """
+    if data is None:
+        return None
+    rng = np.random.default_rng(derive_seed(*seed_path))
+    return sample_batch(data.n_samples, min(b, data.n_samples), rng)
 
 
 def sample_batch(n: int, b: int, rng: np.random.Generator) -> np.ndarray:

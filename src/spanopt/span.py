@@ -45,8 +45,8 @@ from .objectives import (
     Dataset,
     ObjectiveConfig,
     batch_gradient,
+    draw_batch,
     loss_and_gradient,
-    sample_batch,
 )
 from .rangefinder import RangeConfig, power_range
 
@@ -314,10 +314,7 @@ def span_step(
     """
 
     def update(t: int, x: np.ndarray, grad: np.ndarray):
-        batch = None
-        if data is not None:
-            rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_BATCH, t))
-            batch = sample_batch(data.n_samples, min(cfg.b, data.n_samples), rng)
+        batch = draw_batch(data, cfg.b, cfg.seed, _STREAM_BATCH, t)
         hessian = BatchHessian.at(objective, data, batch, x, cfg.hvp_mode)
         u = None
         if state.subspace is not None:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanopt import bench, cli, objectives
+from spanopt import bench, cli, datasets, objectives
 from spanopt.bench import (
     CONFIG_KEYS,
     CSV_HEADER,
@@ -32,6 +32,7 @@ from spanopt.bench import (
 )
 from spanopt.baselines import BaselineConfig
 from spanopt.errors import ConfigError, IncompatibleTraces
+from spanopt.objectives import ObjectiveConfig
 from spanopt.span import SpanConfig, TraceRecord
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -197,6 +198,30 @@ class TestConfigParsing:
                 assert isinstance(method_cfg, SpanConfig)
             else:
                 assert isinstance(method_cfg, BaselineConfig) and method_cfg.method == method
+
+    @pytest.mark.parametrize(
+        "method, lines, expected",
+        [
+            ("span", "span.T = 3\nspan.m = 1\nspan.l = 5", SpanConfig(t_max=3, m=1, l=5, q=1, b=1, seed=4)),
+            ("gd", "gd.T = 3\ngd.eta = 0.5", BaselineConfig("gd", eta=0.5, t_max=3)),
+            ("svrg", "svrg.T = 3\nsvrg.eta = 0.5", BaselineConfig("svrg", eta=0.5, t_max=3, seed=4)),
+            ("newsamp", "newsamp.T = 3\nnewsamp.eta = 0.5\nnewsamp.m = 2",
+             BaselineConfig("newsamp", eta=0.5, t_max=3, m=2, seed=4)),
+            ("lissa", "lissa.T = 3\nlissa.eta = 0.5", BaselineConfig("lissa", eta=0.5, t_max=3, seed=4)),
+        ],
+        ids=["span", "gd", "svrg", "newsamp", "lissa"],
+    )
+    def test_absent_keys_take_the_class_defaults(self, method, lines, expected):
+        # A section that sets only its required keys decodes to the config the
+        # class builds from them alone (span's q and b and every method's seed
+        # are bench's own), so a default edited in a class reaches `bench run`.
+        assert build_method_config(parse_config_text(lines), method, seed=4) == expected
+
+    def test_absent_objective_and_dataset_keys_take_the_owner_defaults(self, tmp_path):
+        text = _BASES["synth"] + _METHOD_LINES + "dataset.seed = 3\n"
+        cfg = load_experiment_config(write_cfg(tmp_path, text))
+        assert cfg.objective == ObjectiveConfig("logistic")
+        np.testing.assert_array_equal(cfg.data.features, datasets.synth_classification(n=12, d=6, seed=3).features)
 
     def test_unknown_method(self, tmp_path):
         path = write_cfg(tmp_path, "methods = warp\ndataset.spectrum = 1,2\nobjective.loss = quadratic\n")
@@ -520,6 +545,20 @@ class TestCli:
         out = tmp_path / "scaling.csv"
         assert cli.main(["scale", str(write_cfg(tmp_path, text)), "--dims", "20", "-o", str(out)]) == 1
         assert f"config error: span.{key}" in capsys.readouterr().err
+
+    def test_scale_zero_rank_exit_one(self, tmp_path, capsys, monkeypatch):
+        # span.m = 0 reached the dense baseline's BaselineConfig unchecked, after
+        # the first span timing, and the command ended in a ValueError traceback.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve was timed before the rank was checked")
+
+        monkeypatch.setattr(bench.span, "run_span", refuse)
+        text = QUAD_CFG.format(out=tmp_path / "out") + "span.m = 0\n"
+        out = tmp_path / "scaling.csv"
+        argv = ["scale", str(write_cfg(tmp_path, text)), "--dims", "8,16", "--steps", "2", "-o", str(out)]
+        assert cli.main(argv) == 1
+        assert "config error: span.m: m must be a positive integer, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -17,8 +17,7 @@ from spanopt import (
     sample_batch,
 )
 from spanopt.errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge
-from spanopt import objectives
-from spanopt.objectives import _margin_derivative, _stable_sigmoid
+from spanopt.objectives import _exp_neg_abs, _margin_derivative, _sigmoid_where
 
 
 def toy_logistic(n=20, d=5, seed=0, reg=0.05):
@@ -85,7 +84,7 @@ class TestStableSigmoid:
         ez = np.exp(z[~pos])
         expected[~pos] = ez / (1.0 + ez)
         with np.errstate(invalid="ignore"):
-            got = _stable_sigmoid(z)
+            got = _sigmoid_where(z >= 0, _exp_neg_abs(z))
         nan = np.isnan(expected)
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expected[~nan].tobytes()
@@ -235,6 +234,17 @@ class TestZeroRegularizer:
         margins = data.labels * (data.features @ x)
         assert loss == pytest.approx(float(np.mean(np.logaddexp(0.0, -margins))), rel=1e-12)
 
+    def test_huber_whose_squared_margin_overflows(self):
+        # The quadratic branch's square was formed for every margin, also the
+        # ones np.where discards, and overflowed near |m| = 1e154.
+        _, data = toy_logistic(n=30, d=6, seed=9)
+        cfg = ObjectiveConfig("huber_svm", reg_a=0.0)
+        x = np.full(6, 1e155)
+        loss, grad = loss_and_gradient(cfg, data, x)
+        assert math.isfinite(loss) and np.isfinite(grad).all()
+        margins = data.labels * (data.features @ x)
+        assert loss == pytest.approx(float(np.mean(np.maximum(1.0 - margins, 0.0))), rel=1e-12)
+
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
     def test_positive_regularizer_still_overflows(self, kind):
         if kind == "quadratic":
@@ -282,8 +292,8 @@ class TestLogisticKernel:
 
     def test_derivative_from_the_shared_exp_is_the_sigmoid(self):
         cfg = ObjectiveConfig("logistic")
-        expected = (-_stable_sigmoid(-PIN_MARGINS)).tobytes()
-        e = objectives._exp_neg_abs(PIN_MARGINS)
+        expected = (-_sigmoid_where(-PIN_MARGINS >= 0, _exp_neg_abs(-PIN_MARGINS))).tobytes()
+        e = _exp_neg_abs(PIN_MARGINS)
         assert _margin_derivative(cfg, PIN_MARGINS, e).tobytes() == expected
         assert _margin_derivative(cfg, PIN_MARGINS).tobytes() == expected
 
