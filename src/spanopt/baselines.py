@@ -30,7 +30,7 @@ from .objectives import (
     batch_gradient_difference,
     draw_batch,
     gather_batches,
-    sample_batch,
+    sample_batches,
 )
 from .span import TraceRecord, _check_count, _check_run_length, _drive, _step
 
@@ -88,23 +88,19 @@ def run_gd(
     return _drive(cfg, x0, _step, objective, data, lambda t, x, grad: (x - cfg.eta * grad, None, None, None))
 
 
-def _drawn_batches(
-    objective: ObjectiveConfig,
-    data: Dataset,
-    draw: Callable[[], np.ndarray],
-    size: int,
-    total: int,
-) -> Iterator[tuple]:
-    """``(rows, labels)`` of ``total`` batches of ``size`` rows, ``draw()`` after ``draw()``.
+def _drawn_batches(objective: ObjectiveConfig, data: Dataset, indices: np.ndarray) -> Iterator[tuple]:
+    """``(rows, labels)`` of each batch, a row of the ``(count, size)`` ``indices``, gathered a run at a time.
 
-    The batches are drawn in stream order, but a run of them at a time,
-    whose rows :func:`gather_batches` gathers at once: a few-row batch then
-    costs no gather of its own.
+    :func:`gather_batches` gathers a run's rows at once, up to about
+    ``_GATHER_ENTRIES`` stored entries: a few-row batch then costs no gather
+    of its own.  The indices are drawn beforehand, so the run length never
+    moves the draw stream.
     """
+    count, size = indices.shape
     per_row = max(1, -(-data.stored // data.n_samples))
     per_run = max(1, _GATHER_ENTRIES // (size * per_row))
-    for first in range(0, total, per_run):
-        yield from gather_batches(objective, data, [draw() for _ in range(min(per_run, total - first))])
+    for first in range(0, count, per_run):
+        yield from gather_batches(objective, data, indices[first : first + per_run])
 
 
 def run_svrg(
@@ -117,11 +113,12 @@ def run_svrg(
 
     Each epoch snapshots the current iterate, whose full gradient the last
     trace row already computed, then takes ``inner_steps`` batched steps
-    (default: one pass, ceil(N / b)).  The batches are drawn in stream
-    order a run at a time, and each run's rows are gathered at once.  A
-    step moves along ``grad f_B(w) - grad f_B(snapshot) + grad F(snapshot)``,
-    whose first two terms are one :func:`batch_gradient_difference`, exactly
-    zero at ``w == snapshot``.  An epoch whose iterate ends non-finite raises
+    (default: one pass, ceil(N / b)).  The epoch's batches come from one
+    :func:`sample_batches` call, and their rows are gathered a run of
+    batches at a time.  A step moves along
+    ``grad f_B(w) - grad f_B(snapshot) + grad F(snapshot)``, whose first
+    two terms are one :func:`batch_gradient_difference`, exactly zero at
+    ``w == snapshot``.  An epoch whose iterate ends non-finite raises
     :class:`NonFiniteResult`; it is checked once per epoch, not per inner step.
     """
     if data is None or objective.loss_kind == "quadratic":
@@ -133,8 +130,9 @@ def run_svrg(
     def epoch(t: int, snapshot: np.ndarray, snapshot_grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 10, t))
         x = snapshot
+        batches = _drawn_batches(objective, data, sample_batches(n, b, steps_per_epoch, rng))
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged epoch fails the check below
-            for rows, labels in _drawn_batches(objective, data, lambda: sample_batch(n, b, rng), b, steps_per_epoch):
+            for rows, labels in batches:
                 estimate = batch_gradient_difference(objective, rows, labels, x, snapshot) + snapshot_grad
                 x = x - cfg.eta * estimate
         if not np.isfinite(x).all():
@@ -238,9 +236,11 @@ def run_lissa(
 
     Each iteration averages ``s1`` independent depth-``inner_steps``
     recursions whose Hessian products come from single random samples
-    (analytic GLM products), drawn in stream order and gathered a run at a
-    time.  The objective is rescaled by a spectral-norm probe at x0 and the
-    resulting direction unscaled.
+    (analytic GLM products).  An iteration's ``s1 * inner_steps`` samples
+    come from one ``sample_batches(n, 1, count, rng)`` call, the same stream
+    as one ``rng.integers(n)`` per sample, and their rows are gathered a run
+    at a time.  The objective is rescaled by a spectral-norm probe at x0 and
+    the resulting direction unscaled.
     """
     depth = cfg.inner_steps if cfg.inner_steps is not None else 100
     scale = lissa_hessian_scale(objective, data, x0, seed=derive_seed(cfg.seed, 30))
@@ -250,10 +250,7 @@ def run_lissa(
         if data is None or objective.loss_kind == "quadratic":
             sampled_hvp = BatchHessian.at(objective, data, None, x, ANALYTIC).__matmul__
         else:
-            def draw() -> np.ndarray:
-                return np.array([rng.integers(data.n_samples)])
-
-            samples = _drawn_batches(objective, data, draw, 1, cfg.s1 * depth)
+            samples = _drawn_batches(objective, data, sample_batches(data.n_samples, 1, cfg.s1 * depth, rng))
 
             def sampled_hvp(u: np.ndarray) -> np.ndarray:
                 rows, labels = next(samples)

@@ -526,3 +526,21 @@ def sample_batch(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
     if b < 1 or b > n:
         raise BatchTooLarge(f"batch size {b} outside [1, {n}]")
     return np.sort(rng.choice(n, size=b, replace=False))
+
+
+def sample_batches(n: int, b: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` batches of ``b`` distinct indices from ``range(n)``: a ``(count, b)`` array of sorted rows.
+
+    Every row comes from one ``rng.integers`` call, and each row that
+    repeats an index is then drawn again by :func:`sample_batch`, in row
+    order.  A with-replacement row without a repeat is a uniform
+    ``b``-subset, so the rows are exact.  At ``b = 1`` nothing repeats, and
+    the one call takes the generator's stream exactly as ``count`` single
+    draws ``rng.integers(n)`` or ``sample_batch(n, 1, rng)`` do.
+    """
+    if b < 1 or b > n:
+        raise BatchTooLarge(f"batch size {b} outside [1, {n}]")
+    batches = np.sort(rng.integers(0, n, size=(count, b)), axis=1)
+    for i in np.flatnonzero((batches[:, 1:] == batches[:, :-1]).any(axis=1)):
+        batches[i] = sample_batch(n, b, rng)
+    return batches

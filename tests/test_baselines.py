@@ -3,6 +3,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from spanopt import (
     BaselineConfig,
@@ -17,7 +18,7 @@ from spanopt import (
     run_span,
     run_svrg,
 )
-from spanopt import objectives
+from spanopt import baselines, objectives
 from spanopt.baselines import (
     lissa_hessian_scale,
     neumann_inverse_apply,
@@ -312,6 +313,74 @@ class TestLissa:
         x2, t2 = run_lissa(bl, cfg, data, np.zeros(3))
         np.testing.assert_array_equal(x1, x2)
         assert [r.loss for r in t1] == [r.loss for r in t2]
+
+
+def drawn_one_batch_at_a_time(n, b, count, rng):
+    """The draw that svrg and lissa made before runs came from one call: a sample_batch per batch."""
+    return np.array([objectives.sample_batch(n, b, rng) for _ in range(count)], dtype=np.int64).reshape(count, b)
+
+
+class TestDrawStreams:
+    """Which traces drawing a run of batches per generator call left unchanged."""
+
+    @staticmethod
+    def problem(storage):
+        cfg, data = toy_logistic(n=30, d=4, seed=6, reg=0.2)
+        if storage == "csr":
+            features = np.where(np.abs(data.features) < 0.3, 0.0, data.features)
+            data = Dataset(features=sparse.csr_array(features), labels=data.labels)
+        return cfg, data
+
+    @staticmethod
+    def runs(monkeypatch, storage, method, **settings):
+        cfg, data = TestDrawStreams.problem(storage)
+        bl = BaselineConfig(method=method, seed=11, **settings)
+        run = {"svrg": run_svrg, "lissa": run_lissa}[method]
+        now = run(bl, cfg, data, np.zeros(4))
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "sample_batches", drawn_one_batch_at_a_time)
+            before = run(bl, cfg, data, np.zeros(4))
+        return now, before
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        "method,settings",
+        [("svrg", dict(eta=0.3, t_max=3, b=1)), ("lissa", dict(eta=1.0, t_max=3, s1=2, inner_steps=20))],
+        ids=["svrg-b1", "lissa"],
+    )
+    def test_single_index_streams_keep_their_bits(self, monkeypatch, storage, method, settings):
+        (x_now, trace_now), (x_before, trace_before) = self.runs(monkeypatch, storage, method, **settings)
+        np.testing.assert_array_equal(x_now, x_before)
+        assert [r._replace(wall_clock_s=0.0) for r in trace_now] == [r._replace(wall_clock_s=0.0) for r in trace_before]
+
+    def test_single_index_svrg_makes_no_per_batch_draw(self, monkeypatch):
+        calls = []
+
+        def counted(n, b, rng):
+            calls.append(b)
+            return objectives.sample_batch(n, b, rng)
+
+        monkeypatch.setattr(objectives, "sample_batch", counted)
+        cfg, data = self.problem("dense")
+        run_svrg(BaselineConfig(method="svrg", eta=0.3, t_max=3, b=1, seed=11), cfg, data, np.zeros(4))
+        assert calls == []
+
+    def test_svrg_draws_each_epoch_in_one_call(self, monkeypatch):
+        # At b = 3 of n = 30 about one row in ten repeats an index and is redrawn.
+        drawn = []
+
+        def recorded(n, b, count, rng):
+            drawn.append(objectives.sample_batches(n, b, count, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(baselines, "sample_batches", recorded)
+        cfg, data = self.problem("dense")
+        _, trace = run_svrg(BaselineConfig(method="svrg", eta=0.3, t_max=3, b=3, seed=11), cfg, data, np.zeros(4))
+        assert len(drawn) == len(trace) == 3
+        for batches in drawn:
+            assert batches.shape == (10, 3) and batches.dtype == np.int64
+            assert np.all(np.diff(batches, axis=1) > 0)
+            assert batches.min() >= 0 and batches.max() < 30
 
 
 # Every method's runner, and its settings for the shared-contract runs on a

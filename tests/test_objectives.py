@@ -17,7 +17,7 @@ from spanopt import (
     sample_batch,
 )
 from spanopt.errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge
-from spanopt.objectives import _exp_neg_abs, _margin_derivative, _sigmoid_where
+from spanopt.objectives import _exp_neg_abs, _margin_derivative, _sigmoid_where, sample_batches
 
 
 def toy_logistic(n=20, d=5, seed=0, reg=0.05):
@@ -444,3 +444,51 @@ class TestSampleBatch:
         p = b / n
         sigma = math.sqrt(p * (1 - p) / draws)
         assert np.abs(freq - p).max() <= 4 * sigma
+
+
+class TestSampleBatches:
+    # (n, b) from rows that seldom repeat an index to rows that nearly
+    # always do and are redrawn by sample_batch.
+    SHAPES = [(100, 3), (20, 6), (10, 5), (10, 6), (50, 50)]
+
+    @pytest.mark.parametrize("n,b", SHAPES)
+    def test_rows_are_sorted_distinct_indices(self, n, b):
+        batches = sample_batches(n, b, 500, np.random.default_rng(3))
+        assert batches.shape == (500, b) and batches.dtype == np.int64
+        assert np.all(np.diff(batches, axis=1) > 0)
+        assert batches.min() >= 0 and batches.max() < n
+
+    @pytest.mark.parametrize("n,b", [(20, 6), (10, 6)])
+    def test_no_batches(self, n, b):
+        batches = sample_batches(n, b, 0, np.random.default_rng(0))
+        assert batches.shape == (0, b) and batches.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_full_batches(self, n):
+        batches = sample_batches(n, n, 20, np.random.default_rng(0))
+        np.testing.assert_array_equal(batches, np.tile(np.arange(n), (20, 1)))
+
+    def test_too_large_raises(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(BatchTooLarge):
+            sample_batches(5, 6, 3, rng)
+        with pytest.raises(BatchTooLarge):
+            sample_batches(5, 0, 3, rng)
+
+    @pytest.mark.parametrize("n,b", [(10, 2), (10, 6)], ids=["few-redrawn", "most-redrawn"])
+    def test_uniform_frequencies(self, n, b):
+        # Binomial concentration, as for sample_batch: each index within 4 sigma of b/n.
+        draws = 10000
+        counts = np.bincount(sample_batches(n, b, draws, np.random.default_rng(123)).ravel(), minlength=n)
+        freq = counts / draws
+        p = b / n
+        sigma = math.sqrt(p * (1 - p) / draws)
+        assert np.abs(freq - p).max() <= 4 * sigma
+
+    @pytest.mark.parametrize("n", [1, 7, 2000, 13608])
+    def test_single_index_rows_are_the_single_draw_stream(self, n):
+        # svrg at b = 1 and lissa draw this way; their streams must not change.
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        batches = sample_batches(n, 1, 300, ours)
+        np.testing.assert_array_equal(batches, [sample_batch(n, 1, theirs) for _ in range(300)])
+        assert ours.random() == theirs.random()

@@ -28,6 +28,7 @@ from spanopt import (
     run_span,
     run_svrg,
 )
+from spanopt import baselines
 from spanopt.datasets import load_libsvm, normalize_rows, to_binary_dataset
 from spanopt.errors import DimensionTooLarge
 from spanopt.objectives import _batch_rows, batch_gradient_difference, gather_batches
@@ -273,6 +274,20 @@ class TestSolversNeverDensify:
         refuse_dense_view(monkeypatch)
         x_csr, trace_csr = self.RUNS[method](cfg, csr, x0)
         assert len(trace_csr) == len(trace_dense)
+        np.testing.assert_allclose(x_csr, x_dense, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose([r.loss for r in trace_csr], [r.loss for r in trace_dense], rtol=1e-9)
+
+    def test_csr_svrg_agrees_with_dense_over_several_gather_runs(self, monkeypatch):
+        # Dense and CSR rows cut an epoch into gather runs of different
+        # lengths; the batches, some of whose rows are redrawn, must not move.
+        cfg, dense, csr = both_formats(n=40, d=8, seed=9)
+        bl = BaselineConfig(method="svrg", eta=0.05, t_max=2, b=5, inner_steps=1000, seed=4)
+        assert bl.inner_steps * bl.b * dense.dim > 2 * baselines._GATHER_ENTRIES
+        assert -(-csr.stored // csr.n_samples) < dense.dim  # so fewer, longer runs for CSR
+        x0 = np.zeros(dense.dim)
+        x_dense, trace_dense = run_svrg(bl, cfg, dense, x0)
+        refuse_dense_view(monkeypatch)
+        x_csr, trace_csr = run_svrg(bl, cfg, csr, x0)
         np.testing.assert_allclose(x_csr, x_dense, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose([r.loss for r in trace_csr], [r.loss for r in trace_dense], rtol=1e-9)
 
