@@ -45,7 +45,7 @@ from .objectives import (
     loss_and_gradient,
     sample_batch,
 )
-from .rangefinder import RangeConfig, min_power_iterations, power_range
+from .rangefinder import min_power_iterations, power_range
 from .span import (
     SpanConfig,
     SpanState,
@@ -70,7 +70,6 @@ __all__ = [
     "EigenPairs",
     "HvpMode",
     "ObjectiveConfig",
-    "RangeConfig",
     "SpanConfig",
     "SpanOptError",
     "SpanState",

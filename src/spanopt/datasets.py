@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, NoReturn, Union
@@ -83,7 +84,8 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     must be strictly increasing within a line; the inferred dimension is the
     largest index seen anywhere.  Malformed lines, non-finite labels or
     values and indices beyond the int64 range raise :class:`ParseError`
-    carrying the 1-based line number.
+    carrying the 1-based line number; a corrupt or truncated gzip stream
+    raises one naming the file.
 
     Lines are only split in Python; every :data:`_BLOCK_LINES` examples the
     collected tokens are converted to arrays and checked at once, so no Python
@@ -103,6 +105,8 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
                 blocks.append(block.arrays())
                 block = _TokenBlock()
         blocks.append(block.arrays())
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ParseError(f"{source}: corrupt or truncated gzip stream: {exc}") from exc
     finally:
         if close:
             stream.close()

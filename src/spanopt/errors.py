@@ -28,8 +28,8 @@ class DimensionMismatch(SpanOptError):
 
 
 class DimensionTooLarge(SpanOptError):
-    """A dense-only operation was requested above its dimension cap, or a dense
-    feature matrix would not fit in physical memory."""
+    """A dense-only operation was requested above its dimension cap, or an array
+    (a dense feature matrix, a run's batch indices) would not fit in physical memory."""
 
 
 class BatchTooLarge(SpanOptError):

@@ -53,7 +53,7 @@ LOSS_KINDS = ("logistic", "huber_svm", "quadratic")
 
 
 def _check_fits(entries: int, what: str) -> None:
-    """Raise :class:`DimensionTooLarge` before allocating ``entries`` doubles beyond physical memory."""
+    """Raise :class:`DimensionTooLarge` before allocating ``entries`` 8-byte values beyond physical memory."""
     needed = entries * 8
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > available:
@@ -536,10 +536,12 @@ def sample_batches(n: int, b: int, count: int, rng: np.random.Generator) -> np.n
     order.  A with-replacement row without a repeat is a uniform
     ``b``-subset, so the rows are exact.  At ``b = 1`` nothing repeats, and
     the one call takes the generator's stream exactly as ``count`` single
-    draws ``rng.integers(n)`` or ``sample_batch(n, 1, rng)`` do.
+    draws ``rng.integers(n)`` or ``sample_batch(n, 1, rng)`` do.  Indices
+    beyond physical memory raise :class:`DimensionTooLarge` before any draw.
     """
     if b < 1 or b > n:
         raise BatchTooLarge(f"batch size {b} outside [1, {n}]")
+    _check_fits(count * b, f"{count} batches of {b} indices")
     batches = np.sort(rng.integers(0, n, size=(count, b)), axis=1)
     for i in np.flatnonzero((batches[:, 1:] == batches[:, :-1]).any(axis=1)):
         batches[i] = sample_batch(n, b, rng)

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import IndefiniteBlock, NonFiniteResult, RankDeficient, SingularSystem
+from .errors import IndefiniteBlock, InvalidRankParams, NonFiniteResult, RankDeficient, SingularSystem
 from .hvp import CENTRAL_FD, HvpMode
 from .linalg import EigenPairs, _unoverflowed_norm, derive_seed, qr_orthonormal, spectral_norm_sym, sym_eig_small
 from .objectives import (
@@ -48,7 +48,7 @@ from .objectives import (
     draw_batch,
     loss_and_gradient,
 )
-from .rangefinder import RangeConfig, power_range
+from .rangefinder import power_range
 
 # Stream tags so each stochastic sub-step of an iteration draws from its own
 # child of the run seed.
@@ -104,7 +104,12 @@ def _check_count(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class SpanConfig:
-    """Driver hyperparameters: iteration budget, sketch shape, batch size, step size."""
+    """Driver hyperparameters: iteration budget, sketch shape, batch size, step size.
+
+    A sketch is ``l`` columns wide (``l <= d`` is checked once the data
+    arrive), with power exponent ``q``.  ``m`` is the error analysis's rank
+    target and never enters a step; ``m >= 1`` needs ``m + 4 <= l``.
+    """
 
     t_max: int
     m: int
@@ -122,11 +127,11 @@ class SpanConfig:
         _check_count("b", self.b)
         if not isinstance(self.eta, numbers.Real) or not 0 < self.eta < math.inf:
             raise ValueError("eta must be a finite positive number")
-        # Raises InvalidRankParams on a bad sketch shape; l <= d waits for the data.
-        self.range_config()
-
-    def range_config(self) -> RangeConfig:
-        return RangeConfig(l=self.l, q=self.q, m=self.m)
+        l, q, m = self.l, self.q, self.m
+        if not all(isinstance(v, numbers.Integral) for v in (l, q, m)) or l < 1 or q < 0 or m < 0:
+            raise InvalidRankParams(f"bad sketch parameters l={l!r}, q={q!r}, m={m!r}")
+        if m >= 1 and m + 4 > l:
+            raise InvalidRankParams(f"need m + 4 <= l, got m={m}, l={l}")
 
 
 class TraceRecord(NamedTuple):
@@ -193,13 +198,13 @@ def assemble_subspace(u: np.ndarray, z: np.ndarray) -> Subspace:
     return Subspace(u=u, block_eig=eig, lam=0.5 * smallest, image=z)
 
 
-def build_subspace(hessian: BatchHessian, rc: RangeConfig, seed: int) -> Subspace:
+def build_subspace(hessian: BatchHessian, l: int, q: int, seed: int) -> Subspace:
     """Sketch the batch Hessian afresh into a basis and set the safeguard perturbation.
 
-    ``U`` is the powered Gaussian sketch from ``seed`` (``2q + 1``
-    products); one more product gives ``Z = H_B U``.
+    ``U`` is the ``l``-column powered Gaussian sketch from ``seed``
+    (``2q + 1`` products); one more product gives ``Z = H_B U``.
     """
-    u = power_range(hessian, rc, seed)
+    u = power_range(hessian, l, q, seed)
     return assemble_subspace(u, hessian @ u)
 
 
@@ -323,7 +328,7 @@ def span_step(
             except RankDeficient:
                 pass  # the carried image lost rank: sketch afresh
         if u is None:
-            subspace = build_subspace(hessian, cfg.range_config(), derive_seed(cfg.seed, _STREAM_SKETCH, t))
+            subspace = build_subspace(hessian, cfg.l, cfg.q, derive_seed(cfg.seed, _STREAM_SKETCH, t))
         else:
             subspace = assemble_subspace(u, hessian @ u)
         probe = None

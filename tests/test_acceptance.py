@@ -14,7 +14,6 @@ from spanopt import (
     CENTRAL_FD,
     BatchHessian,
     ObjectiveConfig,
-    RangeConfig,
     SpanConfig,
     SpanState,
     apply_inverse,
@@ -73,13 +72,12 @@ def test_criterion_1_approximation_bound_statistical():
     spectrum = 1.0 + (50.0 - np.arange(1, d + 1)) / 5.0
     cfg = quadratic(spectrum)
     q = min_power_iterations(d, l, m)
-    rc = RangeConfig(l=l, q=q, m=m)
     bound = 3.0 * spectrum[m]
     x = np.zeros(d)
     hits = 0
     for trial in range(200):
         hessian = BatchHessian.at(cfg, None, None, x, ANALYTIC)
-        s = build_subspace(hessian, rc, seed=linalg.derive_seed(1234, trial))
+        s = build_subspace(hessian, l, q, seed=linalg.derive_seed(1234, trial))
         err = hessian_error_probe(s, hessian, seed=trial)
         hits += err <= bound
     elapsed = time.perf_counter() - start
@@ -94,9 +92,8 @@ def test_criterion_2_exact_capture_degeneracy():
     d = 12
     spectrum = np.linspace(10.0, 1.0, d)
     cfg = quadratic(spectrum)
-    rc = RangeConfig(l=d, q=1, m=0)
     hessian = BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC)
-    s = build_subspace(hessian, rc, seed=4)
+    s = build_subspace(hessian, d, 1, seed=4)
     err = hessian_error_probe(s, hessian, seed=2)
     span_cfg = SpanConfig(t_max=1, m=0, l=d, q=1, b=1, eta=1.0, seed=4, hvp_mode=ANALYTIC)
     x1, _ = run_span(span_cfg, cfg, None, np.arange(1.0, d + 1.0))
@@ -174,7 +171,6 @@ def test_criterion_5_hessian_error_ordering():
     objective, data = desk_problem()
     d, m, l, q, b = 100, 10, 16, 2, 600
     x_star = newton_optimum(objective, data, d)
-    rc = RangeConfig(l=l, q=q, m=m)
     passes = 0
     for seed in range(20):
         rng = np.random.default_rng(linalg.derive_seed(777, seed))
@@ -182,7 +178,7 @@ def test_criterion_5_hessian_error_ordering():
         x_eval = x_star + 0.1 * linalg.gaussian_matrix(d, 1, seed)[:, 0]  # near-path iterate
 
         hessian = BatchHessian.at(objective, data, batch, x_eval, ANALYTIC)
-        s = build_subspace(hessian, rc, seed=linalg.derive_seed(778, seed))
+        s = build_subspace(hessian, l, q, seed=linalg.derive_seed(778, seed))
         span_err = hessian_error_probe(s, hessian, seed=seed)
 
         h_batch = hessian.dense()
@@ -277,7 +273,7 @@ def test_criterion_8_oracle_equivalences():
     for d in (10, 20, 30):
         spectrum = np.linspace(8.0, 1.0, d)
         cfg = quadratic(spectrum)
-        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC), RangeConfig(l=6, q=2, m=2), seed=d)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC), 6, 2, seed=d)
         p = s.u @ s.u.T
         h_hat = p @ np.diag(spectrum) @ p + s.lam * (np.eye(d) - p)
         for _ in range(10):

@@ -14,7 +14,6 @@ PUBLIC = [
     "EigenPairs",
     "HvpMode",
     "ObjectiveConfig",
-    "RangeConfig",
     "SpanConfig",
     "SpanOptError",
     "SpanState",

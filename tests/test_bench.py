@@ -666,6 +666,19 @@ class TestCli:
         assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
         assert "config error: dataset.path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda raw: raw[:40], lambda raw: raw[:10] + bytes(b ^ 0xFF for b in raw[10:20]) + raw[20:]],
+        ids=["truncated", "flipped-body"],
+    )
+    def test_corrupt_gzip_exit_one(self, tmp_path, capsys, damage):
+        # EOFError and zlib.error escaped the parser and ended in a traceback.
+        data = tmp_path / "data.libsvm.gz"
+        data.write_bytes(damage(gzip.compress(_LIBSVM_TEXT.encode() * 20)))
+        text = _BASES["libsvm"].replace("{data}", str(data)) + _METHOD_LINES
+        assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == 1
+        assert "config error: dataset.path" in capsys.readouterr().err
+
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_CONFIG_TEXT)
     def test_any_config_text_runs_or_is_a_config_error(self, text):
@@ -737,10 +750,13 @@ class TestCli:
             ("synth", "preiterate.epochs = -1", 1),  # silently meant no warm-up
             ("synth", "dataset.n = 1000000000\ndataset.d = 1000000", 1),  # refused before anything is drawn
             ("libsvm", "dataset.negative_label = 1", 1),  # every example became +1, and the run went on
+            # An epoch's (an iteration's) indices are drawn at once, and numpy refused the allocation.
+            ("synth", "methods = svrg\nsvrg.inner_steps = 1000000000000000", 2),
+            ("synth", "methods = lissa\nlissa.inner_steps = 1000000000000000", 2),
         ],
         ids=["svrg-quadratic", "nan-number", "inf-spectrum", "empty-synth", "newsamp-rank", "lissa-flat",
              "newsamp-overflow", "negative-warmup-eta", "negative-warmup-epochs", "synth-beyond-memory",
-             "equal-labels"],
+             "equal-labels", "svrg-draw-beyond-memory", "lissa-draw-beyond-memory"],
     )
     def test_found_tracebacks_exit_cleanly(self, tmp_path, capsys, base, edit, code):
         # Each of these ended in a ValueError traceback before, or was accepted.

@@ -226,6 +226,18 @@ class TestLoadLibsvm:
         examples, dim = load_libsvm(path)
         assert len(examples) == 2 and dim == 2
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda raw: raw[:40], lambda raw: raw[:10] + bytes(b ^ 0xFF for b in raw[10:20]) + raw[20:]],
+        ids=["truncated", "flipped-body"],
+    )
+    def test_corrupt_gzip_is_a_parse_error(self, tmp_path, damage):
+        # EOFError and zlib.error escaped the parser, and bench ended in a traceback.
+        path = tmp_path / "data.txt.gz"
+        path.write_bytes(damage(gzip.compress(b"1 1:0.5 3:1\n-1 2:0.25\n" * 50)))
+        with pytest.raises(ParseError, match="data.txt.gz"):
+            load_libsvm(path)
+
 
 class TestToBinaryDataset:
     def examples(self):

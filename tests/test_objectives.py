@@ -475,6 +475,13 @@ class TestSampleBatches:
         with pytest.raises(BatchTooLarge):
             sample_batches(5, 0, 3, rng)
 
+    def test_indices_beyond_memory_raise_before_any_draw(self):
+        # 2e16 bytes of indices ended in numpy's allocation error, with a traceback.
+        ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+        with pytest.raises(DimensionTooLarge):
+            sample_batches(10, 2, 10**15, ours)
+        assert ours.random() == theirs.random()
+
     @pytest.mark.parametrize("n,b", [(10, 2), (10, 6)], ids=["few-redrawn", "most-redrawn"])
     def test_uniform_frequencies(self, n, b):
         # Binomial concentration, as for sample_batch: each index within 4 sigma of b/n.

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spanopt import ANALYTIC, BatchHessian, ObjectiveConfig, RangeConfig, min_power_iterations, power_range
-from spanopt import linalg
+from spanopt import ANALYTIC, BatchHessian, ObjectiveConfig, min_power_iterations, power_range
+from spanopt import linalg, rangefinder
 from spanopt.errors import InvalidRankParams
 
 
@@ -18,31 +18,11 @@ def projector(u):
     return u @ u.T
 
 
-class TestRangeConfig:
-    def test_gap_enforced_with_rank_target(self):
-        with pytest.raises(InvalidRankParams):
-            RangeConfig(l=4, q=1, m=1)
-
-    def test_rank_zero_escape(self):
-        rc = RangeConfig(l=2, q=1, m=0)
-        assert rc.reorth is False
-
-    def test_reorth_defaults_on_for_deep_power(self):
-        assert RangeConfig(l=6, q=3, m=0).reorth is True
-        assert RangeConfig(l=6, q=2, m=0).reorth is False
-
-    def test_width_checked_against_dimension(self):
-        rc = RangeConfig(l=8, q=1, m=4)
-        with pytest.raises(InvalidRankParams):
-            rc.validate_for_dim(5)
-
-
 class TestPowerRange:
     def test_isotropic_operator_preserves_sketch_span(self):
         # H = c I maps the sketch to itself, so span(U) = span(Omega).
         cfg = quadratic([2.0, 2.0, 2.0, 2.0])
-        rc = RangeConfig(l=2, q=1, m=0)
-        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), rc, seed=3)
+        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), 2, 1, seed=3)
         omega = linalg.gaussian_matrix(4, 2, 3)
         q_omega = linalg.qr_orthonormal(omega)
         assert np.abs(projector(u) - projector(q_omega)).max() <= 1e-8
@@ -50,8 +30,7 @@ class TestPowerRange:
     def test_top_directions_captured(self):
         # spectrum (1, 2, 3): top-2 eigendirections are e3 then e2.
         cfg = quadratic([1.0, 2.0, 3.0])
-        rc = RangeConfig(l=2, q=5, m=0)
-        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), rc, seed=11)
+        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), 2, 5, seed=11)
         p = projector(u)
         e2, e3 = np.eye(3)[:, 1], np.eye(3)[:, 2]
         assert np.linalg.norm(e3 - p @ e3) <= 1e-3
@@ -59,8 +38,7 @@ class TestPowerRange:
 
     def test_q_zero_is_plain_sketch(self):
         cfg = quadratic([3.0, 1.0, 0.5, 0.2])
-        rc = RangeConfig(l=2, q=0, m=0)
-        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), rc, seed=5)
+        u = power_range(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), 2, 0, seed=5)
         h_omega = np.diag([3.0, 1.0, 0.5, 0.2]) @ linalg.gaussian_matrix(4, 2, 5)
         expected = linalg.qr_orthonormal(h_omega)
         assert np.abs(projector(u) - projector(expected)).max() <= 1e-8
@@ -70,17 +48,33 @@ class TestPowerRange:
         for seed in range(10):
             d = int(rng.integers(6, 30))
             spectrum = np.sort(rng.uniform(0.5, 5.0, size=d))[::-1]
-            rc = RangeConfig(l=5, q=int(rng.integers(0, 4)), m=1)
-            u = power_range(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC), rc, seed=seed)
+            q = int(rng.integers(0, 4))
+            u = power_range(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC), 5, q, seed=seed)
             assert np.abs(u.T @ u - np.eye(5)).max() <= 1e-10
+
+    @pytest.mark.parametrize("q, calls", [(2, 1), (3, 7)])
+    def test_reorthonormalizes_between_products_from_q_3(self, monkeypatch, q, calls):
+        # Below q = 3 only the last product is orthonormalized; from q = 3
+        # every one of the 2q + 1 products is.
+        qr_calls = []
+
+        def counting_qr(y):
+            qr_calls.append(y)
+            return linalg.qr_orthonormal(y)
+
+        monkeypatch.setattr(rangefinder, "qr_orthonormal", counting_qr)
+        power_range(BatchHessian.at(quadratic(np.linspace(6.0, 1.0, 12)), None, None, np.zeros(12), ANALYTIC), 4, q, seed=9)
+        assert len(qr_calls) == calls
+
+    def test_width_checked_against_dimension(self):
+        with pytest.raises(InvalidRankParams, match="exceeds dimension d=5"):
+            power_range(BatchHessian.at(quadratic(np.ones(5)), None, None, np.zeros(5), ANALYTIC), 8, 1, seed=0)
 
     def test_reorthonormalized_loop_spans_same_space(self):
         # q=4 re-orthonormalizes between products; the span is that of the
         # raw power H^9 Omega.
         spectrum = np.linspace(6.0, 1.0, 12)
-        rc = RangeConfig(l=4, q=4, m=0)
-        assert rc.reorth
-        u_re = power_range(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(12), ANALYTIC), rc, seed=9)
+        u_re = power_range(BatchHessian.at(quadratic(spectrum), None, None, np.zeros(12), ANALYTIC), 4, 4, seed=9)
         u_raw = linalg.qr_orthonormal(np.diag(spectrum**9) @ linalg.gaussian_matrix(12, 4, 9))
         assert np.abs(projector(u_raw) - projector(u_re)).max() <= 1e-6
 
@@ -94,8 +88,7 @@ class TestPowerRange:
         def mean_energy(q):
             total = 0.0
             for seed in range(50):
-                rc = RangeConfig(l=4, q=q, m=0)
-                u = power_range(BatchHessian.at(cfg, None, None, np.zeros(12), ANALYTIC), rc, seed=seed)
+                u = power_range(BatchHessian.at(cfg, None, None, np.zeros(12), ANALYTIC), 4, q, seed=seed)
                 p = projector(u)
                 total += np.linalg.norm(p @ h @ p)
             return total / 50.0
@@ -108,10 +101,10 @@ class TestPowerRange:
         # about 5%, so the >= 95/100 threshold is pinned to seeds 0..99
         # (measured: 97/100).
         cfg = quadratic([1.0, 2.0, 3.0])
-        rc = RangeConfig(l=1, q=5, m=0)  # re-orthonormalizing one column only rescales it
         aligned = 0
         for seed in range(100):
-            u = power_range(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), rc, seed=seed)
+            # q = 5 re-orthonormalizes, which for one column only rescales it.
+            u = power_range(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), 1, 5, seed=seed)
             if abs(u[2, 0]) >= 0.99:
                 aligned += 1
         assert aligned >= 95
@@ -122,7 +115,7 @@ class TestPowerRangeFailure:
         # A rank-one batch Hessian cannot support a width-2 sketch; a redraw
         # would produce dependent columns again, so the first failure
         # propagates without one.
-        from spanopt import Dataset, rangefinder
+        from spanopt import Dataset
         from spanopt.errors import RankDeficient
 
         draws = []
@@ -135,9 +128,8 @@ class TestPowerRangeFailure:
         monkeypatch.setattr(rangefinder, "gaussian_matrix", counting_draw)
         data = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
         cfg = ObjectiveConfig("logistic", reg_a=0.0)
-        rc = RangeConfig(l=2, q=0, m=0)
         with pytest.raises(RankDeficient):
-            power_range(BatchHessian.at(cfg, data, None, np.zeros(2), ANALYTIC), rc, seed=0)
+            power_range(BatchHessian.at(cfg, data, None, np.zeros(2), ANALYTIC), 2, 0, seed=0)
         assert len(draws) == 1
 
 

@@ -11,7 +11,6 @@ from spanopt import (
     BatchHessian,
     Dataset,
     ObjectiveConfig,
-    RangeConfig,
     SpanConfig,
     SpanState,
     apply_inverse,
@@ -62,13 +61,13 @@ def small_logistic(n=40, d=8, seed=1, reg=0.05):
 class TestBuildSubspace:
     def test_full_width_block_is_similar_to_hessian(self):
         cfg = quadratic([1.0, 2.0, 3.0, 4.0])
-        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), RangeConfig(l=4, q=1, m=0), seed=2)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(4), ANALYTIC), 4, 1, seed=2)
         np.testing.assert_allclose(s.block_eig.values, [4.0, 3.0, 2.0, 1.0], atol=1e-8)
 
     def test_isotropic_operator_safeguard(self):
         c = 2.0
         cfg = quadratic([c] * 6)
-        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(6), ANALYTIC), RangeConfig(l=3, q=1, m=0), seed=1)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(6), ANALYTIC), 3, 1, seed=1)
         assert s.lam == pytest.approx(c / 2, rel=1e-10)
 
     def test_safeguard_postcondition(self):
@@ -76,9 +75,8 @@ class TestBuildSubspace:
         for seed in range(10):
             d = 20
             spectrum = np.sort(rng.uniform(0.5, 8.0, size=d))[::-1]
-            rc = RangeConfig(l=8, q=1, m=4)
             hessian = BatchHessian.at(quadratic(spectrum), None, None, np.zeros(d), ANALYTIC)
-            s = build_subspace(hessian, rc, seed=seed)
+            s = build_subspace(hessian, 8, 1, seed=seed)
             assert s.lam == 0.5 * s.block_eig.values[-1]
             assert np.abs(s.u.T @ s.u - np.eye(8)).max() <= 1e-10
             # The eigenpairs are those of the symmetrized captured block.
@@ -95,13 +93,12 @@ class TestBuildSubspace:
         d, l = 20, 8
         objective = ObjectiveConfig("logistic", reg_a=1e-3)
         data = synth_classification(n=200, d=d, seed=m)
-        rc = RangeConfig(l=l, q=1, m=m)
         rng = np.random.default_rng(m)
         for seed in range(4):
             batch = objectives.sample_batch(200, 80, rng)
             x = rng.standard_normal(d)
             hessian = BatchHessian.at(objective, data, batch, x, mode)
-            fresh = build_subspace(hessian, rc, seed=seed)
+            fresh = build_subspace(hessian, l, 1, seed=seed)
             u = linalg.qr_orthonormal(hessian @ fresh.u)
             carried = assemble_subspace(u, hessian @ u)
             sigma = np.linalg.eigvalsh(BatchHessian.at(objective, data, batch, x, ANALYTIC).dense())[::-1]
@@ -129,18 +126,18 @@ class TestBuildSubspace:
 class TestApplyInverse:
     def test_full_rank_is_exact_newton_inverse(self):
         cfg = quadratic([2.0, 4.0])
-        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(2), ANALYTIC), RangeConfig(l=2, q=1, m=0), seed=5)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(2), ANALYTIC), 2, 1, seed=5)
         np.testing.assert_allclose(apply_inverse(s, np.array([1.0, 1.0])), [0.5, 0.25], atol=1e-10)
 
     def test_zero_gradient(self):
         cfg = quadratic([1.0, 2.0, 3.0])
-        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), RangeConfig(l=2, q=1, m=0), seed=1)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(3), ANALYTIC), 2, 1, seed=1)
         np.testing.assert_array_equal(apply_inverse(s, np.zeros(3)), np.zeros(3))
 
     def test_inverts_explicit_construction(self):
         spectrum = np.linspace(9.0, 1.0, 10)
         cfg = quadratic(spectrum)
-        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(10), ANALYTIC), RangeConfig(l=6, q=2, m=2), seed=7)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(10), ANALYTIC), 6, 2, seed=7)
         h_hat = explicit_perturbed_hessian(s, np.diag(spectrum))
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -153,7 +150,7 @@ class TestApplyInverse:
         d, l = 12, 5
         spectrum = np.linspace(6.0, 1.0, d)
         cfg = quadratic(spectrum)
-        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC), RangeConfig(l=l, q=2, m=1), seed=3)
+        s = build_subspace(BatchHessian.at(cfg, None, None, np.zeros(d), ANALYTIC), l, 2, seed=3)
         h_hat = explicit_perturbed_hessian(s, np.diag(spectrum))
         eigs = np.sort(np.linalg.eigvalsh(h_hat))
         block_eigs = np.sort(s.block_eig.values)
@@ -166,7 +163,7 @@ class TestHessianErrorProbe:
         spectrum = np.linspace(5.0, 1.0, 8)
         cfg = quadratic(spectrum)
         hessian = BatchHessian.at(cfg, None, None, np.zeros(8), ANALYTIC)
-        s = build_subspace(hessian, RangeConfig(l=8, q=1, m=0), seed=2)
+        s = build_subspace(hessian, 8, 1, seed=2)
         err = hessian_error_probe(s, hessian, seed=1)
         assert err <= 1e-8
 
@@ -175,10 +172,9 @@ class TestHessianErrorProbe:
         # demonstrating why the safeguard caps it.
         spectrum = np.array([100.0] + [1.0] * 11)
         cfg = quadratic(spectrum)
-        rc = RangeConfig(l=6, q=2, m=2)
         hessian = BatchHessian.at(cfg, None, None, np.zeros(12), ANALYTIC)
-        s = build_subspace(hessian, rc, seed=3)
-        sigma_m1 = spectrum[rc.m]
+        s = build_subspace(hessian, 6, 2, seed=3)
+        sigma_m1 = spectrum[2]  # sigma_{m+1} at rank target m = 2
         good_err = hessian_error_probe(s, hessian, seed=1)
         assert good_err <= 3.0 * sigma_m1
         bad = dataclasses.replace(s, lam=float(spectrum[0]))
@@ -189,7 +185,7 @@ class TestHessianErrorProbe:
         spectrum = np.linspace(10.0, 1.0, 15)
         cfg = quadratic(spectrum)
         hessian = BatchHessian.at(cfg, None, None, np.zeros(15), ANALYTIC)
-        s = build_subspace(hessian, RangeConfig(l=6, q=2, m=2), seed=9)
+        s = build_subspace(hessian, 6, 2, seed=9)
         probed = hessian_error_probe(s, hessian, seed=5)
         dense = np.abs(
             np.linalg.eigvalsh(explicit_perturbed_hessian(s, np.diag(spectrum)) - np.diag(spectrum))
@@ -205,12 +201,11 @@ class TestHessianErrorProbe:
         # against the dense oracle (~1e-5 relative at tol=1e-6).
         cfg, data = small_logistic(n=80, d=12, seed=4)
         rng = np.random.default_rng(4)
-        rc = RangeConfig(l=6, q=1, m=2)
         for seed in range(4):
             x = rng.standard_normal(12)
             batch = np.sort(rng.choice(80, 40, replace=False))
             hessian = BatchHessian.at(cfg, data, batch, x, ANALYTIC)
-            s = build_subspace(hessian, rc, seed=seed)
+            s = build_subspace(hessian, 6, 1, seed=seed)
             h = hessian.dense()
             dense = np.abs(np.linalg.eigvalsh(explicit_perturbed_hessian(s, h) - h)).max()
             fd = hessian_error_probe(s, BatchHessian.at(cfg, data, batch, x, CENTRAL_FD), seed=seed)
@@ -378,7 +373,7 @@ class TestWarmStart:
         span_cfg = SpanConfig(t_max=1, m=0, l=4, q=2, b=1, eta=0.5, seed=11, hvp_mode=ANALYTIC)
         state, _ = span_step(SpanState(x=np.ones(10)), cfg, None, span_cfg)
         fresh = build_subspace(
-            BatchHessian.at(cfg, None, None, np.ones(10), ANALYTIC), span_cfg.range_config(),
+            BatchHessian.at(cfg, None, None, np.ones(10), ANALYTIC), span_cfg.l, span_cfg.q,
             seed=linalg.derive_seed(11, _STREAM_SKETCH, 0),
         )
         assert np.array_equal(state.subspace.u, fresh.u)
@@ -388,7 +383,7 @@ class TestWarmStart:
         span_cfg = SpanConfig(t_max=2, m=0, l=4, q=2, b=1, eta=0.5, seed=11, hvp_mode=ANALYTIC)
         state, _ = span_step(SpanState(x=np.ones(10)), cfg, None, span_cfg)
         fresh = build_subspace(
-            BatchHessian.at(cfg, None, None, state.x, ANALYTIC), span_cfg.range_config(),
+            BatchHessian.at(cfg, None, None, state.x, ANALYTIC), span_cfg.l, span_cfg.q,
             seed=linalg.derive_seed(11, _STREAM_SKETCH, 1),
         )
         warm, _ = span_step(state, cfg, None, span_cfg)
@@ -539,6 +534,17 @@ class TestRunSpan:
     def test_sketch_shape_must_be_integers(self, field, value):
         shape = {"l": 8, "q": 1, "m": 2, field: value}
         with pytest.raises(InvalidRankParams, match="bad sketch parameters"):
+            SpanConfig(t_max=2, b=4, eta=1.0, seed=0, **shape)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"l": 4, "m": 1}, r"need m \+ 4 <= l"), ({"l": 0}, "bad sketch"), ({"q": -1}, "bad sketch"),
+         ({"m": -1}, "bad sketch")],
+        ids=["gap", "zero-width", "negative-power", "negative-rank"],
+    )
+    def test_sketch_shape_must_fit_the_analysis(self, edit, message):
+        shape = {"l": 8, "q": 1, "m": 2, **edit}
+        with pytest.raises(InvalidRankParams, match=message):
             SpanConfig(t_max=2, b=4, eta=1.0, seed=0, **shape)
 
 
