@@ -30,7 +30,7 @@ from . import baselines, datasets, objectives, span
 from .errors import (
     ConfigError, DimensionTooLarge, IncompatibleTraces, NoMatchingExamples, ParseError, SpanOptError,
 )
-from .hvp import HvpMode
+from .hvp import ANALYTIC, HvpMode
 from .objectives import Dataset, ObjectiveConfig
 from .span import TraceRecord
 
@@ -68,13 +68,6 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {line_no}: empty key or value")
         values[key] = value
     return values
-
-
-def check_config_keys(values: dict[str, str]) -> None:
-    """Raise :class:`ConfigError` naming every key outside :data:`CONFIG_KEYS`."""
-    unknown = sorted(set(values) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
 
 
 def _get(values: dict[str, str], key: str, default=None, required: bool = False) -> Optional[str]:
@@ -289,7 +282,9 @@ def read_config_values(path: Union[str, Path]) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values = parse_config_text(_read_text(path, ConfigError))
-    check_config_keys(values)
+    unknown = sorted(set(values) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
     return values
 
 
@@ -468,10 +463,12 @@ def emit_plot_data(
 
     ``loss_vs_iter`` uses iteration numbers, taking each trace's first row at
     an iteration; ``loss_vs_time`` uses the union of wall-clock stamps with
-    last-value carry-forward; ``hessian_err`` is keyed like ``loss_vs_iter``
-    but keeps only methods that actually probed, warning about the rest.  The
-    suboptimality option subtracts the best finite loss seen across all
-    traces, and refuses traces that hold none.
+    last-value carry-forward; ``hessian_err`` is keyed like ``loss_vs_iter``.
+    Each trace keeps the rows that carry the table's field, ``hessian_err``
+    in that mode and ``loss`` otherwise; a trace left with none, one that
+    never probed, is omitted with a warning.  The suboptimality option
+    subtracts the best finite loss seen across all traces, and refuses traces
+    that hold none; it leaves Hessian errors as they are.
     """
     if mode not in PLOT_MODES:
         raise IncompatibleTraces(f"unknown plot mode {mode!r}")
@@ -479,6 +476,7 @@ def emit_plot_data(
         raise IncompatibleTraces("no trace files given")
     check_output_dir(out_path)
 
+    field = "hessian_err" if mode == "hessian_err" else "loss"
     columns: dict[str, list[TraceRecord]] = {}
     for path in paths:
         name = Path(path).stem
@@ -487,21 +485,15 @@ def emit_plot_data(
         records = read_trace_csv(path)
         if not records:
             raise IncompatibleTraces(f"{path}: empty trace")
-        columns[name] = records
+        columns[name] = [r for r in records if getattr(r, field) is not None]
+        if not columns[name]:  # only a trace that never probed: every row has a loss
+            log.warning("trace %s has no probe column; omitted from %s table", name, mode)
+    columns = {name: records for name, records in columns.items() if records}
+    if not columns:
+        raise IncompatibleTraces("no trace has Hessian-error probes")
 
-    field, offset = "loss", 0.0
-    if mode == "hessian_err":
-        kept = {}
-        for name, records in columns.items():
-            probed = [r for r in records if r.hessian_err is not None]
-            if probed:
-                kept[name] = probed
-            else:
-                log.warning("trace %s has no probe column; omitted from hessian_err table", name)
-        if not kept:
-            raise IncompatibleTraces("no trace has Hessian-error probes")
-        columns, field = kept, "hessian_err"
-    elif suboptimality:
+    offset = 0.0
+    if suboptimality and field == "loss":
         finite = [r.loss for rs in columns.values() for r in rs if np.isfinite(r.loss)]
         if not finite:
             raise IncompatibleTraces("no trace has a finite loss to measure suboptimality from")
@@ -556,7 +548,7 @@ def per_iteration_scaling(
     for round_idx in range(rounds):
         span_cfg = span.SpanConfig(
             t_max=steps + warmup, m=m, l=l, q=q, b=1,
-            eta=0.5, seed=seed + round_idx, hvp_mode=HvpMode(kind="analytic"),
+            eta=0.5, seed=seed + round_idx, hvp_mode=ANALYTIC,
         )
         ns_cfg = _build("span.m", baselines.BaselineConfig, method="newsamp", eta=0.5, t_max=steps + warmup,
                         m=m, seed=seed + round_idx)

@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", help="override the config's output_dir")
 
     plot = sub.add_parser("plot", help="align trace CSVs into one plot-ready table")
-    plot.add_argument("mode", choices=["loss_vs_time", "loss_vs_iter", "hessian_err"])
+    plot.add_argument("mode", choices=bench.PLOT_MODES)
     plot.add_argument("csv", nargs="+", help="trace CSVs produced by `bench run`")
     plot.add_argument("-o", "--output", required=True, help="output table path")
     plot.add_argument(

@@ -10,13 +10,14 @@ generators for the controlled-spectrum test suites.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, NoReturn, Union
+from typing import IO, ContextManager, NoReturn, Union
 
 import numpy as np
 
@@ -68,13 +69,31 @@ class SparseExamples:
             yield RawExample(label, tuple(zip(columns, self.values[lo:hi].tolist())))
 
 
-def _open_text(source: Union[str, Path, IO]) -> IO:
+def _open_text(source: Union[str, Path, IO], errors: str = "strict") -> ContextManager[IO]:
+    """``source`` as UTF-8 text, closed on exit only if opened here: a path (gzip by extension), or a stream as is."""
+    if not isinstance(source, (str, Path)):
+        return contextlib.nullcontext(source)
+    path = Path(source)
+    if path.suffix == ".gz":
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", errors=errors)
+    return open(path, "r", encoding="utf-8", errors=errors)
+
+
+def _raise_undecodable_line(source: Union[str, Path, IO], exc: UnicodeDecodeError) -> NoReturn:
+    """Raise the :class:`ParseError` of the first line of ``source`` that is not UTF-8.
+
+    A path is read again with each undecodable byte kept as a lone surrogate,
+    so its lines break exactly where the parsing pass broke them; a stream
+    cannot be read again, and its error names no line.
+    """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".gz":
-            return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-        return open(path, "r", encoding="utf-8")
-    return source
+        with _open_text(source, errors="surrogateescape") as stream:
+            for line_no, line in enumerate(stream, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not UTF-8 text", line_no) from None
+    raise ParseError(f"not UTF-8 text: {exc}") from None
 
 
 def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
@@ -83,9 +102,9 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     Blank lines and lines starting with '#' are skipped.  Feature indices
     must be strictly increasing within a line; the inferred dimension is the
     largest index seen anywhere.  Malformed lines, non-finite labels or
-    values and indices beyond the int64 range raise :class:`ParseError`
-    carrying the 1-based line number; a corrupt or truncated gzip stream
-    raises one naming the file.
+    values, indices beyond the int64 range and bytes that are not UTF-8
+    raise :class:`ParseError` carrying the 1-based line number; a corrupt or
+    truncated gzip stream raises one naming the file.
 
     Lines are only split in Python; every :data:`_BLOCK_LINES` examples the
     collected tokens are converted to arrays and checked at once, so no Python
@@ -93,23 +112,22 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     """
     blocks = []
     block = _TokenBlock()
-    stream = _open_text(source)
-    close = isinstance(source, (str, Path))
     try:
-        for line_no, line in enumerate(stream, start=1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            block.add(line_no, tokens)
-            if len(block.line_nos) == _BLOCK_LINES:
-                blocks.append(block.arrays())
-                block = _TokenBlock()
-        blocks.append(block.arrays())
+        with _open_text(source) as stream:
+            try:
+                for line_no, line in enumerate(stream, start=1):
+                    tokens = line.split()
+                    if not tokens or tokens[0].startswith("#"):
+                        continue
+                    block.add(line_no, tokens)
+                    if len(block.line_nos) == _BLOCK_LINES:
+                        blocks.append(block.arrays())
+                        block = _TokenBlock()
+            except UnicodeDecodeError as exc:
+                _raise_undecodable_line(source, exc)  # reads on, so a gzip fault may still follow
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ParseError(f"{source}: corrupt or truncated gzip stream: {exc}") from exc
-    finally:
-        if close:
-            stream.close()
+    blocks.append(block.arrays())
     labels, counts, indices, values = (np.concatenate(parts) for parts in zip(*blocks))
     indptr = np.zeros(labels.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -118,7 +136,12 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
 
 
 class _TokenBlock:
-    """The split tokens of up to :data:`_BLOCK_LINES` examples, before conversion."""
+    """The split tokens of up to :data:`_BLOCK_LINES` examples, before conversion.
+
+    Faults are detected, then located: :meth:`arrays` checks the whole block
+    at once and only tells whether it holds a fault; on one,
+    :meth:`raise_first_error` checks its examples in order and raises the first.
+    """
 
     def __init__(self):
         self.line_nos: list[int] = []
@@ -133,7 +156,7 @@ class _TokenBlock:
         self.pairs += tokens[1:]
 
     def arrays(self):
-        """(labels, pair counts, 0-based indices, values) of the block; the first bad line raises."""
+        """(labels, pair counts, 0-based indices, values) of the block; a fault raises the first bad line's error."""
         k = len(self.pairs)
         ptr = np.zeros(len(self.counts) + 1, dtype=np.int64)
         np.cumsum(self.counts, out=ptr[1:])
@@ -143,28 +166,25 @@ class _TokenBlock:
         separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
         numbers = joined.replace(":", " ").split()
         if separators != (b": " * k)[:-1] or len(numbers) != 2 * k:
-            self.raise_first_error(0, ptr)
+            self.raise_first_error(ptr)
         try:
             labels = np.array(self.labels, dtype=float)
             indices = np.array(numbers[0::2], dtype=np.int64)
             values = np.array(numbers[1::2], dtype=float)
         except (ValueError, OverflowError):
-            self.raise_first_error(0, ptr)
+            self.raise_first_error(ptr)
         rising = np.ones(k, dtype=bool)
         rising[1:] = np.diff(indices) > 0
         starts = ptr[:-1]
         rising[starts[starts < k]] = True  # an example's first index follows nothing
-        bad_pairs = np.flatnonzero(~(rising & (indices >= 1) & np.isfinite(values)))[:1]
-        bad_rows = np.flatnonzero(~np.isfinite(labels))[:1].tolist()
-        bad_rows += (np.searchsorted(ptr, bad_pairs, side="right") - 1).tolist()
-        if bad_rows:
-            self.raise_first_error(min(bad_rows), ptr)
+        if not ((rising & (indices >= 1) & np.isfinite(values)).all() and np.isfinite(labels).all()):
+            self.raise_first_error(ptr)
         return labels, np.diff(ptr), indices - 1, values
 
-    def raise_first_error(self, start: int, ptr: np.ndarray) -> NoReturn:
-        """Re-check the block's examples one token at a time from ``start``; raise the first fault."""
-        for r in range(start, len(self.line_nos)):
-            _check_example(self.line_nos[r], self.labels[r], self.pairs[ptr[r] : ptr[r + 1]])
+    def raise_first_error(self, ptr: np.ndarray) -> NoReturn:
+        """Check the block's examples in order, one token at a time; raise the first fault."""
+        for r, line_no in enumerate(self.line_nos):
+            _check_example(line_no, self.labels[r], self.pairs[ptr[r] : ptr[r + 1]])
         raise AssertionError("a block failed an array check that none of its lines fails")
 
 
@@ -172,7 +192,7 @@ def _check_example(line_no: int, label_token: str, pair_tokens: list[str]) -> No
     """Raise the :class:`ParseError` of the first fault in one example's tokens, if any.
 
     This is the one place that words parse errors: the array checks of
-    :meth:`_TokenBlock.arrays` only find the example to start from.
+    :meth:`_TokenBlock.arrays` only detect that a block holds a fault.
     """
     try:
         label = float(label_token)
@@ -259,17 +279,15 @@ def normalize_rows(ds: Dataset) -> tuple[Dataset, int]:
 
 
 def _normalize_dense(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows of ordinary norm take one division; extreme and zero rows go through :func:`_normalize_csr`."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    features = matrix / safe[:, None]
-    extreme = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))  # zero rows among them
-    rows = matrix[extreme]
-    peaks = np.abs(rows).max(axis=1)
-    nonzero = peaks > 0.0
-    scaled = rows[nonzero] / peaks[nonzero, None]
-    features[extreme[nonzero]] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
-    return features, int(extreme.size - np.count_nonzero(nonzero))
+    features = matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+    extreme = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))
+    d = matrix.shape[1]
+    scaled, zero_rows = _normalize_csr(matrix[extreme].ravel(), np.arange(0, extreme.size * d + 1, d))
+    features[extreme] = scaled.reshape(-1, d)
+    return features, zero_rows
 
 
 def _normalize_csr(values: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, int]:

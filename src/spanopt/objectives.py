@@ -219,6 +219,13 @@ def _huber_curvature(margins: np.ndarray) -> np.ndarray:
     return ((margins >= 0.5) & (margins < 1.5)).astype(float)
 
 
+def _checked_pass(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndarray], x: np.ndarray) -> tuple:
+    """The batch's rows and labels, the checked ``x``, and the margins (a quadratic's ``spectrum * x``)."""
+    x = _check_x(cfg, data, x)
+    rows, labels = _batch_rows(cfg, data, batch)
+    return rows, labels, x, cfg.quadratic_spectrum * x if rows is None else _margins(rows, labels, x)
+
+
 def batch_loss(
     cfg: ObjectiveConfig,
     data: Optional[Dataset],
@@ -226,9 +233,8 @@ def batch_loss(
     x: np.ndarray,
 ) -> float:
     """Mean loss over the batch plus the full regularizer ``(a/2)||x||^2``."""
-    x = _check_x(cfg, data, x)
-    rows, labels = _batch_rows(cfg, data, batch)
-    return _loss(cfg, x, _per_pass(cfg, rows, labels, x))
+    _, _, x, margins = _checked_pass(cfg, data, batch, x)
+    return _loss(cfg, x, margins)
 
 
 def batch_gradient(
@@ -238,9 +244,7 @@ def batch_gradient(
     x: np.ndarray,
 ) -> np.ndarray:
     """Exact gradient of :func:`batch_loss`."""
-    x = _check_x(cfg, data, x)
-    rows, labels = _batch_rows(cfg, data, batch)
-    return _gradient(cfg, rows, labels, x, _per_pass(cfg, rows, labels, x))
+    return _gradient(cfg, *_checked_pass(cfg, data, batch, x))
 
 
 def loss_and_gradient(
@@ -256,18 +260,9 @@ def loss_and_gradient(
     the pass takes one ``exp`` per sample, ``exp(-|m|)`` of each margin,
     which the loss and the margin derivative share.
     """
-    x = _check_x(cfg, data, x)
-    rows, labels = _batch_rows(cfg, data, None)
-    margins = _per_pass(cfg, rows, labels, x)
+    rows, labels, x, margins = _checked_pass(cfg, data, None, x)
     e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
     return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e)
-
-
-def _per_pass(cfg: ObjectiveConfig, rows, labels, x: np.ndarray) -> np.ndarray:
-    """What one pass's loss and gradient share: the margins, or a quadratic's ``spectrum * x``."""
-    if rows is None:
-        return cfg.quadratic_spectrum * x
-    return _margins(rows, labels, x)
 
 
 def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
@@ -280,7 +275,7 @@ def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
 
 
 def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: np.ndarray, e=None) -> float:
-    """Mean loss plus regularizer from :func:`_per_pass`'s ``margins`` (``s * x`` for a quadratic).
+    """Mean loss plus regularizer from :func:`_checked_pass`'s ``margins`` (``s * x`` for a quadratic).
 
     ``e`` is ``exp(-|margins|)`` when the caller has it.  A zero ``reg_a``
     adds nothing, so an overflowing ``x @ x`` cannot turn the loss into
@@ -316,7 +311,7 @@ def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.
 
 
 def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None) -> np.ndarray:
-    """Batch gradient over gathered rows at ``x`` from :func:`_per_pass`'s ``margins``.
+    """Batch gradient over gathered rows at ``x`` from :func:`_checked_pass`'s ``margins``.
 
     A quadratic's gradient is its ``margins``, ``s * x``, when ``reg_a`` is
     zero: the caller's array, returned as it is.
@@ -363,8 +358,9 @@ class BatchHessian:
     ``labels * (phi'(m0 + delta) - phi'(m0 - delta)) * ||v|| / (2h)`` with
     ``delta = labels * t * h / ||v||`` per column.  So the perturbation along
     each column has size ``h = sqrt(eps) * (1 + ||x||)`` whatever ``||v||``
-    is (it grows geometrically during power iteration), and a zero column
-    gives an exact zero.  :meth:`dense` forms the analytic matrix in either
+    is (it grows geometrically during power iteration), a zero column
+    gives an exact zero, and a column of infinite or NaN norm raises
+    :class:`NonFiniteResult`.  :meth:`dense` forms the analytic matrix in either
     mode.  A product writes only into arrays it allocates: ``t`` becomes
     ``y`` (analytic) or ``delta`` in place, and ``m0 - delta`` then reuses
     ``delta``'s buffer.  It never writes ``v``, the stored ``margins``,
@@ -410,6 +406,8 @@ class BatchHessian:
             y = t
         else:
             norms = np.linalg.norm(v, axis=0)
+            if not np.isfinite(norms).all():
+                raise NonFiniteResult("direction has a non-finite norm")
             labels, m0 = self.labels[per_sample], self.margins[per_sample]
             t *= labels
             t *= self.fd_step / np.where(norms > 0.0, norms, 1.0)  # t is delta now

@@ -72,6 +72,16 @@ class TestBaselineConfig:
             BaselineConfig(method="newsamp", eta=0.5, t_max=2, **{"m": 2, field: 2.5})
 
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [(dict(method="adam"), "unknown method 'adam'"), (dict(method="newsamp"), "newsamp needs")],
+        ids=["unknown-method", "newsamp-without-rank"],
+    )
+    def test_method_and_rank_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            BaselineConfig(eta=0.5, t_max=2, **kwargs)
+
+
 class TestGradientDescent:
     def test_unit_curvature_one_step(self):
         cfg = BaselineConfig(method="gd", eta=1.0, t_max=1)

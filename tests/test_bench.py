@@ -430,6 +430,26 @@ class TestPlotEmission:
         with pytest.raises(IncompatibleTraces):
             emit_plot_data([a], "hessian_err", tmp_path / "t.csv")
 
+    def test_no_paths_and_empty_trace_are_incompatible(self, tmp_path):
+        with pytest.raises(IncompatibleTraces, match="no trace files given"):
+            emit_plot_data([], "loss_vs_iter", tmp_path / "t.csv")
+        empty = tmp_path / "span.csv"
+        empty.write_text(CSV_HEADER + "\n")
+        with pytest.raises(IncompatibleTraces, match="span.csv: empty trace"):
+            emit_plot_data([empty], "hessian_err", tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("unprobed_first", [True, False])
+    def test_repeated_trace_name_refused_when_one_never_probed(self, tmp_path, unprobed_first):
+        # The unprobed trace is omitted from the table, yet its name still clashes.
+        a, b = self.synthesize_traces(tmp_path)
+        paths = []
+        for run, source in (("a", a), ("b", b)) if unprobed_first else (("b", b), ("a", a)):
+            (tmp_path / run).mkdir()
+            paths.append(tmp_path / run / "span.csv")
+            paths[-1].write_text(source.read_text())
+        with pytest.raises(IncompatibleTraces, match="two traces are named 'span'"):
+            emit_plot_data(paths, "hessian_err", tmp_path / "t.csv")
+
     def test_bad_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1,2\n")
@@ -678,6 +698,16 @@ class TestCli:
         text = _BASES["libsvm"].replace("{data}", str(data)) + _METHOD_LINES
         assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == 1
         assert "config error: dataset.path" in capsys.readouterr().err
+
+    def test_non_utf8_libsvm_exit_one_naming_the_line(self, tmp_path):
+        # The decoder's error carried a byte position, not the line, through bench.
+        data = tmp_path / "data.libsvm"
+        data.write_bytes(b"1 1:0.5 3:1\n\xff 2:0.25\n")
+        text = _BASES["libsvm"].replace("{data}", str(data)) + _METHOD_LINES
+        proc = self.run_cli("run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "config error:" in proc.stderr and "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_CONFIG_TEXT)

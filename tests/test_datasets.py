@@ -238,6 +238,39 @@ class TestLoadLibsvm:
         with pytest.raises(ParseError, match="data.txt.gz"):
             load_libsvm(path)
 
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            (b"1 1:0.5\n\xff 2:1\n", 2),
+            (b"1 1:0.5\r2 2:1\r\n# caf\xe9\n1 3:1\n", 3),  # a bare '\r' ends a line, as it does for the parser
+            (b"1 1:0.5 2:0.25\n" * 2000 + b"2 1:\xff\n", 2001),  # past the decoder's first read-ahead chunk
+        ],
+        ids=["label", "comment-after-cr", "late-value"],
+    )
+    def test_non_utf8_byte_is_a_parse_error_naming_its_line(self, tmp_path, suffix, raw, line):
+        # The decoder's UnicodeDecodeError escaped the parser, with no line number.
+        path = tmp_path / f"data.txt{suffix}"
+        path.write_bytes(gzip.compress(raw) if suffix else raw)
+        with pytest.raises(ParseError, match=f"^line {line}: not UTF-8 text$") as exc:
+            load_libsvm(path)
+        assert exc.value.line == line
+
+    def test_non_utf8_byte_in_a_stream_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            load_libsvm(io.TextIOWrapper(io.BytesIO(b"1 1:0.5\n\xff 2:1\n"), encoding="utf-8"))
+        assert exc.value.line is None
+
+    def test_non_utf8_line_cut_short_by_a_truncated_gzip(self, tmp_path):
+        # The undecodable line runs past the end of the stream, so locating it
+        # reads into the truncation, which must still end as a ParseError.
+        pairs = " ".join(f"{i}:{v!r}" for i, v in enumerate(np.random.default_rng(0).random(2000), start=1))
+        packed = gzip.compress(b"1 1:0.5\n\xff " + pairs.encode() + b"\n")  # about 70 KB of text
+        path = tmp_path / "data.txt.gz"
+        path.write_bytes(packed[: len(packed) // 2])  # the first read-ahead chunk, not the line's end
+        with pytest.raises(ParseError, match="data.txt.gz: corrupt or truncated gzip stream"):
+            load_libsvm(path)
+
 
 class TestToBinaryDataset:
     def examples(self):
@@ -322,6 +355,25 @@ class TestNormalizeRows:
         normalized, zero_rows = normalize_rows(ds)
         np.testing.assert_allclose(normalized.features, [[0.6, 0.8], [math.sqrt(0.5), math.sqrt(0.5)]])
         assert zero_rows == 0
+
+    def test_extreme_rows_take_one_rule_in_both_storage_formats(self):
+        # Dense extreme rows were rescaled by their own code, whose norm summed
+        # in another order than the CSR rule's: the two formats differed in the last bit.
+        from scipy import sparse
+
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((8, 50))
+        matrix[1] *= 1e-170
+        matrix[2] *= 1e200
+        matrix[3] = 0.0
+        matrix[5] *= 1e-155
+        labels = np.ones(8)
+        dense, dense_zero = normalize_rows(Dataset(matrix, labels))
+        csr, csr_zero = normalize_rows(Dataset(sparse.csr_array(matrix), labels))
+        extreme = [1, 2, 3, 5]
+        assert dense.features[extreme].tobytes() == csr.features[extreme].tobytes()
+        assert dense_zero == csr_zero == 1
+        np.testing.assert_allclose(np.linalg.norm(dense.features[[1, 2, 5]], axis=1), 1.0, rtol=1e-15)
 
     def test_zero_row_flagged_and_untouched(self):
         ds = Dataset(features=np.array([[0.0, 0.0], [3.0, 4.0]]), labels=np.array([1.0, -1.0]))

@@ -12,7 +12,7 @@ from spanopt import (
     ObjectiveConfig,
     batch_gradient,
 )
-from spanopt.errors import DimensionMismatch
+from spanopt.errors import DimensionMismatch, NonFiniteResult
 
 QUAD123 = ObjectiveConfig("quadratic", quadratic_spectrum=np.array([1.0, 2.0, 3.0]))
 
@@ -88,6 +88,18 @@ class TestHvp:
         cfg, data = logistic_instance(10, 4, 0)
         with pytest.raises(DimensionMismatch):
             BatchHessian.at(cfg, data, None, np.zeros(4), CENTRAL_FD) @ np.zeros(5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "v",
+        [[np.inf, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [[1.0, -np.inf]] + [[1.0, 0.0]] * 3],
+        ids=["inf", "nan", "inf-column"],
+    )
+    def test_non_finite_direction_raises(self, v):
+        # An infinite direction escaped as "invalid value encountered in multiply".
+        cfg, data = logistic_instance(10, 4, 0)
+        with pytest.raises(NonFiniteResult):
+            BatchHessian.at(cfg, data, None, np.zeros(4), CENTRAL_FD) @ np.array(v)
 
     def test_symmetry_surrogate(self):
         cfg, data = logistic_instance(30, 8, 7)

@@ -74,6 +74,13 @@ class TestQrOrthonormal:
             assert np.linalg.norm(y - u @ (u.T @ y)) <= 1e-10 * np.linalg.norm(y)
             assert np.all(np.diagonal(u.T @ y) >= 0.0)  # R = U^T Y has a non-negative diagonal
 
+    @pytest.mark.parametrize(
+        "y, message", [(np.ones(4), "2-D"), (np.ones((2, 3)), "at least as many rows")], ids=["vector", "wide"]
+    )
+    def test_shape_refused(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            linalg.qr_orthonormal(y)
+
     def test_rank_deficient_raises(self):
         y = np.ones((6, 2))  # duplicate columns
         with pytest.raises(RankDeficient):
@@ -305,6 +312,11 @@ class TestSymEigSmall:
         rebuilt = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
         np.testing.assert_allclose(rebuilt, sym, atol=1e-10)
 
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3))], ids=["vector", "rectangular"])
+    def test_non_square_refused(self, a):
+        with pytest.raises(ValueError, match="square"):
+            linalg.sym_eig_small(a)
 
     def test_overflowing_symmetrization_raises(self):
         # Finite entries whose sum a + a^T overflows: eigh once ran on an

@@ -51,8 +51,10 @@ class TestObjectiveConfig:
             dict(loss_kind="quadratic", quadratic_spectrum=[1.0, 0.0]),
             dict(loss_kind="quadratic", quadratic_spectrum=[1.0, float("inf")]),
             dict(loss_kind="quadratic", quadratic_spectrum=[float("nan"), 1.0]),
+            dict(loss_kind="logistic", quadratic_spectrum=[1.0, 2.0]),
         ],
-        ids=["negative-reg", "nan-reg", "inf-reg", "zero-eigenvalue", "inf-eigenvalue", "nan-eigenvalue"],
+        ids=["negative-reg", "nan-reg", "inf-reg", "zero-eigenvalue", "inf-eigenvalue", "nan-eigenvalue",
+             "spectrum-on-logistic"],
     )
     def test_values_it_cannot_run_are_refused(self, kwargs):
         with pytest.raises(ValueError):
@@ -67,6 +69,26 @@ class TestDatasetInvariants:
     def test_finite_features_enforced(self):
         with pytest.raises(ValueError):
             Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [(np.ones(3), np.ones(3), "2-D"), (np.ones((3, 2)), np.ones(2), "one per row")],
+        ids=["1-d-features", "mismatched-labels"],
+    )
+    def test_shapes_enforced(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features=features, labels=labels)
+
+    def test_non_canonical_csr_duplicates_are_summed(self):
+        from scipy import sparse
+
+        # Row 0 stores column 1 twice; the caller's matrix keeps its own entries.
+        given = sparse.csr_array((np.array([1.0, 2.0, 4.0]), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2))
+        assert not given.has_canonical_format
+        ds = Dataset(features=given, labels=np.array([1.0, -1.0]))
+        assert ds.matrix.has_canonical_format
+        np.testing.assert_array_equal(ds.features, [[0.0, 3.0], [4.0, 0.0]])
+        assert given.nnz == 3
 
 
 class TestStableSigmoid:
@@ -133,6 +155,37 @@ class TestBatchLoss:
         reg = 0.5 * cfg.reg_a * float(x @ x)
         halves = 0.5 * ((batch_loss(cfg, data, b1, x) - reg) + (batch_loss(cfg, data, b2, x) - reg)) + reg
         assert combined == pytest.approx(halves, abs=1e-12)
+
+
+class TestCheckedPass:
+    """The point and batch checks that every objective pass makes first."""
+
+    ENTRIES = {
+        "batch_loss": lambda cfg, data, batch, x: batch_loss(cfg, data, batch, x),
+        "batch_gradient": lambda cfg, data, batch, x: batch_gradient(cfg, data, batch, x),
+        "loss_and_gradient": lambda cfg, data, batch, x: loss_and_gradient(cfg, data, x),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "quadratic, x, error, message",
+        [
+            (True, np.zeros((3, 1)), DimensionMismatch, "x must be a vector"),
+            (True, np.zeros(2), DimensionMismatch, "x has size 2, spectrum has 3"),
+            (False, np.zeros(5), ValueError, "logistic objective requires a dataset"),
+        ],
+        ids=["matrix-point", "quadratic-size", "no-dataset"],
+    )
+    def test_point_refusals(self, entry, quadratic, x, error, message):
+        cfg = QUAD123 if quadratic else toy_logistic()[0]
+        with pytest.raises(error, match=message):
+            self.ENTRIES[entry](cfg, None, None, x)
+
+    @pytest.mark.parametrize("entry", ["batch_loss", "batch_gradient"])
+    def test_empty_batch_raises(self, entry):
+        cfg, data = toy_logistic()
+        with pytest.raises(BatchTooLarge, match="nonempty"):
+            self.ENTRIES[entry](cfg, data, np.array([], dtype=int), np.zeros(5))
 
 
 class TestBatchGradient:
