@@ -15,6 +15,7 @@ basis and has no probe.  Determinism is keyed by the config seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -65,7 +66,7 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0 <= self.eta < math.inf:
+        if not isinstance(self.eta, numbers.Real) or not 0 <= self.eta < math.inf:
             raise ValueError("eta must be a finite non-negative number")
         _check_run_length(self.t_max, self.grad_tol)
         _check_count("b", self.b)

@@ -27,9 +27,7 @@ from typing import Iterable, Optional, Sequence, Union, get_type_hints
 import numpy as np
 
 from . import baselines, datasets, objectives, span
-from .errors import (
-    ConfigError, DimensionTooLarge, IncompatibleTraces, NoMatchingExamples, ParseError, SpanOptError,
-)
+from .errors import ConfigError, IncompatibleTraces, SpanOptError
 from .hvp import ANALYTIC, HvpMode
 from .objectives import Dataset, ObjectiveConfig
 from .span import TraceRecord
@@ -78,78 +76,56 @@ def _get(values: dict[str, str], key: str, default=None, required: bool = False)
     return default
 
 
-def _as_bool(text: str, key: str) -> bool:
+def _as_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _as_float(text: str, key: str) -> float:
+def _as_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+        raise ValueError(f"expected a number, got {text!r}") from None
     if not np.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _as_int(text: str, key: str) -> int:
+def _as_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _as_hvp_mode(text: str, key: str) -> HvpMode:
-    try:
-        return HvpMode(kind=text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _as_text(text: str, key: str) -> str:
-    return text
-
-
-def _as_path(text: str, key: str) -> Path:
-    return Path(text)
-
-
-def _as_file(text: str, key: str) -> Path:
-    path = Path(text)
-    if not path.exists():
-        raise ConfigError(f"{key} does not exist: {path}")
-    return path
-
-
-def _as_methods(text: str, key: str) -> list[str]:
+def _as_methods(text: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
-        raise ConfigError("methods list is empty")
+        raise ValueError("methods list is empty")
     for i, method in enumerate(methods):
         if method not in KNOWN_METHODS:
-            raise ConfigError(f"unknown method {method!r} (known: {', '.join(KNOWN_METHODS)})")
+            raise ValueError(f"unknown method {method!r} (known: {', '.join(KNOWN_METHODS)})")
         if method in methods[:i]:
-            raise ConfigError(f"method {method!r} is listed twice")
+            raise ValueError(f"method {method!r} is listed twice")
     return methods
 
 
-def _as_x0(text: str, key: str) -> str:
+def _as_x0(text: str) -> str:
     if text not in ("zeros", "ones", "gaussian"):
-        raise ConfigError(f"{key}: expected zeros/ones/gaussian, got {text!r}")
+        raise ValueError(f"expected zeros/ones/gaussian, got {text!r}")
     return text
 
 
-def _as_spectrum(text: str, key: str) -> np.ndarray:
+def _as_spectrum(text: str) -> np.ndarray:
     # Only parsed here: ObjectiveConfig says what a valid spectrum is.
     try:
         return np.array([float(v) for v in text.split(",")])
     except ValueError:
-        raise ConfigError(f"{key}: bad number in {text!r}") from None
+        raise ValueError(f"bad number in {text!r}") from None
 
 
 _REQUIRED = object()  # the section must set the key
@@ -164,12 +140,12 @@ _OWN_INT, _OWN_FLOAT = (_as_int, None), (_as_float, None)
 # ``<section>.<key>``, except that the top-level section "" writes it bare
 # and a dataset kind's section ``dataset.<kind>`` writes it as ``dataset.<key>``.
 CONFIG_SECTIONS = {
-    "": {"seed": (_as_int, "0"), "methods": (_as_methods, _REQUIRED), "output_dir": (_as_path, "bench_out"),
+    "": {"seed": (_as_int, "0"), "methods": (_as_methods, _REQUIRED), "output_dir": (Path, "bench_out"),
          "x0": (_as_x0, "zeros")},
-    "objective": {"loss": (_as_text, _REQUIRED), "reg_a": _OWN_FLOAT},
-    "dataset": {"kind": (_as_text, None)},  # absent: inferred from dataset.spectrum or dataset.path
+    "objective": {"loss": (str, _REQUIRED), "reg_a": _OWN_FLOAT},
+    "dataset": {"kind": (str, None)},  # absent: inferred from dataset.spectrum or dataset.path
     "dataset.quadratic": {"spectrum": (_as_spectrum, _REQUIRED)},
-    "dataset.libsvm": {"path": (_as_file, _REQUIRED), "positive_label": _FLOAT, "negative_label": _FLOAT,
+    "dataset.libsvm": {"path": (Path, _REQUIRED), "positive_label": _FLOAT, "negative_label": _FLOAT,
                        "normalize": (_as_bool, "true")},
     "dataset.synth_classification": {"n": _INT, "d": _INT, "seed": _SEED, "decay": _OWN_FLOAT,
                                      "normalize": (_as_bool, None)},
@@ -177,7 +153,7 @@ CONFIG_SECTIONS = {
     "probe": {"hessian_error": (_as_bool, "false")},
     # One section per method: every key its runner reads.
     "span": {"T": _INT, "m": _INT, "l": _INT, "q": (_as_int, "1"), "b": (_as_int, "1"), "eta": _OWN_FLOAT,
-             "seed": _SEED, "grad_tol": _OWN_FLOAT, "hvp": (_as_hvp_mode, None)},
+             "seed": _SEED, "grad_tol": _OWN_FLOAT, "hvp": (HvpMode, None)},
     "gd": {"T": _INT, "eta": _FLOAT, "grad_tol": _OWN_FLOAT},
     "svrg": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _OWN_FLOAT, "b": _OWN_INT, "inner_steps": _OWN_INT},
     "newsamp": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _OWN_FLOAT, "b": _OWN_INT, "m": _INT},
@@ -199,7 +175,10 @@ CONFIG_KEYS = frozenset(_config_key(section, key) for section, keys in CONFIG_SE
 
 
 def _decode_section(values: dict[str, str], section: str, seed: Optional[int] = None) -> dict:
-    """Field values of one section through :data:`CONFIG_SECTIONS`; a key absent with no default is left out."""
+    """Field values of one section through :data:`CONFIG_SECTIONS`; a key absent with no default is left out.
+
+    Each converter raises a bare ``ValueError``; here alone it becomes ``ConfigError("<key>: <reason>")``.
+    """
     kwargs = {}
     for key, (convert, default) in CONFIG_SECTIONS[section].items():
         name = _config_key(section, key)
@@ -207,15 +186,18 @@ def _decode_section(values: dict[str, str], section: str, seed: Optional[int] = 
             default = str(seed)
         text = _get(values, name, default, required=default is _REQUIRED)
         if text is not None:
-            kwargs[_FIELDS.get(key, key)] = convert(text, name)
+            try:
+                kwargs[_FIELDS.get(key, key)] = convert(text)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
     return kwargs
 
 
 def _build(context: str, factory, **kwargs):
-    """``factory(**kwargs)``; a value it rejects raises :class:`ConfigError` naming ``context``."""
+    """``factory(**kwargs)``; a rejected value or an unreadable file raises :class:`ConfigError` naming ``context``."""
     try:
         return factory(**kwargs)
-    except (ValueError, SpanOptError) as exc:
+    except (ValueError, OSError, SpanOptError) as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
@@ -259,29 +241,28 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
         return None, kwargs["spectrum"]
     if kind == "synth_classification":
         return _build("dataset", datasets.synth_classification, **kwargs), None
-    path = kwargs["path"]
-    try:
-        examples, dim = datasets.load_libsvm(path)
-        ds = datasets.to_binary_dataset(examples, kwargs["positive_label"], kwargs["negative_label"], dim=dim)
-    except (ParseError, NoMatchingExamples, DimensionTooLarge, ValueError) as exc:
-        raise ConfigError(f"dataset.path {path}: {exc}") from None
-    return (datasets.normalize_rows(ds)[0] if kwargs["normalize"] else ds), None
+    return _build(f"dataset.path {kwargs['path']}", _load_libsvm, **kwargs), None
+
+
+def _load_libsvm(path: Path, positive_label: float, negative_label: float, normalize: bool) -> Dataset:
+    examples, dim = datasets.load_libsvm(path)
+    ds = datasets.to_binary_dataset(examples, positive_label, negative_label, dim=dim)
+    return datasets.normalize_rows(ds)[0] if normalize else ds
 
 
 def _read_text(path: Path, error: type[SpanOptError]) -> str:
-    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming the file."""
+    """The text of ``path``; a file that cannot be read, or bytes that are not UTF-8, raise ``error`` naming it."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
 
 
 def read_config_values(path: Union[str, Path]) -> dict[str, str]:
     """The key/value pairs of a config file, every key checked against :data:`CONFIG_KEYS`."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    values = parse_config_text(_read_text(path, ConfigError))
+    values = parse_config_text(_read_text(Path(path), ConfigError))
     unknown = sorted(set(values) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")

@@ -268,7 +268,9 @@ def normalize_rows(ds: Dataset) -> tuple[Dataset, int]:
     underflows below the smallest normal number, is first divided by its
     largest magnitude, so rows of any finite scale come out unit-norm; every
     other row takes one division by its norm.  CSR data has only its stored
-    values scaled.
+    values scaled.  A dense row of ordinary norm takes ``np.linalg.norm``'s
+    pairwise sum and a CSR row a sequential one, so the same data stored both
+    ways can differ in the last bit.
     """
     if isinstance(ds.matrix, np.ndarray):
         features, zero_rows = _normalize_dense(ds.matrix)

@@ -34,6 +34,7 @@ sum, so the results are the same bits with fewer full-size temporaries.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -137,7 +138,7 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if not 0 <= self.reg_a < math.inf:
+        if not isinstance(self.reg_a, numbers.Real) or not 0 <= self.reg_a < math.inf:
             raise ValueError("reg_a must be a finite non-negative number")
         if self.loss_kind == "quadratic":
             if self.quadratic_spectrum is None:

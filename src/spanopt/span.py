@@ -88,7 +88,7 @@ def _check_run_length(t_max, grad_tol) -> None:
     """
     if not isinstance(t_max, numbers.Integral) or t_max < 0:
         raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
-    if not grad_tol >= 0:
+    if not isinstance(grad_tol, numbers.Real) or not grad_tol >= 0:
         raise ValueError("grad_tol must be non-negative")
 
 

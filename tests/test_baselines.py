@@ -48,12 +48,16 @@ def toy_logistic(n=20, d=2, seed=0, reg=0.1):
 
 class TestBaselineConfig:
     # Under a NaN eta a run traced NaN; under a negative grad_tol its stop rule never fired.
-    @pytest.mark.parametrize("eta", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "eta", [-1.0, float("nan"), float("inf"), "0.5", [0.9, 0.5]], ids=["negative", "nan", "inf", "text", "schedule"]
+    )
     def test_eta_must_be_finite_and_non_negative(self, eta):
         with pytest.raises(ValueError, match="eta"):
             BaselineConfig(method="gd", eta=eta, t_max=3)
 
-    @pytest.mark.parametrize("grad_tol", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize(
+        "grad_tol", [-1.0, float("nan"), "x", [1e-3, 1e-6]], ids=["negative", "nan", "text", "schedule"]
+    )
     def test_grad_tol_must_be_non_negative(self, grad_tol):
         with pytest.raises(ValueError, match="grad_tol"):
             BaselineConfig(method="gd", eta=0.5, t_max=3, grad_tol=grad_tol)

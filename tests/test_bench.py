@@ -4,6 +4,7 @@ import contextlib
 import gzip
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -239,6 +240,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_experiment_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_file_is_a_config_error_naming_it(self, tmp_path, kind):
+        # A directory escaped as IsADirectoryError.
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_libsvm_path_is_a_config_error_naming_the_key(self, tmp_path, kind):
+        # A directory escaped the libsvm branch's list of caught errors as IsADirectoryError.
+        data = tmp_path / "data.libsvm"
+        if kind == "directory":
+            data.mkdir()
+        text = _BASES["libsvm"].replace("{data}", str(data)) + _METHOD_LINES
+        with pytest.raises(ConfigError, match=f"^dataset\\.path {re.escape(str(data))}: "):
+            load_experiment_config(write_cfg(tmp_path, text))
+
 
 class TestRunExperiment:
     def test_structural_contract(self, tmp_path):
@@ -450,6 +470,15 @@ class TestPlotEmission:
         with pytest.raises(IncompatibleTraces, match="two traces are named 'span'"):
             emit_plot_data(paths, "hessian_err", tmp_path / "t.csv")
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_trace_is_incompatible(self, tmp_path, kind):
+        # Both escaped as FileNotFoundError or IsADirectoryError.
+        trace = tmp_path / "span.csv"
+        if kind == "directory":
+            trace.mkdir()
+        with pytest.raises(IncompatibleTraces, match=f"^{re.escape(str(trace))}: "):
+            read_trace_csv(trace)
+
     def test_bad_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1,2\n")
@@ -629,6 +658,22 @@ class TestCli:
         assert cli.main(["plot", "loss_vs_iter", str(trace), "-o", str(out)]) == 1
         assert f"config error: {trace}: line 3: malformed row {row!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_plot_missing_trace_exit_one(self, tmp_path, capsys):
+        # The FileNotFoundError reached the CLI as is, its message not led by the trace's path.
+        trace = tmp_path / "span.csv"
+        assert cli.main(["plot", "loss_vs_iter", str(trace), "-o", str(tmp_path / "t.csv")]) == 1
+        assert f"config error: {trace}: " in capsys.readouterr().err
+
+    def test_libsvm_path_that_is_a_directory_exit_one(self, tmp_path):
+        # The IsADirectoryError reached the CLI as is, its message not naming the key.
+        data = tmp_path / "data"
+        data.mkdir()
+        text = _BASES["libsvm"].replace("{data}", str(data)) + _METHOD_LINES
+        proc = self.run_cli("run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "config error: dataset.path" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["run", "scale", "plot"])
     def test_non_utf8_file_exit_one(self, tmp_path, capsys, command):

@@ -48,12 +48,13 @@ class TestObjectiveConfig:
             dict(loss_kind="logistic", reg_a=-1.0),
             dict(loss_kind="logistic", reg_a=float("nan")),
             dict(loss_kind="logistic", reg_a=float("inf")),
+            dict(loss_kind="logistic", reg_a="x"),
             dict(loss_kind="quadratic", quadratic_spectrum=[1.0, 0.0]),
             dict(loss_kind="quadratic", quadratic_spectrum=[1.0, float("inf")]),
             dict(loss_kind="quadratic", quadratic_spectrum=[float("nan"), 1.0]),
             dict(loss_kind="logistic", quadratic_spectrum=[1.0, 2.0]),
         ],
-        ids=["negative-reg", "nan-reg", "inf-reg", "zero-eigenvalue", "inf-eigenvalue", "nan-eigenvalue",
+        ids=["negative-reg", "nan-reg", "inf-reg", "text-reg", "zero-eigenvalue", "inf-eigenvalue", "nan-eigenvalue",
              "spectrum-on-logistic"],
     )
     def test_values_it_cannot_run_are_refused(self, kwargs):

@@ -508,7 +508,9 @@ class TestRunSpan:
         with pytest.raises(ValueError):
             SpanConfig(t_max=3, m=0, l=4, q=1, b=1, eta=eta, seed=0, hvp_mode=ANALYTIC)
 
-    @pytest.mark.parametrize("grad_tol", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize(
+        "grad_tol", [-1.0, float("nan"), "x", [1e-3, 1e-6]], ids=["negative", "nan", "text", "schedule"]
+    )
     def test_grad_tol_must_be_non_negative(self, grad_tol):
         with pytest.raises(ValueError, match="grad_tol"):
             SpanConfig(t_max=3, m=0, l=4, q=1, b=1, eta=1.0, seed=0, hvp_mode=ANALYTIC, grad_tol=grad_tol)
