@@ -174,11 +174,14 @@ def run_newsamp(
     Deliberately dense: the per-iteration d^2 Hessian and d^3 eigensolve are
     this baseline's defining cost, so the dense-Hessian dimension cap
     applies.  The flattening eigenvalue sigma_{m+1} is recorded in the
-    lambda column of the trace.
+    lambda column of the trace.  Every batch of a run on sampled data comes
+    from one generator, seeded once from the run seed; a quadratic run
+    draws nothing and creates none.
     """
+    rng = None if data is None else np.random.default_rng(derive_seed(cfg.seed, 20))
 
     def step(t: int, x: np.ndarray, grad: np.ndarray):
-        batch = draw_batch(data, cfg.b, cfg.seed, 20, t)
+        batch = draw_batch(data, cfg.b, rng)
         eig = sym_eig_small(BatchHessian.at(objective, data, batch, x, ANALYTIC).dense())
         inv = newsamp_inverse(eig.values, eig.vectors, cfg.m)
         return x - cfg.eta * (inv @ grad), float(eig.values[cfg.m]), None, None

@@ -1,12 +1,13 @@
 """Dense linear-algebra kernels shared by every other module.
 
 The factorizations sit behind the library's contracts.  Thin QR of a
-tall-skinny ``d x l`` block takes plain CholeskyQR2, two Gram products and
-two triangular applies, when its first Cholesky factor bounds its condition
-number within the limit that CholeskyQR2 is proven stable for, about
-``0.18 (eps (dl + l(l+1)))^(-1/2)``; any other block takes LAPACK's
-Householder QR.  R's diagonal is made positive, with a rank tripwire on it
-(stable orthonormality is load-bearing for the subspace error bounds).  The
+tall-skinny ``d x l`` block of more than 4096 entries takes plain
+CholeskyQR2, two Gram products and two triangular applies, when its first
+Cholesky factor bounds its condition number within the limit that
+CholeskyQR2 is proven stable for, about ``0.18 (eps (dl + l(l+1)))^(-1/2)``;
+any other block, a small one included, takes LAPACK's Householder QR.  R's
+diagonal is made positive, with a rank tripwire on it (stable
+orthonormality is load-bearing for the subspace error bounds).  The
 symmetric eigensolver is LAPACK's ``eigh`` with values in descending order.
 Two kernels stay local: Box-Muller Gaussian sampling over a PCG64 stream
 (reproducible from the 64-bit seed alone, independent of numpy's own normal
@@ -31,6 +32,11 @@ _EPS = float(np.finfo(float).eps)
 # Gram traces for which qr_orthonormal tries CholeskyQR2 on the unscaled block.
 _GRAM_TRACE_MIN = 2.0**-600
 _GRAM_TRACE_MAX = 2.0**600
+# Blocks of at most this many entries (32 KiB) go straight to Householder QR:
+# there its one LAPACK factorization costs less than CholeskyQR2's Gram
+# products, factorizations and inverses, each a numpy call with a fixed cost.
+# Measured crossovers: d ~ 400-500 at l = 8, ~300 at l = 16, ~200 at l = 32.
+_HOUSEHOLDER_MAX_ENTRIES = 4096
 _POWER_MAX_ITERS = 20_000
 # Largest norm estimate spectral_norm_sym reports, the mirror of its 1e-300
 # zero floor: callers pad the estimate (lissa multiplies it by 1.25) and
@@ -75,13 +81,16 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     Returns the thin Q factor (same shape as ``y``) of ``y = QR`` with R's
     diagonal positive.
 
-    The first try is plain CholeskyQR2 on ``y`` as given: two Gram products
-    and two GEMMs, each pass applying the inverse of an ``l x l`` Cholesky
-    factor (numpy has no triangular solve).  It is stable, with
-    orthonormality and residual at roundoff, while ``cond(y) <= sqrt(2)/8 *
-    (eps (dl + l(l+1)))^(-1/2)`` (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya,
-    ETNA 2015: ``8 cond(y) sqrt(u (dl + l(l+1))) <= 1`` with unit roundoff
-    ``u = eps/2``), about 4e4 at ``5000 x 16``.  Its result is kept only when
+    A block of at most 4096 entries (32 KiB, ``100 x 16`` say) goes
+    straight to Householder QR, which costs less there than CholeskyQR2's
+    numpy calls.  On a larger block the first try is plain CholeskyQR2 on
+    ``y`` as given: two Gram products and two GEMMs, each pass applying the
+    inverse of an ``l x l`` Cholesky factor (numpy has no triangular solve).
+    It is stable, with orthonormality and residual at roundoff, while
+    ``cond(y) <= sqrt(2)/8 * (eps (dl + l(l+1)))^(-1/2)`` (Yamamoto,
+    Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015: ``8 cond(y) sqrt(u (dl +
+    l(l+1))) <= 1`` with unit roundoff ``u = eps/2``), about 4e4 at
+    ``5000 x 16``.  Its result is kept only when
     the first Cholesky factorization succeeds and ``||R1||_F ||R1^-1||_F``,
     an upper bound on ``cond(y)`` read off the first factor, is within that
     limit, and only for a Gram trace in [2^-600, 2^600]: the trace bounds
@@ -90,9 +99,10 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     limit.  Images carried from the previous step pass; in them ``cond(y)``
     is that of the previous step's batch Hessian on its basis.
 
-    Any other block, a fresh sketch of a decaying spectrum for one, goes
-    through LAPACK's Householder QR, which is backward stable at any scale
-    and conditioning, and the columns whose R pivot is negative change sign.
+    Any other block, a small one or a fresh sketch of a decaying spectrum,
+    goes through LAPACK's Householder QR, which is backward stable at any
+    scale and conditioning, and the columns whose R pivot is negative
+    change sign.
 
     Raises :class:`NonFiniteResult` for NaN or Inf input, and
     :class:`RankDeficient` when, on either path, the smallest pivot of R
@@ -106,9 +116,10 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     if d < l:
         raise ValueError(f"need at least as many rows as columns, got {d}x{l}")
 
-    q = _cholesky_qr2(y)
-    if q is not None:
-        return q
+    if d * l > _HOUSEHOLDER_MAX_ENTRIES:
+        q = _cholesky_qr2(y)
+        if q is not None:
+            return q
 
     if not np.isfinite(y).all():
         raise NonFiniteResult("input contains NaN/Inf")

@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge, NonFiniteResult
 from .hvp import HvpMode
-from .linalg import derive_seed
 
 DENSE_HESSIAN_MAX_DIM = 512
 
@@ -509,14 +508,16 @@ def batch_gradient_difference(cfg: ObjectiveConfig, rows, labels, w: np.ndarray,
     return rows.T @ change / rows.shape[0] + cfg.reg_a * (w - snapshot)
 
 
-def draw_batch(data: Optional[Dataset], b: int, *seed_path: int) -> Optional[np.ndarray]:
-    """One step's batch: ``min(b, n)`` distinct rows from the stream ``derive_seed(*seed_path)``.
+def draw_batch(data: Optional[Dataset], b: int, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """One step's batch: ``min(b, n)`` distinct rows drawn from ``rng``, its run's batch generator.
 
-    Without data (a quadratic) it returns ``None`` and derives no seed.
+    ``span`` and ``newsamp`` each seed one generator per run and draw every
+    batch of the run from it.  Without data (a quadratic) it returns
+    ``None`` and draws nothing; such a run creates no generator and passes
+    ``rng=None``.
     """
     if data is None:
         return None
-    rng = np.random.default_rng(derive_seed(*seed_path))
     return sample_batch(data.n_samples, min(b, data.n_samples), rng)
 
 

@@ -153,14 +153,18 @@ class TraceRecord(NamedTuple):
 
 
 class SpanState(NamedTuple):
-    """Immutable state between steps, for every method.
+    """State between steps, for every method.
 
     ``subspace`` is span's last sketch, whose image ``H_B U`` the next step
     orthonormalizes into its basis (``None`` for the baselines); ``grad`` is
     the full-data gradient at ``x``.  A state without them (the start of a
-    run) sketches fresh and computes its own gradient.  A tuple, not a
-    dataclass: the loop builds one per step, and the cheapest first-order
-    steps take tens of microseconds.
+    run) sketches fresh and computes its own gradient.  ``batch_rng`` is
+    span's batch generator on sampled data, which its first step creates
+    and every later step draws from (``None`` before that, for quadratics
+    and for the baselines).  The fields are never rebound, but the
+    generator advances as it draws: stepping twice from one state draws two
+    different batches.  A tuple, not a dataclass: the loop builds one per
+    step, and the cheapest first-order steps take tens of microseconds.
     """
 
     x: np.ndarray
@@ -168,6 +172,7 @@ class SpanState(NamedTuple):
     elapsed_s: float = 0.0
     subspace: Optional[Subspace] = None
     grad: Optional[np.ndarray] = None
+    batch_rng: Optional[np.random.Generator] = None
 
 
 def assemble_subspace(u: np.ndarray, z: np.ndarray) -> Subspace:
@@ -265,7 +270,8 @@ def _step(
     The clock covers the gradient at ``state.x`` (computed here only at the
     start of a run, carried after that), the update, and the fused
     full-data loss and gradient at the new iterate.  The gradient goes into
-    the returned state for the next step; the probe runs off the clock.
+    the returned state for the next step, beside ``state``'s batch
+    generator; the probe runs off the clock.
     A new row whose loss or gradient norm is not finite raises
     :class:`NonFiniteResult`: the run has diverged.
     """
@@ -280,7 +286,7 @@ def _step(
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
         raise NonFiniteResult(f"loss {loss} or gradient norm {grad_norm} is not finite at step {t}")
     record = TraceRecord(t, elapsed, loss, grad_norm, None if probe is None else probe(), lambda_used)
-    return SpanState(x, t, elapsed, subspace, grad), record
+    return SpanState(x, t, elapsed, subspace, grad, state.batch_rng), record
 
 
 def _drive(cfg, x0: np.ndarray, step: Callable, *args) -> tuple[np.ndarray, list[TraceRecord]]:
@@ -314,12 +320,27 @@ def span_step(
     ``2q + 2``, so the captured block stays ``U^T H_B U`` of this batch.
     When the carried image is rank-deficient the step sketches afresh.  A
     fresh sketch's seed is derived from the run seed and the step index,
-    and only when one is drawn.  The clock, the carried gradient and the
-    trace row are the shared step bracket's.
+    and only when one is drawn.  On sampled data the first step of a run
+    (a state without ``batch_rng``) seeds the run's one batch generator from
+    the run seed, and every step draws its batch from the state's
+    generator, so a hand-driven loop of steps draws the batches
+    :func:`run_span` draws.  That first step also raises
+    :class:`InvalidRankParams` when ``reg_a`` is 0 and ``min(b, n) < l``: a
+    batch Hessian without regularization has rank at most ``min(b, n)``, so
+    every sketch of ``l`` columns would be dependent.  The clock, the
+    carried gradient and the trace row are the shared step bracket's.
     """
+    if state.batch_rng is None and data is not None:
+        batch_size = min(cfg.b, data.n_samples)
+        if objective.loss_kind != "quadratic" and objective.reg_a == 0 and batch_size < cfg.l:
+            raise InvalidRankParams(
+                f"need min(b, n) >= l at reg_a = 0, got b={cfg.b}, n={data.n_samples}, l={cfg.l}: "
+                f"a batch Hessian without regularization has rank at most min(b, n) = {batch_size}"
+            )
+        state = state._replace(batch_rng=np.random.default_rng(derive_seed(cfg.seed, _STREAM_BATCH)))
 
     def update(t: int, x: np.ndarray, grad: np.ndarray):
-        batch = draw_batch(data, cfg.b, cfg.seed, _STREAM_BATCH, t)
+        batch = draw_batch(data, cfg.b, state.batch_rng)
         hessian = BatchHessian.at(objective, data, batch, x, cfg.hvp_mode)
         u = None
         if state.subspace is not None:

@@ -649,6 +649,13 @@ class TestCli:
         assert cli.main(["scale", cfg, "--dims", "3", "--steps", "1", "-o", str(tmp_path / "s.csv")]) == 2
         assert "method failure:" in capsys.readouterr().err
 
+    def test_unregularized_batch_below_sketch_width_exit_two(self, tmp_path, capsys):
+        # An unregularized batch Hessian of 2 rows has rank at most 2, so span's
+        # 5-column sketch of it is dependent: span failed with a bare RankDeficient.
+        text = _BASES["synth"] + _METHOD_LINES + "methods = span\nspan.b = 2\n"
+        assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "span: error: need min(b, n) >= l at reg_a = 0, got b=2, n=12, l=5" in capsys.readouterr().out
+
     @pytest.mark.parametrize("row", ["1,0.1,abc,1.0,,", "1.5,0.1,2.0,1.0,,"],
                              ids=["non-numeric", "fractional-iteration"])
     def test_malformed_trace_row_exit_one(self, tmp_path, capsys, row):

@@ -203,6 +203,22 @@ class TestQrPaths:
         assert len(cholesky_calls) == 2
         self.assert_orthonormal_with_residual(y, u, 1e-14)
 
+    def test_small_block_takes_householder_alone(self, cholesky_calls, householder_calls):
+        # desk-logistic's carried block: 1600 entries, under the 4096-entry cutoff.
+        y = TestQrOrthonormal.graded_block(1e3, d=100)
+        householder_calls.clear()
+        u = linalg.qr_orthonormal(y)
+        assert cholesky_calls == [] and householder_calls == [y.shape]
+        TestQrOrthonormal.assert_thin_qr_factor(y, u)
+
+    def test_block_above_the_cutoff_takes_two_passes(self, cholesky_calls, householder_calls):
+        # libsvm-fd's carried block: 4800 entries, just over the cutoff.
+        y = TestQrOrthonormal.graded_block(1e3, d=300)
+        householder_calls.clear()
+        u = linalg.qr_orthonormal(y)
+        assert len(cholesky_calls) == 2 and householder_calls == []
+        self.assert_orthonormal_with_residual(y, u, 1e-14)
+
     def test_ill_conditioned_block_falls_back(self, cholesky_calls, householder_calls):
         y = TestQrOrthonormal.graded_block(1e8)
         householder_calls.clear()

@@ -8,6 +8,7 @@ import pytest
 from spanopt import (
     ANALYTIC,
     CENTRAL_FD,
+    BaselineConfig,
     BatchHessian,
     Dataset,
     ObjectiveConfig,
@@ -20,6 +21,7 @@ from spanopt import (
     build_subspace,
     hessian_error_probe,
     min_power_iterations,
+    run_newsamp,
     run_span,
     span_step,
 )
@@ -433,6 +435,77 @@ class TestCarriedGradient:
             assert np.array_equal(state.grad, grad)
             assert record.loss == batch_loss(cfg, data, None, state.x)
             assert record.grad_norm == float(np.linalg.norm(grad))
+
+
+@pytest.fixture
+def batch_generators(monkeypatch):
+    """Seeds of the generators ``np.random.default_rng`` builds while the test runs."""
+    seeds = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return seeds
+
+
+class TestBatchStream:
+    """span and newsamp draw every batch of a run from one generator."""
+
+    def test_hand_driven_steps_equal_run_span(self):
+        objective = ObjectiveConfig("logistic", reg_a=1e-3)
+        data = synth_classification(n=200, d=12, seed=4)
+        span_cfg = SpanConfig(t_max=8, m=0, l=4, q=1, b=30, eta=0.6, seed=9, probe_hessian_error=True)
+        x_run, trace = run_span(span_cfg, objective, data, np.zeros(12))
+        state, rows = SpanState(x=np.zeros(12)), []
+        for _ in range(8):
+            state, record = span_step(state, objective, data, span_cfg)
+            rows.append(record._replace(wall_clock_s=0.0))
+        assert rows == [record._replace(wall_clock_s=0.0) for record in trace]
+        np.testing.assert_array_equal(state.x, x_run)
+
+    @pytest.mark.parametrize("t_max", [1, 3, 9])
+    @pytest.mark.parametrize("method", ["span", "newsamp"])
+    def test_one_generator_per_sampled_run(self, batch_generators, method, t_max):
+        objective = ObjectiveConfig("logistic", reg_a=1e-3)
+        data = synth_classification(n=100, d=8, seed=1)
+        batch_generators.clear()  # the dataset's label noise drew from one
+        if method == "span":
+            cfg = SpanConfig(t_max=t_max, m=0, l=4, q=1, b=20, eta=0.5, seed=3)
+            _, trace = run_span(cfg, objective, data, np.zeros(8))
+        else:
+            cfg = BaselineConfig(method="newsamp", eta=1.0, t_max=t_max, b=20, m=2, seed=3)
+            _, trace = run_newsamp(cfg, objective, data, np.zeros(8))
+        assert len(trace) == t_max
+        assert len(batch_generators) == 1
+
+    def test_quadratic_run_builds_no_generator(self, batch_generators):
+        span_cfg = SpanConfig(t_max=5, m=0, l=4, q=1, b=1, eta=0.5, seed=3, hvp_mode=ANALYTIC)
+        _, trace = run_span(span_cfg, quadratic(np.linspace(6.0, 1.0, 10)), None, np.ones(10))
+        assert len(trace) == 5
+        assert batch_generators == []
+
+    @pytest.mark.parametrize("n, b", [(100, 3), (3, 20)], ids=["small-batch", "few-samples"])
+    def test_unregularized_batch_below_sketch_width_refused(self, monkeypatch, n, b):
+        # H_B without regularization has rank at most min(b, n) < l: the first
+        # QR of the sketch raised a bare RankDeficient.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sketch was drawn before the batch rank was checked")
+
+        monkeypatch.setattr(span_module, "power_range", refuse)
+        data = synth_classification(n=n, d=8, seed=1)
+        span_cfg = SpanConfig(t_max=2, m=0, l=4, q=1, b=b, eta=0.5, seed=3)
+        with pytest.raises(InvalidRankParams, match=rf"min\(b, n\) >= l at reg_a = 0, got b={b}, n={n}, l=4"):
+            run_span(span_cfg, ObjectiveConfig("logistic"), data, np.zeros(8))
+
+    @pytest.mark.parametrize("reg_a, b", [(0.0, 4), (1e-3, 2)], ids=["batch-at-width", "regularized"])
+    def test_batch_rank_refusal_is_only_where_it_is_proven(self, reg_a, b):
+        data = synth_classification(n=100, d=8, seed=1, decay=0.0)
+        span_cfg = SpanConfig(t_max=2, m=0, l=4, q=1, b=b, eta=0.5, seed=3, hvp_mode=ANALYTIC)
+        _, trace = run_span(span_cfg, ObjectiveConfig("logistic", reg_a=reg_a), data, np.zeros(8))
+        assert len(trace) == 2
 
 
 class TestRunSpan:
