@@ -7,6 +7,10 @@ update, ``step(t, x, grad)``, and run it through the step loop of
 cumulative wall clock includes the fused loss and gradient at each new
 iterate (the gradient is carried into the next step, so each step makes one
 full-data pass of its own) and which builds the full-gradient trace rows.
+svrg takes that gradient as its snapshot's, and makes one more full-data
+pass per epoch to store every sample's margin and loss derivative at the
+snapshot, so each inner step multiplies its batch rows once by the
+iterate's offset from the snapshot and once transposed.
 A baseline's update returns the next iterate, its lambda column (newsamp's
 flattening eigenvalue, else ``None``) and ``None, None``: it carries no
 basis and has no probe.  Determinism is keyed by the config seed.
@@ -32,6 +36,7 @@ from .objectives import (
     draw_batch,
     gather_batches,
     sample_batches,
+    snapshot_margins,
 )
 from .span import TraceRecord, _check_count, _check_run_length, _drive, _step
 
@@ -89,19 +94,23 @@ def run_gd(
     return _drive(cfg, x0, _step, objective, data, lambda t, x, grad: (x - cfg.eta * grad, None, None, None))
 
 
-def _drawn_batches(objective: ObjectiveConfig, data: Dataset, indices: np.ndarray) -> Iterator[tuple]:
-    """``(rows, labels)`` of each batch, a row of the ``(count, size)`` ``indices``, gathered a run at a time.
+def _drawn_batches(objective: ObjectiveConfig, data: Dataset, indices: np.ndarray, *per_sample) -> Iterator[tuple]:
+    """``(rows, labels, *entries)`` of each batch, a row of the ``(count, size)`` ``indices``, gathered a run at a time.
 
     :func:`gather_batches` gathers a run's rows at once, up to about
     ``_GATHER_ENTRIES`` stored entries: a few-row batch then costs no gather
-    of its own.  The indices are drawn beforehand, so the run length never
-    moves the draw stream.
+    of its own.  ``entries`` are the batch's entries of each n-vector in
+    ``per_sample``, gathered beside the rows a run at a time, so nothing
+    grows with the whole ``count * size``.  The indices are drawn
+    beforehand, so the run length never moves the draw stream.
     """
     count, size = indices.shape
     per_row = max(1, -(-data.stored // data.n_samples))
     per_run = max(1, _GATHER_ENTRIES // (size * per_row))
     for first in range(0, count, per_run):
-        yield from gather_batches(objective, data, indices[first : first + per_run])
+        run = indices[first : first + per_run]
+        # zip(*...) splits the run's (rows, labels) pairs into two columns.
+        yield from zip(*zip(*gather_batches(objective, data, run)), *(values[run] for values in per_sample))
 
 
 def run_svrg(
@@ -110,17 +119,22 @@ def run_svrg(
     data: Dataset,
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
-    """Snapshot-based variance-reduced SGD; one trace row per epoch.
+    """Snapshot-based variance-reduced SGD (Johnson & Zhang, 2013); one trace row per epoch.
 
     Each epoch snapshots the current iterate, whose full gradient the last
-    trace row already computed, then takes ``inner_steps`` batched steps
-    (default: one pass, ceil(N / b)).  The epoch's batches come from one
-    :func:`sample_batches` call, and their rows are gathered a run of
-    batches at a time.  A step moves along
+    trace row already computed, and stores every sample's margin and loss
+    derivative there (:func:`snapshot_margins`, one full-data pass).  It
+    then takes ``inner_steps`` batched steps (default: one pass,
+    ceil(N / b)).  The epoch's batches come from one :func:`sample_batches`
+    call, and their rows and stored entries are gathered a run of batches
+    at a time.  The epoch carries the iterate ``w`` as its offset
+    ``r = w - snapshot``, from ``r = 0``.  A step moves along
     ``grad f_B(w) - grad f_B(snapshot) + grad F(snapshot)``, whose first
-    two terms are one :func:`batch_gradient_difference`, exactly zero at
-    ``w == snapshot``.  An epoch whose iterate ends non-finite raises
-    :class:`NonFiniteResult`; it is checked once per epoch, not per inner step.
+    two terms are one :func:`batch_gradient_difference` of ``r``: one
+    product of the batch rows with it and one transposed product, exactly
+    zero at ``r = 0``.  An epoch whose iterate ends non-finite raises
+    :class:`NonFiniteResult`; it is checked once per epoch, not per inner
+    step.
     """
     if data is None or objective.loss_kind == "quadratic":
         raise ValueError("svrg needs sampled data, and quadratics carry no samples")
@@ -130,12 +144,14 @@ def run_svrg(
 
     def epoch(t: int, snapshot: np.ndarray, snapshot_grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 10, t))
-        x = snapshot
-        batches = _drawn_batches(objective, data, sample_batches(n, b, steps_per_epoch, rng))
+        margins, derivatives = snapshot_margins(objective, data, snapshot)
+        r = np.zeros_like(snapshot)  # the iterate's offset from the snapshot
+        batches = _drawn_batches(objective, data, sample_batches(n, b, steps_per_epoch, rng), margins, derivatives)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged epoch fails the check below
-            for rows, labels in batches:
-                estimate = batch_gradient_difference(objective, rows, labels, x, snapshot) + snapshot_grad
-                x = x - cfg.eta * estimate
+            for rows, labels, batch_margins, batch_derivatives in batches:
+                difference = batch_gradient_difference(objective, rows, labels, r, batch_margins, batch_derivatives)
+                r = r - cfg.eta * (difference + snapshot_grad)
+            x = snapshot + r
         if not np.isfinite(x).all():
             raise NonFiniteResult(f"svrg iterate is not finite after epoch {t + 1}")
         return x, None, None, None

@@ -495,17 +495,37 @@ def gather_batches(cfg: ObjectiveConfig, data: Dataset, batches: Sequence[np.nda
     ]
 
 
-def batch_gradient_difference(cfg: ObjectiveConfig, rows, labels, w: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
-    """``grad f_B(w) - grad f_B(snapshot)`` over rows from :func:`gather_batches`.
+def snapshot_margins(cfg: ObjectiveConfig, data: Dataset, snapshot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample's margin ``labels * (rows @ snapshot)`` and its loss derivative ``phi'``, from one full-data pass.
 
-    Both margins come from one 2-column product, so at ``w == snapshot``
-    they are equal to the bit, their loss derivatives cancel and the
-    difference is exactly zero.  The gradient is then one product of the
-    difference of the two margin derivatives.
+    A margin loss's gradient at the snapshot is, per sample, the derivative
+    times the labelled row, so these two n-vectors hold all of them for
+    :func:`batch_gradient_difference`.  Sampled kinds only.
     """
-    derivative = _margin_derivative(cfg, _margins(rows, labels, np.array((w, snapshot)).T))
-    change = labels * (derivative[:, 0] - derivative[:, 1])
-    return rows.T @ change / rows.shape[0] + cfg.reg_a * (w - snapshot)
+    _, _, _, margins = _checked_pass(cfg, data, None, snapshot)
+    return margins, _margin_derivative(cfg, margins)
+
+
+def batch_gradient_difference(
+    cfg: ObjectiveConfig, rows, labels, r: np.ndarray, margins: np.ndarray, derivatives: np.ndarray
+) -> np.ndarray:
+    """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over rows from :func:`gather_batches`.
+
+    svrg's inner step.  ``margins`` and ``derivatives`` are the batch's
+    entries of :func:`snapshot_margins`.  The margins at ``snapshot + r``
+    are ``labels * (rows @ r) + margins``: one product of the batch rows
+    with ``r``, then ``phi'`` of them less ``derivatives``, and one
+    transposed product.  At ``r == 0`` the margins equal the snapshot's to
+    the bit, so the derivatives cancel and the difference is exactly zero,
+    on dense and CSR rows alike.  Multiplying the rows by ``snapshot + r``
+    itself would not keep that: a dense BLAS row dot depends on the block's
+    shape, so a batch's own product and the full pass's differ in the last
+    bit.  The steps are plain expressions, as on the few entries of a small
+    batch an in-place ufunc costs more than a new array.
+    """
+    change = _margin_derivative(cfg, labels * (rows @ r) + margins) - derivatives
+    difference = rows.T @ (labels * change) / rows.shape[0]
+    return difference + cfg.reg_a * r if cfg.reg_a else difference
 
 
 def draw_batch(data: Optional[Dataset], b: int, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:

@@ -158,8 +158,11 @@ class TestSvrg:
         snapshot = np.array([0.3, -0.7])
         mu = batch_gradient(cfg, data, None, snapshot)
         # A run_svrg step's estimate, over the rows of one gathered batch.
-        ((rows, labels),) = objectives.gather_batches(cfg, data, [np.array([2, 5, 11])])
-        estimate = objectives.batch_gradient_difference(cfg, rows, labels, snapshot, snapshot) + mu
+        batch = np.array([2, 5, 11])
+        margins, derivatives = objectives.snapshot_margins(cfg, data, snapshot)
+        ((rows, labels),) = objectives.gather_batches(cfg, data, [batch])
+        r = snapshot - snapshot
+        estimate = objectives.batch_gradient_difference(cfg, rows, labels, r, margins[batch], derivatives[batch]) + mu
         np.testing.assert_array_equal(estimate, mu)  # bitwise
 
     def test_single_sample_dataset_reduces_to_gd(self):

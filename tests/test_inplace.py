@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from spanopt import ANALYTIC, CENTRAL_FD, BatchHessian, Dataset, ObjectiveConfig, loss_and_gradient
+from spanopt import (
+    ANALYTIC,
+    CENTRAL_FD,
+    BaselineConfig,
+    BatchHessian,
+    Dataset,
+    ObjectiveConfig,
+    loss_and_gradient,
+    run_svrg,
+)
 from spanopt.objectives import _margin_derivative, batch_gradient_difference, gather_batches
 
 MODES = {"finite-difference": CENTRAL_FD, "analytic": ANALYTIC}
@@ -136,7 +145,9 @@ class TestBatchThatStoresNothing:
         cfg = ObjectiveConfig("logistic", reg_a=0.3)
         rng = np.random.default_rng(9)
         w, snapshot_x = rng.standard_normal(6), rng.standard_normal(6)
-        difference = batch_gradient_difference(cfg, rows, labels, w, snapshot_x)
+        margins = np.zeros(3)  # the snapshot's margins on rows that store nothing
+        r = w - snapshot_x
+        difference = batch_gradient_difference(cfg, rows, labels, r, margins, _margin_derivative(cfg, margins))
         assert difference.dtype == np.float64
         np.testing.assert_array_equal(difference, cfg.reg_a * (w - snapshot_x))
 
@@ -181,3 +192,19 @@ class TestTemporaries:
         data = Dataset(features=random_csr(self.n, self.d, 15, seed=13), labels=labels_for(self.n, 14))
         x = 0.3 * np.random.default_rng(15).standard_normal(self.d)
         assert peak_bytes(lambda: loss_and_gradient(self.cfg, data, x)) / (self.n * 8) <= 5.0
+
+
+def test_svrg_epoch_peak_grows_only_with_its_index_array():
+    # Drawing an epoch's (inner_steps, b) indices holds the int64 draws and
+    # their sorted copy at once: two index arrays.  The stored margins and
+    # derivatives are gathered a run of batches at a time; gathering them
+    # for every drawn index at once measured three index arrays.
+    data = Dataset(features=random_csr(2000, 50, 4, seed=16), labels=labels_for(2000, 17))
+    cfg = ObjectiveConfig("logistic", reg_a=0.1)
+
+    def epoch_peak(steps):
+        bl = BaselineConfig(method="svrg", eta=0.1, t_max=1, b=200, inner_steps=steps, seed=18)
+        return peak_bytes(lambda: run_svrg(bl, cfg, data, np.zeros(50)))
+
+    index_bytes = 8 * 200 * (3000 - 1000)
+    assert epoch_peak(3000) - epoch_peak(1000) <= 2.25 * index_bytes

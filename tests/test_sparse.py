@@ -1,5 +1,6 @@
 """CSR features: agreement with dense storage, and scipy kept off the dense paths."""
 
+import collections
 import io
 import math
 import os
@@ -28,10 +29,10 @@ from spanopt import (
     run_span,
     run_svrg,
 )
-from spanopt import baselines
+from spanopt import baselines, objectives
 from spanopt.datasets import load_libsvm, normalize_rows, to_binary_dataset
 from spanopt.errors import DimensionTooLarge
-from spanopt.objectives import _batch_rows, batch_gradient_difference, gather_batches
+from spanopt.objectives import _batch_rows, batch_gradient_difference, gather_batches, snapshot_margins
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -207,8 +208,9 @@ class TestSvrg:
     @staticmethod
     def estimate(cfg, data, batch, w, snapshot, mu):
         """What a run_svrg step moves along, over its batch's rows from gather_batches."""
+        margins, derivatives = snapshot_margins(cfg, data, snapshot)
         ((rows, labels),) = gather_batches(cfg, data, [batch])
-        return batch_gradient_difference(cfg, rows, labels, w, snapshot) + mu
+        return batch_gradient_difference(cfg, rows, labels, w - snapshot, margins[batch], derivatives[batch]) + mu
 
     def test_snapshot_identity_is_exact_on_csr(self):
         for seed in range(20):
@@ -240,6 +242,78 @@ class TestSvrg:
         expected = batch_gradient(cfg, dense, batch, w) - batch_gradient(cfg, dense, batch, snapshot) + mu
         close(self.estimate(cfg, dense, batch, w, snapshot, mu), expected)
         close(self.estimate(cfg, csr, batch, w, snapshot, mu), expected)
+
+    @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        "batch",
+        [[5], [0, 9], [1, 4, 8, 13, 21, 40], list(range(60)), [3]],
+        ids=["b1", "b2", "b6", "all-rows", "row-that-stores-nothing"],
+    )
+    def test_snapshot_identity_is_exact(self, loss, storage, batch):
+        # At 60 x 20 the dense full product and a batch's own product differ in
+        # the last bit on some of these batches: a step that took w's margins
+        # from the batch rows and the snapshot's from the full pass fails here.
+        cfg, dense, csr = both_formats(n=60, d=20, seed=11, loss=loss)
+        data = dense if storage == "dense" else csr
+        for seed in range(10):
+            snapshot = 3.0 * np.random.default_rng(seed).standard_normal(data.dim)
+            mu = batch_gradient(cfg, data, None, snapshot)
+            np.testing.assert_array_equal(self.estimate(cfg, data, np.array(batch), snapshot, snapshot, mu), mu)
+
+    @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
+    def test_run_matches_a_loop_of_two_batch_gradients(self, loss, monkeypatch):
+        cfg, dense, csr = both_formats(seed=12, loss=loss)
+        bl = BaselineConfig(method="svrg", eta=0.5, t_max=3, b=4, seed=13)
+        x0 = np.full(dense.dim, 0.2)
+        draw, drawn = baselines.sample_batches, []
+
+        def recorded(n, b, count, rng):
+            drawn.append(draw(n, b, count, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(baselines, "sample_batches", recorded)
+        runs = [run_svrg(bl, cfg, data, x0)[0] for data in (dense, csr)]
+        assert len(drawn) == 6 and all(np.array_equal(a, c) for a, c in zip(drawn[:3], drawn[3:]))
+        w = x0
+        for batches in drawn[:3]:
+            snapshot, mu = w, batch_gradient(cfg, dense, None, w)
+            for batch in batches:
+                w = w - bl.eta * (batch_gradient(cfg, dense, batch, w) - batch_gradient(cfg, dense, batch, snapshot) + mu)
+        for x in runs:
+            assert np.linalg.norm(x - w) <= 1e-12 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_one_product_each_way_per_step_and_one_full_product_per_epoch(self, storage, monkeypatch):
+        cfg, dense, csr = both_formats()
+        (n, d), b, steps, epochs = dense.matrix.shape, 3, 5, 2
+        products, coordinates_product = [], objectives._Coordinates.__matmul__
+
+        class Counting(np.ndarray):
+            """Dense features that log each product they are the left operand of, by shapes."""
+
+            def __matmul__(self, other):
+                products.append((self.shape, np.shape(other)))
+                return np.asarray(self) @ other
+
+        def counted(coordinates, x):
+            products.append((coordinates.shape, x.shape))
+            return coordinates_product(coordinates, x)
+
+        if storage == "dense":
+            data = dense
+            object.__setattr__(data, "matrix", data.matrix.view(Counting))
+        else:
+            data = csr
+            monkeypatch.setattr(objectives._Coordinates, "__matmul__", counted)
+        bl = BaselineConfig(method="svrg", eta=0.5, t_max=epochs, b=b, inner_steps=steps, seed=14)
+        run_svrg(bl, cfg, data, np.zeros(d))
+        expected = {((b, d), (d,)): epochs * steps, ((d, b), (b,)): epochs * steps}
+        if storage == "dense":
+            # The step bracket's full passes (one at the start, one per epoch)
+            # take one product each way; each epoch's snapshot margins one more.
+            expected.update({((n, d), (d,)): 1 + 2 * epochs, ((d, n), (n,)): 1 + epochs})
+        assert collections.Counter(products) == expected
 
 
 def refuse_dense_view(monkeypatch):
