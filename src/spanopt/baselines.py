@@ -10,7 +10,8 @@ full-data pass of its own) and which builds the full-gradient trace rows.
 svrg takes that gradient as its snapshot's, and makes one more full-data
 pass per epoch to store every sample's margin and loss derivative at the
 snapshot, so each inner step multiplies its batch rows once by the
-iterate's offset from the snapshot and once transposed.
+iterate's offset from the snapshot and once transposed.  svrg and lissa
+walk their drawn batches with :func:`~spanopt.objectives.gathered_batches`.
 A baseline's update returns the next iterate, its lambda column (newsamp's
 flattening eigenvalue, else ``None``) and ``None, None``: it carries no
 basis and has no probe.  Determinism is keyed by the config seed.
@@ -18,10 +19,11 @@ basis and has no probe.  Determinism is keyed by the config seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,18 +36,13 @@ from .objectives import (
     ObjectiveConfig,
     batch_gradient_difference,
     draw_batch,
-    gather_batches,
+    gathered_batches,
     sample_batches,
     snapshot_margins,
 )
 from .span import TraceRecord, _check_count, _check_run_length, _drive, _step
 
 _DIVERGENCE_LIMIT = 1e8
-
-# svrg and lissa gather the rows of consecutive batches at once, up to about
-# this many stored feature entries (128 KiB of values) per gather.
-_GATHER_ENTRIES = 1 << 14
-
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -94,25 +91,6 @@ def run_gd(
     return _drive(cfg, x0, _step, objective, data, lambda t, x, grad: (x - cfg.eta * grad, None, None, None))
 
 
-def _drawn_batches(objective: ObjectiveConfig, data: Dataset, indices: np.ndarray, *per_sample) -> Iterator[tuple]:
-    """``(rows, labels, *entries)`` of each batch, a row of the ``(count, size)`` ``indices``, gathered a run at a time.
-
-    :func:`gather_batches` gathers a run's rows at once, up to about
-    ``_GATHER_ENTRIES`` stored entries: a few-row batch then costs no gather
-    of its own.  ``entries`` are the batch's entries of each n-vector in
-    ``per_sample``, gathered beside the rows a run at a time, so nothing
-    grows with the whole ``count * size``.  The indices are drawn
-    beforehand, so the run length never moves the draw stream.
-    """
-    count, size = indices.shape
-    per_row = max(1, -(-data.stored // data.n_samples))
-    per_run = max(1, _GATHER_ENTRIES // (size * per_row))
-    for first in range(0, count, per_run):
-        run = indices[first : first + per_run]
-        # zip(*...) splits the run's (rows, labels) pairs into two columns.
-        yield from zip(*zip(*gather_batches(objective, data, run)), *(values[run] for values in per_sample))
-
-
 def run_svrg(
     cfg: BaselineConfig,
     objective: ObjectiveConfig,
@@ -126,8 +104,8 @@ def run_svrg(
     derivative there (:func:`snapshot_margins`, one full-data pass).  It
     then takes ``inner_steps`` batched steps (default: one pass,
     ceil(N / b)).  The epoch's batches come from one :func:`sample_batches`
-    call, and their rows and stored entries are gathered a run of batches
-    at a time.  The epoch carries the iterate ``w`` as its offset
+    call, and :func:`gathered_batches` yields their rows and stored
+    entries.  The epoch carries the iterate ``w`` as its offset
     ``r = w - snapshot``, from ``r = 0``.  A step moves along
     ``grad f_B(w) - grad f_B(snapshot) + grad F(snapshot)``, whose first
     two terms are one :func:`batch_gradient_difference` of ``r``: one
@@ -146,7 +124,7 @@ def run_svrg(
         rng = np.random.default_rng(derive_seed(cfg.seed, 10, t))
         margins, derivatives = snapshot_margins(objective, data, snapshot)
         r = np.zeros_like(snapshot)  # the iterate's offset from the snapshot
-        batches = _drawn_batches(objective, data, sample_batches(n, b, steps_per_epoch, rng), margins, derivatives)
+        batches = gathered_batches(objective, data, sample_batches(n, b, steps_per_epoch, rng), margins, derivatives)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged epoch fails the check below
             for rows, labels, batch_margins, batch_derivatives in batches:
                 difference = batch_gradient_difference(objective, rows, labels, r, batch_margins, batch_derivatives)
@@ -258,9 +236,9 @@ def run_lissa(
     recursions whose Hessian products come from single random samples
     (analytic GLM products).  An iteration's ``s1 * inner_steps`` samples
     come from one ``sample_batches(n, 1, count, rng)`` call, the same stream
-    as one ``rng.integers(n)`` per sample, and their rows are gathered a run
-    at a time.  The objective is rescaled by a spectral-norm probe at x0 and
-    the resulting direction unscaled.
+    as one ``rng.integers(n)`` per sample, and :func:`gathered_batches`
+    yields their rows.  The objective is rescaled by a spectral-norm probe
+    at x0 and the resulting direction unscaled.
     """
     depth = cfg.inner_steps if cfg.inner_steps is not None else 100
     scale = lissa_hessian_scale(objective, data, x0, seed=derive_seed(cfg.seed, 30))
@@ -268,17 +246,13 @@ def run_lissa(
     def step(t: int, x: np.ndarray, grad: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
         if data is None or objective.loss_kind == "quadratic":
-            sampled_hvp = BatchHessian.at(objective, data, None, x, ANALYTIC).__matmul__
+            hessians = itertools.repeat(BatchHessian.at(objective, data, None, x, ANALYTIC))
         else:
-            samples = _drawn_batches(objective, data, sample_batches(data.n_samples, 1, cfg.s1 * depth, rng))
-
-            def sampled_hvp(u: np.ndarray) -> np.ndarray:
-                rows, labels = next(samples)
-                return BatchHessian.of_rows(objective, rows, labels, x, ANALYTIC) @ u
-
+            samples = gathered_batches(objective, data, sample_batches(data.n_samples, 1, cfg.s1 * depth, rng))
+            hessians = (BatchHessian.of_rows(objective, rows, labels, x, ANALYTIC) for rows, labels in samples)
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):
-            estimates += neumann_inverse_apply(sampled_hvp, grad, depth, scale)
+            estimates += neumann_inverse_apply(lambda u: next(hessians) @ u, grad, depth, scale)
         return x - cfg.eta * (estimates / cfg.s1), None, None, None
 
     return _drive(cfg, x0, _step, objective, data, step)

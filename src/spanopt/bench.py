@@ -376,7 +376,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     A failing method is recorded as ``error: ...`` in its result row and in
     the summary, and any trace it left in ``output_dir`` from an earlier run
-    is removed; the other methods still run.
+    is removed; the other methods still run.  A failing shared warm-up fails
+    every method the same way, as ``error: warm-up: ...``, and none runs.
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     dim = cfg.objective.dim if cfg.objective.dim is not None else cfg.data.dim
@@ -389,13 +390,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         start = np.zeros(dim)
     # The shared warm-up: a fixed number of variance-reduced epochs from the start point.
-    x0 = start if cfg.warmup is None else baselines.run_svrg(cfg.warmup, cfg.objective, cfg.data, start)[0]
+    try:
+        x0 = start if cfg.warmup is None else baselines.run_svrg(cfg.warmup, cfg.objective, cfg.data, start)[0]
+        warmup_error = None
+    except SpanOptError as exc:  # every method fails with it
+        x0, warmup_error = start, SpanOptError(f"warm-up: {exc}")
     x0_bytes = x0.tobytes()
 
     results: list[MethodResult] = []
     for method in cfg.methods:
         assert x0.tobytes() == x0_bytes, "start point drifted between method launches"
         try:
+            if warmup_error is not None:
+                raise warmup_error
             _, trace = _RUNNERS[method](cfg.method_configs[method], cfg.objective, cfg.data, x0.copy())
         except SpanOptError as exc:
             log.warning("method %s failed: %s", method, exc)

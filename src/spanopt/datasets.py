@@ -26,6 +26,7 @@ from .linalg import derive_seed, gaussian_matrix
 from .objectives import Dataset, ObjectiveConfig, _check_fits
 
 _LABEL_NOISE = 0.05  # flip probability of synthetic classification labels
+_SCALE_MAX = math.sqrt(np.finfo(float).max)  # largest synthetic column scale: times |g| < 9, far from overflow
 
 
 # Examples converted to arrays at a time; it bounds the token strings alive at once.
@@ -339,14 +340,18 @@ def synth_classification(
     spectrum of a linear model decays polynomially; labels come from a
     planted unit-norm direction, and each flips with probability 0.05.
     Rows are unit-normalized by default, matching the benchmark preprocessing.
-    A feature matrix beyond physical memory raises :class:`DimensionTooLarge`
-    before anything is drawn.
+    A feature matrix beyond physical memory raises :class:`DimensionTooLarge`,
+    and a non-finite ``decay`` or one whose scales pass ``_SCALE_MAX``
+    raises ``ValueError``, before anything is drawn.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     _check_fits(n * d, f"dense {n} x {d} feature matrix")
+    with np.errstate(over="ignore"):
+        scales = np.arange(1, d + 1, dtype=float) ** (-decay)
+    if not (math.isfinite(decay) and scales.max() <= _SCALE_MAX):
+        raise ValueError(f"decay must be finite with scales j^(-decay) <= {_SCALE_MAX:.1e} up to j = {d}, got {decay}")
     features = gaussian_matrix(n, d, derive_seed(seed, 50))
-    scales = np.arange(1, d + 1, dtype=float) ** (-decay)
     features *= scales
     planted = gaussian_matrix(d, 1, derive_seed(seed, 51))[:, 0]
     planted /= np.linalg.norm(planted)

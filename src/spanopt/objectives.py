@@ -38,7 +38,8 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from itertools import pairwise
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -343,7 +344,7 @@ class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
     :meth:`at` gathers a batch and builds the operator; :meth:`of_rows`
-    builds it over rows already gathered by :func:`gather_batches`, which
+    builds it over rows already gathered by :func:`gathered_batches`, which
     support products but not :meth:`dense`.  ``H @ v`` takes a (d,) vector or a
     (d, k) block.  A quadratic's ``weights`` are its diagonal ``spectrum + a``
     (the config's own spectrum array when ``a`` is zero), its product
@@ -472,27 +473,33 @@ class _Coordinates:
         return out
 
 
-def gather_batches(cfg: ObjectiveConfig, data: Dataset, batches: Sequence[np.ndarray]) -> list[tuple]:
-    """Each batch's ``(rows, labels)``, with the rows of all the batches gathered at once.
+_GATHER_ENTRIES = 1 << 14  # stored feature entries (128 KiB of values) per gather of a run of batches
 
-    Dense rows are views into one gathered block.  CSR rows are
-    coordinate triples cut from one gathered CSR block, so a batch of a few
-    rows takes no scipy call of its own.  Sampled kinds only: quadratics carry
-    no samples.
+
+def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *per_sample) -> Iterator[tuple]:
+    """``(rows, labels, *entries)`` of each batch, a row of the ``(count, size)`` ``indices``: svrg's and lissa's walk.
+
+    :func:`_batch_rows` gathers a run of batches at once, up to about
+    ``_GATHER_ENTRIES`` stored entries by the average row.  Dense rows are
+    views into the run's block, CSR rows :class:`_Coordinates` cut from it, so
+    a batch costs no gather of its own.  ``entries`` are the batch's entries
+    of each n-vector in ``per_sample``.  Sampled kinds only.
     """
-    sizes = [len(batch) for batch in batches]
-    rows, labels = _batch_rows(cfg, data, np.concatenate(batches))
-    bounds = np.cumsum([0] + sizes).tolist()
-    if isinstance(rows, np.ndarray):
-        return [(rows[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    # Each stored value's row, counted from the first row of its own batch.
-    row_in_batch = np.arange(rows.shape[0]) - np.repeat(bounds[:-1], sizes)
-    local = np.repeat(row_in_batch, np.diff(rows.indptr))
-    stored = rows.indptr[bounds].tolist()
-    return [
-        (_Coordinates(local[a:b], rows.indices[a:b], rows.data[a:b], (size, rows.shape[1])), labels[lo:hi])
-        for size, lo, hi, a, b in zip(sizes, bounds, bounds[1:], stored, stored[1:])
-    ]
+    count, size = indices.shape
+    per_row = max(1, -(-data.stored // data.n_samples))
+    per_run = max(1, _GATHER_ENTRIES // (size * per_row))
+    for first in range(0, count, per_run):
+        run = indices[first : first + per_run]
+        rows, labels = _batch_rows(cfg, data, run.ravel())
+        if isinstance(rows, np.ndarray):
+            batches = rows.reshape(*run.shape, -1)
+        else:
+            # Each stored value's row, counted from the first row of its own batch.
+            local = np.repeat(np.arange(run.size) % size, np.diff(rows.indptr))
+            cuts = rows.indptr[::size].tolist()
+            shape = (size, rows.shape[1])
+            batches = [_Coordinates(local[a:b], rows.indices[a:b], rows.data[a:b], shape) for a, b in pairwise(cuts)]
+        yield from zip(batches, labels.reshape(run.shape), *(values[run] for values in per_sample))
 
 
 def snapshot_margins(cfg: ObjectiveConfig, data: Dataset, snapshot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -509,7 +516,7 @@ def snapshot_margins(cfg: ObjectiveConfig, data: Dataset, snapshot: np.ndarray) 
 def batch_gradient_difference(
     cfg: ObjectiveConfig, rows, labels, r: np.ndarray, margins: np.ndarray, derivatives: np.ndarray
 ) -> np.ndarray:
-    """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over rows from :func:`gather_batches`.
+    """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over rows from :func:`gathered_batches`.
 
     svrg's inner step.  ``margins`` and ``derivatives`` are the batch's
     entries of :func:`snapshot_margins`.  The margins at ``snapshot + r``

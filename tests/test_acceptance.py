@@ -31,7 +31,7 @@ from spanopt.baselines import neumann_inverse_apply, newsamp_inverse
 from spanopt.bench import load_experiment_config, read_trace_csv, per_iteration_scaling, run_experiment
 from spanopt.datasets import synth_classification
 from spanopt.linalg import sym_eig_small
-from spanopt.objectives import batch_gradient_difference, gather_batches, snapshot_margins
+from spanopt.objectives import batch_gradient_difference, gathered_batches, snapshot_margins
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -308,7 +308,7 @@ def test_criterion_8_oracle_equivalences():
     mu = batch_gradient(cfg, data, None, snapshot)
     batch = np.array([1, 5, 9])
     margins, derivatives = snapshot_margins(cfg, data, snapshot)
-    ((rows, labels),) = gather_batches(cfg, data, [batch])
+    ((rows, labels),) = gathered_batches(cfg, data, batch[None])
     r = snapshot - snapshot
     estimate = batch_gradient_difference(cfg, rows, labels, r, margins[batch], derivatives[batch]) + mu
     svrg_ok = bool(np.array_equal(estimate, mu))

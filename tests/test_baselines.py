@@ -160,7 +160,7 @@ class TestSvrg:
         # A run_svrg step's estimate, over the rows of one gathered batch.
         batch = np.array([2, 5, 11])
         margins, derivatives = objectives.snapshot_margins(cfg, data, snapshot)
-        ((rows, labels),) = objectives.gather_batches(cfg, data, [batch])
+        ((rows, labels),) = objectives.gathered_batches(cfg, data, batch[None])
         r = snapshot - snapshot
         estimate = objectives.batch_gradient_difference(cfg, rows, labels, r, margins[batch], derivatives[batch]) + mu
         np.testing.assert_array_equal(estimate, mu)  # bitwise

@@ -818,6 +818,27 @@ class TestCli:
         assert not (out / "gd.csv").exists()
         assert (out / "summary.csv").read_text().splitlines()[1].startswith("gd,error,")
 
+    def test_failed_warmup_fails_every_method_and_removes_stale_traces(self, tmp_path, capsys):
+        # The diverging warm-up ended the run as "method failure: svrg ...",
+        # svrg not being listed, wrote no summary and left the earlier run's
+        # traces and all-ok summary in place.
+        text = (
+            "seed = 0\nmethods = gd, newsamp\nobjective.loss = logistic\nobjective.reg_a = {reg}\n"
+            "dataset.kind = synth_classification\ndataset.n = 60\ndataset.d = 8\n"
+            "gd.T = 3\ngd.eta = 0.5\nnewsamp.T = 3\nnewsamp.m = 2\nnewsamp.eta = 1.0\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_cfg(tmp_path, text.format(reg="1e-3"))), "--output-dir", str(out)]) == 0
+        assert (out / "gd.csv").exists() and (out / "newsamp.csv").exists()
+        capsys.readouterr()
+        assert cli.main(["run", str(write_cfg(tmp_path, text.format(reg="1e200"))), "--output-dir", str(out)]) == 2
+        printed = capsys.readouterr()
+        for method in ("gd", "newsamp"):
+            assert f"{method}: error: warm-up: svrg iterate is not finite after epoch 1" in printed.out
+            assert not (out / f"{method}.csv").exists()
+        assert "method failure" not in printed.err
+        assert (out / "summary.csv").read_text().splitlines()[1:] == ["gd,error,,,", "newsamp,error,,,"]
+
     @pytest.mark.parametrize(
         "base, edit, code",
         [
@@ -831,13 +852,14 @@ class TestCli:
             ("synth", "preiterate.eta = -1", 1),  # the warm-up's config was built after the output directory
             ("synth", "preiterate.epochs = -1", 1),  # silently meant no warm-up
             ("synth", "dataset.n = 1000000000\ndataset.d = 1000000", 1),  # refused before anything is drawn
+            ("synth", "dataset.decay = -400", 1),  # column scales overflowed, with warnings, then NaN features
             ("libsvm", "dataset.negative_label = 1", 1),  # every example became +1, and the run went on
             # An epoch's (an iteration's) indices are drawn at once, and numpy refused the allocation.
             ("synth", "methods = svrg\nsvrg.inner_steps = 1000000000000000", 2),
             ("synth", "methods = lissa\nlissa.inner_steps = 1000000000000000", 2),
         ],
         ids=["svrg-quadratic", "nan-number", "inf-spectrum", "empty-synth", "newsamp-rank", "lissa-flat",
-             "newsamp-overflow", "negative-warmup-eta", "negative-warmup-epochs", "synth-beyond-memory",
+             "newsamp-overflow", "negative-warmup-eta", "negative-warmup-epochs", "synth-beyond-memory", "synth-overflowing-decay",
              "equal-labels", "svrg-draw-beyond-memory", "lissa-draw-beyond-memory"],
     )
     def test_found_tracebacks_exit_cleanly(self, tmp_path, capsys, base, edit, code):

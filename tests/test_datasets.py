@@ -4,6 +4,7 @@ import gzip
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -421,3 +422,22 @@ class TestSyntheticProblems:
         ds1 = synth_classification(20, 5, seed=1)
         ds2 = synth_classification(20, 5, seed=2)
         assert not np.array_equal(ds1.features, ds2.features)
+
+    @pytest.mark.parametrize("decay", [-400.0, -171.0, math.nan, math.inf, -math.inf])
+    def test_classification_refuses_a_decay_whose_scales_overflow(self, monkeypatch, decay):
+        # decay = -400 at d = 8 warned of overflow in power and in matmul, then
+        # refused the features as NaN/Inf.
+        draw, drawn = datasets.gaussian_matrix, []
+        monkeypatch.setattr(datasets, "gaussian_matrix", lambda *args: drawn.append(args) or draw(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="decay"):
+                synth_classification(60, 8, decay=decay)
+        assert drawn == []
+
+    @pytest.mark.parametrize("decay", [-170.0, 1e300])
+    def test_classification_keeps_a_decay_whose_scales_stay_finite(self, decay):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = synth_classification(60, 8, seed=1, decay=decay)
+        assert np.isfinite(ds.features).all()

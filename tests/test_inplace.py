@@ -23,7 +23,7 @@ from spanopt import (
     loss_and_gradient,
     run_svrg,
 )
-from spanopt.objectives import _margin_derivative, batch_gradient_difference, gather_batches
+from spanopt.objectives import _margin_derivative, batch_gradient_difference, gathered_batches
 
 MODES = {"finite-difference": CENTRAL_FD, "analytic": ANALYTIC}
 
@@ -63,7 +63,7 @@ class TestWritesOnlyItsOwnArrays:
         data = dataset("dense" if request.param == "dense" else "csr")
         batch = np.arange(3, 30, 2)
         if request.param == "coordinates":
-            rows, labels = gather_batches(ObjectiveConfig("logistic"), data, [batch])[0]
+            ((rows, labels),) = gathered_batches(ObjectiveConfig("logistic"), data, batch[None])
             return data, rows, labels, [rows.rows, rows.cols, rows.values]
         return data, data.matrix[batch], data.labels[batch], []
 
@@ -119,7 +119,7 @@ class TestBatchThatStoresNothing:
     def empty_batch(self):
         matrix = sparse.csr_array(([1.0, 2.0, -1.0], [0, 2, 5], [0, 0, 0, 0, 0, 2, 3, 3, 3]), shape=(8, 6))
         data = Dataset(features=matrix, labels=labels_for(8, 3))
-        rows, labels = gather_batches(ObjectiveConfig("logistic"), data, [np.array([0, 2, 3]), np.array([4, 5])])[0]
+        rows, labels = next(gathered_batches(ObjectiveConfig("logistic"), data, np.array([[0, 2, 3], [4, 5, 6]])))
         assert rows.values.size == 0
         return rows, labels
 

@@ -32,7 +32,13 @@ from spanopt import (
 from spanopt import baselines, objectives
 from spanopt.datasets import load_libsvm, normalize_rows, to_binary_dataset
 from spanopt.errors import DimensionTooLarge
-from spanopt.objectives import _batch_rows, batch_gradient_difference, gather_batches, snapshot_margins
+from spanopt.objectives import (
+    _batch_rows,
+    batch_gradient_difference,
+    gathered_batches,
+    sample_batches,
+    snapshot_margins,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -174,10 +180,10 @@ class TestObjectives:
 
     def test_gathered_batches_take_the_dense_products(self):
         cfg, dense, csr = both_formats()
-        batches = [np.array([0, 3, 5]), np.array([2, 3]), np.array([29])]
+        batches = np.array([[0, 3, 5], [2, 3, 29]])
         x = np.random.default_rng(6).standard_normal((dense.dim, 2))
         for (rows, labels), (dense_rows, dense_labels), batch in zip(
-            gather_batches(cfg, csr, batches), gather_batches(cfg, dense, batches), batches
+            gathered_batches(cfg, csr, batches), gathered_batches(cfg, dense, batches), batches
         ):
             np.testing.assert_array_equal(dense_rows, dense.features[batch])
             np.testing.assert_array_equal(labels, dense_labels)
@@ -204,12 +210,86 @@ class TestObjectives:
         np.testing.assert_array_equal(h_csr.dense(), h_csr.dense().T)
 
 
+class TestGatheredBatches:
+    """The walk svrg and lissa take over their drawn batches, a run of batches gathered at a time."""
+
+    @staticmethod
+    def walk_data(storage):
+        cfg, dense, csr = both_formats(n=30, d=7, seed=2)
+        if storage == "dense":
+            return cfg, dense
+        if storage == "csr":
+            return cfg, csr
+        # Rows 0-3 store nothing, and the first batch takes only those.
+        features = sparse_features(30, 7, seed=2, empty_rows=(0, 1, 2, 3))
+        return cfg, Dataset(features=features, labels=labels_for(30, 2))
+
+    @pytest.mark.parametrize(
+        "storage, b",
+        [("dense", 1), ("dense", 3), ("dense", 30), ("csr", 1), ("csr", 3), ("csr", 30)]
+        + [("csr-first-batch-empty", 1), ("csr-first-batch-empty", 3)],
+    )
+    @pytest.mark.parametrize("runs", [0, 1, 2])
+    def test_each_batch_is_its_own_gather(self, storage, b, runs):
+        cfg, data = self.walk_data(storage)
+        per_row = -(-data.stored // data.n_samples)
+        count = 0 if runs == 0 else (runs - 1) * (objectives._GATHER_ENTRIES // (b * per_row)) + 2
+        rng = np.random.default_rng(b)
+        indices = sample_batches(30, b, count, rng)
+        if storage == "csr-first-batch-empty" and count:
+            indices[0] = np.arange(b)
+        per_sample = (1.5 * np.arange(30), rng.standard_normal(30))
+        walked = list(gathered_batches(cfg, data, indices, *per_sample))
+        assert len(walked) == count
+        for (rows, labels, *entries), batch in zip(walked, indices):
+            expected_rows, expected_labels = _batch_rows(cfg, data, batch)
+            np.testing.assert_array_equal(labels, expected_labels)
+            for got, values in zip(entries, per_sample):
+                np.testing.assert_array_equal(got, values[batch])
+            assert rows.shape == expected_rows.shape
+            r, y = rng.standard_normal(data.dim), rng.standard_normal(b)
+            assert (rows @ r).tobytes() == (expected_rows @ r).tobytes()
+            assert (rows.T @ y).tobytes() == (expected_rows.T @ y).tobytes()
+        if storage == "csr-first-batch-empty" and count:
+            assert walked[0][0].values.size == 0 and walked[1][0].values.size > 0
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.ones((30, 7)),
+            np.ones((30, 600)),  # a batch of 30 rows alone holds 18000 entries
+            sparse.csr_array((np.ones(60), np.tile([1, 40], 30), np.arange(0, 61, 2)), shape=(30, 50)),
+        ],
+        ids=["dense", "dense-wide", "csr-two-per-row"],
+    )
+    @pytest.mark.parametrize("b", [1, 3, 30])
+    def test_no_gather_exceeds_the_entry_budget(self, monkeypatch, features, b):
+        cfg = ObjectiveConfig("logistic")
+        data = Dataset(features=features, labels=labels_for(30, 0))
+        gather, gathers = objectives._batch_rows, []
+
+        def recorded(cfg, data, indices):
+            rows, labels = gather(cfg, data, indices)
+            gathers.append((rows.shape[0], int(rows.size)))
+            return rows, labels
+
+        monkeypatch.setattr(objectives, "_batch_rows", recorded)
+        indices = sample_batches(30, b, 20000, np.random.default_rng(0))
+        assert sum(1 for _ in gathered_batches(cfg, data, indices)) == 20000
+        assert sum(rows for rows, _ in gathers) == 20000 * b and len(gathers) > 1
+        per_batch = b * data.stored // 30
+        for rows, entries in gathers:
+            assert entries <= objectives._GATHER_ENTRIES or rows == b
+        for _, entries in gathers[:-1]:  # each run takes as many batches as fit
+            assert entries + per_batch > objectives._GATHER_ENTRIES
+
+
 class TestSvrg:
     @staticmethod
     def estimate(cfg, data, batch, w, snapshot, mu):
-        """What a run_svrg step moves along, over its batch's rows from gather_batches."""
+        """What a run_svrg step moves along, over its batch's rows from gathered_batches."""
         margins, derivatives = snapshot_margins(cfg, data, snapshot)
-        ((rows, labels),) = gather_batches(cfg, data, [batch])
+        ((rows, labels),) = gathered_batches(cfg, data, batch[None])
         return batch_gradient_difference(cfg, rows, labels, w - snapshot, margins[batch], derivatives[batch]) + mu
 
     def test_snapshot_identity_is_exact_on_csr(self):
@@ -356,7 +436,7 @@ class TestSolversNeverDensify:
         # lengths; the batches, some of whose rows are redrawn, must not move.
         cfg, dense, csr = both_formats(n=40, d=8, seed=9)
         bl = BaselineConfig(method="svrg", eta=0.05, t_max=2, b=5, inner_steps=1000, seed=4)
-        assert bl.inner_steps * bl.b * dense.dim > 2 * baselines._GATHER_ENTRIES
+        assert bl.inner_steps * bl.b * dense.dim > 2 * objectives._GATHER_ENTRIES
         assert -(-csr.stored // csr.n_samples) < dense.dim  # so fewer, longer runs for CSR
         x0 = np.zeros(dense.dim)
         x_dense, trace_dense = run_svrg(bl, cfg, dense, x0)
