@@ -115,8 +115,8 @@ def _as_methods(text: str) -> list[str]:
 
 
 def _as_x0(text: str) -> str:
-    if text not in ("zeros", "ones", "gaussian"):
-        raise ValueError(f"expected zeros/ones/gaussian, got {text!r}")
+    if text not in ("zeros", "ones"):
+        raise ValueError(f"expected zeros/ones, got {text!r}")
     return text
 
 
@@ -145,10 +145,8 @@ CONFIG_SECTIONS = {
     "objective": {"loss": (str, _REQUIRED), "reg_a": _OWN_FLOAT},
     "dataset": {"kind": (str, None)},  # absent: inferred from dataset.spectrum or dataset.path
     "dataset.quadratic": {"spectrum": (_as_spectrum, _REQUIRED)},
-    "dataset.libsvm": {"path": (Path, _REQUIRED), "positive_label": _FLOAT, "negative_label": _FLOAT,
-                       "normalize": (_as_bool, "true")},
-    "dataset.synth_classification": {"n": _INT, "d": _INT, "seed": _SEED, "decay": _OWN_FLOAT,
-                                     "normalize": (_as_bool, None)},
+    "dataset.libsvm": {"path": (Path, _REQUIRED), "positive_label": _FLOAT, "negative_label": _FLOAT},
+    "dataset.synth_classification": {"n": _INT, "d": _INT, "seed": _SEED, "decay": _OWN_FLOAT},
     "preiterate": {"epochs": (_as_int, "2"), "eta": (_as_float, "0.1")},
     "probe": {"hessian_error": (_as_bool, "false")},
     # One section per method: every key its runner reads.
@@ -244,10 +242,10 @@ def _build_dataset(values: dict[str, str], seed: int) -> tuple[Optional[Dataset]
     return _build(f"dataset.path {kwargs['path']}", _load_libsvm, **kwargs), None
 
 
-def _load_libsvm(path: Path, positive_label: float, negative_label: float, normalize: bool) -> Dataset:
+def _load_libsvm(path: Path, positive_label: float, negative_label: float) -> Dataset:
     examples, dim = datasets.load_libsvm(path)
     ds = datasets.to_binary_dataset(examples, positive_label, negative_label, dim=dim)
-    return datasets.normalize_rows(ds)[0] if normalize else ds
+    return datasets.normalize_rows(ds)[0]
 
 
 def _read_text(path: Path, error: type[SpanOptError]) -> str:
@@ -381,14 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     dim = cfg.objective.dim if cfg.objective.dim is not None else cfg.data.dim
-    if cfg.x0_kind == "ones":
-        start = np.ones(dim)
-    elif cfg.x0_kind == "gaussian":
-        from .linalg import derive_seed, gaussian_matrix
-
-        start = gaussian_matrix(dim, 1, derive_seed(cfg.seed, 60))[:, 0]
-    else:
-        start = np.zeros(dim)
+    start = np.ones(dim) if cfg.x0_kind == "ones" else np.zeros(dim)
     # The shared warm-up: a fixed number of variance-reduced epochs from the start point.
     try:
         x0 = start if cfg.warmup is None else baselines.run_svrg(cfg.warmup, cfg.objective, cfg.data, start)[0]

@@ -267,9 +267,7 @@ def loss_and_gradient(
 
 
 def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
-    """``labels * (rows @ x)``, column-wise for a (d, k) block."""
-    if x.ndim == 2:
-        labels = labels[:, None]
+    """``labels * (rows @ x)`` for a checked vector ``x``."""
     margins = rows @ x
     margins *= labels
     return margins
@@ -345,12 +343,12 @@ class BatchHessian:
 
     :meth:`at` gathers a batch and builds the operator; :meth:`of_rows`
     builds it over rows already gathered by :func:`gathered_batches`, which
-    support products but not :meth:`dense`.  ``H @ v`` takes a (d,) vector or a
-    (d, k) block.  A quadratic's ``weights`` are its diagonal ``spectrum + a``
-    (the config's own spectrum array when ``a`` is zero), its product
-    ``weights * v`` in both modes: the central difference of its linear
-    gradient, exactly.  A sampled kind's ``margins`` are its base
-    margins ``m0 = labels * (rows @ x)``, in both modes, and every product
+    support vector products only, not blocks or :meth:`dense`.  ``H @ v``
+    takes a (d,) vector or a (d, k) block.  A quadratic's ``weights`` are its
+    diagonal ``spectrum + a`` (the config's own spectrum array when ``a`` is
+    zero), its product ``weights * v`` in both modes: the central difference
+    of its linear gradient, exactly.  A sampled kind's ``margins`` are its
+    base margins ``m0 = labels * (rows @ x)``, in both modes, and every product
     takes one path, ``t = rows @ v``, then a per-sample term ``y``, then
     ``rows.T @ y / b + a v``; the modes differ only in ``y``.  Analytic
     ``weights`` are the curvature weights at ``m0``, and ``y = weights * t``.
@@ -385,7 +383,7 @@ class BatchHessian:
 
     @classmethod
     def of_rows(cls, cfg, rows, labels, x: np.ndarray, mode: HvpMode) -> "BatchHessian":
-        """The operator at a checked ``x`` over gathered batch rows and labels."""
+        """The operator at a checked ``x`` over gathered rows; those of :func:`gathered_batches` take vector products."""
         if rows is None:
             spectrum = cfg.quadratic_spectrum
             return cls(cfg, x, None, None, spectrum + cfg.reg_a if cfg.reg_a else spectrum)
@@ -449,10 +447,10 @@ class BatchHessian:
 class _Coordinates:
     """A few sparse rows as (row, column, value) triples.
 
-    Supports the products the objectives take, ``rows @ x`` for a vector or a
-    block and ``rows.T @ y``, as numpy bincounts that add each row's terms in
-    stored order.  A batch of a few rows then costs a few microseconds where
-    scipy spends tens on each call.
+    Supports the vector products the objectives take, ``rows @ x`` and
+    ``rows.T @ y``, as numpy bincounts that add each row's terms in stored
+    order.  A batch of a few rows then costs a few microseconds where scipy
+    spends tens on each call.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]):
@@ -463,14 +461,9 @@ class _Coordinates:
         return _Coordinates(self.cols, self.rows, self.values, self.shape[::-1])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            if not self.values.size:  # bincount of no entries is int64, whatever its weights
-                return np.zeros(self.shape[0])
-            return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.shape[0])
-        out = np.empty((self.shape[0], x.shape[1]))
-        for j in range(x.shape[1]):
-            out[:, j] = self @ x[:, j]
-        return out
+        if not self.values.size:  # bincount of no entries is int64, whatever its weights
+            return np.zeros(self.shape[0])
+        return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.shape[0])
 
 
 _GATHER_ENTRIES = 1 << 14  # stored feature entries (128 KiB of values) per gather of a run of batches
@@ -482,8 +475,9 @@ def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *
     :func:`_batch_rows` gathers a run of batches at once, up to about
     ``_GATHER_ENTRIES`` stored entries by the average row.  Dense rows are
     views into the run's block, CSR rows :class:`_Coordinates` cut from it, so
-    a batch costs no gather of its own.  ``entries`` are the batch's entries
-    of each n-vector in ``per_sample``.  Sampled kinds only.
+    a batch costs no gather of its own; the rows take vector products only.
+    ``entries`` are the batch's entries of each n-vector in ``per_sample``.
+    Sampled kinds only.
     """
     count, size = indices.shape
     per_row = max(1, -(-data.stored // data.n_samples))

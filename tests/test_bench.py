@@ -103,7 +103,6 @@ _WORD_VALUES = {
     "dataset.kind": ("quadratic", "synth_classification", "libsvm", "csv"),
     "dataset.spectrum": ("3,2,1,0.5,0.2", "2,1", "0,1", "nan,1", "1,,2", "1e999,1"),
     "dataset.path": ("{data}", "{data}.missing"),
-    "dataset.normalize": ("true", "false", "maybe"),
     "probe.hessian_error": ("true", "false", "2"),
     "x0": ("zeros", "ones", "gaussian", "twos"),
     "span.hvp": ("analytic", "finite_difference", "forward_difference"),
@@ -350,7 +349,7 @@ class TestRunExperiment:
             f"seed = 6\noutput_dir = {tmp_path / 'out'}\nmethods = gd\n"
             "objective.loss = logistic\nobjective.reg_a = 0.05\n"
             f"dataset.kind = libsvm\ndataset.path = {data_path}\n"
-            "dataset.positive_label = 4\ndataset.negative_label = 9\ndataset.normalize = true\n"
+            "dataset.positive_label = 4\ndataset.negative_label = 9\n"
             "preiterate.epochs = 0\n"
             "gd.T = 4\ngd.eta = 0.5\n"
         )
@@ -891,6 +890,25 @@ class TestCli:
         assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"config error: {foreign} not read by dataset.kind" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "base, line, message",
+        [
+            ("synth", "x0 = gaussian", "x0: expected zeros/ones, got 'gaussian'"),
+            ("synth", "dataset.normalize = false", "unknown config key 'dataset.normalize'"),
+            ("libsvm", "dataset.normalize = false", "unknown config key 'dataset.normalize'"),
+        ],
+        ids=["gaussian-x0", "synth-normalize", "libsvm-normalize"],
+    )
+    def test_dropped_settings_exit_one(self, tmp_path, capsys, base, line, message):
+        # Every method starts from zeros or ones on unit-norm rows; these
+        # settings were accepted, and no shipped config or test run set them.
+        data = tmp_path / "data.libsvm"
+        data.write_text(_LIBSVM_TEXT)
+        text = _BASES[base].replace("{data}", str(data)) + _METHOD_LINES + line + "\n"
+        assert cli.main(["run", str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_csr_traces_are_deterministic(self, tmp_path):

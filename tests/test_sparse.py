@@ -188,7 +188,6 @@ class TestObjectives:
             np.testing.assert_array_equal(dense_rows, dense.features[batch])
             np.testing.assert_array_equal(labels, dense_labels)
             assert rows.shape == dense_rows.shape
-            close(rows @ x, dense_rows @ x)
             close(rows @ x[:, 0], dense_rows @ x[:, 0])
             y = np.arange(1.0, batch.size + 1)
             close(rows.T @ y, dense_rows.T @ y)
