@@ -2,16 +2,14 @@
 
 Gradient descent, variance-reduced SGD with snapshots, truncated-eigenvalue
 subsampled Newton, and Neumann-series inverse estimation each supply one
-update, ``step(t, x, grad)``, and run it through the step loop of
+update, ``step(t, x, grad, margins)``, and run it through the step loop of
 :mod:`spanopt.span`: its stop rule, and its per-step bracket, whose
-cumulative wall clock includes the fused loss and gradient at each new
-iterate (the gradient is carried into the next step, so each step makes one
-full-data pass of its own) and which builds the full-gradient trace rows.
-svrg takes that gradient as its snapshot's, and makes one more full-data
-pass per epoch to store every sample's margin and loss derivative at the
-snapshot, so each inner step multiplies its batch rows once by the
-iterate's offset from the snapshot and once transposed.  svrg and lissa
-walk their drawn batches with :func:`~spanopt.objectives.gathered_batches`.
+cumulative wall clock includes the one full-data pass at each new iterate,
+the only one of a step, and which builds the full-gradient trace rows.  The
+pass's gradient and per-sample margins are carried into the next update:
+svrg's snapshot takes the gradient and ``phi'`` of the margins, and lissa
+the margins' curvature weights.  svrg and lissa walk their drawn batches
+with :func:`~spanopt.objectives.gathered_batches`.
 A baseline's update returns the next iterate, its lambda column (newsamp's
 flattening eigenvalue, else ``None``) and ``None, None``: it carries no
 basis and has no probe.  Determinism is keyed by the config seed.
@@ -34,11 +32,12 @@ from .objectives import (
     BatchHessian,
     Dataset,
     ObjectiveConfig,
+    _curvature_weights,
+    _margin_derivative,
     batch_gradient_difference,
     draw_batch,
     gathered_batches,
     sample_batches,
-    snapshot_margins,
 )
 from .span import TraceRecord, _check_count, _check_run_length, _drive, _step
 
@@ -88,7 +87,7 @@ def run_gd(
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Plain full-gradient descent: x <- x - eta * grad F(x)."""
-    return _drive(cfg, x0, _step, objective, data, lambda t, x, grad: (x - cfg.eta * grad, None, None, None))
+    return _drive(cfg, x0, _step, objective, data, lambda t, x, grad, margins: (x - cfg.eta * grad, None, None, None))
 
 
 def run_svrg(
@@ -99,10 +98,10 @@ def run_svrg(
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Snapshot-based variance-reduced SGD (Johnson & Zhang, 2013); one trace row per epoch.
 
-    Each epoch snapshots the current iterate, whose full gradient the last
-    trace row already computed, and stores every sample's margin and loss
-    derivative there (:func:`snapshot_margins`, one full-data pass).  It
-    then takes ``inner_steps`` batched steps (default: one pass,
+    Each epoch snapshots the current iterate, whose full gradient and
+    per-sample margins the step bracket's pass already computed, and takes
+    the loss derivative ``phi'`` of each margin (elementwise, no product).
+    It then takes ``inner_steps`` batched steps (default: one pass,
     ceil(N / b)).  The epoch's batches come from one :func:`sample_batches`
     call, and :func:`gathered_batches` yields their rows and stored
     entries.  The epoch carries the iterate ``w`` as its offset
@@ -120,9 +119,9 @@ def run_svrg(
     b = min(cfg.b, n)
     steps_per_epoch = cfg.inner_steps or max(1, -(-n // cfg.b))
 
-    def epoch(t: int, snapshot: np.ndarray, snapshot_grad: np.ndarray):
+    def epoch(t: int, snapshot: np.ndarray, snapshot_grad: np.ndarray, margins: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 10, t))
-        margins, derivatives = snapshot_margins(objective, data, snapshot)
+        derivatives = _margin_derivative(objective, margins)
         r = np.zeros_like(snapshot)  # the iterate's offset from the snapshot
         batches = gathered_batches(objective, data, sample_batches(n, b, steps_per_epoch, rng), margins, derivatives)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged epoch fails the check below
@@ -174,7 +173,7 @@ def run_newsamp(
     """
     rng = None if data is None else np.random.default_rng(derive_seed(cfg.seed, 20))
 
-    def step(t: int, x: np.ndarray, grad: np.ndarray):
+    def step(t: int, x: np.ndarray, grad: np.ndarray, margins: np.ndarray):
         batch = draw_batch(data, cfg.b, rng)
         eig = sym_eig_small(BatchHessian.at(objective, data, batch, x, ANALYTIC).dense())
         inv = newsamp_inverse(eig.values, eig.vectors, cfg.m)
@@ -237,19 +236,22 @@ def run_lissa(
     (analytic GLM products).  An iteration's ``s1 * inner_steps`` samples
     come from one ``sample_batches(n, 1, count, rng)`` call, the same stream
     as one ``rng.integers(n)`` per sample, and :func:`gathered_batches`
-    yields their rows.  The objective is rescaled by a spectral-norm probe
-    at x0 and the resulting direction unscaled.
+    yields their rows and their curvature weights, taken elementwise from
+    the step bracket's margins at ``x``, so a sample makes no margin
+    product.  The objective is rescaled by a spectral-norm probe at x0 and
+    the resulting direction unscaled.
     """
     depth = cfg.inner_steps if cfg.inner_steps is not None else 100
     scale = lissa_hessian_scale(objective, data, x0, seed=derive_seed(cfg.seed, 30))
 
-    def step(t: int, x: np.ndarray, grad: np.ndarray):
+    def step(t: int, x: np.ndarray, grad: np.ndarray, margins: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
         if data is None or objective.loss_kind == "quadratic":
             hessians = itertools.repeat(BatchHessian.at(objective, data, None, x, ANALYTIC))
         else:
-            samples = gathered_batches(objective, data, sample_batches(data.n_samples, 1, cfg.s1 * depth, rng))
-            hessians = (BatchHessian.of_rows(objective, rows, labels, x, ANALYTIC) for rows, labels in samples)
+            indices = sample_batches(data.n_samples, 1, cfg.s1 * depth, rng)
+            samples = gathered_batches(objective, data, indices, _curvature_weights(objective, margins))
+            hessians = (BatchHessian(objective, x, rows, labels, weights) for rows, labels, weights in samples)
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):
             estimates += neumann_inverse_apply(lambda u: next(hessians) @ u, grad, depth, scale)

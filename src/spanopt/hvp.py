@@ -1,8 +1,8 @@
 """How batch Hessian products are realized: central differences of batch gradients, or analytic.
 
 An :class:`HvpMode` is the required ``mode`` of
-:meth:`spanopt.objectives.BatchHessian.at` and ``of_rows``, the constructors of
-the batch Hessian operator.  Both modes take one product path there and
+:meth:`spanopt.objectives.BatchHessian.at`, the builder of the batch Hessian
+operator.  Both modes take one product path there and
 differ only in its per-sample curvature term: analytic curvature weights, or
 a central difference of the loss's margin derivative along each column.
 Quadratics get exact products in both modes.

@@ -261,9 +261,14 @@ def loss_and_gradient(
     the pass takes one ``exp`` per sample, ``exp(-|m|)`` of each margin,
     which the loss and the margin derivative share.
     """
+    return _full_pass(cfg, data, x)[:2]
+
+
+def _full_pass(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> tuple:
+    """:func:`loss_and_gradient` and the margins it came from: the step bracket's pass, whose margins svrg and lissa read."""
     rows, labels, x, margins = _checked_pass(cfg, data, None, x)
     e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
-    return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e)
+    return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e), margins
 
 
 def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
@@ -341,12 +346,12 @@ def _curvature_weights(cfg: ObjectiveConfig, margins: np.ndarray):
 class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
-    :meth:`at` gathers a batch and builds the operator; :meth:`of_rows`
-    builds it over rows already gathered by :func:`gathered_batches`, which
-    support vector products only, not blocks or :meth:`dense`.  ``H @ v``
-    takes a (d,) vector or a (d, k) block.  A quadratic's ``weights`` are its
-    diagonal ``spectrum + a`` (the config's own spectrum array when ``a`` is
-    zero), its product ``weights * v`` in both modes: the central difference
+    :meth:`at` gathers a batch and builds the operator; lissa builds each
+    sample's analytic one over its row from :func:`gathered_batches`, which
+    takes vector products only, with weights of the full pass's margins.
+    ``H @ v`` takes a (d,) vector or a (d, k) block.  A quadratic's
+    ``weights`` are its diagonal ``spectrum + a`` (the config's own spectrum
+    array when ``a`` is zero), its product ``weights * v`` in both modes: the central difference
     of its linear gradient, exactly.  A sampled kind's ``margins`` are its
     base margins ``m0 = labels * (rows @ x)``, in both modes, and every product
     takes one path, ``t = rows @ v``, then a per-sample term ``y``, then
@@ -379,11 +384,6 @@ class BatchHessian:
         """Gather the batch at ``x`` for products in ``mode``: central differences or analytic."""
         x = _check_x(cfg, data, x)
         rows, labels = _batch_rows(cfg, data, batch)
-        return cls.of_rows(cfg, rows, labels, x, mode)
-
-    @classmethod
-    def of_rows(cls, cfg, rows, labels, x: np.ndarray, mode: HvpMode) -> "BatchHessian":
-        """The operator at a checked ``x`` over gathered rows; those of :func:`gathered_batches` take vector products."""
         if rows is None:
             spectrum = cfg.quadratic_spectrum
             return cls(cfg, x, None, None, spectrum + cfg.reg_a if cfg.reg_a else spectrum)
@@ -496,27 +496,16 @@ def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *
         yield from zip(batches, labels.reshape(run.shape), *(values[run] for values in per_sample))
 
 
-def snapshot_margins(cfg: ObjectiveConfig, data: Dataset, snapshot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every sample's margin ``labels * (rows @ snapshot)`` and its loss derivative ``phi'``, from one full-data pass.
-
-    A margin loss's gradient at the snapshot is, per sample, the derivative
-    times the labelled row, so these two n-vectors hold all of them for
-    :func:`batch_gradient_difference`.  Sampled kinds only.
-    """
-    _, _, _, margins = _checked_pass(cfg, data, None, snapshot)
-    return margins, _margin_derivative(cfg, margins)
-
-
 def batch_gradient_difference(
     cfg: ObjectiveConfig, rows, labels, r: np.ndarray, margins: np.ndarray, derivatives: np.ndarray
 ) -> np.ndarray:
     """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over rows from :func:`gathered_batches`.
 
     svrg's inner step.  ``margins`` and ``derivatives`` are the batch's
-    entries of :func:`snapshot_margins`.  The margins at ``snapshot + r``
-    are ``labels * (rows @ r) + margins``: one product of the batch rows
-    with ``r``, then ``phi'`` of them less ``derivatives``, and one
-    transposed product.  At ``r == 0`` the margins equal the snapshot's to
+    entries of the snapshot's full-pass margins and of ``phi'`` of them.  The
+    margins at ``snapshot + r`` are ``labels * (rows @ r) + margins``: one
+    product of the batch rows with ``r``, then ``phi'`` of them less
+    ``derivatives``, and one transposed product.  At ``r == 0`` the margins equal the snapshot's to
     the bit, so the derivatives cancel and the difference is exactly zero,
     on dense and CSR rows alike.  Multiplying the rows by ``snapshot + r``
     itself would not keep that: a dense BLAS row dot depends on the block's

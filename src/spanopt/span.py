@@ -22,9 +22,9 @@ one block product, subspace iteration that reuses its product.
 Every method, the baselines of :mod:`spanopt.baselines` included, runs
 through this module's one step loop, which steps from a :class:`SpanState`
 until ``t_max`` steps or the gradient-norm tolerance, and its one per-step
-bracket around the method's update.  The bracket's clock covers
-the update and the fused full-data loss and gradient at the new iterate,
-whose gradient is carried into the next step; it builds the trace row.
+bracket around the method's update.  The bracket's clock covers the
+update and the one full-data pass at the new iterate, whose gradient and
+margins the next step carries; it builds the trace row.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from .objectives import (
     BatchHessian,
     Dataset,
     ObjectiveConfig,
-    batch_gradient,
+    _full_pass,
     draw_batch,
-    loss_and_gradient,
 )
 from .rangefinder import power_range
 
@@ -138,9 +137,9 @@ class TraceRecord(NamedTuple):
     """One benchmark row at the iterate a step produced.
 
     ``wall_clock_s`` is cumulative.  It includes the full-data loss and
-    gradient at that iterate (one fused pass, whose gradient the next step
-    reuses) and excludes the rest of the trace bookkeeping, such as the
-    Hessian-error probe.  A tuple, like :class:`SpanState`: every step of
+    gradient at that iterate (one fused pass, whose gradient and margins
+    the next step reuses) and excludes the rest of the trace bookkeeping,
+    such as the Hessian-error probe.  A tuple, like :class:`SpanState`: every step of
     every method builds one.
     """
 
@@ -157,11 +156,12 @@ class SpanState(NamedTuple):
 
     ``subspace`` is span's last sketch, whose image ``H_B U`` the next step
     orthonormalizes into its basis (``None`` for the baselines); ``grad`` is
-    the full-data gradient at ``x``.  A state without them (the start of a
-    run) sketches fresh and computes its own gradient.  ``batch_rng`` is
-    span's batch generator on sampled data, which its first step creates
-    and every later step draws from (``None`` before that, for quadratics
-    and for the baselines).  The fields are never rebound, but the
+    the full-data gradient at ``x`` and ``margins`` the same pass's
+    per-sample margins (a quadratic's ``s * x``).  A state without them (the
+    start of a run) sketches fresh, and computes both if it lacks either.
+    ``batch_rng`` is span's batch generator on sampled data, which its first
+    step creates and every later step draws from (``None`` before that, for
+    quadratics and for the baselines).  The fields are never rebound, but the
     generator advances as it draws: stepping twice from one state draws two
     different batches.  A tuple, not a dataclass: the loop builds one per
     step, and the cheapest first-order steps take tens of microseconds.
@@ -172,6 +172,7 @@ class SpanState(NamedTuple):
     elapsed_s: float = 0.0
     subspace: Optional[Subspace] = None
     grad: Optional[np.ndarray] = None
+    margins: Optional[np.ndarray] = None
     batch_rng: Optional[np.random.Generator] = None
 
 
@@ -256,10 +257,11 @@ def hessian_error_probe(s: Subspace, hessian: BatchHessian, seed: int) -> float:
     return spectral_norm_sym(difference, hessian.x.size, tol=_PROBE_TOL, seed=seed, abs_tol=floor)
 
 
-# A method's update: ``(t, x, grad) -> (x_next, lambda_used, subspace, probe)``.
-# ``subspace`` is the sketch to carry, ``None`` outside span; ``probe``, when
-# not ``None``, gives the trace row's Hessian error once the clock has stopped.
-_Update = Callable[[int, np.ndarray, np.ndarray], tuple]
+# A method's update: ``(t, x, grad, margins) -> (x_next, lambda_used, subspace, probe)``,
+# with the full-data gradient and per-sample margins at ``x`` from the bracket's
+# pass.  ``subspace`` is the sketch to carry, ``None`` outside span; ``probe``,
+# when not ``None``, gives the trace row's Hessian error once the clock has stopped.
+_Update = Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple]
 
 
 def _step(
@@ -267,18 +269,20 @@ def _step(
 ) -> tuple[SpanState, TraceRecord]:
     """One step of any method under the shared clock, and its trace row.
 
-    The clock covers the gradient at ``state.x`` (computed here only at the
-    start of a run, carried after that), the update, and the fused
-    full-data loss and gradient at the new iterate.  The gradient goes into
-    the returned state for the next step, beside ``state``'s batch
-    generator; the probe runs off the clock.
+    The clock covers the gradient and margins at ``state.x`` (computed here
+    only at the start of a run, carried after that), the update, and the one
+    full-data pass at the new iterate, its loss, gradient and margins.  The
+    gradient and margins go into the returned state for the next step,
+    beside ``state``'s batch generator; the probe runs off the clock.
     A new row whose loss or gradient norm is not finite raises
     :class:`NonFiniteResult`: the run has diverged.
     """
     start = time.perf_counter()
-    grad = state.grad if state.grad is not None else batch_gradient(objective, data, None, state.x)
-    x, lambda_used, subspace, probe = update(state.t, state.x, grad)
-    loss, grad = loss_and_gradient(objective, data, x)
+    grad, margins = state.grad, state.margins
+    if grad is None or margins is None:
+        _, grad, margins = _full_pass(objective, data, state.x)
+    x, lambda_used, subspace, probe = update(state.t, state.x, grad, margins)
+    loss, grad, margins = _full_pass(objective, data, x)
     elapsed = state.elapsed_s + (time.perf_counter() - start)
     t = state.t + 1
     # np.linalg.norm's own arithmetic for a vector, without its argument handling.
@@ -286,7 +290,7 @@ def _step(
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
         raise NonFiniteResult(f"loss {loss} or gradient norm {grad_norm} is not finite at step {t}")
     record = TraceRecord(t, elapsed, loss, grad_norm, None if probe is None else probe(), lambda_used)
-    return SpanState(x, t, elapsed, subspace, grad, state.batch_rng), record
+    return SpanState(x, t, elapsed, subspace, grad, margins, state.batch_rng), record
 
 
 def _drive(cfg, x0: np.ndarray, step: Callable, *args) -> tuple[np.ndarray, list[TraceRecord]]:
@@ -339,7 +343,7 @@ def span_step(
             )
         state = state._replace(batch_rng=np.random.default_rng(derive_seed(cfg.seed, _STREAM_BATCH)))
 
-    def update(t: int, x: np.ndarray, grad: np.ndarray):
+    def update(t: int, x: np.ndarray, grad: np.ndarray, margins: np.ndarray):
         batch = draw_batch(data, cfg.b, state.batch_rng)
         hessian = BatchHessian.at(objective, data, batch, x, cfg.hvp_mode)
         u = None

@@ -31,7 +31,7 @@ from spanopt.baselines import neumann_inverse_apply, newsamp_inverse
 from spanopt.bench import load_experiment_config, read_trace_csv, per_iteration_scaling, run_experiment
 from spanopt.datasets import synth_classification
 from spanopt.linalg import sym_eig_small
-from spanopt.objectives import batch_gradient_difference, gathered_batches, snapshot_margins
+from spanopt.objectives import _full_pass, _margin_derivative, batch_gradient_difference, gathered_batches
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -305,9 +305,10 @@ def test_criterion_8_oracle_equivalences():
     data = Dataset(features=feats, labels=np.where(rng.random(12) < 0.5, 1.0, -1.0))
     cfg = ObjectiveConfig("logistic", reg_a=0.1)
     snapshot = rng.standard_normal(4)
-    mu = batch_gradient(cfg, data, None, snapshot)
+    # The snapshot's gradient and margins come from the step bracket's one full-data pass.
+    _, mu, margins = _full_pass(cfg, data, snapshot)
+    derivatives = _margin_derivative(cfg, margins)
     batch = np.array([1, 5, 9])
-    margins, derivatives = snapshot_margins(cfg, data, snapshot)
     ((rows, labels),) = gathered_batches(cfg, data, batch[None])
     r = snapshot - snapshot
     estimate = batch_gradient_difference(cfg, rows, labels, r, margins[batch], derivatives[batch]) + mu

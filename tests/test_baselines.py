@@ -1,12 +1,16 @@
 """Reference-optimizer contracts: gd, svrg, newsamp, lissa, and the step loop they share with span."""
 
 
+import collections
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from spanopt import (
+    ANALYTIC,
     BaselineConfig,
+    BatchHessian,
     Dataset,
     ObjectiveConfig,
     SpanConfig,
@@ -44,6 +48,28 @@ def toy_logistic(n=20, d=2, seed=0, reg=0.1):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     return ObjectiveConfig("logistic", reg_a=reg), Dataset(features=x, labels=labels)
+
+
+def stored_as(storage, loss="logistic"):
+    """A toy problem (n = 30, d = 4) under ``loss``, dense or as CSR with its entries below 0.3 dropped."""
+    cfg, data = toy_logistic(n=30, d=4, seed=6, reg=0.2)
+    if storage == "csr":
+        features = np.where(np.abs(data.features) < 0.3, 0.0, data.features)
+        data = Dataset(features=sparse.csr_array(features), labels=data.labels)
+    return ObjectiveConfig(loss, reg_a=cfg.reg_a), data
+
+
+def counted_margins(monkeypatch, data):
+    """Count ``objectives._margins`` products by their rows: ``full`` (all of ``data``) or ``gathered``."""
+    calls = collections.Counter()
+    margins = objectives._margins
+
+    def counted(rows, labels, x):
+        calls["full" if rows is data.matrix else "gathered"] += 1
+        return margins(rows, labels, x)
+
+    monkeypatch.setattr(objectives, "_margins", counted)
+    return calls
 
 
 class TestBaselineConfig:
@@ -156,10 +182,11 @@ class TestSvrg:
     def test_snapshot_identity_is_exact(self):
         cfg, data = toy_logistic()
         snapshot = np.array([0.3, -0.7])
-        mu = batch_gradient(cfg, data, None, snapshot)
-        # A run_svrg step's estimate, over the rows of one gathered batch.
+        # A run_svrg step's estimate, over the rows of one gathered batch, from
+        # the snapshot's gradient and margins of the step bracket's full-data pass.
+        _, mu, margins = objectives._full_pass(cfg, data, snapshot)
+        derivatives = objectives._margin_derivative(cfg, margins)
         batch = np.array([2, 5, 11])
-        margins, derivatives = objectives.snapshot_margins(cfg, data, snapshot)
         ((rows, labels),) = objectives.gathered_batches(cfg, data, batch[None])
         r = snapshot - snapshot
         estimate = objectives.batch_gradient_difference(cfg, rows, labels, r, margins[batch], derivatives[batch]) + mu
@@ -323,6 +350,48 @@ class TestLissa:
         _, trace = run_lissa(bl, cfg, data, np.zeros(3))
         assert trace[-1].grad_norm < trace[0].grad_norm * 0.1
 
+    def test_no_margin_product_over_gathered_rows(self, monkeypatch):
+        # A sample's curvature weight comes from the step bracket's margins at x.
+        cfg, data = stored_as("csr")
+        calls = counted_margins(monkeypatch, data)
+        run_lissa(BaselineConfig(method="lissa", eta=1.0, t_max=3, s1=2, inner_steps=5, seed=1), cfg, data, np.zeros(4))
+        assert calls["gathered"] == 0 and calls["full"] == 3 + 2
+
+    @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_sample_operators_are_single_row_operators(self, monkeypatch, storage, loss):
+        # Each sample's product is BatchHessian.at's over the sample's one row:
+        # the same bits on CSR data; on dense data the full pass's BLAS row dot
+        # is not the one-row product, so the margins may differ in the last bit.
+        cfg, data = stored_as(storage, loss)
+        drawn, products = [], []
+        draw = baselines.sample_batches
+
+        def recorded_draw(n, b, count, rng):
+            drawn.append(draw(n, b, count, rng))
+            return drawn[-1]
+
+        class Recorded(BatchHessian):
+            def __matmul__(self, v):
+                out = super().__matmul__(v)
+                if self.rows is not data.matrix:  # not the scale probe's full-data operator
+                    products.append((self, v, out))
+                return out
+
+        monkeypatch.setattr(baselines, "sample_batches", recorded_draw)
+        monkeypatch.setattr(baselines, "BatchHessian", Recorded)
+        x0 = np.random.default_rng(7).standard_normal(4) * 2.0  # margins on both sides of Huber's curved band
+        run_lissa(BaselineConfig(method="lissa", eta=0.5, t_max=3, s1=2, inner_steps=6, seed=4), cfg, data, x0)
+        samples = np.concatenate(drawn)[:, 0]
+        assert len(products) == samples.size == 3 * 2 * 6
+        assert any(hessian.weights[0] > 0 for hessian, _, _ in products)
+        for i, (hessian, u, out) in zip(samples, products):
+            expected = BatchHessian.at(cfg, data, [i], hessian.x, ANALYTIC) @ u
+            if storage == "csr":
+                np.testing.assert_array_equal(out, expected)
+            else:
+                assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_deterministic(self):
         cfg, data = toy_logistic(n=12, d=3, seed=9, reg=0.2)
         bl = BaselineConfig(method="lissa", eta=0.8, t_max=3, s1=2, inner_steps=20, seed=21)
@@ -341,16 +410,8 @@ class TestDrawStreams:
     """Which traces drawing a run of batches per generator call left unchanged."""
 
     @staticmethod
-    def problem(storage):
-        cfg, data = toy_logistic(n=30, d=4, seed=6, reg=0.2)
-        if storage == "csr":
-            features = np.where(np.abs(data.features) < 0.3, 0.0, data.features)
-            data = Dataset(features=sparse.csr_array(features), labels=data.labels)
-        return cfg, data
-
-    @staticmethod
     def runs(monkeypatch, storage, method, **settings):
-        cfg, data = TestDrawStreams.problem(storage)
+        cfg, data = stored_as(storage)
         bl = BaselineConfig(method=method, seed=11, **settings)
         run = {"svrg": run_svrg, "lissa": run_lissa}[method]
         now = run(bl, cfg, data, np.zeros(4))
@@ -378,7 +439,7 @@ class TestDrawStreams:
             return objectives.sample_batch(n, b, rng)
 
         monkeypatch.setattr(objectives, "sample_batch", counted)
-        cfg, data = self.problem("dense")
+        cfg, data = stored_as("dense")
         run_svrg(BaselineConfig(method="svrg", eta=0.3, t_max=3, b=1, seed=11), cfg, data, np.zeros(4))
         assert calls == []
 
@@ -391,7 +452,7 @@ class TestDrawStreams:
             return drawn[-1]
 
         monkeypatch.setattr(baselines, "sample_batches", recorded)
-        cfg, data = self.problem("dense")
+        cfg, data = stored_as("dense")
         _, trace = run_svrg(BaselineConfig(method="svrg", eta=0.3, t_max=3, b=3, seed=11), cfg, data, np.zeros(4))
         assert len(drawn) == len(trace) == 3
         for batches in drawn:
@@ -428,9 +489,11 @@ class TestSharedTraceContract:
             assert [r.iteration for r in trace] == [1, 2, 3, 4], method
 
     def test_one_full_gradient_per_iteration(self, monkeypatch):
-        # The gradient at each new iterate comes with its loss and is carried
-        # into the next step (svrg's snapshot gradient included), so a T-step
-        # solve makes T + 1 full-data gradients: one per row and the start.
+        # The gradient at each new iterate comes with its loss and margins from
+        # one full-data pass and is carried into the next step (svrg's snapshot
+        # gradient and margins, and lissa's sample weights, included), so a
+        # T-step solve makes T + 1 full-data gradients and margin products: one
+        # per row and the start.  lissa's scale probe at x0 adds one product.
         cfg, data = toy_logistic(n=30, d=4, seed=11)
         full = []
         real = objectives._gradient
@@ -440,11 +503,14 @@ class TestSharedTraceContract:
             return real(objective, rows, *rest)
 
         monkeypatch.setattr(objectives, "_gradient", counting)
+        margins = counted_margins(monkeypatch, data)
         for method, runner in RUNNERS.items():
             full.clear()
+            margins.clear()
             _, trace = runner(method_config(method, t_max=5, seed=2), cfg, data, np.zeros(4))
             assert len(trace) == 5, method
             assert sum(full) == 6, method
+            assert margins["full"] == 6 + (method == "lissa"), method
 
     @pytest.mark.parametrize("method", ["gd", "svrg", "newsamp", "lissa", "span"])
     def test_rows_equal_fresh_loss_and_gradient(self, method):

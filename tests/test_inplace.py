@@ -23,7 +23,13 @@ from spanopt import (
     loss_and_gradient,
     run_svrg,
 )
-from spanopt.objectives import _margin_derivative, batch_gradient_difference, gathered_batches
+from spanopt.objectives import (
+    _curvature_weights,
+    _full_pass,
+    _margin_derivative,
+    batch_gradient_difference,
+    gathered_batches,
+)
 
 MODES = {"finite-difference": CENTRAL_FD, "analytic": ANALYTIC}
 
@@ -56,37 +62,51 @@ def snapshot(arrays):
     return [a.tobytes() for a in arrays]
 
 
-def one_batch(storage):
-    """A dataset, and the rows of one batch as :class:`BatchHessian` gets them in ``storage``."""
-    data = dataset("dense" if storage == "dense" else "csr")
+def gathered_operator(cfg, data, batch, x):
+    """The analytic operator over ``batch``'s gathered rows, built as run_lissa builds each sample's."""
+    _, _, margins = _full_pass(cfg, data, x)
+    ((rows, labels, weights),) = gathered_batches(cfg, data, batch[None], _curvature_weights(cfg, margins))
+    return BatchHessian(cfg, x, rows, labels, weights)
+
+
+def one_operator(storage, cfg, data, x, mode):
+    """One batch's operator with its rows in ``storage``, and the gathered rows' arrays.
+
+    Dense and CSR rows are :meth:`BatchHessian.at`'s; ``coordinates`` are
+    :func:`gathered_batches`' rows of CSR data, which only lissa's analytic
+    operator multiplies.
+    """
     batch = np.arange(3, 30, 2)
     if storage == "coordinates":
-        ((rows, labels),) = gathered_batches(ObjectiveConfig("logistic"), data, batch[None])
-        return data, rows, labels, [rows.rows, rows.cols, rows.values]
-    return data, data.matrix[batch], data.labels[batch], []
+        hessian = gathered_operator(cfg, data, batch, x)
+        return hessian, [hessian.rows.rows, hessian.rows.cols, hessian.rows.values]
+    return BatchHessian.at(cfg, data, batch, x, MODES[mode]), []
 
 
 class TestWritesOnlyItsOwnArrays:
     @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    # Rows from gathered_batches (coordinates) take vector products only.
+    # Rows from gathered_batches (coordinates) take analytic vector products only.
     @pytest.mark.parametrize(
-        "storage, operand",
-        [(storage, operand) for storage in ("dense", "csr") for operand in ("vector", "block-with-zero-column")]
-        + [("coordinates", "vector")],
+        "storage, operand, mode",
+        [
+            (storage, operand, mode)
+            for storage in ("dense", "csr")
+            for operand in ("vector", "block-with-zero-column")
+            for mode in sorted(MODES)
+        ]
+        + [("coordinates", "vector", "analytic")],
     )
-    def test_product(self, storage, operand, loss, mode):
-        data, batch_rows, labels, stored = one_batch(storage)
+    def test_product(self, storage, operand, mode, loss):
+        data = dataset("dense" if storage == "dense" else "csr")
         rng = np.random.default_rng(5)
         cfg = ObjectiveConfig(loss, reg_a=0.1)
         x = rng.standard_normal(data.dim)
-        hessian = BatchHessian.of_rows(cfg, batch_rows, labels, x, MODES[mode])
+        hessian, stored = one_operator(storage, cfg, data, x, mode)
         v = rng.standard_normal(data.dim) if operand == "vector" else rng.standard_normal((data.dim, 4))
         if v.ndim == 2:
             v[:, 1] = 0.0
-        kept = [v, x, hessian.x, hessian.margins, hessian.labels, *data_arrays(data), *stored]
-        if hessian.weights is not None:
-            kept.append(hessian.weights)
+        own = [hessian.x, hessian.margins, hessian.labels, hessian.weights]
+        kept = [v, x, *data_arrays(data), *stored, *(a for a in own if a is not None)]
         before = snapshot(kept)
         first = hessian @ v
         assert snapshot(kept) == before
@@ -120,11 +140,16 @@ class TestWritesOnlyItsOwnArrays:
 class TestBatchThatStoresNothing:
     """A CSR batch whose rows store no entries: every product is float64 and only the regularizer is left."""
 
+    BATCH = np.array([0, 2, 3])
+
     @pytest.fixture
-    def empty_batch(self):
+    def data(self):
         matrix = sparse.csr_array(([1.0, 2.0, -1.0], [0, 2, 5], [0, 0, 0, 0, 0, 2, 3, 3, 3]), shape=(8, 6))
-        data = Dataset(features=matrix, labels=labels_for(8, 3))
-        rows, labels = next(gathered_batches(ObjectiveConfig("logistic"), data, np.array([[0, 2, 3], [4, 5, 6]])))
+        return Dataset(features=matrix, labels=labels_for(8, 3))
+
+    @pytest.fixture
+    def empty_batch(self, data):
+        rows, labels = next(gathered_batches(ObjectiveConfig("logistic"), data, np.stack([self.BATCH, [4, 5, 6]])))
         assert rows.values.size == 0
         return rows, labels
 
@@ -134,14 +159,16 @@ class TestBatchThatStoresNothing:
             assert product.dtype == np.float64
             np.testing.assert_array_equal(product, 0.0)
 
-    @pytest.mark.parametrize("mode", sorted(MODES))
+    # Gathered rows take lissa's analytic products only.
+    @pytest.mark.parametrize("mode", ["analytic"])
     @pytest.mark.parametrize("shape", [(6,)])
-    def test_product_is_the_regularizer(self, empty_batch, mode, shape):
-        rows, labels = empty_batch
+    def test_product_is_the_regularizer(self, data, mode, shape):
         cfg = ObjectiveConfig("logistic", reg_a=0.3)
         rng = np.random.default_rng(8)
         v = rng.standard_normal(shape)
-        product = BatchHessian.of_rows(cfg, rows, labels, rng.standard_normal(6), MODES[mode]) @ v
+        hessian = gathered_operator(cfg, data, self.BATCH, rng.standard_normal(6))
+        assert hessian.rows.values.size == 0
+        product = hessian @ v
         assert product.dtype == np.float64
         np.testing.assert_array_equal(product, cfg.reg_a * v)
 

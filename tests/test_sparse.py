@@ -34,10 +34,11 @@ from spanopt.datasets import load_libsvm, normalize_rows, to_binary_dataset
 from spanopt.errors import DimensionTooLarge
 from spanopt.objectives import (
     _batch_rows,
+    _full_pass,
+    _margin_derivative,
     batch_gradient_difference,
     gathered_batches,
     sample_batches,
-    snapshot_margins,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -286,8 +287,12 @@ class TestGatheredBatches:
 class TestSvrg:
     @staticmethod
     def estimate(cfg, data, batch, w, snapshot, mu):
-        """What a run_svrg step moves along, over its batch's rows from gathered_batches."""
-        margins, derivatives = snapshot_margins(cfg, data, snapshot)
+        """What a run_svrg step moves along, over its batch's rows from gathered_batches.
+
+        The snapshot's margins are those of the step bracket's full-data pass.
+        """
+        margins = _full_pass(cfg, data, snapshot)[2]
+        derivatives = _margin_derivative(cfg, margins)
         ((rows, labels),) = gathered_batches(cfg, data, batch[None])
         return batch_gradient_difference(cfg, rows, labels, w - snapshot, margins[batch], derivatives[batch]) + mu
 
@@ -390,8 +395,8 @@ class TestSvrg:
         expected = {((b, d), (d,)): epochs * steps, ((d, b), (b,)): epochs * steps}
         if storage == "dense":
             # The step bracket's full passes (one at the start, one per epoch)
-            # take one product each way; each epoch's snapshot margins one more.
-            expected.update({((n, d), (d,)): 1 + 2 * epochs, ((d, n), (n,)): 1 + epochs})
+            # take one product each way; the snapshot reads its margins from them.
+            expected.update({((n, d), (d,)): 1 + epochs, ((d, n), (n,)): 1 + epochs})
         assert collections.Counter(products) == expected
 
 
