@@ -27,11 +27,13 @@ import numpy as np
 
 from .errors import DivergingSeries, IndefiniteBlock, InvalidRankParams, NonFiniteResult, SingularSystem
 from .hvp import ANALYTIC
-from .linalg import derive_seed, spectral_norm_sym, sym_eig_small
+from .linalg import derive_seed, sym_eig_small
 from .objectives import (
+    _CURVATURE_MAX,
     BatchHessian,
     Dataset,
     ObjectiveConfig,
+    _check_x,
     _curvature_weights,
     _margin_derivative,
     batch_gradient_difference,
@@ -204,23 +206,38 @@ def neumann_inverse_apply(
     return u / scale
 
 
-def lissa_hessian_scale(
-    objective: ObjectiveConfig,
-    data: Dataset | None,
-    x0: np.ndarray,
-    seed: int = 0,
-) -> float:
-    """Probe ||H(x0)|| on the full batch and pad it by a 25% margin.
+def lissa_hessian_scale(objective: ObjectiveConfig, data: Dataset | None, x0: np.ndarray) -> float:
+    """1.25 times a bound on the norm of every single-sample Hessian, at any iterate.
 
-    The Neumann recursion assumes the (scaled) Hessian has norm below one;
-    dividing by this value enforces that along the iterate path in practice.
-    A zero Hessian at ``x0`` raises :class:`SingularSystem`.
+    A sample's Hessian ``c a a^T + reg_a I`` has norm ``c ||a||^2 + reg_a``,
+    and its curvature weight ``c`` is at most 1/4 for logistic loss and 1 for
+    Huber, so ``c_max max_i ||a_i||^2 + reg_a`` bounds them all; a quadratic's
+    Hessian ``diag(s) + reg_a I`` has norm ``max s + reg_a``.  Divided by this
+    scale, every sample's Hessian has norm below one wherever the iterate
+    goes, so no Neumann step grows a direction.  With ``reg_a = 0``, a
+    Hessian that is zero at ``x0``, every sample whose row is nonzero having
+    zero curvature weight at its margin, raises :class:`SingularSystem`.  A
+    scale that overflows raises :class:`NonFiniteResult`.
     """
-    hessian = BatchHessian.at(objective, data, None, x0, ANALYTIC)
-    norm = spectral_norm_sym(hessian.__matmul__, hessian.x.size, tol=1e-4, seed=seed)
-    if norm == 0.0:
-        raise SingularSystem("objective has zero curvature at x0")
-    return 1.25 * norm
+    x0 = _check_x(objective, data, x0)
+    if objective.loss_kind == "quadratic":
+        bound = float(objective.quadratic_spectrum.max())
+    else:
+        matrix = data.matrix
+        with np.errstate(over="ignore"):
+            if isinstance(matrix, np.ndarray):
+                squared_norms = np.einsum("ij,ij->i", matrix, matrix)
+            else:
+                squared_norms = (matrix * matrix).sum(axis=1)
+        bound = _CURVATURE_MAX[objective.loss_kind] * float(squared_norms.max())
+    scale = 1.25 * (bound + objective.reg_a)
+    if not math.isfinite(scale):
+        raise NonFiniteResult("lissa's Hessian scale overflows")
+    if not objective.reg_a and objective.loss_kind != "quadratic":
+        weights = BatchHessian.at(objective, data, None, x0, ANALYTIC).weights
+        if not np.any((weights > 0.0) & (squared_norms > 0.0)):
+            raise SingularSystem("objective has zero curvature at x0")
+    return scale
 
 
 def run_lissa(
@@ -238,11 +255,12 @@ def run_lissa(
     as one ``rng.integers(n)`` per sample, and :func:`gathered_batches`
     yields their rows and their curvature weights, taken elementwise from
     the step bracket's margins at ``x``, so a sample makes no margin
-    product.  The objective is rescaled by a spectral-norm probe at x0 and
-    the resulting direction unscaled.
+    product.  The recursion runs on the objective divided by
+    :func:`lissa_hessian_scale`, a bound on every sample's Hessian norm, and
+    the resulting direction is unscaled.
     """
     depth = cfg.inner_steps if cfg.inner_steps is not None else 100
-    scale = lissa_hessian_scale(objective, data, x0, seed=derive_seed(cfg.seed, 30))
+    scale = lissa_hessian_scale(objective, data, x0)
 
     def step(t: int, x: np.ndarray, grad: np.ndarray, margins: np.ndarray):
         rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))

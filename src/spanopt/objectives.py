@@ -10,8 +10,10 @@ in full to every batch quantity.
 A :class:`Dataset` stores its features dense or as ``scipy.sparse`` CSR.
 Every sampled computation reads them through :func:`_batch_rows` and the
 same few products (``rows @ x``, ``rows.T @ y``), which both formats
-provide, so one code path serves both.  This module never imports scipy: only
-CSR data, built by whoever imported it, brings it in.
+provide, so one code path serves both; a full-data ``rows.T @ y`` takes
+:attr:`Dataset.transposed`, a stored CSR copy for CSR data.  This module
+never imports scipy: only CSR data, built by whoever imported it, brings it
+in.
 
 Each pass forms one per-pass quantity that its loss and gradient share: the
 margins ``m = labels * (rows @ x)`` of a sampled kind, or a quadratic's one
@@ -114,6 +116,26 @@ class Dataset:
         return self.matrix.toarray()
 
     @property
+    def transposed(self):
+        """``matrix.T``, for the full-data products ``matrix.T @ y``.
+
+        Dense data return the free view, on each access.  CSR data return a
+        CSR copy of the transpose, built at the first access and kept, at the
+        cost of one more copy of the stored values and indices: scipy runs
+        ``matrix.T @ y`` as a scatter over the rows, and the copy's row
+        products add the same terms in the same order, from the first sample
+        up, so they give the same bits.  The copy is not a field, so it takes
+        no part in equality or ``repr``.
+        """
+        if isinstance(self.matrix, np.ndarray):
+            return self.matrix.T
+        transposed = self.__dict__.get("_transposed")
+        if transposed is None:
+            transposed = self.matrix.T.tocsr()
+            object.__setattr__(self, "_transposed", transposed)
+        return transposed
+
+    @property
     def stored(self) -> int:
         """Feature entries the matrix stores: ``n * d`` dense, the nonzeros for CSR."""
         return int(self.matrix.size)
@@ -165,11 +187,14 @@ def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_where(upper: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # The numerator picks 1/(1 + e^-z) where ``upper`` (z >= 0) and
-    # e^z/(1 + e^z) below, without masked gathers.  Taking the mask rather
-    # than z spares the margin derivative a negated copy of its margins.
+    # The numerator is 1 where ``upper`` (z >= 0), for 1/(1 + e^-z), and e
+    # below, for e^z/(1 + e^z), without masked gathers.  Taking the mask
+    # rather than z spares the margin derivative a negated copy of its
+    # margins.  e = exp(-|z|) lies in [0, 1], so max(e, upper) is that pick
+    # exactly, without the branch a select mispredicts on margins of random
+    # sign; a NaN z has a NaN e and a false mask, and stays NaN either way.
     # ``e`` is not written.
-    s = np.where(upper, 1.0, e)
+    s = np.maximum(e, upper)
     s /= 1.0 + e
     return s
 
@@ -245,7 +270,7 @@ def batch_gradient(
     x: np.ndarray,
 ) -> np.ndarray:
     """Exact gradient of :func:`batch_loss`."""
-    return _gradient(cfg, *_checked_pass(cfg, data, batch, x))
+    return _gradient(cfg, *_checked_pass(cfg, data, batch, x), None, data if batch is None else None)
 
 
 def loss_and_gradient(
@@ -268,7 +293,7 @@ def _full_pass(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> 
     """:func:`loss_and_gradient` and the margins it came from: the step bracket's pass, whose margins svrg and lissa read."""
     rows, labels, x, margins = _checked_pass(cfg, data, None, x)
     e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
-    return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e), margins
+    return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e, data), margins
 
 
 def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
@@ -314,21 +339,28 @@ def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.
     return _huber_dmargin(margins)
 
 
-def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None) -> np.ndarray:
+def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None, data=None) -> np.ndarray:
     """Batch gradient over gathered rows at ``x`` from :func:`_checked_pass`'s ``margins``.
 
-    A quadratic's gradient is its ``margins``, ``s * x``, when ``reg_a`` is
-    zero: the caller's array, returned as it is.
+    ``data`` is the dataset when ``rows`` are all of its rows: the product
+    ``rows.T @ y`` then takes its :attr:`Dataset.transposed`.  A quadratic's
+    gradient is its ``margins``, ``s * x``, when ``reg_a`` is zero: the
+    caller's array, returned as it is.
     """
     if cfg.loss_kind == "quadratic":
         return margins + cfg.reg_a * x if cfg.reg_a else margins
     y = _margin_derivative(cfg, margins, e)
     y *= labels
-    grad = rows.T @ y
+    grad = (rows.T if data is None else data.transposed) @ y
     grad /= rows.shape[0]
     if cfg.reg_a:
         grad += cfg.reg_a * x
     return grad
+
+
+# The largest curvature weight of each sampled loss, at any margin:
+# sigmoid(m) sigmoid(-m) peaks at 1/4, and Huber's is 0 or 1.
+_CURVATURE_MAX = {"logistic": 0.25, "huber_svm": 1.0}
 
 
 def _curvature_weights(cfg: ObjectiveConfig, margins: np.ndarray):

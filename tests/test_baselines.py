@@ -332,17 +332,58 @@ class TestLissa:
             rel_errs.append(np.linalg.norm(direction - target) / np.linalg.norm(target))
         assert np.median(rel_errs) <= 0.05
 
-    def test_scale_probe_pads_spectral_norm(self):
+    def test_quadratic_scale_pads_its_spectrum(self):
         objective = quadratic([0.5, 2.0])
-        scale = lissa_hessian_scale(objective, None, np.zeros(2), seed=3)
-        assert scale == pytest.approx(2.5, rel=1e-4)
+        assert lissa_hessian_scale(objective, None, np.zeros(2)) == 2.5
 
-    def test_scale_probe_overflow_is_not_zero_curvature(self):
-        # reg_a = 1e300 gives a Hessian of norm ~1e300, whose power-iteration
-        # estimate overflows; that is a non-finite result, not a flat objective.
-        objective = ObjectiveConfig("quadratic", reg_a=1e300, quadratic_spectrum=np.array([0.5, 2.0]))
+    @pytest.mark.parametrize(
+        "objective, data",
+        [
+            (ObjectiveConfig("quadratic", reg_a=1.5e308, quadratic_spectrum=np.array([0.5, 2.0])), None),
+            (ObjectiveConfig("logistic", reg_a=0.1), Dataset(features=np.full((3, 2), 1e200), labels=[1.0, -1.0, 1.0])),
+        ],
+        ids=["regularizer", "features"],
+    )
+    def test_scale_overflow_is_not_zero_curvature(self, objective, data):
+        # A scale beyond the largest float is a non-finite result, not a flat objective.
         with pytest.raises(NonFiniteResult):
-            lissa_hessian_scale(objective, None, np.zeros(2), seed=3)
+            lissa_hessian_scale(objective, data, np.zeros(2))
+
+    @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_scale_bounds_every_sample_hessian(self, storage, loss):
+        # Each sample's Hessian, divided by the scale, has norm at most 1 / 1.25
+        # at any iterate: here at zero and where the longest row's margin is 1,
+        # inside Huber's band, whose curvature weight 1 makes the bound tight.
+        # A scale probed from the full-data Hessian at x0 lay far below it.
+        objective, data = stored_as(storage, loss)
+        squared_norms = np.sum(data.features**2, axis=1)
+        k = int(np.argmax(squared_norms))
+        in_band = data.labels[k] * data.features[k] / squared_norms[k]
+        for x0 in (np.zeros(4), in_band):
+            scale = lissa_hessian_scale(objective, data, x0)
+            for x in (np.zeros(4), in_band):
+                norms = [
+                    np.linalg.eigvalsh(BatchHessian.at(objective, data, [i], x, ANALYTIC).dense())[-1]
+                    for i in range(data.n_samples)
+                ]
+                assert max(norms) <= scale / 1.25 * (1 + 1e-12)
+        if loss == "huber_svm":
+            assert max(norms) == pytest.approx(scale / 1.25, rel=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_huber_at_depth_100_does_not_diverge(self, storage):
+        # From svrg's warm start an eighth of the margins sit in Huber's band,
+        # where a sample's curvature is 1, and a recursion scaled by the
+        # full-data Hessian norm at x0 raised DivergingSeries.
+        data = synth_classification(n=40, d=8, seed=0)
+        if storage == "csr":
+            data = Dataset(features=sparse.csr_array(data.features), labels=data.labels)
+        objective = ObjectiveConfig("huber_svm", reg_a=1e-3)
+        x0, _ = run_svrg(BaselineConfig(method="svrg", eta=0.5, t_max=2, b=1, seed=0), objective, data, np.zeros(8))
+        bl = BaselineConfig(method="lissa", eta=1.0, t_max=3, inner_steps=100, seed=1)
+        _, trace = run_lissa(bl, objective, data, x0)
+        assert trace[-1].loss < batch_loss(objective, data, None, x0)
 
     def test_stochastic_run_converges_on_logistic(self):
         cfg, data = toy_logistic(n=30, d=3, seed=8, reg=0.3)
@@ -355,7 +396,7 @@ class TestLissa:
         cfg, data = stored_as("csr")
         calls = counted_margins(monkeypatch, data)
         run_lissa(BaselineConfig(method="lissa", eta=1.0, t_max=3, s1=2, inner_steps=5, seed=1), cfg, data, np.zeros(4))
-        assert calls["gathered"] == 0 and calls["full"] == 3 + 2
+        assert calls["gathered"] == 0 and calls["full"] == 3 + 1
 
     @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
     @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -493,7 +534,7 @@ class TestSharedTraceContract:
         # one full-data pass and is carried into the next step (svrg's snapshot
         # gradient and margins, and lissa's sample weights, included), so a
         # T-step solve makes T + 1 full-data gradients and margin products: one
-        # per row and the start.  lissa's scale probe at x0 adds one product.
+        # per row and the start.
         cfg, data = toy_logistic(n=30, d=4, seed=11)
         full = []
         real = objectives._gradient
@@ -510,7 +551,7 @@ class TestSharedTraceContract:
             _, trace = runner(method_config(method, t_max=5, seed=2), cfg, data, np.zeros(4))
             assert len(trace) == 5, method
             assert sum(full) == 6, method
-            assert margins["full"] == 6 + (method == "lissa"), method
+            assert margins["full"] == 6, method
 
     @pytest.mark.parametrize("method", ["gd", "svrg", "newsamp", "lissa", "span"])
     def test_rows_equal_fresh_loss_and_gradient(self, method):

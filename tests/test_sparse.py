@@ -1,6 +1,8 @@
 """CSR features: agreement with dense storage, and scipy kept off the dense paths."""
 
 import collections
+import copy
+import dataclasses
 import io
 import math
 import os
@@ -208,6 +210,63 @@ class TestObjectives:
         np.testing.assert_allclose(h_csr @ block[:, 0], h_dense @ block[:, 0], **tol)
         close(h_csr.dense(), h_dense.dense())
         np.testing.assert_array_equal(h_csr.dense(), h_csr.dense().T)
+
+
+def stores_nothing_in_some_rows_and_columns(n, d, seed):
+    """A random CSR dataset whose row 0, where n > 1, and column 0, where d > 1, store nothing."""
+    matrix = sparse_features(n, d, seed, density=0.6, empty_rows=(0,) if n > 1 else ()).toarray()
+    if d > 1:
+        matrix[:, 0] = 0.0
+    matrix[-1, -1] = 1.5  # so the matrix stores something
+    return Dataset(features=sparse.csr_array(matrix), labels=labels_for(n, seed))
+
+
+class TestStoredTranspose:
+    """A CSR dataset's full-data products ``rows.T @ y`` go through one stored CSR transpose."""
+
+    @pytest.mark.parametrize("n, d", [(40, 9), (1, 6), (25, 1)], ids=["random", "n=1", "d=1"])
+    @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
+    def test_full_gradients_are_the_transposed_product_bit_for_bit(self, n, d, loss):
+        data = stores_nothing_in_some_rows_and_columns(n, d, seed=n + d)
+        cfg = ObjectiveConfig(loss, reg_a=0.05)
+        x = np.random.default_rng(3).standard_normal(d)
+        margins = data.labels * (data.matrix @ x)
+        y = _margin_derivative(cfg, margins) * data.labels
+        expected = data.matrix.T @ y  # scipy's product on the transposed view
+        expected /= n
+        expected += cfg.reg_a * x
+        assert _full_pass(cfg, data, x)[1].tobytes() == expected.tobytes()
+        assert batch_gradient(cfg, data, None, x).tobytes() == expected.tobytes()
+        assert data.transposed.format == "csr"
+        np.testing.assert_array_equal(data.transposed.toarray(), data.features.T)
+
+    def test_passes_and_methods_reuse_one_transpose(self):
+        cfg, _, data = both_formats(n=40, d=8, seed=9)
+        x0 = np.zeros(data.dim)
+        _full_pass(cfg, data, x0)
+        transposed = data.transposed
+        _full_pass(cfg, data, np.ones(data.dim))
+        TestSolversNeverDensify.RUNS["span"](cfg, data, x0)
+        TestSolversNeverDensify.RUNS["svrg"](cfg, data, x0)
+        assert data.transposed is transposed
+
+    def test_dense_data_build_none(self):
+        cfg, data, _ = both_formats(n=40, d=8, seed=9)
+        x0 = np.zeros(data.dim)
+        _full_pass(cfg, data, x0)
+        batch_gradient(cfg, data, None, x0)
+        TestSolversNeverDensify.RUNS["span"](cfg, data, x0)
+        assert vars(data).keys() == {"matrix", "labels"}
+        assert data.transposed.base is data.matrix
+
+    def test_the_transpose_is_no_field_and_takes_no_part_in_equality(self):
+        _, _, data = both_formats()
+        bare = copy.copy(data)
+        data.transposed  # built and kept on ``data`` alone
+        assert [f.name for f in dataclasses.fields(data)] == ["matrix", "labels"]
+        assert "_transposed" in vars(data) and "_transposed" not in vars(bare)
+        assert data == bare and bare == data
+        assert repr(data) == repr(bare)
 
 
 class TestGatheredBatches:
