@@ -40,8 +40,6 @@ from .objectives import (
     BatchHessian,
     Dataset,
     ObjectiveConfig,
-    batch_gradient,
-    batch_loss,
     loss_and_gradient,
     sample_batch,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "TraceRecord",
     "apply_inverse",
     "assemble_subspace",
-    "batch_gradient",
-    "batch_loss",
     "build_subspace",
     "gaussian_matrix",
     "hessian_error_probe",

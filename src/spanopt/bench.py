@@ -68,14 +68,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _get(values: dict[str, str], key: str, default=None, required: bool = False) -> Optional[str]:
-    if key in values:
-        return values[key]
-    if required:
-        raise ConfigError(f"missing required config key {key!r}")
-    return default
-
-
 def _as_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -182,7 +174,9 @@ def _decode_section(values: dict[str, str], section: str, seed: Optional[int] = 
         name = _config_key(section, key)
         if default is _RUN_SEED:
             default = str(seed)
-        text = _get(values, name, default, required=default is _REQUIRED)
+        text = values.get(name, default)
+        if text is _REQUIRED:
+            raise ConfigError(f"missing required config key {name!r}")
         if text is not None:
             try:
                 kwargs[_FIELDS.get(key, key)] = convert(text)

@@ -39,9 +39,10 @@ _GRAM_TRACE_MAX = 2.0**600
 _HOUSEHOLDER_MAX_ENTRIES = 4096
 _POWER_MAX_ITERS = 20_000
 # Largest norm estimate spectral_norm_sym reports, the mirror of its 1e-300
-# zero floor: callers pad the estimate (lissa multiplies it by 1.25) and
-# difference operators sum terms of its size, so a larger one counts as
-# overflow.
+# zero floor.  Its one caller, the Hessian-error probe, applies a difference
+# operator that subtracts terms of about the estimate's size (the projected
+# product, lambda times the complement, H_B v); a larger estimate leaves them
+# little room below the float maximum, so it counts as overflow.
 _NORM_LIMIT = 1e300
 
 
@@ -223,7 +224,8 @@ def spectral_norm_sym(
     overflows, the norm is taken of ``A v`` scaled by its largest entry.  An
     estimate that is NaN, infinite (``A`` returned NaN/Inf) or above 1e300
     raises :class:`NonFiniteResult` at once, since normalizing by it would
-    turn the iterate to zero or NaN, or leave callers no room to scale it.
+    turn the iterate to zero or NaN, or leave the probe's difference terms no
+    room below overflow.
     """
     v = gaussian_matrix(d, 1, seed)[:, 0]
     norm_v = float(np.linalg.norm(v))

@@ -1,11 +1,12 @@
-"""Finite-sum objectives: batch loss and gradient, and the batch Hessian operator.
+"""Finite-sum objectives: one loss oracle, and the batch Hessian operator.
 
 Three loss kinds share one interface: L2-regularized logistic regression,
 the smoothed Huber SVM margin loss, and synthetic quadratics with a
 prescribed diagonal spectrum.  The quadratic kind carries no samples (batch
 arguments are ignored) and exists as the controlled-spectrum test bed.  The
 regularizer ``(a/2)||x||^2`` sits outside the sample mean, so it contributes
-in full to every batch quantity.
+in full to every batch quantity.  :func:`loss_and_gradient` is the one loss
+oracle: the loss over every row or over a batch, and its exact gradient.
 
 A :class:`Dataset` stores its features dense or as ``scipy.sparse`` CSR.
 Every sampled computation reads them through :func:`_batch_rows` and the
@@ -19,13 +20,13 @@ Each pass forms one per-pass quantity that its loss and gradient share: the
 margins ``m = labels * (rows @ x)`` of a sampled kind, or a quadratic's one
 product ``s * x`` with its spectrum ``s``, from which the loss is
 ``0.5 * x @ (s * x)`` and the gradient is ``s * x`` itself.  The logistic
-full-data pass takes one ``exp`` per sample: the loss terms
+pass takes one ``exp`` per sample: the loss terms
 ``max(-m, 0) + log1p(e)`` and the margin derivative ``-sigmoid(-m)`` both
 come from the same ``e = exp(-|m|)`` of each margin ``m``.  A zero
 regularizer costs nothing: ``x @ x`` and ``a * x`` are taken only when
 ``a != 0``, and a quadratic's Hessian diagonal is then its spectrum.
 
-The per-sample kernels (the full pass, :class:`BatchHessian` products, the
+The per-sample kernels (the loss pass, :class:`BatchHessian` products, the
 margin derivative and the curvature weights) write their elementwise steps
 in place, into arrays they allocated themselves, and never into an array a
 caller passed in.  Each element still takes the same IEEE operations in the
@@ -217,14 +218,21 @@ def _check_x(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> np
 
 
 def _batch_rows(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndarray]) -> tuple:
-    """The batch's feature rows and labels; quadratics carry no samples."""
+    """The batch's feature rows and labels; quadratics carry no samples.
+
+    ``batch`` is None for every row, or a nonempty 1-D array of integer row
+    indices in ``[0, n)``; an empty one raises :class:`BatchTooLarge`, and
+    anything else :class:`DimensionMismatch`, never a wrapped or rounded row.
+    """
     if cfg.loss_kind == "quadratic":
         return None, None
     if batch is None:
         return data.matrix, data.labels
-    batch = np.asarray(batch, dtype=int)
+    batch = np.asarray(batch)
     if batch.size == 0:
         raise BatchTooLarge("batch must be nonempty")
+    if batch.ndim != 1 or batch.dtype.kind not in "iu" or batch.min() < 0 or batch.max() >= data.n_samples:
+        raise DimensionMismatch(f"batch must be a 1-D array of integer row indices in [0, {data.n_samples})")
     return data.matrix[batch], data.labels[batch]
 
 
@@ -245,55 +253,48 @@ def _huber_curvature(margins: np.ndarray) -> np.ndarray:
     return ((margins >= 0.5) & (margins < 1.5)).astype(float)
 
 
-def _checked_pass(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndarray], x: np.ndarray) -> tuple:
-    """The batch's rows and labels, the checked ``x``, and the margins (a quadratic's ``spectrum * x``)."""
-    x = _check_x(cfg, data, x)
-    rows, labels = _batch_rows(cfg, data, batch)
-    return rows, labels, x, cfg.quadratic_spectrum * x if rows is None else _margins(rows, labels, x)
-
-
-def batch_loss(
-    cfg: ObjectiveConfig,
-    data: Optional[Dataset],
-    batch: Optional[np.ndarray],
-    x: np.ndarray,
-) -> float:
-    """Mean loss over the batch plus the full regularizer ``(a/2)||x||^2``."""
-    _, _, x, margins = _checked_pass(cfg, data, batch, x)
-    return _loss(cfg, x, margins)
-
-
-def batch_gradient(
-    cfg: ObjectiveConfig,
-    data: Optional[Dataset],
-    batch: Optional[np.ndarray],
-    x: np.ndarray,
-) -> np.ndarray:
-    """Exact gradient of :func:`batch_loss`."""
-    return _gradient(cfg, *_checked_pass(cfg, data, batch, x), None, data if batch is None else None)
-
-
 def loss_and_gradient(
     cfg: ObjectiveConfig,
     data: Optional[Dataset],
     x: np.ndarray,
+    batch: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
-    """Full-data loss and gradient at ``x`` from one pass over the data.
+    """The mean loss over ``batch`` plus the full regularizer ``(a/2)||x||^2``, and its exact gradient.
 
-    Equal bit for bit to ``batch_loss`` and ``batch_gradient`` with
-    ``batch=None``: both come from the same per-pass quantity (the margins,
-    or a quadratic's ``s * x``) by the same arithmetic.  For logistic loss
-    the pass takes one ``exp`` per sample, ``exp(-|m|)`` of each margin,
-    which the loss and the margin derivative share.
+    ``batch`` None means every row.  Both come from one pass over the batch's
+    margins, or a quadratic's ``s * x``; a quadratic ignores ``batch``.
     """
-    return _full_pass(cfg, data, x)[:2]
+    return _pass(cfg, data, batch, x)[:2]
 
 
-def _full_pass(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> tuple:
-    """:func:`loss_and_gradient` and the margins it came from: the step bracket's pass, whose margins svrg and lissa read."""
-    rows, labels, x, margins = _checked_pass(cfg, data, None, x)
-    e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
-    return _loss(cfg, x, margins, e), _gradient(cfg, rows, labels, x, margins, e, data), margins
+def _pass(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndarray], x: np.ndarray) -> tuple:
+    """:func:`loss_and_gradient` and the margins it came from (a quadratic's ``s * x``).
+
+    The step bracket takes it with ``batch=None``; svrg and lissa read its
+    margins.  A full-data ``rows.T @ y`` takes :attr:`Dataset.transposed`.
+    A zero ``reg_a`` adds nothing, so an overflowing ``x @ x`` cannot turn
+    the loss into ``0 * inf = nan``, and a quadratic's gradient is then its
+    ``s * x``, the returned margins themselves.
+    """
+    x = _check_x(cfg, data, x)
+    rows, labels = _batch_rows(cfg, data, batch)
+    if rows is None:
+        margins = cfg.quadratic_spectrum * x
+        loss = 0.5 * float(x @ margins)
+        grad = margins + cfg.reg_a * x if cfg.reg_a else margins
+    else:
+        margins = _margins(rows, labels, x)
+        e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
+        loss = _mean_loss(margins, e)
+        y = _margin_derivative(cfg, margins, e)
+        y *= labels
+        grad = (data.transposed if batch is None else rows.T) @ y
+        grad /= rows.shape[0]
+        if cfg.reg_a:
+            grad += cfg.reg_a * x
+    if cfg.reg_a:
+        loss += 0.5 * cfg.reg_a * float(x @ x)
+    return loss, grad, margins
 
 
 def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
@@ -303,28 +304,15 @@ def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
     return margins
 
 
-def _loss(cfg: ObjectiveConfig, x: np.ndarray, margins: np.ndarray, e=None) -> float:
-    """Mean loss plus regularizer from :func:`_checked_pass`'s ``margins`` (``s * x`` for a quadratic).
-
-    ``e`` is ``exp(-|margins|)`` when the caller has it.  A zero ``reg_a``
-    adds nothing, so an overflowing ``x @ x`` cannot turn the loss into
-    ``0 * inf = nan``.
-    """
-    if cfg.loss_kind == "quadratic":
-        loss = 0.5 * float(x @ margins)
-    elif cfg.loss_kind == "logistic":
-        # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), with no overflow.
-        if e is None:
-            e = _exp_neg_abs(margins)
-        terms = np.negative(margins)
-        np.maximum(terms, 0.0, out=terms)
-        terms += np.log1p(e)
-        loss = float(np.mean(terms))
-    else:
-        loss = float(np.mean(_huber_loss_terms(margins)))
-    if cfg.reg_a:
-        loss += 0.5 * cfg.reg_a * float(x @ x)
-    return loss
+def _mean_loss(margins: np.ndarray, e: Optional[np.ndarray]) -> float:
+    """Mean per-sample loss at ``margins``: logistic with ``e = exp(-|margins|)``, Huber with ``e`` None."""
+    if e is None:
+        return float(np.mean(_huber_loss_terms(margins)))
+    # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), with no overflow.
+    terms = np.negative(margins)
+    np.maximum(terms, 0.0, out=terms)
+    terms += np.log1p(e)
+    return float(np.mean(terms))
 
 
 def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.ndarray:
@@ -337,25 +325,6 @@ def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.
         s = _sigmoid_where(margins <= 0.0, _exp_neg_abs(margins) if e is None else e)
         return np.negative(s, out=s)
     return _huber_dmargin(margins)
-
-
-def _gradient(cfg: ObjectiveConfig, rows, labels, x: np.ndarray, margins, e=None, data=None) -> np.ndarray:
-    """Batch gradient over gathered rows at ``x`` from :func:`_checked_pass`'s ``margins``.
-
-    ``data`` is the dataset when ``rows`` are all of its rows: the product
-    ``rows.T @ y`` then takes its :attr:`Dataset.transposed`.  A quadratic's
-    gradient is its ``margins``, ``s * x``, when ``reg_a`` is zero: the
-    caller's array, returned as it is.
-    """
-    if cfg.loss_kind == "quadratic":
-        return margins + cfg.reg_a * x if cfg.reg_a else margins
-    y = _margin_derivative(cfg, margins, e)
-    y *= labels
-    grad = (rows.T if data is None else data.transposed) @ y
-    grad /= rows.shape[0]
-    if cfg.reg_a:
-        grad += cfg.reg_a * x
-    return grad
 
 
 # The largest curvature weight of each sampled loss, at any margin:

@@ -44,7 +44,7 @@ from .objectives import (
     BatchHessian,
     Dataset,
     ObjectiveConfig,
-    _full_pass,
+    _pass,
     draw_batch,
 )
 from .rangefinder import power_range
@@ -280,9 +280,9 @@ def _step(
     start = time.perf_counter()
     grad, margins = state.grad, state.margins
     if grad is None or margins is None:
-        _, grad, margins = _full_pass(objective, data, state.x)
+        _, grad, margins = _pass(objective, data, None, state.x)
     x, lambda_used, subspace, probe = update(state.t, state.x, grad, margins)
-    loss, grad, margins = _full_pass(objective, data, x)
+    loss, grad, margins = _pass(objective, data, None, x)
     elapsed = state.elapsed_s + (time.perf_counter() - start)
     t = state.t + 1
     # np.linalg.norm's own arithmetic for a vector, without its argument handling.

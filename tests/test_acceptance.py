@@ -17,10 +17,9 @@ from spanopt import (
     SpanConfig,
     SpanState,
     apply_inverse,
-    batch_gradient,
-    batch_loss,
     build_subspace,
     hessian_error_probe,
+    loss_and_gradient,
     min_power_iterations,
     run_span,
     sample_batch,
@@ -31,7 +30,7 @@ from spanopt.baselines import neumann_inverse_apply, newsamp_inverse
 from spanopt.bench import load_experiment_config, read_trace_csv, per_iteration_scaling, run_experiment
 from spanopt.datasets import synth_classification
 from spanopt.linalg import sym_eig_small
-from spanopt.objectives import _full_pass, _margin_derivative, batch_gradient_difference, gathered_batches
+from spanopt.objectives import _margin_derivative, _pass, batch_gradient_difference, gathered_batches
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -48,7 +47,7 @@ def quadratic(spectrum):
 def newton_optimum(cfg, data, d, tol=1e-12):
     x = np.zeros(d)
     for _ in range(100):
-        g = batch_gradient(cfg, data, None, x)
+        g = loss_and_gradient(cfg, data, x)[1]
         if np.linalg.norm(g) <= tol:
             break
         x = x - np.linalg.solve(BatchHessian.at(cfg, data, None, x, ANALYTIC).dense(), g)
@@ -218,7 +217,7 @@ def test_criterion_6_convergence_race(tmp_path):
     # its iteration count.
     objective, data = desk_problem()
     x_star = newton_optimum(objective, data, 100)
-    f_star = batch_loss(objective, data, None, x_star)
+    f_star = loss_and_gradient(objective, data, x_star)[0]
 
     cfg = load_experiment_config(CONFIG_DIR / "desk-logistic.cfg")
     cfg.output_dir = tmp_path / "desk"
@@ -306,7 +305,7 @@ def test_criterion_8_oracle_equivalences():
     cfg = ObjectiveConfig("logistic", reg_a=0.1)
     snapshot = rng.standard_normal(4)
     # The snapshot's gradient and margins come from the step bracket's one full-data pass.
-    _, mu, margins = _full_pass(cfg, data, snapshot)
+    _, mu, margins = _pass(cfg, data, None, snapshot)
     derivatives = _margin_derivative(cfg, margins)
     batch = np.array([1, 5, 9])
     ((rows, labels),) = gathered_batches(cfg, data, batch[None])

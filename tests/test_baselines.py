@@ -14,8 +14,7 @@ from spanopt import (
     Dataset,
     ObjectiveConfig,
     SpanConfig,
-    batch_gradient,
-    batch_loss,
+    loss_and_gradient,
     run_gd,
     run_lissa,
     run_newsamp,
@@ -184,7 +183,7 @@ class TestSvrg:
         snapshot = np.array([0.3, -0.7])
         # A run_svrg step's estimate, over the rows of one gathered batch, from
         # the snapshot's gradient and margins of the step bracket's full-data pass.
-        _, mu, margins = objectives._full_pass(cfg, data, snapshot)
+        _, mu, margins = objectives._pass(cfg, data, None, snapshot)
         derivatives = objectives._margin_derivative(cfg, margins)
         batch = np.array([2, 5, 11])
         ((rows, labels),) = objectives.gathered_batches(cfg, data, batch[None])
@@ -199,7 +198,7 @@ class TestSvrg:
         x_svrg, _ = run_svrg(bl, cfg, data, np.zeros(2))
         x_gd = np.zeros(2)
         for _ in range(8):  # 2 epochs x 4 inner steps
-            x_gd = x_gd - 0.3 * batch_gradient(cfg, data, None, x_gd)
+            x_gd = x_gd - 0.3 * loss_and_gradient(cfg, data, x_gd)[1]
         np.testing.assert_allclose(x_svrg, x_gd, atol=1e-12)
 
     def test_toy_logistic_converges_with_tuned_step(self):
@@ -322,7 +321,7 @@ class TestLissa:
         spectrum = np.array([0.2, 0.35, 0.5, 0.7, 0.9])
         objective = quadratic(spectrum)
         x0 = np.array([1.0, -1.0, 2.0, 0.5, -0.3])
-        g = batch_gradient(objective, None, None, x0)
+        g = loss_and_gradient(objective, None, x0)[1]
         target = g / spectrum
         rel_errs = []
         for seed in range(50):
@@ -383,7 +382,7 @@ class TestLissa:
         x0, _ = run_svrg(BaselineConfig(method="svrg", eta=0.5, t_max=2, b=1, seed=0), objective, data, np.zeros(8))
         bl = BaselineConfig(method="lissa", eta=1.0, t_max=3, inner_steps=100, seed=1)
         _, trace = run_lissa(bl, objective, data, x0)
-        assert trace[-1].loss < batch_loss(objective, data, None, x0)
+        assert trace[-1].loss < loss_and_gradient(objective, data, x0)[0]
 
     def test_stochastic_run_converges_on_logistic(self):
         cfg, data = toy_logistic(n=30, d=3, seed=8, reg=0.3)
@@ -537,13 +536,13 @@ class TestSharedTraceContract:
         # per row and the start.
         cfg, data = toy_logistic(n=30, d=4, seed=11)
         full = []
-        real = objectives._gradient
+        transposed = Dataset.transposed  # read by each full-data gradient product
 
-        def counting(objective, rows, *rest):
-            full.append(rows is data.features)
-            return real(objective, rows, *rest)
+        def counting(dataset):
+            full.append(dataset is data)
+            return transposed.fget(dataset)
 
-        monkeypatch.setattr(objectives, "_gradient", counting)
+        monkeypatch.setattr(Dataset, "transposed", property(counting))
         margins = counted_margins(monkeypatch, data)
         for method, runner in RUNNERS.items():
             full.clear()
@@ -555,13 +554,13 @@ class TestSharedTraceContract:
 
     @pytest.mark.parametrize("method", ["gd", "svrg", "newsamp", "lissa", "span"])
     def test_rows_equal_fresh_loss_and_gradient(self, method):
-        # Each row's loss and gradient norm are those of batch_loss and
-        # batch_gradient at the iterate the row reports, bit for bit.
+        # Each row's loss and gradient norm are those of loss_and_gradient
+        # at the iterate the row reports, bit for bit.
         cfg, data = toy_logistic(n=24, d=4, seed=12)
         for t_max in (1, 2, 3):
             x, trace = RUNNERS[method](method_config(method, t_max=t_max, seed=4), cfg, data, np.zeros(4))
-            assert trace[-1].loss == batch_loss(cfg, data, None, x)
-            assert trace[-1].grad_norm == float(np.linalg.norm(batch_gradient(cfg, data, None, x)))
+            assert trace[-1].loss == loss_and_gradient(cfg, data, x)[0]
+            assert trace[-1].grad_norm == float(np.linalg.norm(loss_and_gradient(cfg, data, x)[1]))
 
     def test_diverging_step_raises(self):
         # gd's first iterate overflows: the run wrote rows (inf, inf), then
@@ -578,7 +577,7 @@ class TestSharedTraceContract:
         bl = BaselineConfig(method="newsamp", eta=1.0, t_max=1, m=2, seed=0)
         with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
             x, trace = run_newsamp(bl, cfg, data, np.ones(8))
-        g = batch_gradient(cfg, data, None, x)
+        g = loss_and_gradient(cfg, data, x)[1]
         peak = np.abs(g).max()
         assert np.isfinite(trace[0].loss) and np.isfinite(trace[0].grad_norm)
         assert trace[0].grad_norm == peak * np.linalg.norm(g / peak)
@@ -598,4 +597,4 @@ class TestSharedTraceContract:
         assert [r._replace(wall_clock_s=0.0) for r in trace] == [
             r._replace(wall_clock_s=0.0) for r in full[: stop + 1]
         ]
-        assert trace[-1].loss == batch_loss(cfg, data, None, x)
+        assert trace[-1].loss == loss_and_gradient(cfg, data, x)[0]

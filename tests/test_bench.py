@@ -165,19 +165,20 @@ class TestConfigParsing:
         # each dataset kind and builds every method's config; that set is the
         # accepted one, so no read key is refused and no accepted key is ignored.
         read = set()
-        real_get = bench._get
 
-        def recording_get(values, key, *args, **kwargs):
-            read.add(key)
-            return real_get(values, key, *args, **kwargs)
+        class RecordingValues(dict):
+            def get(self, key, *args):
+                read.add(key)
+                return super().get(key, *args)
 
-        monkeypatch.setattr(bench, "_get", recording_get)
+        real_parse = bench.parse_config_text
+        monkeypatch.setattr(bench, "parse_config_text", lambda text: RecordingValues(real_parse(text)))
         data = tmp_path / "data.libsvm"
         data.write_text(_LIBSVM_TEXT)
         for base in _BASES.values():
             text = base.replace("{data}", str(data)) + _METHOD_LINES + f"output_dir = {tmp_path / 'out'}\n"
             load_experiment_config(write_cfg(tmp_path, text))
-            values = parse_config_text(text)
+            values = RecordingValues(parse_config_text(text))
             for method in KNOWN_METHODS:
                 build_method_config(values, method, seed=0)
         assert read == CONFIG_KEYS

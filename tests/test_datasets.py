@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanopt import ANALYTIC, BatchHessian, Dataset, batch_gradient
+from spanopt import ANALYTIC, BatchHessian, Dataset, loss_and_gradient
 from spanopt import datasets
 from spanopt.datasets import (
     RawExample,
@@ -399,7 +399,7 @@ class TestSyntheticProblems:
 
     def test_optimum_has_zero_gradient(self):
         cfg, x_star = synth_quadratic([0.5, 4.0])
-        np.testing.assert_array_equal(batch_gradient(cfg, None, None, x_star), np.zeros(2))
+        np.testing.assert_array_equal(loss_and_gradient(cfg, None, x_star)[1], np.zeros(2))
 
     def test_geometric_condition_number(self):
         r = 1.5

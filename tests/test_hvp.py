@@ -10,7 +10,7 @@ from spanopt import (
     BatchHessian,
     HvpMode,
     ObjectiveConfig,
-    batch_gradient,
+    loss_and_gradient,
 )
 from spanopt.errors import DimensionMismatch, NonFiniteResult
 
@@ -213,8 +213,8 @@ class TestFiniteDifferenceBlock:
             norm = np.linalg.norm(block[:, j])
             if norm > 0.0:
                 s = block[:, j] * (step / norm)
-                plus = batch_gradient(cfg, data, batch, x + s)
-                minus = batch_gradient(cfg, data, batch, x - s)
+                plus = loss_and_gradient(cfg, data, x + s, batch)[1]
+                minus = loss_and_gradient(cfg, data, x - s, batch)[1]
                 expected[:, j] = (plus - minus) * (norm / (2.0 * step))
         result = BatchHessian.at(cfg, data, batch, x, CENTRAL_FD) @ block
         np.testing.assert_array_equal(result[:, 2], np.zeros(12))

@@ -25,8 +25,8 @@ from spanopt import (
 )
 from spanopt.objectives import (
     _curvature_weights,
-    _full_pass,
     _margin_derivative,
+    _pass,
     batch_gradient_difference,
     gathered_batches,
 )
@@ -64,7 +64,7 @@ def snapshot(arrays):
 
 def gathered_operator(cfg, data, batch, x):
     """The analytic operator over ``batch``'s gathered rows, built as run_lissa builds each sample's."""
-    _, _, margins = _full_pass(cfg, data, x)
+    _, _, margins = _pass(cfg, data, None, x)
     ((rows, labels, weights),) = gathered_batches(cfg, data, batch[None], _curvature_weights(cfg, margins))
     return BatchHessian(cfg, x, rows, labels, weights)
 

@@ -11,8 +11,6 @@ from spanopt import (
     BatchHessian,
     Dataset,
     ObjectiveConfig,
-    batch_gradient,
-    batch_loss,
     loss_and_gradient,
     sample_batch,
 )
@@ -116,45 +114,46 @@ class TestStableSigmoid:
 class TestBatchLoss:
     def test_logistic_at_zero_is_log_two(self):
         cfg, data = toy_logistic(reg=0.0)
-        assert batch_loss(cfg, data, None, np.zeros(5)) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert loss_and_gradient(cfg, data, np.zeros(5))[0] == pytest.approx(math.log(2.0), abs=1e-12)
         some_batch = np.array([0, 3, 7])
-        assert batch_loss(cfg, data, some_batch, np.zeros(5)) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert loss_and_gradient(cfg, data, np.zeros(5), some_batch)[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_huber_branches(self):
         cfg = ObjectiveConfig("huber_svm")
         data = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
         for margin, expected in ((2.0, 0.0), (1.0, 0.125), (0.0, 1.0)):
-            assert batch_loss(cfg, data, None, np.array([margin])) == pytest.approx(expected, abs=1e-15)
+            assert loss_and_gradient(cfg, data, np.array([margin]))[0] == pytest.approx(expected, abs=1e-15)
 
     def test_huber_boundary_continuity(self):
         cfg = ObjectiveConfig("huber_svm")
         data = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
         for boundary in (0.5, 1.5):
-            below = batch_loss(cfg, data, None, np.array([boundary - 1e-9]))
-            at = batch_loss(cfg, data, None, np.array([boundary]))
-            above = batch_loss(cfg, data, None, np.array([boundary + 1e-9]))
+            below = loss_and_gradient(cfg, data, np.array([boundary - 1e-9]))[0]
+            at = loss_and_gradient(cfg, data, np.array([boundary]))[0]
+            above = loss_and_gradient(cfg, data, np.array([boundary + 1e-9]))[0]
             assert abs(below - at) < 1e-8 and abs(above - at) < 1e-8
 
     def test_quadratic_value(self):
-        assert batch_loss(QUAD123, None, None, np.ones(3)) == pytest.approx(3.0, abs=1e-15)
+        assert loss_and_gradient(QUAD123, None, np.ones(3))[0] == pytest.approx(3.0, abs=1e-15)
 
     def test_logistic_stable_at_large_margins(self):
         cfg, data = toy_logistic(reg=0.0)
-        loss = batch_loss(cfg, data, None, 1e3 * np.ones(5))
+        loss = loss_and_gradient(cfg, data, 1e3 * np.ones(5))[0]
         assert np.isfinite(loss)
 
     def test_dimension_mismatch(self):
         cfg, data = toy_logistic()
         with pytest.raises(DimensionMismatch):
-            batch_loss(cfg, data, None, np.zeros(4))
+            loss_and_gradient(cfg, data, np.zeros(4))
 
     def test_batch_additivity(self):
         cfg, data = toy_logistic(n=16, reg=0.3)
         x = np.full(5, 0.4)
         b1, b2 = np.arange(8), np.arange(8, 16)
-        combined = batch_loss(cfg, data, np.arange(16), x)
+        combined = loss_and_gradient(cfg, data, x, np.arange(16))[0]
         reg = 0.5 * cfg.reg_a * float(x @ x)
-        halves = 0.5 * ((batch_loss(cfg, data, b1, x) - reg) + (batch_loss(cfg, data, b2, x) - reg)) + reg
+        half_losses = [loss_and_gradient(cfg, data, x, b)[0] - reg for b in (b1, b2)]
+        halves = 0.5 * (half_losses[0] + half_losses[1]) + reg
         assert combined == pytest.approx(halves, abs=1e-12)
 
 
@@ -162,9 +161,7 @@ class TestCheckedPass:
     """The point and batch checks that every objective pass makes first."""
 
     ENTRIES = {
-        "batch_loss": lambda cfg, data, batch, x: batch_loss(cfg, data, batch, x),
-        "batch_gradient": lambda cfg, data, batch, x: batch_gradient(cfg, data, batch, x),
-        "loss_and_gradient": lambda cfg, data, batch, x: loss_and_gradient(cfg, data, x),
+        "loss_and_gradient": lambda cfg, data, batch, x: loss_and_gradient(cfg, data, x, batch),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -182,21 +179,36 @@ class TestCheckedPass:
         with pytest.raises(error, match=message):
             self.ENTRIES[entry](cfg, None, None, x)
 
-    @pytest.mark.parametrize("entry", ["batch_loss", "batch_gradient"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_empty_batch_raises(self, entry):
         cfg, data = toy_logistic()
         with pytest.raises(BatchTooLarge, match="nonempty"):
             self.ENTRIES[entry](cfg, data, np.array([], dtype=int), np.zeros(5))
 
+    # Each was read as a row: -1 wrapped to the last, 0.7 rounded down to
+    # the first, and a 2-D batch gathered a block; 3 ended in an IndexError.
+    @pytest.mark.parametrize(
+        "batch", [[-1], [0.7], [[0, 1]], [3]], ids=["negative", "fractional", "two-dimensional", "past-the-end"]
+    )
+    @pytest.mark.parametrize("gather", ["loss_and_gradient", "BatchHessian.at"])
+    def test_batch_of_anything_but_row_indices_is_refused(self, gather, batch):
+        cfg, data = toy_logistic(n=3)
+        call = {
+            "loss_and_gradient": lambda: loss_and_gradient(cfg, data, np.zeros(5), np.array(batch)),
+            "BatchHessian.at": lambda: BatchHessian.at(cfg, data, np.array(batch), np.zeros(5), ANALYTIC),
+        }[gather]
+        with pytest.raises(DimensionMismatch, match=r"integer row indices in \[0, 3\)"):
+            call()
+
 
 class TestBatchGradient:
     def test_quadratic_gradient(self):
-        np.testing.assert_allclose(batch_gradient(QUAD123, None, None, np.ones(3)), [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(loss_and_gradient(QUAD123, None, np.ones(3))[1], [1.0, 2.0, 3.0])
 
     def test_logistic_at_zero(self):
         cfg, data = toy_logistic(reg=0.0)
         expected = -0.5 * data.features.T @ data.labels / data.n_samples
-        np.testing.assert_allclose(batch_gradient(cfg, data, None, np.zeros(5)), expected, atol=1e-14)
+        np.testing.assert_allclose(loss_and_gradient(cfg, data, np.zeros(5))[1], expected, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic"])
     def test_matches_central_difference(self, kind):
@@ -211,27 +223,33 @@ class TestBatchGradient:
             batch = None
             if data is not None:
                 batch = np.sort(rng.choice(30, size=10, replace=False))
-            grad = batch_gradient(cfg, data, batch, x)
-            fd = central_difference_gradient(lambda z: batch_loss(cfg, data, batch, z), x)
+            grad = loss_and_gradient(cfg, data, x, batch)[1]
+            fd = central_difference_gradient(lambda z: loss_and_gradient(cfg, data, z, batch)[0], x)
             denom = max(np.linalg.norm(grad), 1e-8)
             assert np.linalg.norm(grad - fd) <= 1e-5 * denom
 
 
 class TestLossAndGradient:
-    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic"])
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm"])
     def test_bit_identical_to_separate_calls(self, kind):
+        # A call on a batch gives the bits of a separate call on the batch's rows
+        # as a dataset of their own, whose pass takes Dataset.transposed: for CSR
+        # rows a stored transpose whose row products add the same terms in the
+        # same order.
+        from scipy import sparse
+
         rng = np.random.default_rng(12)
-        if kind == "quadratic":
-            cfg = ObjectiveConfig(kind, reg_a=0.1, quadratic_spectrum=rng.uniform(0.5, 3.0, size=6))
-            data = None
-        else:
-            _, data = toy_logistic(n=30, d=6, seed=9)
-            cfg = ObjectiveConfig(kind, reg_a=0.1)
-        for scale in (0.0, 0.3, 3.0, 40.0):  # every Huber branch, and logistic saturation
-            x = scale * rng.standard_normal(6)
-            loss, grad = loss_and_gradient(cfg, data, x)
-            assert loss == batch_loss(cfg, data, None, x)
-            assert np.array_equal(grad, batch_gradient(cfg, data, None, x))
+        _, dense = toy_logistic(n=30, d=6, seed=9)
+        for data in (dense, Dataset(sparse.csr_array(dense.features * (rng.random((30, 6)) < 0.5)), dense.labels)):
+            for reg in (0.0, 0.1):
+                cfg = ObjectiveConfig(kind, reg_a=reg)
+                for scale in (0.0, 0.3, 3.0, 40.0):  # every Huber branch, and logistic saturation
+                    x = scale * rng.standard_normal(6)
+                    batch = np.sort(rng.choice(30, size=10, replace=False))
+                    loss, grad = loss_and_gradient(cfg, data, x, batch)
+                    alone_loss, alone_grad = loss_and_gradient(cfg, Dataset(data.matrix[batch], data.labels[batch]), x)
+                    assert loss == alone_loss
+                    assert grad.tobytes() == alone_grad.tobytes()
 
     def test_checks_dimension(self):
         cfg, data = toy_logistic()
@@ -252,14 +270,14 @@ class TestQuadraticPass:
             expected_loss = 0.5 * float(x @ (s * x)) + 0.5 * reg * float(x @ x)
             expected_grad = s * x + reg * x
             loss, grad = loss_and_gradient(cfg, None, x)
-            assert loss == batch_loss(cfg, None, None, x) == expected_loss
-            assert grad.tobytes() == batch_gradient(cfg, None, None, x).tobytes() == expected_grad.tobytes()
+            assert loss == expected_loss
+            assert grad.tobytes() == expected_grad.tobytes()
 
     def test_gradient_and_hessian_diagonal_share_nothing_with_the_caller(self):
         s = np.array([1.0, 2.0, 3.0])
         cfg = ObjectiveConfig("quadratic", quadratic_spectrum=s)
         x = np.ones(3)
-        grad = batch_gradient(cfg, None, None, x)
+        grad = loss_and_gradient(cfg, None, x)[1]
         grad[:] = -1.0  # a caller may write the gradient it was given
         np.testing.assert_array_equal(cfg.quadratic_spectrum, s)
         np.testing.assert_array_equal(x, np.ones(3))
@@ -274,7 +292,6 @@ class TestZeroRegularizer:
         x = np.array([1e155, 1e155])
         loss, grad = loss_and_gradient(cfg, None, x)
         assert loss == pytest.approx(1e300, rel=1e-15)
-        assert loss == batch_loss(cfg, None, None, x)
         np.testing.assert_array_equal(grad, 1e-10 * x)
 
     def test_logistic_whose_squared_norm_overflows(self):
@@ -283,8 +300,6 @@ class TestZeroRegularizer:
         x = np.full(6, 1e155)
         loss, grad = loss_and_gradient(cfg, data, x)
         assert math.isfinite(loss) and np.isfinite(grad).all()
-        assert loss == batch_loss(cfg, data, None, x)
-        assert np.array_equal(grad, batch_gradient(cfg, data, None, x))
         margins = data.labels * (data.features @ x)
         assert loss == pytest.approx(float(np.mean(np.logaddexp(0.0, -margins))), rel=1e-12)
 
@@ -340,9 +355,9 @@ class TestLogisticKernel:
         data = Dataset(PIN_MARGINS[:, None], np.ones(PIN_MARGINS.size))
         x = np.ones(1)
         expected = np.logaddexp(0.0, -PIN_MARGINS)
-        assert batch_loss(cfg, data, None, x) == pytest.approx(np.mean(expected), rel=1e-15, abs=0.0)
+        assert loss_and_gradient(cfg, data, x)[0] == pytest.approx(np.mean(expected), rel=1e-15, abs=0.0)
         for i, term in enumerate(expected):  # each term alone: the mean hides the small ones
-            assert batch_loss(cfg, data, np.array([i]), x) == pytest.approx(term, rel=1e-15, abs=0.0)
+            assert loss_and_gradient(cfg, data, x, np.array([i]))[0] == pytest.approx(term, rel=1e-15, abs=0.0)
 
     def test_derivative_from_the_shared_exp_is_the_sigmoid(self):
         cfg = ObjectiveConfig("logistic")
@@ -462,7 +477,7 @@ class TestDenseHessian:
         for i in range(4):
             step = np.zeros(4)
             step[i] = eps
-            col = (batch_gradient(cfg, data, None, x + step) - batch_gradient(cfg, data, None, x - step)) / (2 * eps)
+            col = (loss_and_gradient(cfg, data, x + step)[1] - loss_and_gradient(cfg, data, x - step)[1]) / (2 * eps)
             assert np.linalg.norm(h[:, i] - col) <= 1e-5 * max(np.linalg.norm(col), 1e-8)
 
 

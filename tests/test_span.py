@@ -16,10 +16,9 @@ from spanopt import (
     SpanState,
     apply_inverse,
     assemble_subspace,
-    batch_gradient,
-    batch_loss,
     build_subspace,
     hessian_error_probe,
+    loss_and_gradient,
     min_power_iterations,
     run_newsamp,
     run_span,
@@ -45,7 +44,7 @@ def explicit_perturbed_hessian(s, h):
 def newton_optimum(cfg, data, d, tol=1e-12):
     x = np.zeros(d)
     for _ in range(100):
-        g = batch_gradient(cfg, data, None, x)
+        g = loss_and_gradient(cfg, data, x)[1]
         if np.linalg.norm(g) <= tol:
             break
         x = x - np.linalg.solve(BatchHessian.at(cfg, data, None, x, ANALYTIC).dense(), g)
@@ -412,13 +411,13 @@ class TestCarriedGradient:
         # into the next step: T + 1 full-data gradients for T steps.
         cfg, data = small_logistic()
         full = []
-        real = objectives._gradient
+        transposed = Dataset.transposed  # read by each full-data gradient product
 
-        def counting(objective, rows, *rest):
-            full.append(rows is data.features)
-            return real(objective, rows, *rest)
+        def counting(dataset):
+            full.append(dataset is data)
+            return transposed.fget(dataset)
 
-        monkeypatch.setattr(objectives, "_gradient", counting)
+        monkeypatch.setattr(Dataset, "transposed", property(counting))
         span_cfg = SpanConfig(t_max=6, m=0, l=4, q=1, b=20, eta=0.5, seed=3)
         _, trace = run_span(span_cfg, cfg, data, np.zeros(8))
         assert len(trace) == 6
@@ -431,9 +430,9 @@ class TestCarriedGradient:
         state = SpanState(x=np.zeros(8))
         for _ in range(6):
             state, record = span_step(state, cfg, data, span_cfg)
-            grad = batch_gradient(cfg, data, None, state.x)
+            grad = loss_and_gradient(cfg, data, state.x)[1]
             assert np.array_equal(state.grad, grad)
-            assert record.loss == batch_loss(cfg, data, None, state.x)
+            assert record.loss == loss_and_gradient(cfg, data, state.x)[0]
             assert record.grad_norm == float(np.linalg.norm(grad))
 
 

@@ -23,8 +23,6 @@ from spanopt import (
     Dataset,
     ObjectiveConfig,
     SpanConfig,
-    batch_gradient,
-    batch_loss,
     loss_and_gradient,
     run_lissa,
     run_newsamp,
@@ -36,8 +34,8 @@ from spanopt.datasets import load_libsvm, normalize_rows, to_binary_dataset
 from spanopt.errors import DimensionTooLarge
 from spanopt.objectives import (
     _batch_rows,
-    _full_pass,
     _margin_derivative,
+    _pass,
     batch_gradient_difference,
     gathered_batches,
     sample_batches,
@@ -167,10 +165,8 @@ class TestObjectives:
     def test_loss_and_gradient_agree(self, loss, batch):
         cfg, dense, csr = both_formats(loss=loss)
         x = np.random.default_rng(5).standard_normal(dense.dim)
-        close(batch_loss(cfg, csr, batch, x), batch_loss(cfg, dense, batch, x))
-        close(batch_gradient(cfg, csr, batch, x), batch_gradient(cfg, dense, batch, x))
-        loss_csr, grad_csr = loss_and_gradient(cfg, csr, x)
-        loss_dense, grad_dense = loss_and_gradient(cfg, dense, x)
+        loss_csr, grad_csr = loss_and_gradient(cfg, csr, x, batch)
+        loss_dense, grad_dense = loss_and_gradient(cfg, dense, x, batch)
         close(loss_csr, loss_dense)
         close(grad_csr, grad_dense)
 
@@ -235,17 +231,16 @@ class TestStoredTranspose:
         expected = data.matrix.T @ y  # scipy's product on the transposed view
         expected /= n
         expected += cfg.reg_a * x
-        assert _full_pass(cfg, data, x)[1].tobytes() == expected.tobytes()
-        assert batch_gradient(cfg, data, None, x).tobytes() == expected.tobytes()
+        assert loss_and_gradient(cfg, data, x)[1].tobytes() == expected.tobytes()
         assert data.transposed.format == "csr"
         np.testing.assert_array_equal(data.transposed.toarray(), data.features.T)
 
     def test_passes_and_methods_reuse_one_transpose(self):
         cfg, _, data = both_formats(n=40, d=8, seed=9)
         x0 = np.zeros(data.dim)
-        _full_pass(cfg, data, x0)
+        loss_and_gradient(cfg, data, x0)
         transposed = data.transposed
-        _full_pass(cfg, data, np.ones(data.dim))
+        loss_and_gradient(cfg, data, np.ones(data.dim))
         TestSolversNeverDensify.RUNS["span"](cfg, data, x0)
         TestSolversNeverDensify.RUNS["svrg"](cfg, data, x0)
         assert data.transposed is transposed
@@ -253,8 +248,7 @@ class TestStoredTranspose:
     def test_dense_data_build_none(self):
         cfg, data, _ = both_formats(n=40, d=8, seed=9)
         x0 = np.zeros(data.dim)
-        _full_pass(cfg, data, x0)
-        batch_gradient(cfg, data, None, x0)
+        loss_and_gradient(cfg, data, x0)
         TestSolversNeverDensify.RUNS["span"](cfg, data, x0)
         assert vars(data).keys() == {"matrix", "labels"}
         assert data.transposed.base is data.matrix
@@ -350,7 +344,7 @@ class TestSvrg:
 
         The snapshot's margins are those of the step bracket's full-data pass.
         """
-        margins = _full_pass(cfg, data, snapshot)[2]
+        margins = _pass(cfg, data, None, snapshot)[2]
         derivatives = _margin_derivative(cfg, margins)
         ((rows, labels),) = gathered_batches(cfg, data, batch[None])
         return batch_gradient_difference(cfg, rows, labels, w - snapshot, margins[batch], derivatives[batch]) + mu
@@ -360,7 +354,7 @@ class TestSvrg:
             rng = np.random.default_rng(seed)
             cfg, _, csr = both_formats(n=25, d=6, seed=seed, loss=("logistic", "huber_svm")[seed % 2])
             snapshot = rng.standard_normal(csr.dim)
-            mu = batch_gradient(cfg, csr, None, snapshot)
+            mu = loss_and_gradient(cfg, csr, snapshot)[1]
             batch = np.sort(rng.choice(25, size=1 + seed % 7, replace=False))
             estimate = self.estimate(cfg, csr, batch, snapshot, snapshot, mu)
             np.testing.assert_array_equal(estimate, mu)
@@ -372,7 +366,7 @@ class TestSvrg:
             data = Dataset(features=rng.standard_normal((n, d)), labels=labels_for(n, seed))
             cfg = ObjectiveConfig("logistic", reg_a=0.1)
             snapshot = rng.standard_normal(d)
-            mu = batch_gradient(cfg, data, None, snapshot)
+            mu = loss_and_gradient(cfg, data, snapshot)[1]
             batch = np.sort(rng.choice(n, size=1 + seed % 5, replace=False))
             np.testing.assert_array_equal(self.estimate(cfg, data, batch, snapshot, snapshot, mu), mu)
 
@@ -380,9 +374,9 @@ class TestSvrg:
         cfg, dense, csr = both_formats(seed=8)
         rng = np.random.default_rng(8)
         w, snapshot = rng.standard_normal((2, dense.dim))
-        mu = batch_gradient(cfg, dense, None, snapshot)
+        mu = loss_and_gradient(cfg, dense, snapshot)[1]
         batch = np.array([2, 5, 6, 18])
-        expected = batch_gradient(cfg, dense, batch, w) - batch_gradient(cfg, dense, batch, snapshot) + mu
+        expected = loss_and_gradient(cfg, dense, w, batch)[1] - loss_and_gradient(cfg, dense, snapshot, batch)[1] + mu
         close(self.estimate(cfg, dense, batch, w, snapshot, mu), expected)
         close(self.estimate(cfg, csr, batch, w, snapshot, mu), expected)
 
@@ -401,7 +395,7 @@ class TestSvrg:
         data = dense if storage == "dense" else csr
         for seed in range(10):
             snapshot = 3.0 * np.random.default_rng(seed).standard_normal(data.dim)
-            mu = batch_gradient(cfg, data, None, snapshot)
+            mu = loss_and_gradient(cfg, data, snapshot)[1]
             np.testing.assert_array_equal(self.estimate(cfg, data, np.array(batch), snapshot, snapshot, mu), mu)
 
     @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
@@ -420,9 +414,10 @@ class TestSvrg:
         assert len(drawn) == 6 and all(np.array_equal(a, c) for a, c in zip(drawn[:3], drawn[3:]))
         w = x0
         for batches in drawn[:3]:
-            snapshot, mu = w, batch_gradient(cfg, dense, None, w)
+            snapshot, mu = w, loss_and_gradient(cfg, dense, w)[1]
             for batch in batches:
-                w = w - bl.eta * (batch_gradient(cfg, dense, batch, w) - batch_gradient(cfg, dense, batch, snapshot) + mu)
+                change = loss_and_gradient(cfg, dense, w, batch)[1] - loss_and_gradient(cfg, dense, snapshot, batch)[1]
+                w = w - bl.eta * (change + mu)
         for x in runs:
             assert np.linalg.norm(x - w) <= 1e-12 * np.linalg.norm(w)
 
