@@ -36,6 +36,7 @@ from .objectives import (
     _check_x,
     _curvature_weights,
     _margin_derivative,
+    _row_squared_norms,
     batch_gradient_difference,
     draw_batch,
     gathered_batches,
@@ -223,12 +224,7 @@ def lissa_hessian_scale(objective: ObjectiveConfig, data: Dataset | None, x0: np
     if objective.loss_kind == "quadratic":
         bound = float(objective.quadratic_spectrum.max())
     else:
-        matrix = data.matrix
-        with np.errstate(over="ignore"):
-            if isinstance(matrix, np.ndarray):
-                squared_norms = np.einsum("ij,ij->i", matrix, matrix)
-            else:
-                squared_norms = (matrix * matrix).sum(axis=1)
+        squared_norms = _row_squared_norms(data)
         bound = _CURVATURE_MAX[objective.loss_kind] * float(squared_norms.max())
     scale = 1.25 * (bound + objective.reg_a)
     if not math.isfinite(scale):

@@ -142,8 +142,8 @@ CONFIG_SECTIONS = {
     "preiterate": {"epochs": (_as_int, "2"), "eta": (_as_float, "0.1")},
     "probe": {"hessian_error": (_as_bool, "false")},
     # One section per method: every key its runner reads.
-    "span": {"T": _INT, "m": _INT, "l": _INT, "q": (_as_int, "1"), "b": (_as_int, "1"), "eta": _OWN_FLOAT,
-             "seed": _SEED, "grad_tol": _OWN_FLOAT, "hvp": (HvpMode, None)},
+    "span": {"T": _INT, "l": _INT, "q": (_as_int, "1"), "b": (_as_int, "1"), "eta": _OWN_FLOAT, "seed": _SEED,
+             "grad_tol": _OWN_FLOAT, "hvp": (HvpMode, None)},
     "gd": {"T": _INT, "eta": _FLOAT, "grad_tol": _OWN_FLOAT},
     "svrg": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _OWN_FLOAT, "b": _OWN_INT, "inner_steps": _OWN_INT},
     "newsamp": {"T": _INT, "eta": _FLOAT, "seed": _SEED, "grad_tol": _OWN_FLOAT, "b": _OWN_INT, "m": _INT},
@@ -512,18 +512,19 @@ def per_iteration_scaling(
     (after ``warmup`` excluded steps); the reported figure is the minimum of
     the per-run medians.  Medians reject stray slow steps and the min across
     interleaved rounds rejects whole contention windows, neither of which
-    says anything about the algorithms.  The dense baseline is skipped above
-    its dimension cap, ``objectives.DENSE_HESSIAN_MAX_DIM``.  ``m`` is its rank
-    (``span`` ignores it); one below 1 raises :class:`ConfigError` before any timing.
+    says anything about the algorithms.  ``l`` and ``q`` shape span's sketch.
+    ``m`` is the dense baseline's truncation rank, ``newsamp.m`` in a config;
+    one below 1 raises :class:`ConfigError` before any timing.  The baseline is
+    skipped above its dimension cap, ``objectives.DENSE_HESSIAN_MAX_DIM``.
     """
     span_samples: dict[int, list[float]] = {d: [] for d in dims}
     newsamp_samples: dict[int, list[float]] = {d: [] for d in dims}
     for round_idx in range(rounds):
         span_cfg = span.SpanConfig(
-            t_max=steps + warmup, m=m, l=l, q=q, b=1,
+            t_max=steps + warmup, l=l, q=q, b=1,
             eta=0.5, seed=seed + round_idx, hvp_mode=ANALYTIC,
         )
-        ns_cfg = _build("span.m", baselines.BaselineConfig, method="newsamp", eta=0.5, t_max=steps + warmup,
+        ns_cfg = _build("newsamp.m", baselines.BaselineConfig, method="newsamp", eta=0.5, t_max=steps + warmup,
                         m=m, seed=seed + round_idx)
         for d in dims:
             objective, _ = datasets.synth_quadratic(_scaling_spectrum(d))

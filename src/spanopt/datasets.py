@@ -102,10 +102,12 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
 
     Blank lines and lines starting with '#' are skipped.  Feature indices
     must be strictly increasing within a line; the inferred dimension is the
-    largest index seen anywhere.  Malformed lines, non-finite labels or
-    values, indices beyond the int64 range and bytes that are not UTF-8
-    raise :class:`ParseError` carrying the 1-based line number; a corrupt or
-    truncated gzip stream raises one naming the file.
+    largest index seen anywhere.  Numbers are read as C's ``strtod`` reads
+    them, so a token with a character outside ASCII or a ``_`` is not one.
+    Malformed lines, non-finite labels or values, indices beyond the int64
+    range and bytes that are not UTF-8 raise :class:`ParseError` carrying the
+    1-based line number; a corrupt or truncated gzip stream raises one naming
+    the file.
 
     Lines are only split in Python; every :data:`_BLOCK_LINES` examples the
     collected tokens are converted to arrays and checked at once, so no Python
@@ -166,7 +168,7 @@ class _TokenBlock:
         joined = " ".join(self.pairs)
         separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
         numbers = joined.replace(":", " ").split()
-        if separators != (b": " * k)[:-1] or len(numbers) != 2 * k:
+        if separators != (b": " * k)[:-1] or len(numbers) != 2 * k or not _c_numbers(joined, " ".join(self.labels)):
             self.raise_first_error(ptr)
         try:
             labels = np.array(self.labels, dtype=float)
@@ -189,6 +191,15 @@ class _TokenBlock:
         raise AssertionError("a block failed an array check that none of its lines fails")
 
 
+def _c_numbers(*tokens: str) -> bool:
+    """Whether ``tokens`` may hold numbers as C reads them: ASCII and no ``_``.
+
+    Python's ``int`` and ``float``, and numpy's conversion through them, also
+    read ``1_000`` and digits of other scripts, which ``strtod`` refuses.
+    """
+    return all(token.isascii() and "_" not in token for token in tokens)
+
+
 def _check_example(line_no: int, label_token: str, pair_tokens: list[str]) -> None:
     """Raise the :class:`ParseError` of the first fault in one example's tokens, if any.
 
@@ -196,6 +207,8 @@ def _check_example(line_no: int, label_token: str, pair_tokens: list[str]) -> No
     :meth:`_TokenBlock.arrays` only detect that a block holds a fault.
     """
     try:
+        if not _c_numbers(label_token):
+            raise ValueError
         label = float(label_token)
     except ValueError:
         raise ParseError(f"non-numeric label {label_token!r}", line_no) from None
@@ -207,6 +220,8 @@ def _check_example(line_no: int, label_token: str, pair_tokens: list[str]) -> No
         if not sep:
             raise ParseError(f"malformed pair {token!r}", line_no)
         try:
+            if not _c_numbers(token):
+                raise ValueError
             index = int(index_str)
             value = float(value_str)
         except ValueError:

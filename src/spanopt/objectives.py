@@ -304,6 +304,15 @@ def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
     return margins
 
 
+def _row_squared_norms(data: Dataset) -> np.ndarray:
+    """Each row's squared norm ``||a_i||^2`` in either storage format; one that overflows is inf."""
+    matrix = data.matrix
+    with np.errstate(over="ignore"):
+        if isinstance(matrix, np.ndarray):
+            return np.einsum("ij,ij->i", matrix, matrix)
+        return (matrix * matrix).sum(axis=1)
+
+
 def _mean_loss(margins: np.ndarray, e: Optional[np.ndarray]) -> float:
     """Mean per-sample loss at ``margins``: logistic with ``e = exp(-|margins|)``, Huber with ``e`` None."""
     if e is None:

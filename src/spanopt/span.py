@@ -107,14 +107,14 @@ class SpanConfig:
 
     A sketch is ``l`` columns wide (``l <= d`` is checked once the data
     arrive), with power exponent ``q``.  ``m`` is the error analysis's rank
-    target and never enters a step; ``m >= 1`` needs ``m + 4 <= l``.
+    target, 0 for none: no step reads it, and ``m >= 1`` needs ``m + 4 <= l``.
     """
 
     t_max: int
-    m: int
     l: int
     q: int
     b: int
+    m: int = 0
     eta: float = 0.55
     seed: int = 0
     grad_tol: float = 0.0

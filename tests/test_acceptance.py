@@ -326,7 +326,7 @@ def test_criterion_9_determinism(tmp_path):
         "seed = 19\noutput_dir = {out}\nmethods = span, gd, newsamp, lissa\nx0 = ones\n"
         "objective.loss = quadratic\ndataset.spectrum = 9,7,5,4,3,2.2,1.8,1.5,1.2,1\n"
         "preiterate.epochs = 0\n"
-        "span.T = 6\nspan.m = 1\nspan.l = 5\nspan.q = 1\nspan.b = 1\nspan.eta = 0.8\nspan.hvp = analytic\n"
+        "span.T = 6\nspan.l = 5\nspan.q = 1\nspan.b = 1\nspan.eta = 0.8\nspan.hvp = analytic\n"
         "gd.T = 6\ngd.eta = 0.1\n"
         "newsamp.T = 6\nnewsamp.m = 4\nnewsamp.eta = 1.0\n"
         "lissa.T = 6\nlissa.eta = 1.0\nlissa.s1 = 2\nlissa.inner_steps = 80\n"

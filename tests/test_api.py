@@ -1,9 +1,13 @@
 """The public surface: the package exports and every name the benchmark harness uses."""
 
 import importlib
+import importlib.util
+import sys
 import types
+from pathlib import Path
 
 import spanopt
+from spanopt import BaselineConfig, SpanConfig
 
 PUBLIC = [
     "ANALYTIC",
@@ -44,8 +48,9 @@ PUBLIC = [
 # names, as strings, among the traced functions its per-layer metrics count.  A
 # named function that is gone breaks no run; its metric reads 0.  Those four are
 # pinned to keep their metrics alive.  perfbench/tracing.py imports every module
-# in its LAYERS tuple.  The tier-1 suite does not run perfbench, so a rename here
-# is the only thing that would show the benchmark breaking.
+# in its LAYERS tuple.  The tier-1 suite does not run perfbench, so these names
+# show a rename that would break it, and test_benchmark_configs_build shows a
+# config field or check that no longer takes the keywords its workloads pass.
 BENCHMARK_NAMES = [
     ("spanopt", "SpanOptError"),
     ("spanopt.baselines", "BaselineConfig"),
@@ -89,3 +94,20 @@ def test_hvp_names_the_module():
 
     assert isinstance(hvp, types.ModuleType)
     assert hvp.HvpMode is spanopt.HvpMode
+
+
+def test_benchmark_configs_build(tmp_path, monkeypatch):
+    # Every workload's span and comparator configs build from the keywords
+    # perfbench passes; each span config sets the rank target m = 10.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class(seed=0, workdir=tmp_path)
+        span_cfg = workload.span_solver().config(0)
+        baseline = workload.baseline_solver()
+        baseline_cfg = baseline.config(0)
+        assert isinstance(span_cfg, SpanConfig) and span_cfg.m == 10, name
+        assert isinstance(baseline_cfg, BaselineConfig) and baseline_cfg.method == baseline.name, name

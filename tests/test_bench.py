@@ -52,7 +52,6 @@ dataset.spectrum = 10,8,6,5,4,3,2.5,2,1.5,1.25,1.1,1
 preiterate.epochs = 0
 
 span.T = 10
-span.m = 1
 span.l = 5
 span.q = 1
 span.b = 1
@@ -61,6 +60,11 @@ span.hvp = analytic
 
 gd.T = 10
 gd.eta = 0.15
+
+# Not listed: `bench scale` reads newsamp's rank.
+newsamp.T = 10
+newsamp.m = 1
+newsamp.eta = 1.0
 """
 
 
@@ -91,7 +95,7 @@ _BASES = {
     ),
 }
 _METHOD_LINES = (
-    "span.T = 3\nspan.m = 1\nspan.l = 5\nspan.q = 1\nspan.b = 6\nspan.eta = 0.5\n"
+    "span.T = 3\nspan.l = 5\nspan.q = 1\nspan.b = 6\nspan.eta = 0.5\n"
     "gd.T = 3\ngd.eta = 0.5\nsvrg.T = 2\nsvrg.eta = 0.2\nsvrg.b = 3\n"
     "newsamp.T = 3\nnewsamp.m = 2\nnewsamp.eta = 1.0\nlissa.T = 2\nlissa.eta = 1.0\nlissa.inner_steps = 5\n"
 )
@@ -146,7 +150,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "line",
-        ["span.fd_scale = 2", "span.lr = 0.1"]
+        # span.m, the analysis's rank target, is a SpanConfig field that no step reads.
+        ["span.fd_scale = 2", "span.lr = 0.1", "span.m = 10"]
         # Keys no runner of that method reads.
         + [f"{key} = 0" for key in ("gd.b", "gd.m", "gd.inner_steps", "gd.s1", "gd.seed", "svrg.m", "svrg.s1",
                                     "newsamp.inner_steps", "newsamp.s1", "lissa.b", "lissa.m")],
@@ -203,7 +208,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "method, lines, expected",
         [
-            ("span", "span.T = 3\nspan.m = 1\nspan.l = 5", SpanConfig(t_max=3, m=1, l=5, q=1, b=1, seed=4)),
+            ("span", "span.T = 3\nspan.l = 5", SpanConfig(t_max=3, l=5, q=1, b=1, seed=4)),
             ("gd", "gd.T = 3\ngd.eta = 0.5", BaselineConfig("gd", eta=0.5, t_max=3)),
             ("svrg", "svrg.T = 3\nsvrg.eta = 0.5", BaselineConfig("svrg", eta=0.5, t_max=3, seed=4)),
             ("newsamp", "newsamp.T = 3\nnewsamp.eta = 0.5\nnewsamp.m = 2",
@@ -328,7 +333,7 @@ class TestRunExperiment:
             f"seed = 2\noutput_dir = {tmp_path / 'out'}\nmethods = span\nx0 = ones\n"
             "objective.loss = quadratic\ndataset.spectrum = 8,6,4,3,2,1.5,1.2,1\n"
             "preiterate.epochs = 0\nprobe.hessian_error = true\n"
-            "span.T = 3\nspan.m = 0\nspan.l = 4\nspan.q = 1\nspan.b = 1\nspan.eta = 0.8\nspan.hvp = analytic\n"
+            "span.T = 3\nspan.l = 4\nspan.q = 1\nspan.b = 1\nspan.eta = 0.8\nspan.hvp = analytic\n"
         )
         run_experiment(load_experiment_config(write_cfg(tmp_path, text)))
         records = read_trace_csv(tmp_path / "out" / "span.csv")
@@ -580,33 +585,33 @@ class TestCli:
         assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
         assert "config error: span.seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["span.l = 0", "span.q = -1", "span.m = 10\nspan.l = 12"],
-                             ids=["zero-width", "negative-power", "width-below-rank-plus-4"])
+    @pytest.mark.parametrize("edit", ["span.l = 0", "span.q = -1"], ids=["zero-width", "negative-power"])
     def test_bad_sketch_shape_exit_one(self, tmp_path, capsys, edit):
         text = QUAD_CFG.format(out=tmp_path / "out") + edit + "\n"
         assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 1
         assert "config error: span config:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["l", "m", "q"])
+    @pytest.mark.parametrize("key", ["span.l", "newsamp.m", "span.q"], ids=["l", "m", "q"])
     def test_scale_non_integer_sketch_shape_exit_one(self, tmp_path, capsys, key):
-        text = QUAD_CFG.format(out=tmp_path / "out") + f"span.{key} = three\n"
+        text = QUAD_CFG.format(out=tmp_path / "out") + f"{key} = three\n"
         out = tmp_path / "scaling.csv"
         assert cli.main(["scale", str(write_cfg(tmp_path, text)), "--dims", "20", "-o", str(out)]) == 1
-        assert f"config error: span.{key}" in capsys.readouterr().err
+        assert f"config error: {key}" in capsys.readouterr().err
 
     def test_scale_zero_rank_exit_one(self, tmp_path, capsys, monkeypatch):
-        # span.m = 0 reached the dense baseline's BaselineConfig unchecked, after
-        # the first span timing, and the command ended in a ValueError traceback.
+        # A zero rank for the dense baseline once reached its BaselineConfig
+        # unchecked, after the first span timing, and the command ended in a
+        # ValueError traceback.
         def refuse(*args, **kwargs):
             raise AssertionError("a solve was timed before the rank was checked")
 
         monkeypatch.setattr(bench.span, "run_span", refuse)
-        text = QUAD_CFG.format(out=tmp_path / "out") + "span.m = 0\n"
+        text = QUAD_CFG.format(out=tmp_path / "out") + "newsamp.m = 0\n"
         out = tmp_path / "scaling.csv"
         argv = ["scale", str(write_cfg(tmp_path, text)), "--dims", "8,16", "--steps", "2", "-o", str(out)]
         assert cli.main(argv) == 1
-        assert "config error: span.m: m must be a positive integer, got 0" in capsys.readouterr().err
+        assert "config error: newsamp config: m must be a positive integer, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -923,7 +928,7 @@ class TestCli:
         config = write_cfg(tmp_path, (
             "methods = span, gd, svrg, newsamp, lissa\nobjective.loss = logistic\nobjective.reg_a = 0.01\n"
             f"dataset.kind = libsvm\ndataset.path = {data}\ndataset.positive_label = 1\ndataset.negative_label = 2\n"
-            "span.T = 3\nspan.m = 1\nspan.l = 5\nspan.b = 4\ngd.T = 3\ngd.eta = 1.0\n"
+            "span.T = 3\nspan.l = 5\nspan.b = 4\ngd.T = 3\ngd.eta = 1.0\n"
             "svrg.T = 2\nsvrg.eta = 0.5\nsvrg.b = 2\nnewsamp.T = 3\nnewsamp.m = 2\nnewsamp.eta = 1.0\nnewsamp.b = 4\n"
             "lissa.T = 3\nlissa.eta = 1.0\nlissa.inner_steps = 5\nprobe.hessian_error = true\n"
         ))
@@ -971,6 +976,21 @@ class TestCli:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "d,span_step_s,newsamp_step_s"
         assert len(lines) == 3
+
+    def test_scale_times_newsamp_at_its_own_rank(self, tmp_path, monkeypatch):
+        # The dense baseline's rank is newsamp.m, which need not fit span's
+        # sketch: span.l = 5 is below 3 + 4.
+        ranks = []
+        real = bench.baselines.run_newsamp
+
+        def record(cfg, *args):
+            ranks.append(cfg.m)
+            return real(cfg, *args)
+
+        monkeypatch.setattr(bench.baselines, "run_newsamp", record)
+        cfg = write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out") + "newsamp.m = 3\n")
+        assert cli.main(["scale", str(cfg), "--dims", "20", "--steps", "1", "-o", str(tmp_path / "s.csv")]) == 0
+        assert ranks and set(ranks) == {3}
 
     @staticmethod
     def capped_env():

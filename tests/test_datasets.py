@@ -26,15 +26,22 @@ from spanopt.errors import DimensionMismatch, DimensionTooLarge, NoMatchingExamp
 
 
 # Parser inputs: label / index:value lines built from well-formed,
-# non-finite and malformed numbers, or arbitrary text.
-_NUMBER = st.sampled_from(["0", "1", "-1", "7", "0.5", "-2.5e-3", "1e308", "1e999", "-inf", "nan", "x", ""])
+# non-finite and malformed numbers (spellings only Python reads among them),
+# or arbitrary text.
+_NUMBER = st.sampled_from(
+    ["0", "1", "-1", "7", "0.5", "-2.5e-3", "1e308", "1e999", "-inf", "nan", "x", "", "1_0", "\u0661"]
+)
 _PAIR = st.builds("{}:{}".format, st.sampled_from(["1", "2", "7", "0", "-1", "x"]), _NUMBER)
 _LINE = st.builds(lambda label, feats: " ".join([label, *feats]), _NUMBER, st.lists(_PAIR, max_size=3))
 _LIBSVM_TEXT = st.one_of(st.lists(_LINE, min_size=1, max_size=4).map("\n".join), st.text(max_size=40))
 
 
 def reference_load(stream):
-    """The per-line, per-token parser that the block loader replaced, kept as its oracle."""
+    """The per-line, per-token parser that the block loader replaced, kept as its oracle.
+
+    Like C's ``strtod``, it reads no number from a token with a character
+    outside ASCII or a ``_``, which Python's ``float`` and ``int`` accept.
+    """
     labels, indptr, indices, values = [], [0], [], []
     dim = 0
     for line_no, line in enumerate(stream, start=1):
@@ -43,6 +50,8 @@ def reference_load(stream):
             continue
         tokens = stripped.split()
         try:
+            if not tokens[0].isascii() or "_" in tokens[0]:
+                raise ValueError(tokens[0])
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"non-numeric label {tokens[0]!r}", line_no) from None
@@ -54,6 +63,8 @@ def reference_load(stream):
             if not sep:
                 raise ParseError(f"malformed pair {token!r}", line_no)
             try:
+                if not token.isascii() or "_" in token:
+                    raise ValueError(token)
                 index = int(index_str)
                 value = float(value_str)
             except ValueError:
@@ -215,6 +226,29 @@ class TestLoadLibsvm:
             load_libsvm(io.StringIO("abc 1:1\n"))
         with pytest.raises(ParseError):
             load_libsvm(io.StringIO("1 1:xyz\n"))
+
+    @pytest.mark.parametrize("prefix", ["", "1 1:2\n"], ids=["first-line", "after-a-valid-line"])
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [("1 1:1_000", "non-numeric token '1:1_000'"), ("1_0 1:1", "non-numeric label '1_0'"),
+         ("1 1:\u0661", "non-numeric token '1:\u0661'")],
+        ids=["underscore-value", "underscore-label", "arabic-indic-digit"],
+    )
+    def test_numbers_only_python_reads_are_refused(self, prefix, bad_line, message):
+        # Python's float and int read 1_000 as 1000, 1_0 as 10 and an
+        # Arabic-Indic one as 1; C's strtod, and so LIBSVM, reads none of them.
+        line = prefix.count("\n") + 1
+        with pytest.raises(ParseError) as exc:
+            load_libsvm(io.StringIO(f"{prefix}{bad_line}\n"))
+        assert str(exc.value) == f"line {line}: {message}"
+
+    def test_c_number_spellings_still_load(self):
+        examples, dim = load_libsvm(io.StringIO("+1 01:.5 2:5. 3:1e-3\n-1 1:1\n"))
+        assert dim == 3
+        assert list(examples) == [
+            RawExample(label=1.0, features=((1, 0.5), (2, 5.0), (3, 1e-3))),
+            RawExample(label=-1.0, features=((1, 1.0),)),
+        ]
 
     def test_nonpositive_index_rejected(self):
         with pytest.raises(ParseError):

@@ -541,17 +541,22 @@ class TestRunSpan:
             assert a.grad_norm == b.grad_norm
             assert a.lambda_used == b.lambda_used
 
-    def test_rank_target_does_not_enter_the_step(self):
-        # m is the analysis's rank target: two runs that differ only in m
-        # agree in every column but the clock, the probed error included.
-        objective = ObjectiveConfig("logistic", reg_a=1e-3)
-        data = synth_classification(n=300, d=30, seed=2)
+    @pytest.mark.parametrize("problem", ["logistic-analytic", "logistic-finite-difference", "quadratic"])
+    def test_rank_target_does_not_enter_the_step(self, problem):
+        # m is the analysis's rank target: runs with m left out, m = 0 and
+        # m = l - 4 agree in every column but the clock, the probed error included.
+        if problem == "quadratic":
+            objective, data, b, mode, x0 = quadratic(np.linspace(6.0, 1.0, 30)), None, 1, ANALYTIC, np.ones(30)
+        else:
+            objective, data = ObjectiveConfig("logistic", reg_a=1e-3), synth_classification(n=300, d=30, seed=2)
+            b, x0 = 150, np.zeros(30)
+            mode = ANALYTIC if problem == "logistic-analytic" else CENTRAL_FD
+        settings = dict(t_max=6, l=16, q=1, b=b, eta=1.0, seed=5, hvp_mode=mode, probe_hessian_error=True)
         runs = []
-        for m in (1, 12):
-            span_cfg = SpanConfig(t_max=6, m=m, l=16, q=1, b=150, eta=1.0, seed=5, probe_hessian_error=True)
-            x, trace = run_span(span_cfg, objective, data, np.zeros(30))
+        for rank in ({}, {"m": 0}, {"m": 12}):
+            x, trace = run_span(SpanConfig(**settings, **rank), objective, data, x0.copy())
             runs.append((x.tobytes(), [record._replace(wall_clock_s=0.0) for record in trace]))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_wall_clock_non_decreasing(self):
         cfg = quadratic(np.linspace(4.0, 1.0, 10))
@@ -561,7 +566,7 @@ class TestRunSpan:
         assert all(b >= a for a, b in zip(stamps, stamps[1:]))
 
     def test_auto_step_schedule_rejected(self):
-        values = {"span.T": "5", "span.m": "10", "span.l": "16", "span.eta": "auto"}
+        values = {"span.T": "5", "span.l": "16", "span.eta": "auto"}
         with pytest.raises(ConfigError, match="span.eta"):
             build_method_config(values, "span", seed=3)
 
@@ -569,7 +574,7 @@ class TestRunSpan:
         # eta = 1 scales an uncaptured direction near sigma_min(Z^T U) by about
         # 1 - 2 eta = -1; the default sits near 1/2, in SpanConfig and in bench.
         assert SpanConfig(t_max=3, m=0, l=4, q=1, b=1).eta == 0.55
-        values = {"span.T": "5", "span.m": "10", "span.l": "16"}
+        values = {"span.T": "5", "span.l": "16"}
         assert build_method_config(values, "span", seed=3).eta == 0.55
 
     @pytest.mark.parametrize(
@@ -620,6 +625,12 @@ class TestRunSpan:
         shape = {"l": 8, "q": 1, "m": 2, **edit}
         with pytest.raises(InvalidRankParams, match=message):
             SpanConfig(t_max=2, b=4, eta=1.0, seed=0, **shape)
+
+    def test_rank_target_is_optional(self):
+        # A config without a rank target has m = 0; one that sets it must still fit the sketch.
+        assert SpanConfig(t_max=3, l=4, q=1, b=1).m == 0
+        with pytest.raises(InvalidRankParams, match=r"need m \+ 4 <= l"):
+            SpanConfig(t_max=3, l=12, q=1, b=1, m=10)
 
 
 class TestContractionBound:
