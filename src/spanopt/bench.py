@@ -164,13 +164,19 @@ def _config_key(section: str, key: str) -> str:
 CONFIG_KEYS = frozenset(_config_key(section, key) for section, keys in CONFIG_SECTIONS.items() for key in keys)
 
 
-def _decode_section(values: dict[str, str], section: str, seed: Optional[int] = None) -> dict:
+def _decode_section(
+    values: dict[str, str], section: str, seed: Optional[int] = None, keys: Optional[Sequence[str]] = None
+) -> dict:
     """Field values of one section through :data:`CONFIG_SECTIONS`; a key absent with no default is left out.
 
-    Each converter raises a bare ``ValueError``; here alone it becomes ``ConfigError("<key>: <reason>")``.
+    ``keys``, when given, names the only keys decoded, and so the only ones
+    required.  Each converter raises a bare ``ValueError``; here alone it
+    becomes ``ConfigError("<key>: <reason>")``.
     """
     kwargs = {}
     for key, (convert, default) in CONFIG_SECTIONS[section].items():
+        if keys is not None and key not in keys:
+            continue
         name = _config_key(section, key)
         if default is _RUN_SEED:
             default = str(seed)
@@ -294,6 +300,16 @@ def build_method_config(
     if method == "span":
         return _build("span config", span.SpanConfig, probe_hessian_error=probe, **kwargs)
     return _build(f"{method} config", baselines.BaselineConfig, method=method, **kwargs)
+
+
+def scaling_settings(values: dict[str, str]) -> dict:
+    """The only keys `bench scale` reads: span's sketch shape ``span.l`` and ``span.q``, and ``newsamp.m``.
+
+    Returns :func:`per_iteration_scaling`'s keyword arguments ``l``, ``q``
+    and ``m``.  No other key of the ``span`` or ``newsamp`` sections is
+    required or decoded: the timed runs take their own step count and size.
+    """
+    return {**_decode_section(values, "span", keys=("l", "q")), **_decode_section(values, "newsamp", keys=("m",))}
 
 
 def _cell(value) -> str:
@@ -513,18 +529,18 @@ def per_iteration_scaling(
     the per-run medians.  Medians reject stray slow steps and the min across
     interleaved rounds rejects whole contention windows, neither of which
     says anything about the algorithms.  ``l`` and ``q`` shape span's sketch.
-    ``m`` is the dense baseline's truncation rank, ``newsamp.m`` in a config;
-    one below 1 raises :class:`ConfigError` before any timing.  The baseline is
-    skipped above its dimension cap, ``objectives.DENSE_HESSIAN_MAX_DIM``.
+    ``m`` is the dense baseline's truncation rank, ``newsamp.m`` in a config.
+    Both methods take ``steps + warmup`` steps at ``eta = 0.5``.  A sketch
+    shape span refuses, or a rank below 1, raises :class:`ConfigError` before
+    any timing.  The baseline is skipped above its dimension cap,
+    ``objectives.DENSE_HESSIAN_MAX_DIM``.
     """
     span_samples: dict[int, list[float]] = {d: [] for d in dims}
     newsamp_samples: dict[int, list[float]] = {d: [] for d in dims}
     for round_idx in range(rounds):
-        span_cfg = span.SpanConfig(
-            t_max=steps + warmup, l=l, q=q, b=1,
-            eta=0.5, seed=seed + round_idx, hvp_mode=ANALYTIC,
-        )
-        ns_cfg = _build("newsamp.m", baselines.BaselineConfig, method="newsamp", eta=0.5, t_max=steps + warmup,
+        span_cfg = _build("span config", span.SpanConfig, t_max=steps + warmup, l=l, q=q, b=1,
+                          eta=0.5, seed=seed + round_idx, hvp_mode=ANALYTIC)
+        ns_cfg = _build("newsamp config", baselines.BaselineConfig, method="newsamp", eta=0.5, t_max=steps + warmup,
                         m=m, seed=seed + round_idx)
         for d in dims:
             objective, _ = datasets.synth_quadratic(_scaling_spectrum(d))

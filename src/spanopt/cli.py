@@ -48,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     scale = sub.add_parser("scale", help="per-iteration timing over a list of dimensions")
-    scale.add_argument("config", help="config whose span section supplies l and q, and whose newsamp section m")
+    scale.add_argument(
+        "config", help="config read for span.l, span.q (default 1) and newsamp.m alone; other keys may be left out"
+    )
     scale.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 100,400,1600")
     scale.add_argument("-o", "--output", default="scaling.csv", help="output table path")
     scale.add_argument("--steps", type=int, default=20, help="timed steps per dimension")
@@ -76,9 +78,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "scale":
-            values = bench.read_config_values(args.config)
-            sketch = bench.build_method_config(values, "span", seed=0)
-            rank = bench.build_method_config(values, "newsamp", seed=0).m
+            settings = bench.scaling_settings(bench.read_config_values(args.config))
             try:
                 dims = [int(d) for d in args.dims.split(",") if d.strip()]
             except ValueError:
@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.steps < 1:
                 raise ConfigError(f"--steps: expected a positive integer, got {args.steps}")
             bench.check_output_dir(args.output)
-            rows = bench.per_iteration_scaling(dims, l=sketch.l, m=rank, q=sketch.q, steps=args.steps)
+            rows = bench.per_iteration_scaling(dims, **settings, steps=args.steps)
             bench.write_scaling_csv(rows, args.output)
             for row in rows:
                 ns = "n/a" if row.newsamp_step_s is None else f"{row.newsamp_step_s:.6f}s"

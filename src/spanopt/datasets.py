@@ -14,6 +14,7 @@ import contextlib
 import gzip
 import io
 import math
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,9 @@ _SCALE_MAX = math.sqrt(np.finfo(float).max)  # largest synthetic column scale: t
 # Examples converted to arrays at a time; it bounds the token strings alive at once.
 _BLOCK_LINES = 1024
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
+_ASCII_WHITESPACE = " \t\n\r\v\f"  # what ``bytes.split()`` splits on
+# Whitespace that ``str.split()`` splits on beyond ASCII's, and control characters.
+_NOT_TEXT = re.compile(r"[^\S \t\n\r\v\f]|[\x00-\x08\x0e-\x1f\x7f-\x9f]")
 _INDEX_MAX = np.iinfo(np.int64).max  # largest index the int64 index arrays hold
 _NORM_FLOOR = math.sqrt(np.finfo(float).tiny)  # below it a row's squared norm is not a normal number
 
@@ -100,18 +104,22 @@ def _raise_undecodable_line(source: Union[str, Path, IO], exc: UnicodeDecodeErro
 def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     """Parse sparse-text examples into CSR arrays; returns (examples, inferred dimension).
 
-    Blank lines and lines starting with '#' are skipped.  Feature indices
-    must be strictly increasing within a line; the inferred dimension is the
-    largest index seen anywhere.  Numbers are read as C's ``strtod`` reads
-    them, so a token with a character outside ASCII or a ``_`` is not one.
-    Malformed lines, non-finite labels or values, indices beyond the int64
-    range and bytes that are not UTF-8 raise :class:`ParseError` carrying the
-    1-based line number; a corrupt or truncated gzip stream raises one naming
-    the file.
+    Tokens are separated by ASCII whitespace, as ``bytes.split()`` reads
+    it: space, ``\t``, ``\r``, ``\v`` and ``\f``.  Blank lines and lines
+    whose first token starts with '#' are skipped, whatever else they hold.
+    Any other whitespace or control character in an example line is a fault,
+    such as a no-break space that ``str.split()`` would take for a separator.
+    Feature indices must be strictly increasing within a line; the inferred
+    dimension is the largest index seen anywhere.  Numbers are read as C's
+    ``strtod`` reads them, so a token with a character outside ASCII or a
+    ``_`` is not one.  Malformed lines, non-finite labels or values, indices
+    beyond the int64 range and bytes that are not UTF-8 raise
+    :class:`ParseError` carrying the 1-based line number; a corrupt or
+    truncated gzip stream raises one naming the file.
 
     Lines are only split in Python; every :data:`_BLOCK_LINES` examples the
-    collected tokens are converted to arrays and checked at once, so no Python
-    object is made per feature and only one block's token strings are alive.
+    collected lines and tokens are checked and converted to arrays at once, so
+    no Python object is made per feature and only one block's strings are alive.
     """
     blocks = []
     block = _TokenBlock()
@@ -121,8 +129,12 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
                 for line_no, line in enumerate(stream, start=1):
                     tokens = line.split()
                     if not tokens or tokens[0].startswith("#"):
-                        continue
-                    block.add(line_no, tokens)
+                        if _blank_or_comment(line):
+                            continue
+                        # A separator only str.split() reads comes first: an
+                        # example line, which its block's check refuses.
+                        tokens = [line]
+                    block.add(line_no, line, tokens)
                     if len(block.line_nos) == _BLOCK_LINES:
                         blocks.append(block.arrays())
                         block = _TokenBlock()
@@ -138,8 +150,14 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     return SparseExamples(labels, indptr, indices, values), dim
 
 
+def _blank_or_comment(line: str) -> bool:
+    """Whether ``line``, split on ASCII whitespace, has no token or a first one that starts with '#'."""
+    stripped = line.lstrip(_ASCII_WHITESPACE)
+    return not stripped or stripped.startswith("#")
+
+
 class _TokenBlock:
-    """The split tokens of up to :data:`_BLOCK_LINES` examples, before conversion.
+    """The lines of up to :data:`_BLOCK_LINES` examples and their split tokens, before conversion.
 
     Faults are detected, then located: :meth:`arrays` checks the whole block
     at once and only tells whether it holds a fault; on one,
@@ -148,12 +166,14 @@ class _TokenBlock:
 
     def __init__(self):
         self.line_nos: list[int] = []
+        self.lines: list[str] = []
         self.labels: list[str] = []
         self.pairs: list[str] = []
         self.counts: list[int] = []
 
-    def add(self, line_no: int, tokens: list[str]) -> None:
+    def add(self, line_no: int, line: str, tokens: list[str]) -> None:
         self.line_nos.append(line_no)
+        self.lines.append(line)
         self.labels.append(tokens[0])
         self.counts.append(len(tokens) - 1)
         self.pairs += tokens[1:]
@@ -168,46 +188,59 @@ class _TokenBlock:
         joined = " ".join(self.pairs)
         separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
         numbers = joined.replace(":", " ").split()
-        if separators != (b": " * k)[:-1] or len(numbers) != 2 * k or not _c_numbers(joined, " ".join(self.labels)):
-            self.raise_first_error(ptr)
+        # An example line outside ASCII holds a token strtod does not read, or
+        # whitespace that is not ASCII's.  Of ASCII's control characters, the
+        # separators str.split() alone reads are looked for here; any other
+        # stays in a token, whose conversion then fails.
+        text = "".join(self.lines)
+        plain = text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f")
+        if separators != (b": " * k)[:-1] or len(numbers) != 2 * k or not plain:
+            self.raise_first_error()
         try:
             labels = np.array(self.labels, dtype=float)
             indices = np.array(numbers[0::2], dtype=np.int64)
             values = np.array(numbers[1::2], dtype=float)
         except (ValueError, OverflowError):
-            self.raise_first_error(ptr)
+            self.raise_first_error()
         rising = np.ones(k, dtype=bool)
         rising[1:] = np.diff(indices) > 0
         starts = ptr[:-1]
         rising[starts[starts < k]] = True  # an example's first index follows nothing
         if not ((rising & (indices >= 1) & np.isfinite(values)).all() and np.isfinite(labels).all()):
-            self.raise_first_error(ptr)
+            self.raise_first_error()
         return labels, np.diff(ptr), indices - 1, values
 
-    def raise_first_error(self, ptr: np.ndarray) -> NoReturn:
+    def raise_first_error(self) -> NoReturn:
         """Check the block's examples in order, one token at a time; raise the first fault."""
-        for r, line_no in enumerate(self.line_nos):
-            _check_example(line_no, self.labels[r], self.pairs[ptr[r] : ptr[r + 1]])
+        for line_no, line in zip(self.line_nos, self.lines):
+            _check_example(line_no, line)
         raise AssertionError("a block failed an array check that none of its lines fails")
 
 
-def _c_numbers(*tokens: str) -> bool:
-    """Whether ``tokens`` may hold numbers as C reads them: ASCII and no ``_``.
+def _c_number(token: str) -> bool:
+    """Whether ``token`` may hold numbers as C reads them: ASCII and no ``_``.
 
     Python's ``int`` and ``float``, and numpy's conversion through them, also
     read ``1_000`` and digits of other scripts, which ``strtod`` refuses.
     """
-    return all(token.isascii() and "_" not in token for token in tokens)
+    return token.isascii() and "_" not in token
 
 
-def _check_example(line_no: int, label_token: str, pair_tokens: list[str]) -> None:
-    """Raise the :class:`ParseError` of the first fault in one example's tokens, if any.
+def _check_example(line_no: int, line: str) -> None:
+    """Raise the :class:`ParseError` of the first fault in one example line, if any.
 
     This is the one place that words parse errors: the array checks of
-    :meth:`_TokenBlock.arrays` only detect that a block holds a fault.
+    :meth:`_TokenBlock.arrays` only detect that a block holds a fault.  A
+    whitespace or control character other than ASCII whitespace comes first,
+    then the tokens in order.
     """
+    stray = _NOT_TEXT.search(line)
+    if stray:
+        code = ord(stray.group())
+        raise ParseError(f"character U+{code:04X} is whitespace or control but not ASCII whitespace", line_no)
+    label_token, *pair_tokens = line.split()
     try:
-        if not _c_numbers(label_token):
+        if not _c_number(label_token):
             raise ValueError
         label = float(label_token)
     except ValueError:
@@ -220,7 +253,7 @@ def _check_example(line_no: int, label_token: str, pair_tokens: list[str]) -> No
         if not sep:
             raise ParseError(f"malformed pair {token!r}", line_no)
         try:
-            if not _c_numbers(token):
+            if not _c_number(token):
                 raise ValueError
             index = int(index_str)
             value = float(value_str)

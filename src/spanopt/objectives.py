@@ -27,11 +27,16 @@ regularizer costs nothing: ``x @ x`` and ``a * x`` are taken only when
 ``a != 0``, and a quadratic's Hessian diagonal is then its spectrum.
 
 The per-sample kernels (the loss pass, :class:`BatchHessian` products, the
-margin derivative and the curvature weights) write their elementwise steps
-in place, into arrays they allocated themselves, and never into an array a
-caller passed in.  Each element still takes the same IEEE operations in the
-same order as the plain expressions, apart from commuting a single product or
-sum, so the results are the same bits with fewer full-size temporaries.
+curvature weights and the margin derivative's quotient) write their
+elementwise steps in place, into arrays they allocated themselves, and never
+into an array a caller passed in; :func:`gathered_batches` signs the rows of
+its own gathered copy.  Each element still takes the same IEEE operations in
+the same order as the plain expressions, apart from commuting a single
+product or sum, so the results are the same bits with fewer full-size
+temporaries.  The margin derivative takes ``exp(-|m|)``, when the caller has
+none, as plain expressions: svrg's step takes it on a few margins, where an
+``out=`` argument costs more than the new array it spares, and the full pass
+hands in its own.
 """
 
 from __future__ import annotations
@@ -187,19 +192,6 @@ def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _sigmoid_where(upper: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # The numerator is 1 where ``upper`` (z >= 0), for 1/(1 + e^-z), and e
-    # below, for e^z/(1 + e^z), without masked gathers.  Taking the mask
-    # rather than z spares the margin derivative a negated copy of its
-    # margins.  e = exp(-|z|) lies in [0, 1], so max(e, upper) is that pick
-    # exactly, without the branch a select mispredicts on margins of random
-    # sign; a NaN z has a NaN e and a false mask, and stays NaN either way.
-    # ``e`` is not written.
-    s = np.maximum(e, upper)
-    s /= 1.0 + e
-    return s
-
-
 def _check_x(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -330,9 +322,17 @@ def _margin_derivative(cfg: ObjectiveConfig, margins: np.ndarray, e=None) -> np.
     ``e`` is ``exp(-|margins|)`` when the caller has it; neither is written.
     """
     if cfg.loss_kind == "logistic":
-        # -sigmoid(-m): -m >= 0 exactly where m <= 0, and exp(-|-m|) is e.
-        s = _sigmoid_where(margins <= 0.0, _exp_neg_abs(margins) if e is None else e)
-        return np.negative(s, out=s)
+        # -sigmoid(-m), with e = exp(-|m|) in [0, 1]: the numerator is 1 where
+        # m <= 0, for -1/(1 + e^m), and e above, for -e^-m/(1 + e^-m).
+        # max(e, m <= 0) is that pick exactly, without masked gathers or the
+        # branch a select mispredicts on margins of random sign; a NaN m has
+        # a NaN e and a false mask, and stays NaN.  Dividing by -1 - e rather
+        # than negating the quotient gives the same bits with one call fewer.
+        if e is None:
+            e = np.exp(-np.abs(margins))
+        s = np.maximum(e, margins <= 0.0)
+        s /= -1.0 - e
+        return s
     return _huber_dmargin(margins)
 
 
@@ -357,8 +357,9 @@ class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
     :meth:`at` gathers a batch and builds the operator; lissa builds each
-    sample's analytic one over its row from :func:`gathered_batches`, which
-    takes vector products only, with weights of the full pass's margins.
+    sample's analytic one over its label-signed row from
+    :func:`gathered_batches`, with no ``labels``, which takes vector products
+    only, with weights of the full pass's margins.
     ``H @ v`` takes a (d,) vector or a (d, k) block.  A quadratic's
     ``weights`` are its diagonal ``spectrum + a`` (the config's own spectrum
     array when ``a`` is zero), its product ``weights * v`` in both modes: the central difference
@@ -460,8 +461,11 @@ class _Coordinates:
     Supports the vector products the objectives take, ``rows @ x`` and
     ``rows.T @ y``, as numpy bincounts that add each row's terms in stored
     order.  A batch of a few rows then costs a few microseconds where scipy
-    spends tens on each call.
+    spends tens on each call.  ``y @ rows`` is ``rows.T @ y`` without the
+    transposed object that ``.T`` makes: svrg's step takes it, once per step.
     """
+
+    __array_ufunc__ = None  # so ``y @ rows`` with an array ``y`` comes to __rmatmul__
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]):
         self.rows, self.cols, self.values, self.shape = rows, cols, values, shape
@@ -475,19 +479,28 @@ class _Coordinates:
             return np.zeros(self.shape[0])
         return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.shape[0])
 
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        if not self.values.size:
+            return np.zeros(self.shape[1])
+        return np.bincount(self.cols, weights=self.values * y[self.rows], minlength=self.shape[1])
+
 
 _GATHER_ENTRIES = 1 << 14  # stored feature entries (128 KiB of values) per gather of a run of batches
 
 
 def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *per_sample) -> Iterator[tuple]:
-    """``(rows, labels, *entries)`` of each batch, a row of the ``(count, size)`` ``indices``: svrg's and lissa's walk.
+    """``(rows, *entries)`` of each batch, a row of the ``(count, size)`` ``indices``: svrg's and lissa's walk.
 
     :func:`_batch_rows` gathers a run of batches at once, up to about
-    ``_GATHER_ENTRIES`` stored entries by the average row.  Dense rows are
-    views into the run's block, CSR rows :class:`_Coordinates` cut from it, so
-    a batch costs no gather of its own; the rows take vector products only.
-    ``entries`` are the batch's entries of each n-vector in ``per_sample``.
-    Sampled kinds only.
+    ``_GATHER_ENTRIES`` stored entries by the average row.  Each gathered
+    row is then multiplied by its sample's label, in place on the run's own
+    copy, so ``rows @ r`` is ``labels * (data.matrix[batch] @ r)`` to the
+    bit: labels are exactly +-1, and a negation commutes with every rounding.
+    Only an exact zero may differ, in its sign, which neither ``phi'`` nor
+    the curvature weights read.  Dense rows are views into the run's block,
+    CSR rows :class:`_Coordinates` cut from it, so a batch costs no gather of
+    its own; the rows take vector products only.  ``entries`` are the
+    batch's entries of each n-vector in ``per_sample``.  Sampled kinds only.
     """
     count, size = indices.shape
     per_row = max(1, -(-data.stored // data.n_samples))
@@ -496,35 +509,40 @@ def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *
         run = indices[first : first + per_run]
         rows, labels = _batch_rows(cfg, data, run.ravel())
         if isinstance(rows, np.ndarray):
+            rows *= labels[:, None]
             batches = rows.reshape(*run.shape, -1)
         else:
+            stored = np.diff(rows.indptr)
+            rows.data *= np.repeat(labels, stored)
             # Each stored value's row, counted from the first row of its own batch.
-            local = np.repeat(np.arange(run.size) % size, np.diff(rows.indptr))
+            local = np.repeat(np.arange(run.size) % size, stored)
             cuts = rows.indptr[::size].tolist()
             shape = (size, rows.shape[1])
             batches = [_Coordinates(local[a:b], rows.indices[a:b], rows.data[a:b], shape) for a, b in pairwise(cuts)]
-        yield from zip(batches, labels.reshape(run.shape), *(values[run] for values in per_sample))
+        yield from zip(batches, *(values[run] for values in per_sample))
 
 
 def batch_gradient_difference(
-    cfg: ObjectiveConfig, rows, labels, r: np.ndarray, margins: np.ndarray, derivatives: np.ndarray
+    cfg: ObjectiveConfig, rows, r: np.ndarray, margins: np.ndarray, derivatives: np.ndarray
 ) -> np.ndarray:
-    """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over rows from :func:`gathered_batches`.
+    """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over label-signed rows from :func:`gathered_batches`.
 
     svrg's inner step.  ``margins`` and ``derivatives`` are the batch's
     entries of the snapshot's full-pass margins and of ``phi'`` of them.  The
-    margins at ``snapshot + r`` are ``labels * (rows @ r) + margins``: one
-    product of the batch rows with ``r``, then ``phi'`` of them less
-    ``derivatives``, and one transposed product.  At ``r == 0`` the margins equal the snapshot's to
-    the bit, so the derivatives cancel and the difference is exactly zero,
-    on dense and CSR rows alike.  Multiplying the rows by ``snapshot + r``
-    itself would not keep that: a dense BLAS row dot depends on the block's
-    shape, so a batch's own product and the full pass's differ in the last
-    bit.  The steps are plain expressions, as on the few entries of a small
-    batch an in-place ufunc costs more than a new array.
+    margins at ``snapshot + r`` are ``rows @ r + margins``, as the rows carry
+    their labels: one product of the batch rows with ``r``, then ``phi'`` of
+    them less ``derivatives``, and one transposed product, which CSR rows
+    take as ``change @ rows`` and so make no transposed object.  At
+    ``r == 0`` the margins equal the snapshot's to the bit, so the
+    derivatives cancel and the difference is exactly zero, on dense and CSR
+    rows alike.  Multiplying the rows by ``snapshot + r`` itself would not
+    keep that: a dense BLAS row dot depends on the block's shape, so a
+    batch's own product and the full pass's differ in the last bit.  The
+    steps are plain expressions, as on the few entries of a small batch an
+    in-place ufunc costs more than a new array.
     """
-    change = _margin_derivative(cfg, labels * (rows @ r) + margins) - derivatives
-    difference = rows.T @ (labels * change) / rows.shape[0]
+    change = _margin_derivative(cfg, rows @ r + margins) - derivatives
+    difference = (rows.T @ change if isinstance(rows, np.ndarray) else change @ rows) / rows.shape[0]
     return difference + cfg.reg_a * r if cfg.reg_a else difference
 
 

@@ -308,9 +308,9 @@ def test_criterion_8_oracle_equivalences():
     _, mu, margins = _pass(cfg, data, None, snapshot)
     derivatives = _margin_derivative(cfg, margins)
     batch = np.array([1, 5, 9])
-    ((rows, labels),) = gathered_batches(cfg, data, batch[None])
+    ((rows,),) = gathered_batches(cfg, data, batch[None])
     r = snapshot - snapshot
-    estimate = batch_gradient_difference(cfg, rows, labels, r, margins[batch], derivatives[batch]) + mu
+    estimate = batch_gradient_difference(cfg, rows, r, margins[batch], derivatives[batch]) + mu
     svrg_ok = bool(np.array_equal(estimate, mu))
 
     verdict(

@@ -186,9 +186,9 @@ class TestSvrg:
         _, mu, margins = objectives._pass(cfg, data, None, snapshot)
         derivatives = objectives._margin_derivative(cfg, margins)
         batch = np.array([2, 5, 11])
-        ((rows, labels),) = objectives.gathered_batches(cfg, data, batch[None])
+        ((rows,),) = objectives.gathered_batches(cfg, data, batch[None])
         r = snapshot - snapshot
-        estimate = objectives.batch_gradient_difference(cfg, rows, labels, r, margins[batch], derivatives[batch]) + mu
+        estimate = objectives.batch_gradient_difference(cfg, rows, r, margins[batch], derivatives[batch]) + mu
         np.testing.assert_array_equal(estimate, mu)  # bitwise
 
     def test_single_sample_dataset_reduces_to_gd(self):

@@ -992,6 +992,18 @@ class TestCli:
         assert cli.main(["scale", str(cfg), "--dims", "20", "--steps", "1", "-o", str(tmp_path / "s.csv")]) == 0
         assert ranks and set(ranks) == {3}
 
+    def test_scale_needs_only_the_keys_it_reads(self, tmp_path, capsys):
+        # bench scale reads span.l, span.q and newsamp.m; it required span.T,
+        # newsamp.T and newsamp.eta too, and read none of them.
+        unread = ("span.T =", "newsamp.T =", "newsamp.eta =")
+        lines = QUAD_CFG.format(out=tmp_path / "out").splitlines()
+        cfg = write_cfg(tmp_path, "\n".join(line for line in lines if not line.startswith(unread)) + "\n")
+        out = tmp_path / "s.csv"
+        assert cli.main(["scale", str(cfg), "--dims", "20,40", "--steps", "2", "-o", str(out)]) == 0
+        table = out.read_text().splitlines()
+        assert table[0] == "d,span_step_s,newsamp_step_s" and len(table) == 3
+        assert f"wrote {out}" in capsys.readouterr().out
+
     @staticmethod
     def capped_env():
         """The caller's environment with BENCH_THREADS=1 and no inherited thread variables."""

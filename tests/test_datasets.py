@@ -4,6 +4,7 @@ import gzip
 import io
 import math
 import tracemalloc
+import unicodedata
 import warnings
 
 import numpy as np
@@ -36,18 +37,28 @@ _LINE = st.builds(lambda label, feats: " ".join([label, *feats]), _NUMBER, st.li
 _LIBSVM_TEXT = st.one_of(st.lists(_LINE, min_size=1, max_size=4).map("\n".join), st.text(max_size=40))
 
 
+ASCII_WHITESPACE = " \t\n\r\v\f"
+
+
 def reference_load(stream):
     """The per-line, per-token parser that the block loader replaced, kept as its oracle.
 
     Like C's ``strtod``, it reads no number from a token with a character
     outside ASCII or a ``_``, which Python's ``float`` and ``int`` accept.
+    Like ``bytes.split()``, it separates tokens by ASCII whitespace alone, and
+    refuses any other whitespace or control character in an example line.
     """
     labels, indptr, indices, values = [], [0], [], []
     dim = 0
     for line_no, line in enumerate(stream, start=1):
-        stripped = line.strip()
+        stripped = line.strip(ASCII_WHITESPACE)
         if not stripped or stripped.startswith("#"):
             continue
+        for char in line:
+            if char not in ASCII_WHITESPACE and (char.isspace() or unicodedata.category(char) == "Cc"):
+                raise ParseError(
+                    f"character U+{ord(char):04X} is whitespace or control but not ASCII whitespace", line_no
+                )
         tokens = stripped.split()
         try:
             if not tokens[0].isascii() or "_" in tokens[0]:
@@ -143,6 +154,8 @@ class TestLoadLibsvm:
             "1\t1:1\r\n2 2:1\x0c3:1\n   # indented comment\n",
             "1 9223372036854775807:1\n", "1 -99999999999999999999:1\n",
             "1 1:1e-320 2:-0.0 3:1e308\n", "nan\n", "1 2:1 1:1\n\n\n2 x:1\n",
+            "1\v1:1\f2:3\n# a comment holds \xa0 or \x1c\n",  # ASCII whitespace separates
+            "\xa0\n", "\xa0# not a comment\n", "1 1:2\x1c\n", "1 1:\x012\n", "1 1:1\x85\n",
         ],
     )
     def test_matches_the_per_token_reference_on_edge_cases(self, text):
@@ -156,8 +169,9 @@ class TestLoadLibsvm:
             ("2 1:0.5 4:y", "non-numeric token '4:y'"),
             ("1 5:1 3:1", "index 3 not strictly increasing after 5"),
             ("2 1:1 2:inf", "non-finite value '2:inf'"),
+            ("1 1:1\xa02:1", "character U+00A0 is whitespace or control but not ASCII whitespace"),
         ],
-        ids=["malformed-pair", "non-numeric", "out-of-order", "non-finite"],
+        ids=["malformed-pair", "non-numeric", "out-of-order", "non-finite", "no-break-space"],
     )
     def test_error_line_in_a_later_block(self, offset, bad_line, message):
         # Two comment lines shift line numbers off example counts; the bad
@@ -241,6 +255,28 @@ class TestLoadLibsvm:
         with pytest.raises(ParseError) as exc:
             load_libsvm(io.StringIO(f"{prefix}{bad_line}\n"))
         assert str(exc.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("prefix", ["", "1 1:2\n"], ids=["first-line", "after-a-valid-line"])
+    @pytest.mark.parametrize(
+        "bad_line, code",
+        [("1\xa01:1", "00A0"), ("1\x1c1:1", "001C"), ("1 1:1\u20032:3", "2003")],
+        ids=["no-break-space", "file-separator", "em-space"],
+    )
+    def test_separators_only_str_split_reads_are_refused(self, prefix, bad_line, code):
+        # str.split() splits on these, so each line loaded as if they were spaces.
+        line = prefix.count("\n") + 1
+        with pytest.raises(ParseError) as exc:
+            load_libsvm(io.StringIO(f"{prefix}{bad_line}\n"))
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: character U+{code} is whitespace or control but not ASCII whitespace"
+
+    def test_ascii_whitespace_separates_and_comments_hold_anything(self):
+        examples, dim = load_libsvm(io.StringIO("1\t1:1\v2:3\f3:4\r\n# caf\xe9\xa0\x1c\x00\n \t# indented\n-1 2:1\n"))
+        assert dim == 3
+        assert list(examples) == [
+            RawExample(label=1.0, features=((1, 1.0), (2, 3.0), (3, 4.0))),
+            RawExample(label=-1.0, features=((2, 1.0),)),
+        ]
 
     def test_c_number_spellings_still_load(self):
         examples, dim = load_libsvm(io.StringIO("+1 01:.5 2:5. 3:1e-3\n-1 1:1\n"))

@@ -65,8 +65,8 @@ def snapshot(arrays):
 def gathered_operator(cfg, data, batch, x):
     """The analytic operator over ``batch``'s gathered rows, built as run_lissa builds each sample's."""
     _, _, margins = _pass(cfg, data, None, x)
-    ((rows, labels, weights),) = gathered_batches(cfg, data, batch[None], _curvature_weights(cfg, margins))
-    return BatchHessian(cfg, x, rows, labels, weights)
+    ((rows, weights),) = gathered_batches(cfg, data, batch[None], _curvature_weights(cfg, margins))
+    return BatchHessian(cfg, x, rows, None, weights)
 
 
 def one_operator(storage, cfg, data, x, mode):
@@ -149,13 +149,13 @@ class TestBatchThatStoresNothing:
 
     @pytest.fixture
     def empty_batch(self, data):
-        rows, labels = next(gathered_batches(ObjectiveConfig("logistic"), data, np.stack([self.BATCH, [4, 5, 6]])))
+        (rows,) = next(gathered_batches(ObjectiveConfig("logistic"), data, np.stack([self.BATCH, [4, 5, 6]])))
         assert rows.values.size == 0
-        return rows, labels
+        return rows
 
     def test_coordinates_products_are_float64(self, empty_batch):
-        rows, _ = empty_batch
-        for product in (rows @ np.ones(6), rows.T @ np.ones(3)):
+        rows = empty_batch
+        for product in (rows @ np.ones(6), rows.T @ np.ones(3), np.ones(3) @ rows):
             assert product.dtype == np.float64
             np.testing.assert_array_equal(product, 0.0)
 
@@ -173,13 +173,13 @@ class TestBatchThatStoresNothing:
         np.testing.assert_array_equal(product, cfg.reg_a * v)
 
     def test_gradient_difference_is_the_regularizer(self, empty_batch):
-        rows, labels = empty_batch
+        rows = empty_batch
         cfg = ObjectiveConfig("logistic", reg_a=0.3)
         rng = np.random.default_rng(9)
         w, snapshot_x = rng.standard_normal(6), rng.standard_normal(6)
         margins = np.zeros(3)  # the snapshot's margins on rows that store nothing
         r = w - snapshot_x
-        difference = batch_gradient_difference(cfg, rows, labels, r, margins, _margin_derivative(cfg, margins))
+        difference = batch_gradient_difference(cfg, rows, r, margins, _margin_derivative(cfg, margins))
         assert difference.dtype == np.float64
         np.testing.assert_array_equal(difference, cfg.reg_a * (w - snapshot_x))
 

@@ -15,7 +15,7 @@ from spanopt import (
     sample_batch,
 )
 from spanopt.errors import BatchTooLarge, DimensionMismatch, DimensionTooLarge
-from spanopt.objectives import _exp_neg_abs, _margin_derivative, _sigmoid_where, sample_batches
+from spanopt.objectives import _exp_neg_abs, _margin_derivative, sample_batches
 
 
 def toy_logistic(n=20, d=5, seed=0, reg=0.05):
@@ -90,22 +90,28 @@ class TestDatasetInvariants:
         assert given.nnz == 3
 
 
+def masked_sigmoid(z):
+    """The sign-branched sigmoid with masked gathers, written out."""
+    expected = np.empty_like(z)
+    pos = z >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    expected[~pos] = ez / (1.0 + ez)
+    return expected
+
+
 class TestStableSigmoid:
     def test_bit_identical_to_masked_branches(self):
-        # The sign-branched formula with masked gathers, written out: the
-        # unmasked form must reproduce it bit for bit, specials included (a
-        # NaN stays NaN; its sign bit is not part of the contract).
+        # The logistic margin derivative is -sigmoid(-m), without masks: it
+        # must reproduce the sign-branched formula bit for bit, specials
+        # included (a NaN stays NaN; its sign bit is not part of the contract).
         z = np.concatenate([
             [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0, 1e-300, -1e-300],
             np.linspace(-800.0, 800.0, 200_001),
         ])
-        expected = np.empty_like(z)
-        pos = z >= 0
-        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        expected[~pos] = ez / (1.0 + ez)
+        expected = masked_sigmoid(z)
         with np.errstate(invalid="ignore"):
-            got = _sigmoid_where(z >= 0, _exp_neg_abs(z))
+            got = -_margin_derivative(ObjectiveConfig("logistic"), -z)
         nan = np.isnan(expected)
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expected[~nan].tobytes()
@@ -361,10 +367,19 @@ class TestLogisticKernel:
 
     def test_derivative_from_the_shared_exp_is_the_sigmoid(self):
         cfg = ObjectiveConfig("logistic")
-        expected = (-_sigmoid_where(-PIN_MARGINS >= 0, _exp_neg_abs(-PIN_MARGINS))).tobytes()
+        expected = (-masked_sigmoid(-PIN_MARGINS)).tobytes()
         e = _exp_neg_abs(PIN_MARGINS)
         assert _margin_derivative(cfg, PIN_MARGINS, e).tobytes() == expected
         assert _margin_derivative(cfg, PIN_MARGINS).tobytes() == expected
+
+    @pytest.mark.parametrize("size", [1, 10, 16000])
+    def test_derivative_bits_do_not_depend_on_the_size(self, size):
+        # One margin is svrg's step at b = 1, 16000 a finite-difference block.
+        cfg = ObjectiveConfig("logistic")
+        margins = PIN_MARGINS[np.random.default_rng(size).integers(0, PIN_MARGINS.size, size)]
+        expected = (-masked_sigmoid(-margins)).tobytes()
+        assert _margin_derivative(cfg, margins, np.exp(-np.abs(margins))).tobytes() == expected
+        assert _margin_derivative(cfg, margins).tobytes() == expected
 
     def test_curvature_weights_even_and_accurate(self):
         # sigmoid(z) sigmoid(-z) = e / (1 + e)^2 with e = exp(-|z|), against

@@ -66,6 +66,16 @@ def labels_for(n, seed):
     return np.where(np.random.default_rng(seed + 100).random(n) < 0.5, 1.0, -1.0)
 
 
+def same_bits(a, b):
+    """Whether ``a`` and ``b`` hold the same bits, taking an exact zero of either sign as one.
+
+    A product over label-signed rows negates every term where the unsigned
+    product negates the sum, which gives the same bits except that a sum of
+    zeros keeps its +0 where the negated sum reads -0.
+    """
+    return (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
 def close(a, b):
     np.testing.assert_allclose(a, b, rtol=RTOL, atol=1e-15)
 
@@ -181,11 +191,10 @@ class TestObjectives:
         cfg, dense, csr = both_formats()
         batches = np.array([[0, 3, 5], [2, 3, 29]])
         x = np.random.default_rng(6).standard_normal((dense.dim, 2))
-        for (rows, labels), (dense_rows, dense_labels), batch in zip(
+        for (rows,), (dense_rows,), batch in zip(
             gathered_batches(cfg, csr, batches), gathered_batches(cfg, dense, batches), batches
         ):
-            np.testing.assert_array_equal(dense_rows, dense.features[batch])
-            np.testing.assert_array_equal(labels, dense_labels)
+            np.testing.assert_array_equal(dense_rows, dense.labels[batch][:, None] * dense.features[batch])
             assert rows.shape == dense_rows.shape
             close(rows @ x[:, 0], dense_rows @ x[:, 0])
             y = np.arange(1.0, batch.size + 1)
@@ -294,17 +303,30 @@ class TestGatheredBatches:
         per_sample = (1.5 * np.arange(30), rng.standard_normal(30))
         walked = list(gathered_batches(cfg, data, indices, *per_sample))
         assert len(walked) == count
-        for (rows, labels, *entries), batch in zip(walked, indices):
+        for (rows, *entries), batch in zip(walked, indices):
             expected_rows, expected_labels = _batch_rows(cfg, data, batch)
-            np.testing.assert_array_equal(labels, expected_labels)
             for got, values in zip(entries, per_sample):
                 np.testing.assert_array_equal(got, values[batch])
             assert rows.shape == expected_rows.shape
             r, y = rng.standard_normal(data.dim), rng.standard_normal(b)
-            assert (rows @ r).tobytes() == (expected_rows @ r).tobytes()
-            assert (rows.T @ y).tobytes() == (expected_rows.T @ y).tobytes()
+            assert same_bits(rows @ r, expected_labels * (expected_rows @ r))
+            assert same_bits(rows.T @ y, expected_rows.T @ (expected_labels * y))
         if storage == "csr-first-batch-empty" and count:
             assert walked[0][0].values.size == 0 and walked[1][0].values.size > 0
+
+    @pytest.mark.parametrize("storage", ["dense", "csr", "csr-first-batch-empty"])
+    def test_rows_are_label_signed_on_their_own_copy(self, storage):
+        cfg, data = self.walk_data(storage)
+        stored = [data.matrix] if storage == "dense" else [data.matrix.data, data.matrix.indices, data.matrix.indptr]
+        before = [a.tobytes() for a in (*stored, data.labels)]
+        rng = np.random.default_rng(4)
+        for indices in (np.array([[0, 1, 2], [3, 9, 29], [4, 11, 12]]), np.arange(30)[None]):
+            for (rows,), batch in zip(gathered_batches(cfg, data, indices), indices):
+                r = rng.standard_normal(data.dim)
+                assert same_bits(rows @ r, data.labels[batch] * (data.matrix[batch] @ r))
+                if storage == "csr-first-batch-empty" and batch[-1] < 4:
+                    assert rows.values.size == 0
+        assert [a.tobytes() for a in (*stored, data.labels)] == before
 
     @pytest.mark.parametrize(
         "features",
@@ -346,8 +368,8 @@ class TestSvrg:
         """
         margins = _pass(cfg, data, None, snapshot)[2]
         derivatives = _margin_derivative(cfg, margins)
-        ((rows, labels),) = gathered_batches(cfg, data, batch[None])
-        return batch_gradient_difference(cfg, rows, labels, w - snapshot, margins[batch], derivatives[batch]) + mu
+        ((rows,),) = gathered_batches(cfg, data, batch[None])
+        return batch_gradient_difference(cfg, rows, w - snapshot, margins[batch], derivatives[batch]) + mu
 
     def test_snapshot_identity_is_exact_on_csr(self):
         for seed in range(20):
@@ -426,6 +448,7 @@ class TestSvrg:
         cfg, dense, csr = both_formats()
         (n, d), b, steps, epochs = dense.matrix.shape, 3, 5, 2
         products, coordinates_product = [], objectives._Coordinates.__matmul__
+        coordinates_transposed_product = objectives._Coordinates.__rmatmul__
 
         class Counting(np.ndarray):
             """Dense features that log each product they are the left operand of, by shapes."""
@@ -438,12 +461,17 @@ class TestSvrg:
             products.append((coordinates.shape, x.shape))
             return coordinates_product(coordinates, x)
 
+        def counted_transposed(coordinates, y):  # y @ coordinates, the product coordinates.T @ y
+            products.append((coordinates.shape[::-1], y.shape))
+            return coordinates_transposed_product(coordinates, y)
+
         if storage == "dense":
             data = dense
             object.__setattr__(data, "matrix", data.matrix.view(Counting))
         else:
             data = csr
             monkeypatch.setattr(objectives._Coordinates, "__matmul__", counted)
+            monkeypatch.setattr(objectives._Coordinates, "__rmatmul__", counted_transposed)
         bl = BaselineConfig(method="svrg", eta=0.5, t_max=epochs, b=b, inner_steps=steps, seed=14)
         run_svrg(bl, cfg, data, np.zeros(d))
         expected = {((b, d), (d,)): epochs * steps, ((d, b), (b,)): epochs * steps}
