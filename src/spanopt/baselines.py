@@ -106,15 +106,15 @@ def run_svrg(
     the loss derivative ``phi'`` of each margin (elementwise, no product).
     It then takes ``inner_steps`` batched steps (default: one pass,
     ceil(N / b)).  The epoch's batches come from one :func:`sample_batches`
-    call, and :func:`gathered_batches` yields their label-signed rows and
-    stored entries.  The epoch carries the iterate ``w`` as its offset
+    call, and :func:`gathered_batches` yields their signed rows and stored
+    entries.  The epoch carries the iterate ``w`` as its offset
     ``r = w - snapshot``, from ``r = 0``.  A step moves along
     ``grad f_B(w) - grad f_B(snapshot) + grad F(snapshot)``, whose first
     two terms are one :func:`batch_gradient_difference` of ``r``: one
-    product of the signed batch rows with it and one transposed product,
-    with no label multiply of its own, exactly zero at ``r = 0``.  An epoch
-    whose iterate ends non-finite raises :class:`NonFiniteResult`; it is
-    checked once per epoch, not per inner step.
+    product of the batch rows with it and one transposed product, exactly
+    zero at ``r = 0``.  An epoch whose iterate ends non-finite raises
+    :class:`NonFiniteResult`; it is checked once per epoch, not per inner
+    step.
     """
     if data is None or objective.loss_kind == "quadratic":
         raise ValueError("svrg needs sampled data, and quadratics carry no samples")
@@ -252,8 +252,7 @@ def run_lissa(
     yields their rows and their curvature weights, taken elementwise from
     the step bracket's margins at ``x``, so a sample makes no margin
     product.  Each sample's analytic operator ``w (a·v) a`` takes its
-    label-signed row as it comes, with no labels: the sign cancels, to the
-    bit.  The recursion runs on the objective divided by
+    signed row as it comes.  The recursion runs on the objective divided by
     :func:`lissa_hessian_scale`, a bound on every sample's Hessian norm, and
     the resulting direction is unscaled.
     """
@@ -267,7 +266,7 @@ def run_lissa(
         else:
             indices = sample_batches(data.n_samples, 1, cfg.s1 * depth, rng)
             samples = gathered_batches(objective, data, indices, _curvature_weights(objective, margins))
-            hessians = (BatchHessian(objective, x, rows, None, weights) for rows, weights in samples)
+            hessians = (BatchHessian(objective, x, rows, weights) for rows, weights in samples)
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):
             estimates += neumann_inverse_apply(lambda u: next(hessians) @ u, grad, depth, scale)

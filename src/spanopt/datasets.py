@@ -319,14 +319,15 @@ def normalize_rows(ds: Dataset) -> tuple[Dataset, int]:
     other row takes one division by its norm.  CSR data has only its stored
     values scaled.  A dense row of ordinary norm takes ``np.linalg.norm``'s
     pairwise sum and a CSR row a sequential one, so the same data stored both
-    ways can differ in the last bit.
+    ways can differ in the last bit.  The signed rows are scaled as stored,
+    with no second sign pass: a row's scale does not depend on its sign.
     """
-    if isinstance(ds.matrix, np.ndarray):
-        features, zero_rows = _normalize_dense(ds.matrix)
+    if isinstance(ds.signed_rows, np.ndarray):
+        rows, zero_rows = _normalize_dense(ds.signed_rows)
     else:
-        features = ds.matrix.copy()
-        features.data, zero_rows = _normalize_csr(features.data, features.indptr)
-    return Dataset(features=features, labels=ds.labels.copy()), zero_rows
+        rows = ds.signed_rows.copy()
+        rows.data, zero_rows = _normalize_csr(rows.data, rows.indptr)
+    return Dataset._of_signed_rows(rows, ds.labels.copy()), zero_rows
 
 
 def _normalize_dense(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -403,9 +404,8 @@ def synth_classification(
     features *= scales
     planted = gaussian_matrix(d, 1, derive_seed(seed, 51))[:, 0]
     planted /= np.linalg.norm(planted)
-    labels = np.where(features @ planted >= 0.0, 1.0, -1.0)
     flips = np.random.default_rng(derive_seed(seed, 52)).random(n) < _LABEL_NOISE
-    labels[flips] *= -1.0
+    labels = np.where((features @ planted >= 0.0) != flips, 1.0, -1.0)
     ds = Dataset(features=features, labels=labels)
     if normalize:
         ds, _ = normalize_rows(ds)

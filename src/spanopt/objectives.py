@@ -8,16 +8,17 @@ regularizer ``(a/2)||x||^2`` sits outside the sample mean, so it contributes
 in full to every batch quantity.  :func:`loss_and_gradient` is the one loss
 oracle: the loss over every row or over a batch, and its exact gradient.
 
-A :class:`Dataset` stores its features dense or as ``scipy.sparse`` CSR.
-Every sampled computation reads them through :func:`_batch_rows` and the
-same few products (``rows @ x``, ``rows.T @ y``), which both formats
-provide, so one code path serves both; a full-data ``rows.T @ y`` takes
-:attr:`Dataset.transposed`, a stored CSR copy for CSR data.  This module
-never imports scipy: only CSR data, built by whoever imported it, brings it
-in.
+A :class:`Dataset` stores each row times its label, ``y_i a_i``, dense or
+as ``scipy.sparse`` CSR: a margin loss reads a sample only through that
+signed row, so no oracle multiplies by a label.  Every sampled computation
+reads the rows through :func:`_batch_rows` and the same few products
+(``rows @ x``, ``rows.T @ y``), which both formats provide, so one code path
+serves both; a full-data ``rows.T @ y`` takes :attr:`Dataset.transposed`, a
+stored CSR copy for CSR data.  This module never imports scipy: only CSR
+data, built by whoever imported it, brings it in.
 
 Each pass forms one per-pass quantity that its loss and gradient share: the
-margins ``m = labels * (rows @ x)`` of a sampled kind, or a quadratic's one
+margins ``m = rows @ x`` of a sampled kind, or a quadratic's one
 product ``s * x`` with its spectrum ``s``, from which the loss is
 ``0.5 * x @ (s * x)`` and the gradient is ``s * x`` itself.  The logistic
 pass takes one ``exp`` per sample: the loss terms
@@ -29,11 +30,10 @@ regularizer costs nothing: ``x @ x`` and ``a * x`` are taken only when
 The per-sample kernels (the loss pass, :class:`BatchHessian` products, the
 curvature weights and the margin derivative's quotient) write their
 elementwise steps in place, into arrays they allocated themselves, and never
-into an array a caller passed in; :func:`gathered_batches` signs the rows of
-its own gathered copy.  Each element still takes the same IEEE operations in
-the same order as the plain expressions, apart from commuting a single
-product or sum, so the results are the same bits with fewer full-size
-temporaries.  The margin derivative takes ``exp(-|m|)``, when the caller has
+into an array a caller passed in.  Each element still takes the same IEEE
+operations in the same order as the plain expressions, apart from commuting
+a single product or sum, so the results are the same bits with fewer
+full-size temporaries.  The margin derivative takes ``exp(-|m|)``, when the caller has
 none, as plain expressions: svrg's step takes it on a few margins, where an
 ``out=`` argument costs more than the new array it spares, and the full pass
 hands in its own.
@@ -69,90 +69,109 @@ def _check_fits(entries: int, what: str) -> None:
         raise DimensionTooLarge(f"{what} needs {needed} bytes, more than the {available} bytes of physical memory")
 
 
+def _signed(rows, labels: np.ndarray):
+    """Each row times its label in a new matrix of the same storage; for CSR only the stored values change."""
+    if isinstance(rows, np.ndarray):
+        return labels[:, None] * rows
+    signed = rows.copy()
+    signed.data *= np.repeat(labels, np.diff(signed.indptr))
+    return signed
+
+
 @dataclass(frozen=True, init=False)
 class Dataset:
-    """Labeled instances: an (n, d) feature matrix and labels in {-1, +1}.
+    """Labeled instances: an (n, d) feature matrix and labels in {-1, +1}, stored as signed rows.
 
     ``features`` is anything numpy reads as a 2-D float array, stored dense,
     or a ``scipy.sparse`` matrix, stored in canonical CSR form (sorted
-    indices, no duplicates).  ``matrix`` is the matrix as stored; the
-    ``features`` property is always the dense ndarray, built on each access
-    for CSR data.  A CSR dataset whose single dense feature vector would not
-    fit in physical memory raises :class:`DimensionTooLarge`: every solve
-    needs such vectors.
+    indices, no duplicates).  A margin-loss sample enters every oracle only
+    through its signed row ``y_i a_i``, so the constructor multiplies each
+    row by its label once, on its own copy, and stores the result as
+    ``signed_rows``; no oracle multiplies by a label.  Labels are exactly
+    +-1, so the signed rows are the features negated where the label is -1,
+    to the bit.  The ``features`` property rebuilds the dense unsigned
+    matrix, a new array on each access, with the input's bytes: a signed
+    zero is restored, and a CSR matrix's implicit zeros stay ``+0.0``.  A CSR
+    dataset whose single dense feature vector would not fit in physical
+    memory raises :class:`DimensionTooLarge`: every solve needs such vectors.
     """
 
-    matrix: Any  # (n, d) float ndarray, or a scipy.sparse CSR array
+    signed_rows: Any  # (n, d) float ndarray, or a scipy.sparse CSR array: row i times labels[i]
     labels: np.ndarray
 
     def __init__(self, features, labels):
         sparse = sys.modules.get("scipy.sparse")  # a sparse matrix means scipy is loaded
         csr = sparse is not None and sparse.issparse(features)
-        if csr:
-            matrix = sparse.csr_array(features, dtype=float)
-            if not matrix.has_canonical_format:
-                matrix = matrix.copy()
-                matrix.sum_duplicates()
-        else:
-            matrix = np.asarray(features, dtype=float)
-            if matrix.ndim != 2:
-                raise ValueError("features must be a 2-D array")
-        values = matrix.data if csr else matrix
+        matrix = sparse.csr_array(features, dtype=float) if csr else np.asarray(features, dtype=float)
+        if matrix.ndim != 2:
+            raise ValueError("features must be a 2-D array")
         labels = np.asarray(labels, dtype=float)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "labels", labels)
         if matrix.shape[0] < 1 or matrix.shape[1] < 1:
             raise ValueError("dataset must have at least one sample and one feature")
         if labels.shape != (matrix.shape[0],):
             raise ValueError("labels must be one per row of features")
-        if not np.isfinite(values).all():
-            raise ValueError("features contain NaN/Inf")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be exactly -1 or +1")
+        signed = _signed(matrix, labels)
+        if csr:
+            signed.sum_duplicates()  # on the copy; a row's duplicates share its label
+        if not np.isfinite(signed.data if csr else signed).all():
+            raise ValueError("features contain NaN/Inf")
         if csr:
             _check_fits(matrix.shape[1], f"a feature vector of dimension {matrix.shape[1]}")
+        object.__setattr__(self, "signed_rows", signed)
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _of_signed_rows(cls, signed_rows, labels: np.ndarray) -> "Dataset":
+        """A dataset over rows already signed by ``labels``, taken as they are, unchecked."""
+        data = cls.__new__(cls)
+        object.__setattr__(data, "signed_rows", signed_rows)
+        object.__setattr__(data, "labels", labels)
+        return data
 
     @property
     def features(self) -> np.ndarray:
-        """The dense (n, d) feature matrix; for CSR data a new array, refused beyond physical memory."""
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix
-        n, d = self.matrix.shape
+        """The dense (n, d) unsigned feature matrix, a new array; for CSR data refused beyond physical memory."""
+        features = _signed(self.signed_rows, self.labels)  # signing twice restores each value
+        if isinstance(features, np.ndarray):
+            return features
+        n, d = features.shape
         _check_fits(n * d, f"dense {n} x {d} feature matrix")
-        return self.matrix.toarray()
+        return features.toarray()
 
     @property
     def transposed(self):
-        """``matrix.T``, for the full-data products ``matrix.T @ y``.
+        """``signed_rows.T``, for the full-data products ``signed_rows.T @ y``.
 
         Dense data return the free view, on each access.  CSR data return a
         CSR copy of the transpose, built at the first access and kept, at the
         cost of one more copy of the stored values and indices: scipy runs
-        ``matrix.T @ y`` as a scatter over the rows, and the copy's row
+        ``signed_rows.T @ y`` as a scatter over the rows, and the copy's row
         products add the same terms in the same order, from the first sample
         up, so they give the same bits.  The copy is not a field, so it takes
         no part in equality or ``repr``.
         """
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix.T
+        if isinstance(self.signed_rows, np.ndarray):
+            return self.signed_rows.T
         transposed = self.__dict__.get("_transposed")
         if transposed is None:
-            transposed = self.matrix.T.tocsr()
+            transposed = self.signed_rows.T.tocsr()
             object.__setattr__(self, "_transposed", transposed)
         return transposed
 
     @property
     def stored(self) -> int:
         """Feature entries the matrix stores: ``n * d`` dense, the nonzeros for CSR."""
-        return int(self.matrix.size)
+        return int(self.signed_rows.size)
 
     @property
     def n_samples(self) -> int:
-        return self.matrix.shape[0]
+        return self.signed_rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.signed_rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -209,23 +228,23 @@ def _check_x(cfg: ObjectiveConfig, data: Optional[Dataset], x: np.ndarray) -> np
     return x
 
 
-def _batch_rows(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndarray]) -> tuple:
-    """The batch's feature rows and labels; quadratics carry no samples.
+def _batch_rows(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndarray]):
+    """The batch's signed rows; None for a quadratic, which carries no samples.
 
     ``batch`` is None for every row, or a nonempty 1-D array of integer row
     indices in ``[0, n)``; an empty one raises :class:`BatchTooLarge`, and
     anything else :class:`DimensionMismatch`, never a wrapped or rounded row.
     """
     if cfg.loss_kind == "quadratic":
-        return None, None
+        return None
     if batch is None:
-        return data.matrix, data.labels
+        return data.signed_rows
     batch = np.asarray(batch)
     if batch.size == 0:
         raise BatchTooLarge("batch must be nonempty")
     if batch.ndim != 1 or batch.dtype.kind not in "iu" or batch.min() < 0 or batch.max() >= data.n_samples:
         raise DimensionMismatch(f"batch must be a 1-D array of integer row indices in [0, {data.n_samples})")
-    return data.matrix[batch], data.labels[batch]
+    return data.signed_rows[batch]
 
 
 def _huber_loss_terms(margins: np.ndarray) -> np.ndarray:
@@ -269,18 +288,16 @@ def _pass(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndar
     ``s * x``, the returned margins themselves.
     """
     x = _check_x(cfg, data, x)
-    rows, labels = _batch_rows(cfg, data, batch)
+    rows = _batch_rows(cfg, data, batch)
     if rows is None:
         margins = cfg.quadratic_spectrum * x
         loss = 0.5 * float(x @ margins)
         grad = margins + cfg.reg_a * x if cfg.reg_a else margins
     else:
-        margins = _margins(rows, labels, x)
+        margins = rows @ x
         e = _exp_neg_abs(margins) if cfg.loss_kind == "logistic" else None
         loss = _mean_loss(margins, e)
-        y = _margin_derivative(cfg, margins, e)
-        y *= labels
-        grad = (data.transposed if batch is None else rows.T) @ y
+        grad = (data.transposed if batch is None else rows.T) @ _margin_derivative(cfg, margins, e)
         grad /= rows.shape[0]
         if cfg.reg_a:
             grad += cfg.reg_a * x
@@ -289,16 +306,9 @@ def _pass(cfg: ObjectiveConfig, data: Optional[Dataset], batch: Optional[np.ndar
     return loss, grad, margins
 
 
-def _margins(rows, labels, x: np.ndarray) -> np.ndarray:
-    """``labels * (rows @ x)`` for a checked vector ``x``."""
-    margins = rows @ x
-    margins *= labels
-    return margins
-
-
 def _row_squared_norms(data: Dataset) -> np.ndarray:
     """Each row's squared norm ``||a_i||^2`` in either storage format; one that overflows is inf."""
-    matrix = data.matrix
+    matrix = data.signed_rows
     with np.errstate(over="ignore"):
         if isinstance(matrix, np.ndarray):
             return np.einsum("ij,ij->i", matrix, matrix)
@@ -357,35 +367,34 @@ class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
     :meth:`at` gathers a batch and builds the operator; lissa builds each
-    sample's analytic one over its label-signed row from
-    :func:`gathered_batches`, with no ``labels``, which takes vector products
-    only, with weights of the full pass's margins.
+    sample's analytic one over its row from :func:`gathered_batches`, which
+    takes vector products only, with weights of the full pass's margins.
+    ``rows`` are signed rows (:class:`Dataset`), so no product reads a label.
     ``H @ v`` takes a (d,) vector or a (d, k) block.  A quadratic's
     ``weights`` are its diagonal ``spectrum + a`` (the config's own spectrum
     array when ``a`` is zero), its product ``weights * v`` in both modes: the central difference
     of its linear gradient, exactly.  A sampled kind's ``margins`` are its
-    base margins ``m0 = labels * (rows @ x)``, in both modes, and every product
+    base margins ``m0 = rows @ x``, in both modes, and every product
     takes one path, ``t = rows @ v``, then a per-sample term ``y``, then
     ``rows.T @ y / b + a v``; the modes differ only in ``y``.  Analytic
     ``weights`` are the curvature weights at ``m0``, and ``y = weights * t``.
     With ``fd_step`` ``h`` set there are no ``weights``, and ``y`` is a
     central difference of the margin derivative ``phi'``:
-    ``labels * (phi'(m0 + delta) - phi'(m0 - delta)) * ||v|| / (2h)`` with
-    ``delta = labels * t * h / ||v||`` per column.  So the perturbation along
+    ``(phi'(m0 + delta) - phi'(m0 - delta)) * ||v|| / (2h)`` with
+    ``delta = t * h / ||v||`` per column.  So the perturbation along
     each column has size ``h = sqrt(eps) * (1 + ||x||)`` whatever ``||v||``
     is (it grows geometrically during power iteration), a zero column
     gives an exact zero, and a column of infinite or NaN norm raises
     :class:`NonFiniteResult`.  :meth:`dense` forms the analytic matrix in either
     mode.  A product writes only into arrays it allocates: ``t`` becomes
     ``y`` (analytic) or ``delta`` in place, and ``m0 - delta`` then reuses
-    ``delta``'s buffer.  It never writes ``v``, the stored ``margins``,
-    ``weights`` or ``labels``, or the rows.
+    ``delta``'s buffer.  It never writes ``v``, the stored ``margins`` or
+    ``weights``, or the rows.
     """
 
     cfg: ObjectiveConfig
     x: np.ndarray
-    rows: Any  # the batch rows, dense or CSR; None for quadratics
-    labels: Optional[np.ndarray]
+    rows: Any  # the batch's signed rows, dense or CSR; None for quadratics
     weights: Optional[np.ndarray]  # a quadratic's diagonal, or analytic curvature weights
     margins: Optional[np.ndarray] = None  # base margins of sampled kinds
     fd_step: Optional[float] = None
@@ -394,14 +403,14 @@ class BatchHessian:
     def at(cls, cfg, data, batch, x, mode: HvpMode) -> "BatchHessian":
         """Gather the batch at ``x`` for products in ``mode``: central differences or analytic."""
         x = _check_x(cfg, data, x)
-        rows, labels = _batch_rows(cfg, data, batch)
+        rows = _batch_rows(cfg, data, batch)
         if rows is None:
             spectrum = cfg.quadratic_spectrum
-            return cls(cfg, x, None, None, spectrum + cfg.reg_a if cfg.reg_a else spectrum)
-        margins = _margins(rows, labels, x)
+            return cls(cfg, x, None, spectrum + cfg.reg_a if cfg.reg_a else spectrum)
+        margins = rows @ x
         if mode.kind == "finite_difference":
-            return cls(cfg, x, rows, labels, None, margins, _SQRT_EPS * (1.0 + float(np.linalg.norm(x))))
-        return cls(cfg, x, rows, labels, _curvature_weights(cfg, margins), margins)
+            return cls(cfg, x, rows, None, margins, _SQRT_EPS * (1.0 + float(np.linalg.norm(x))))
+        return cls(cfg, x, rows, _curvature_weights(cfg, margins), margins)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -418,12 +427,10 @@ class BatchHessian:
             norms = np.linalg.norm(v, axis=0)
             if not np.isfinite(norms).all():
                 raise NonFiniteResult("direction has a non-finite norm")
-            labels, m0 = self.labels[per_sample], self.margins[per_sample]
-            t *= labels
+            m0 = self.margins[per_sample]
             t *= self.fd_step / np.where(norms > 0.0, norms, 1.0)  # t is delta now
             y = _margin_derivative(self.cfg, m0 + t)
             y -= _margin_derivative(self.cfg, np.subtract(m0, t, out=t))
-            y *= labels
             y *= norms / (2.0 * self.fd_step)
         out = self.rows.T @ y
         out /= self.rows.shape[0]
@@ -491,31 +498,24 @@ _GATHER_ENTRIES = 1 << 14  # stored feature entries (128 KiB of values) per gath
 def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *per_sample) -> Iterator[tuple]:
     """``(rows, *entries)`` of each batch, a row of the ``(count, size)`` ``indices``: svrg's and lissa's walk.
 
-    :func:`_batch_rows` gathers a run of batches at once, up to about
-    ``_GATHER_ENTRIES`` stored entries by the average row.  Each gathered
-    row is then multiplied by its sample's label, in place on the run's own
-    copy, so ``rows @ r`` is ``labels * (data.matrix[batch] @ r)`` to the
-    bit: labels are exactly +-1, and a negation commutes with every rounding.
-    Only an exact zero may differ, in its sign, which neither ``phi'`` nor
-    the curvature weights read.  Dense rows are views into the run's block,
-    CSR rows :class:`_Coordinates` cut from it, so a batch costs no gather of
-    its own; the rows take vector products only.  ``entries`` are the
-    batch's entries of each n-vector in ``per_sample``.  Sampled kinds only.
+    :func:`_batch_rows` gathers a run of batches' signed rows at once, up
+    to about ``_GATHER_ENTRIES`` stored entries by the average row.  Dense
+    rows are views into the run's block, CSR rows :class:`_Coordinates` cut
+    from it, so a batch costs no gather of its own; the rows take vector
+    products only.  ``entries`` are the batch's entries of each n-vector in
+    ``per_sample``.  Sampled kinds only.
     """
     count, size = indices.shape
     per_row = max(1, -(-data.stored // data.n_samples))
     per_run = max(1, _GATHER_ENTRIES // (size * per_row))
     for first in range(0, count, per_run):
         run = indices[first : first + per_run]
-        rows, labels = _batch_rows(cfg, data, run.ravel())
+        rows = _batch_rows(cfg, data, run.ravel())
         if isinstance(rows, np.ndarray):
-            rows *= labels[:, None]
             batches = rows.reshape(*run.shape, -1)
         else:
-            stored = np.diff(rows.indptr)
-            rows.data *= np.repeat(labels, stored)
             # Each stored value's row, counted from the first row of its own batch.
-            local = np.repeat(np.arange(run.size) % size, stored)
+            local = np.repeat(np.arange(run.size) % size, np.diff(rows.indptr))
             cuts = rows.indptr[::size].tolist()
             shape = (size, rows.shape[1])
             batches = [_Coordinates(local[a:b], rows.indices[a:b], rows.data[a:b], shape) for a, b in pairwise(cuts)]
@@ -525,24 +525,23 @@ def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *
 def batch_gradient_difference(
     cfg: ObjectiveConfig, rows, r: np.ndarray, margins: np.ndarray, derivatives: np.ndarray
 ) -> np.ndarray:
-    """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over label-signed rows from :func:`gathered_batches`.
+    """``grad f_B(snapshot + r) - grad f_B(snapshot)`` over signed rows from :func:`gathered_batches`.
 
     svrg's inner step.  ``margins`` and ``derivatives`` are the batch's
     entries of the snapshot's full-pass margins and of ``phi'`` of them.  The
-    margins at ``snapshot + r`` are ``rows @ r + margins``, as the rows carry
-    their labels: one product of the batch rows with ``r``, then ``phi'`` of
-    them less ``derivatives``, and one transposed product, which CSR rows
-    take as ``change @ rows`` and so make no transposed object.  At
-    ``r == 0`` the margins equal the snapshot's to the bit, so the
-    derivatives cancel and the difference is exactly zero, on dense and CSR
-    rows alike.  Multiplying the rows by ``snapshot + r`` itself would not
+    margins at ``snapshot + r`` are ``rows @ r + margins``: one product of
+    the batch rows with ``r``, then ``phi'`` of them less ``derivatives``,
+    and one transposed product ``change @ rows``, which makes no transposed
+    object in either storage format.  At ``r == 0`` the margins equal the
+    snapshot's to the bit, so the derivatives cancel and the difference is
+    exactly zero, on dense and CSR rows alike.  Multiplying the rows by ``snapshot + r`` itself would not
     keep that: a dense BLAS row dot depends on the block's shape, so a
     batch's own product and the full pass's differ in the last bit.  The
     steps are plain expressions, as on the few entries of a small batch an
     in-place ufunc costs more than a new array.
     """
     change = _margin_derivative(cfg, rows @ r + margins) - derivatives
-    difference = (rows.T @ change if isinstance(rows, np.ndarray) else change @ rows) / rows.shape[0]
+    difference = (change @ rows) / rows.shape[0]
     return difference + cfg.reg_a * r if cfg.reg_a else difference
 
 

@@ -21,7 +21,7 @@ from spanopt import (
     run_span,
     run_svrg,
 )
-from spanopt import baselines, objectives
+from spanopt import baselines, objectives, span
 from spanopt.baselines import (
     lissa_hessian_scale,
     neumann_inverse_apply,
@@ -59,15 +59,28 @@ def stored_as(storage, loss="logistic"):
 
 
 def counted_margins(monkeypatch, data):
-    """Count ``objectives._margins`` products by their rows: ``full`` (all of ``data``) or ``gathered``."""
+    """Count margin products by their rows: ``full`` (all of ``data``) or ``gathered``.
+
+    Each loss pass and each :meth:`BatchHessian.at` takes one margin product
+    ``rows @ x`` over the rows of its batch.
+    """
     calls = collections.Counter()
-    margins = objectives._margins
+    loss_pass, at = objectives._pass, BatchHessian.at.__func__
 
-    def counted(rows, labels, x):
-        calls["full" if rows is data.matrix else "gathered"] += 1
-        return margins(rows, labels, x)
+    def count(of, batch):
+        calls["full" if of is data and batch is None else "gathered"] += 1
 
-    monkeypatch.setattr(objectives, "_margins", counted)
+    def counted_pass(cfg, of, batch, x):
+        count(of, batch)
+        return loss_pass(cfg, of, batch, x)
+
+    def counted_at(cls, cfg, of, batch, x, mode):
+        count(of, batch)
+        return at(cls, cfg, of, batch, x, mode)
+
+    for module in (objectives, span):  # span takes the step bracket's pass by name
+        monkeypatch.setattr(module, "_pass", counted_pass)
+    monkeypatch.setattr(BatchHessian, "at", classmethod(counted_at))
     return calls
 
 
@@ -414,7 +427,7 @@ class TestLissa:
         class Recorded(BatchHessian):
             def __matmul__(self, v):
                 out = super().__matmul__(v)
-                if self.rows is not data.matrix:  # not the scale probe's full-data operator
+                if self.rows is not data.signed_rows:  # not the scale probe's full-data operator
                     products.append((self, v, out))
                 return out
 

@@ -932,7 +932,7 @@ class TestCli:
             "svrg.T = 2\nsvrg.eta = 0.5\nsvrg.b = 2\nnewsamp.T = 3\nnewsamp.m = 2\nnewsamp.eta = 1.0\nnewsamp.b = 4\n"
             "lissa.T = 3\nlissa.eta = 1.0\nlissa.inner_steps = 5\nprobe.hessian_error = true\n"
         ))
-        assert not isinstance(load_experiment_config(config).data.matrix, np.ndarray)
+        assert not isinstance(load_experiment_config(config).data.signed_rows, np.ndarray)
         for out in ("a", "b"):
             assert cli.main(["run", str(config), "--output-dir", str(tmp_path / out)]) == 0
 

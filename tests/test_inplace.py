@@ -2,7 +2,7 @@
 
 A batch-Hessian product, the full-data loss-and-gradient pass and the margin
 derivative write only into arrays of their own: never into the caller's
-vector or iterate, the operator's stored margins, weights or labels, or the
+vector or iterate, the operator's stored margins or weights, or the
 dataset.  Their temporaries stay within a fixed number of full-size arrays,
 and a CSR batch that stores no entries still gives float64.
 """
@@ -53,9 +53,9 @@ def dataset(storage, n=40, d=9, seed=0):
 
 
 def data_arrays(data):
-    if isinstance(data.matrix, np.ndarray):
-        return [data.matrix, data.labels]
-    return [data.matrix.data, data.matrix.indices, data.matrix.indptr, data.labels]
+    if isinstance(data.signed_rows, np.ndarray):
+        return [data.signed_rows, data.labels]
+    return [data.signed_rows.data, data.signed_rows.indices, data.signed_rows.indptr, data.labels]
 
 
 def snapshot(arrays):
@@ -66,7 +66,7 @@ def gathered_operator(cfg, data, batch, x):
     """The analytic operator over ``batch``'s gathered rows, built as run_lissa builds each sample's."""
     _, _, margins = _pass(cfg, data, None, x)
     ((rows, weights),) = gathered_batches(cfg, data, batch[None], _curvature_weights(cfg, margins))
-    return BatchHessian(cfg, x, rows, None, weights)
+    return BatchHessian(cfg, x, rows, weights)
 
 
 def one_operator(storage, cfg, data, x, mode):
@@ -105,7 +105,7 @@ class TestWritesOnlyItsOwnArrays:
         v = rng.standard_normal(data.dim) if operand == "vector" else rng.standard_normal((data.dim, 4))
         if v.ndim == 2:
             v[:, 1] = 0.0
-        own = [hessian.x, hessian.margins, hessian.labels, hessian.weights]
+        own = [hessian.x, hessian.margins, hessian.weights]
         kept = [v, x, *data_arrays(data), *stored, *(a for a in own if a is not None)]
         before = snapshot(kept)
         first = hessian @ v

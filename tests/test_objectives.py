@@ -85,9 +85,69 @@ class TestDatasetInvariants:
         given = sparse.csr_array((np.array([1.0, 2.0, 4.0]), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2))
         assert not given.has_canonical_format
         ds = Dataset(features=given, labels=np.array([1.0, -1.0]))
-        assert ds.matrix.has_canonical_format
+        assert ds.signed_rows.has_canonical_format
         np.testing.assert_array_equal(ds.features, [[0.0, 3.0], [4.0, 0.0]])
         assert given.nnz == 3
+
+
+def signed_zero_features(csr):
+    """A 4 x 3 float64 input with zeros of both signs, dense or as canonical CSR, and its labels.
+
+    The CSR input stores a ``-0.0`` and a ``+0.0`` explicitly; its other
+    zeros are implicit.
+    """
+    dense = np.array([[1.5, -0.0, 0.0], [0.0, -2.0, 0.25], [-0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
+    labels = np.array([-1.0, 1.0, -1.0, -1.0])
+    if not csr:
+        return dense, labels
+    from scipy import sparse
+
+    stored = (np.array([1.5, -0.0, -2.0, 0.25, 0.0, 3.0, -1.0]), np.array([0, 1, 1, 2, 0, 0, 2]), np.array([0, 2, 4, 5, 7]))
+    features = sparse.csr_array(stored, shape=(4, 3))
+    assert features.has_canonical_format and features.dtype == np.float64
+    return features, labels
+
+
+class TestSignedRows:
+    """``Dataset`` stores each row times its label and gives back the features it was built from."""
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_features_are_the_inputs_bytes(self, csr):
+        # Row 0, labeled -1, holds a -0.0 and a +0.0; for CSR its +0.0 is implicit.
+        # scipy's toarray adds each stored value into +0.0, so a stored -0.0 reads +0.0.
+        features, labels = signed_zero_features(csr)
+        dense = features.toarray() if csr else features
+        assert np.signbit(dense[0, 1]) != csr and not np.signbit(dense[0, 2])
+        ds = Dataset(features=features, labels=labels)
+        assert ds.features.tobytes() == dense.tobytes()
+        assert ds.features is not ds.features  # a new array on each access
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_signed_rows_are_the_rows_times_their_labels(self, csr):
+        features, labels = signed_zero_features(csr)
+        ds = Dataset(features=features, labels=labels)
+        if csr:
+            signed = ds.signed_rows
+            assert signed.format == "csr" and signed.has_canonical_format
+            assert (signed.indices.tolist(), signed.indptr.tolist()) == (features.indices.tolist(), features.indptr.tolist())
+            expected = np.repeat(labels, np.diff(features.indptr)) * features.data
+            assert signed.data.tobytes() == expected.tobytes()
+        else:
+            assert ds.signed_rows.tobytes() == (labels[:, None] * features).tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_construction_never_writes_the_callers_arrays(self, csr):
+        # scipy's csr_array(f) shares a canonical float64 input's arrays, and
+        # np.asarray a float64 ndarray.
+        features, labels = signed_zero_features(csr)
+        arrays = [features.data, features.indices, features.indptr] if csr else [features]
+        before = [a.tobytes() for a in (*arrays, labels)]
+        ds = Dataset(features=features, labels=labels)
+        assert [a.tobytes() for a in (*arrays, labels)] == before
+        signed = ds.signed_rows
+        stored = [signed.data, signed.indices, signed.indptr] if csr else [signed]
+        assert not any(np.shares_memory(a, b) for a in stored for b in arrays)
 
 
 def masked_sigmoid(z):
@@ -246,14 +306,15 @@ class TestLossAndGradient:
 
         rng = np.random.default_rng(12)
         _, dense = toy_logistic(n=30, d=6, seed=9)
-        for data in (dense, Dataset(sparse.csr_array(dense.features * (rng.random((30, 6)) < 0.5)), dense.labels)):
+        for features in (dense.features, sparse.csr_array(dense.features * (rng.random((30, 6)) < 0.5))):
+            data = Dataset(features, dense.labels)
             for reg in (0.0, 0.1):
                 cfg = ObjectiveConfig(kind, reg_a=reg)
                 for scale in (0.0, 0.3, 3.0, 40.0):  # every Huber branch, and logistic saturation
                     x = scale * rng.standard_normal(6)
                     batch = np.sort(rng.choice(30, size=10, replace=False))
                     loss, grad = loss_and_gradient(cfg, data, x, batch)
-                    alone_loss, alone_grad = loss_and_gradient(cfg, Dataset(data.matrix[batch], data.labels[batch]), x)
+                    alone_loss, alone_grad = loss_and_gradient(cfg, Dataset(features[batch], data.labels[batch]), x)
                     assert loss == alone_loss
                     assert grad.tobytes() == alone_grad.tobytes()
 

@@ -58,22 +58,12 @@ def sparse_features(n, d, seed, density=0.3, empty_rows=(3,)):
 def both_formats(n=30, d=7, seed=0, loss="logistic", reg=0.05):
     """One problem stored dense and as CSR, rows unit-normalized."""
     csr, _ = normalize_rows(Dataset(features=sparse_features(n, d, seed), labels=labels_for(n, seed)))
-    dense = Dataset(features=csr.matrix.toarray(), labels=csr.labels)
+    dense = Dataset(features=csr.features, labels=csr.labels)
     return ObjectiveConfig(loss, reg_a=reg), dense, csr
 
 
 def labels_for(n, seed):
     return np.where(np.random.default_rng(seed + 100).random(n) < 0.5, 1.0, -1.0)
-
-
-def same_bits(a, b):
-    """Whether ``a`` and ``b`` hold the same bits, taking an exact zero of either sign as one.
-
-    A product over label-signed rows negates every term where the unsigned
-    product negates the sum, which gives the same bits except that a sum of
-    zeros keeps its +0 where the negated sum reads -0.
-    """
-    return (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
 def close(a, b):
@@ -84,14 +74,14 @@ class TestStorage:
     def test_csr_stays_csr_and_dense_view_matches(self):
         matrix = sparse_features(9, 4, seed=1)
         ds = Dataset(features=matrix, labels=labels_for(9, 1))
-        assert sparse.issparse(ds.matrix) and ds.matrix.format == "csr"
+        assert sparse.issparse(ds.signed_rows) and ds.signed_rows.format == "csr"
         assert ds.n_samples == 9 and ds.dim == 4 and ds.stored == matrix.nnz
         np.testing.assert_array_equal(ds.features, matrix.toarray())
 
     def test_dense_features_are_the_stored_matrix(self):
         features = np.ones((3, 2))
         ds = Dataset(features=features, labels=np.ones(3))
-        assert ds.features is ds.matrix and ds.stored == 6
+        assert ds.features.tobytes() == ds.signed_rows.tobytes() and ds.stored == 6
 
     def test_duplicates_are_summed(self):
         coo = sparse.coo_array((np.array([1.0, 2.0]), (np.array([0, 0]), np.array([1, 1]))), shape=(1, 3))
@@ -125,7 +115,7 @@ class TestLibsvmToCsr:
     def test_kept_rows_are_csr_and_match_the_file(self):
         examples, dim = load_libsvm(io.StringIO("4 1:1 3:2\n9 2:2\n7 3:3\n4\n9 1:-1 3:1\n"))
         ds = to_binary_dataset(examples, 4.0, 9.0, dim=dim)
-        assert sparse.issparse(ds.matrix)
+        assert sparse.issparse(ds.signed_rows)
         np.testing.assert_array_equal(
             ds.features, [[1.0, 0.0, 2.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]
         )
@@ -147,7 +137,7 @@ class TestNormalizeRows:
         labels = labels_for(7, 2)
         from_csr, zero_csr = normalize_rows(Dataset(features=matrix, labels=labels))
         from_dense, zero_dense = normalize_rows(Dataset(features=dense, labels=labels))
-        assert sparse.issparse(from_csr.matrix)
+        assert sparse.issparse(from_csr.signed_rows)
         assert zero_csr == zero_dense == 3
         close(from_csr.features, from_dense.features)
         np.testing.assert_allclose(
@@ -183,9 +173,8 @@ class TestObjectives:
     def test_batch_gather_is_the_dense_rows(self):
         cfg, dense, csr = both_formats()
         batch = np.array([1, 3, 8, 20])
-        rows, labels = _batch_rows(cfg, csr, batch)
-        np.testing.assert_array_equal(rows.toarray(), dense.features[batch])
-        np.testing.assert_array_equal(labels, dense.labels[batch])
+        rows = _batch_rows(cfg, csr, batch)
+        np.testing.assert_array_equal(rows.toarray(), dense.signed_rows[batch])
 
     def test_gathered_batches_take_the_dense_products(self):
         cfg, dense, csr = both_formats()
@@ -235,14 +224,13 @@ class TestStoredTranspose:
         data = stores_nothing_in_some_rows_and_columns(n, d, seed=n + d)
         cfg = ObjectiveConfig(loss, reg_a=0.05)
         x = np.random.default_rng(3).standard_normal(d)
-        margins = data.labels * (data.matrix @ x)
-        y = _margin_derivative(cfg, margins) * data.labels
-        expected = data.matrix.T @ y  # scipy's product on the transposed view
+        y = _margin_derivative(cfg, data.signed_rows @ x)
+        expected = data.signed_rows.T @ y  # scipy's product on the transposed view
         expected /= n
         expected += cfg.reg_a * x
         assert loss_and_gradient(cfg, data, x)[1].tobytes() == expected.tobytes()
         assert data.transposed.format == "csr"
-        np.testing.assert_array_equal(data.transposed.toarray(), data.features.T)
+        np.testing.assert_array_equal(data.transposed.toarray(), data.signed_rows.toarray().T)
 
     def test_passes_and_methods_reuse_one_transpose(self):
         cfg, _, data = both_formats(n=40, d=8, seed=9)
@@ -259,14 +247,14 @@ class TestStoredTranspose:
         x0 = np.zeros(data.dim)
         loss_and_gradient(cfg, data, x0)
         TestSolversNeverDensify.RUNS["span"](cfg, data, x0)
-        assert vars(data).keys() == {"matrix", "labels"}
-        assert data.transposed.base is data.matrix
+        assert vars(data).keys() == {"signed_rows", "labels"}
+        assert data.transposed.base is data.signed_rows
 
     def test_the_transpose_is_no_field_and_takes_no_part_in_equality(self):
         _, _, data = both_formats()
         bare = copy.copy(data)
         data.transposed  # built and kept on ``data`` alone
-        assert [f.name for f in dataclasses.fields(data)] == ["matrix", "labels"]
+        assert [f.name for f in dataclasses.fields(data)] == ["signed_rows", "labels"]
         assert "_transposed" in vars(data) and "_transposed" not in vars(bare)
         assert data == bare and bare == data
         assert repr(data) == repr(bare)
@@ -304,26 +292,30 @@ class TestGatheredBatches:
         walked = list(gathered_batches(cfg, data, indices, *per_sample))
         assert len(walked) == count
         for (rows, *entries), batch in zip(walked, indices):
-            expected_rows, expected_labels = _batch_rows(cfg, data, batch)
+            expected_rows = _batch_rows(cfg, data, batch)
             for got, values in zip(entries, per_sample):
                 np.testing.assert_array_equal(got, values[batch])
             assert rows.shape == expected_rows.shape
             r, y = rng.standard_normal(data.dim), rng.standard_normal(b)
-            assert same_bits(rows @ r, expected_labels * (expected_rows @ r))
-            assert same_bits(rows.T @ y, expected_rows.T @ (expected_labels * y))
+            assert (rows @ r).tobytes() == (expected_rows @ r).tobytes()
+            assert (rows.T @ y).tobytes() == (expected_rows.T @ y).tobytes()
         if storage == "csr-first-batch-empty" and count:
             assert walked[0][0].values.size == 0 and walked[1][0].values.size > 0
 
     @pytest.mark.parametrize("storage", ["dense", "csr", "csr-first-batch-empty"])
-    def test_rows_are_label_signed_on_their_own_copy(self, storage):
+    def test_rows_are_the_datasets_signed_rows(self, storage):
         cfg, data = self.walk_data(storage)
-        stored = [data.matrix] if storage == "dense" else [data.matrix.data, data.matrix.indices, data.matrix.indptr]
+        signed = data.signed_rows
+        stored = [signed] if storage == "dense" else [signed.data, signed.indices, signed.indptr]
         before = [a.tobytes() for a in (*stored, data.labels)]
-        rng = np.random.default_rng(4)
         for indices in (np.array([[0, 1, 2], [3, 9, 29], [4, 11, 12]]), np.arange(30)[None]):
             for (rows,), batch in zip(gathered_batches(cfg, data, indices), indices):
-                r = rng.standard_normal(data.dim)
-                assert same_bits(rows @ r, data.labels[batch] * (data.matrix[batch] @ r))
+                if storage == "dense":
+                    assert rows.tobytes() == signed[batch].tobytes()
+                else:
+                    expected = signed[batch].tocoo()
+                    assert rows.rows.tolist() == expected.row.tolist() and rows.cols.tolist() == expected.col.tolist()
+                    assert rows.values.tobytes() == expected.data.tobytes()
                 if storage == "csr-first-batch-empty" and batch[-1] < 4:
                     assert rows.values.size == 0
         assert [a.tobytes() for a in (*stored, data.labels)] == before
@@ -344,9 +336,9 @@ class TestGatheredBatches:
         gather, gathers = objectives._batch_rows, []
 
         def recorded(cfg, data, indices):
-            rows, labels = gather(cfg, data, indices)
+            rows = gather(cfg, data, indices)
             gathers.append((rows.shape[0], int(rows.size)))
-            return rows, labels
+            return rows
 
         monkeypatch.setattr(objectives, "_batch_rows", recorded)
         indices = sample_batches(30, b, 20000, np.random.default_rng(0))
@@ -446,16 +438,20 @@ class TestSvrg:
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_one_product_each_way_per_step_and_one_full_product_per_epoch(self, storage, monkeypatch):
         cfg, dense, csr = both_formats()
-        (n, d), b, steps, epochs = dense.matrix.shape, 3, 5, 2
+        (n, d), b, steps, epochs = dense.signed_rows.shape, 3, 5, 2
         products, coordinates_product = [], objectives._Coordinates.__matmul__
         coordinates_transposed_product = objectives._Coordinates.__rmatmul__
 
         class Counting(np.ndarray):
-            """Dense features that log each product they are the left operand of, by shapes."""
+            """Dense rows that log each product they take part in, by shapes, as ``rows @ x`` or ``rows.T @ y``."""
 
             def __matmul__(self, other):
                 products.append((self.shape, np.shape(other)))
                 return np.asarray(self) @ other
+
+            def __rmatmul__(self, other):  # y @ rows, the product rows.T @ y
+                products.append((self.shape[::-1], np.shape(other)))
+                return other @ np.asarray(self)
 
         def counted(coordinates, x):
             products.append((coordinates.shape, x.shape))
@@ -467,7 +463,7 @@ class TestSvrg:
 
         if storage == "dense":
             data = dense
-            object.__setattr__(data, "matrix", data.matrix.view(Counting))
+            object.__setattr__(data, "signed_rows", data.signed_rows.view(Counting))
         else:
             data = csr
             monkeypatch.setattr(objectives._Coordinates, "__matmul__", counted)
