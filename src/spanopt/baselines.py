@@ -17,7 +17,6 @@ basis and has no probe.  Determinism is keyed by the config seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -230,7 +229,7 @@ def lissa_hessian_scale(objective: ObjectiveConfig, data: Dataset | None, x0: np
     if not math.isfinite(scale):
         raise NonFiniteResult("lissa's Hessian scale overflows")
     if not objective.reg_a and objective.loss_kind != "quadratic":
-        weights = BatchHessian.at(objective, data, None, x0, ANALYTIC).weights
+        weights = _curvature_weights(objective, data.signed_rows @ x0)
         if not np.any((weights > 0.0) & (squared_norms > 0.0)):
             raise SingularSystem("objective has zero curvature at x0")
     return scale
@@ -251,8 +250,10 @@ def run_lissa(
     as one ``rng.integers(n)`` per sample, and :func:`gathered_batches`
     yields their rows and their curvature weights, taken elementwise from
     the step bracket's margins at ``x``, so a sample makes no margin
-    product.  Each sample's analytic operator ``w (a·v) a`` takes its
-    signed row as it comes.  The recursion runs on the objective divided by
+    product.  A sample's product ``w (a·u) a + reg_a u`` reads its row as
+    svrg's step reads a batch, ``(w * (rows @ u)) @ rows``: the IEEE
+    operations of :class:`BatchHessian`'s analytic product over that row; a
+    quadratic takes its operator's.  The recursion runs on the objective divided by
     :func:`lissa_hessian_scale`, a bound on every sample's Hessian norm, and
     the resulting direction is unscaled.
     """
@@ -260,16 +261,20 @@ def run_lissa(
     scale = lissa_hessian_scale(objective, data, x0)
 
     def step(t: int, x: np.ndarray, grad: np.ndarray, margins: np.ndarray):
-        rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
         if data is None or objective.loss_kind == "quadratic":
-            hessians = itertools.repeat(BatchHessian.at(objective, data, None, x, ANALYTIC))
+            product = BatchHessian.at(objective, data, None, x, ANALYTIC).__matmul__
         else:
+            rng = np.random.default_rng(derive_seed(cfg.seed, 31, t))
             indices = sample_batches(data.n_samples, 1, cfg.s1 * depth, rng)
             samples = gathered_batches(objective, data, indices, _curvature_weights(objective, margins))
-            hessians = (BatchHessian(objective, x, rows, weights) for rows, weights in samples)
+
+            def product(u: np.ndarray) -> np.ndarray:
+                rows, weight = next(samples)
+                return (weight * (rows @ u)) @ rows + objective.reg_a * u
+
         estimates = np.zeros_like(x)
         for _ in range(cfg.s1):
-            estimates += neumann_inverse_apply(lambda u: next(hessians) @ u, grad, depth, scale)
+            estimates += neumann_inverse_apply(product, grad, depth, scale)
         return x - cfg.eta * (estimates / cfg.s1), None, None, None
 
     return _drive(cfg, x0, _step, objective, data, step)

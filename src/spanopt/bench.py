@@ -208,7 +208,6 @@ class ExperimentConfig:
     ``method_configs`` holds the config of every method the file lists.
     """
 
-    seed: int
     output_dir: Path
     methods: list[str]
     objective: ObjectiveConfig
@@ -271,7 +270,7 @@ def load_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
     """Decode a config file and build every object its run needs; a bad value raises :class:`ConfigError`."""
     values = read_config_values(path)
     run = _decode_section(values, "")
-    seed = run["seed"]
+    seed = run.pop("seed")
     data, spectrum = _build_dataset(values, seed)
     fields = _decode_section(values, "objective")
     loss_kind = fields["loss_kind"]
@@ -531,10 +530,16 @@ def per_iteration_scaling(
     says anything about the algorithms.  ``l`` and ``q`` shape span's sketch.
     ``m`` is the dense baseline's truncation rank, ``newsamp.m`` in a config.
     Both methods take ``steps + warmup`` steps at ``eta = 0.5``.  A sketch
-    shape span refuses, or a rank below 1, raises :class:`ConfigError` before
-    any timing.  The baseline is skipped above its dimension cap,
-    ``objectives.DENSE_HESSIAN_MAX_DIM``.
+    shape span refuses, a rank below 1, or a dimension a method cannot run
+    (below ``l``, or at most ``m`` where the baseline runs) raises
+    :class:`ConfigError` before any timing.  The baseline is skipped above
+    its dimension cap, ``objectives.DENSE_HESSIAN_MAX_DIM``.
     """
+    for d in dims:
+        if d < l:
+            raise ConfigError(f"dimension d={d} is below span's sketch width l={l}")
+        if d <= min(m, objectives.DENSE_HESSIAN_MAX_DIM):
+            raise ConfigError(f"dimension d={d} is not above the dense baseline's truncation rank m={m}")
     span_samples: dict[int, list[float]] = {d: [] for d in dims}
     newsamp_samples: dict[int, list[float]] = {d: [] for d in dims}
     for round_idx in range(rounds):

@@ -12,7 +12,7 @@ A :class:`Dataset` stores each row times its label, ``y_i a_i``, dense or
 as ``scipy.sparse`` CSR: a margin loss reads a sample only through that
 signed row, so no oracle multiplies by a label.  Every sampled computation
 reads the rows through :func:`_batch_rows` and the same few products
-(``rows @ x``, ``rows.T @ y``), which both formats provide, so one code path
+(``rows @ x``, ``rows.T @ y`` or, on walk rows, ``y @ rows``), which both formats provide, so one code path
 serves both; a full-data ``rows.T @ y`` takes :attr:`Dataset.transposed`, a
 stored CSR copy for CSR data.  This module never imports scipy: only CSR
 data, built by whoever imported it, brings it in.
@@ -366,10 +366,10 @@ def _curvature_weights(cfg: ObjectiveConfig, margins: np.ndarray):
 class BatchHessian:
     """The batch Hessian ``H_B(x)`` with its batch rows gathered once, for repeated products.
 
-    :meth:`at` gathers a batch and builds the operator; lissa builds each
-    sample's analytic one over its row from :func:`gathered_batches`, which
-    takes vector products only, with weights of the full pass's margins.
-    ``rows`` are signed rows (:class:`Dataset`), so no product reads a label.
+    :meth:`at` gathers a batch's ndarray or CSR rows and builds the
+    operator, the only place the library builds one; lissa reads its
+    samples' walk rows as svrg does, without one.  ``rows`` are signed rows
+    (:class:`Dataset`), so no product reads a label.
     ``H @ v`` takes a (d,) vector or a (d, k) block.  A quadratic's
     ``weights`` are its diagonal ``spectrum + a`` (the config's own spectrum
     array when ``a`` is zero), its product ``weights * v`` in both modes: the central difference
@@ -465,21 +465,16 @@ class BatchHessian:
 class _Coordinates:
     """A few sparse rows as (row, column, value) triples.
 
-    Supports the vector products the objectives take, ``rows @ x`` and
-    ``rows.T @ y``, as numpy bincounts that add each row's terms in stored
-    order.  A batch of a few rows then costs a few microseconds where scipy
-    spends tens on each call.  ``y @ rows`` is ``rows.T @ y`` without the
-    transposed object that ``.T`` makes: svrg's step takes it, once per step.
+    Supports the two vector products that svrg's and lissa's steps take,
+    ``rows @ x`` and the transposed ``y @ rows``, as numpy bincounts that
+    add each row's terms in stored order.  A batch of a few rows then costs
+    a few microseconds where scipy spends tens on each call.
     """
 
     __array_ufunc__ = None  # so ``y @ rows`` with an array ``y`` comes to __rmatmul__
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]):
         self.rows, self.cols, self.values, self.shape = rows, cols, values, shape
-
-    @property
-    def T(self) -> "_Coordinates":
-        return _Coordinates(self.cols, self.rows, self.values, self.shape[::-1])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if not self.values.size:  # bincount of no entries is int64, whatever its weights
@@ -502,7 +497,7 @@ def gathered_batches(cfg: ObjectiveConfig, data: Dataset, indices: np.ndarray, *
     to about ``_GATHER_ENTRIES`` stored entries by the average row.  Dense
     rows are views into the run's block, CSR rows :class:`_Coordinates` cut
     from it, so a batch costs no gather of its own; the rows take vector
-    products only.  ``entries`` are the batch's entries of each n-vector in
+    products ``rows @ v`` and ``y @ rows`` only.  ``entries`` are the batch's entries of each n-vector in
     ``per_sample``.  Sampled kinds only.
     """
     count, size = indices.shape

@@ -417,33 +417,57 @@ class TestLissa:
         # the same bits on CSR data; on dense data the full pass's BLAS row dot
         # is not the one-row product, so the margins may differ in the last bit.
         cfg, data = stored_as(storage, loss)
-        drawn, products = [], []
-        draw = baselines.sample_batches
+        drawn, iterates, products = [], [], []
+        draw, step, neumann = baselines.sample_batches, baselines._step, baselines.neumann_inverse_apply
 
         def recorded_draw(n, b, count, rng):
             drawn.append(draw(n, b, count, rng))
             return drawn[-1]
 
-        class Recorded(BatchHessian):
-            def __matmul__(self, v):
-                out = super().__matmul__(v)
-                if self.rows is not data.signed_rows:  # not the scale probe's full-data operator
-                    products.append((self, v, out))
+        def recorded_step(state, *args):
+            iterates.append(state.x)
+            return step(state, *args)
+
+        def recorded_neumann(apply_hvp, g, depth, scale):
+            def recorded(u):
+                out = apply_hvp(u)
+                products.append((iterates[-1], u, out))
                 return out
 
+            return neumann(recorded, g, depth, scale)
+
         monkeypatch.setattr(baselines, "sample_batches", recorded_draw)
-        monkeypatch.setattr(baselines, "BatchHessian", Recorded)
+        monkeypatch.setattr(baselines, "_step", recorded_step)
+        monkeypatch.setattr(baselines, "neumann_inverse_apply", recorded_neumann)
         x0 = np.random.default_rng(7).standard_normal(4) * 2.0  # margins on both sides of Huber's curved band
         run_lissa(BaselineConfig(method="lissa", eta=0.5, t_max=3, s1=2, inner_steps=6, seed=4), cfg, data, x0)
         samples = np.concatenate(drawn)[:, 0]
         assert len(products) == samples.size == 3 * 2 * 6
-        assert any(hessian.weights[0] > 0 for hessian, _, _ in products)
-        for i, (hessian, u, out) in zip(samples, products):
-            expected = BatchHessian.at(cfg, data, [i], hessian.x, ANALYTIC) @ u
+        hessians = [BatchHessian.at(cfg, data, [i], x, ANALYTIC) for i, (x, _, _) in zip(samples, products)]
+        assert any(hessian.weights[0] > 0 for hessian in hessians)
+        for hessian, (_, u, out) in zip(hessians, products):
+            expected = hessian @ u
             if storage == "csr":
                 np.testing.assert_array_equal(out, expected)
             else:
                 assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_sampled_run_builds_no_operator(self, monkeypatch, storage):
+        # Each sample was its own frozen BatchHessian, and at reg_a = 0 the
+        # scale's zero-curvature check built one over every row.
+        cfg, data = stored_as(storage)
+        built, init = [], BatchHessian.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchHessian, "__init__", counted_init)
+        bl = BaselineConfig(method="lissa", eta=0.5, t_max=3, s1=2, inner_steps=6, seed=4)
+        for reg_a in (0.0, cfg.reg_a):
+            run_lissa(bl, ObjectiveConfig("logistic", reg_a=reg_a), data, np.zeros(4))
+        assert built == []
 
     def test_deterministic(self):
         cfg, data = toy_logistic(n=12, d=3, seed=9, reg=0.2)

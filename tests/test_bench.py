@@ -649,10 +649,33 @@ class TestCli:
         assert f"config error: {out}: output directory {out.parent} does not exist" in capsys.readouterr().err
         assert not out.parent.exists()
 
-    def test_scale_dimension_below_sketch_width_exit_two(self, tmp_path, capsys):
-        cfg = str(write_cfg(tmp_path, QUAD_CFG.format(out=tmp_path / "out")))  # span.l = 5
-        assert cli.main(["scale", cfg, "--dims", "3", "--steps", "1", "-o", str(tmp_path / "s.csv")]) == 2
-        assert "method failure:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "dims, message",
+        [("20,4", "dimension d=4 is below span's sketch width l=5"),
+         ("20,6", "dimension d=6 is not above the dense baseline's truncation rank m=6")],
+        ids=["below-sketch-width", "at-dense-rank"],
+    )
+    def test_scale_dimension_the_methods_cannot_run_exit_one(self, tmp_path, capsys, monkeypatch, dims, message):
+        # d = 20 was timed first; then d = 4 failed span's sketch (or
+        # newsamp's rank) with exit 2 and no table.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve was timed before the dimensions were checked")
+
+        monkeypatch.setattr(bench.span, "run_span", refuse)
+        text = QUAD_CFG.format(out=tmp_path / "out") + "newsamp.m = 6\n"  # span.l = 5
+        out = tmp_path / "scaling.csv"
+        argv = ["scale", str(write_cfg(tmp_path, text)), "--dims", dims, "--steps", "2", "-o", str(out)]
+        assert cli.main(argv) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scale_dense_rank_only_binds_under_the_cap(self, tmp_path, monkeypatch):
+        # Above the dense cap the baseline does not run, so its rank does not bound d.
+        timed = []
+        monkeypatch.setattr(bench.span, "run_span", lambda cfg, objective, data, x0: timed.append(x0.size) or (x0, []))
+        monkeypatch.setattr(bench, "_median_step_seconds", lambda trace, warmup: 0.0)
+        rows = bench.per_iteration_scaling([600], l=5, m=1000, q=1, steps=1, rounds=1)
+        assert timed == [600] and rows[0].newsamp_step_s is None
 
     def test_unregularized_batch_below_sketch_width_exit_two(self, tmp_path, capsys):
         # An unregularized batch Hessian of 2 rows has rank at most 2, so span's

@@ -1,10 +1,11 @@
 """The per-sample kernels work in arrays they allocate themselves.
 
-A batch-Hessian product, the full-data loss-and-gradient pass and the margin
-derivative write only into arrays of their own: never into the caller's
-vector or iterate, the operator's stored margins or weights, or the
-dataset.  Their temporaries stay within a fixed number of full-size arrays,
-and a CSR batch that stores no entries still gives float64.
+A batch-Hessian product, lissa's sample product, the full-data
+loss-and-gradient pass and the margin derivative write only into arrays of
+their own: never into the caller's vector or iterate, the operator's stored
+margins or weights, the walk's gathered rows, or the dataset.  Their
+temporaries stay within a fixed number of full-size arrays, and a CSR batch
+that stores no entries still gives float64.
 """
 
 import tracemalloc
@@ -21,12 +22,12 @@ from spanopt import (
     Dataset,
     ObjectiveConfig,
     loss_and_gradient,
+    run_lissa,
     run_svrg,
 )
+from spanopt import baselines
 from spanopt.objectives import (
-    _curvature_weights,
     _margin_derivative,
-    _pass,
     batch_gradient_difference,
     gathered_batches,
 )
@@ -62,30 +63,36 @@ def snapshot(arrays):
     return [a.tobytes() for a in arrays]
 
 
-def gathered_operator(cfg, data, batch, x):
-    """The analytic operator over ``batch``'s gathered rows, built as run_lissa builds each sample's."""
-    _, _, margins = _pass(cfg, data, None, x)
-    ((rows, weights),) = gathered_batches(cfg, data, batch[None], _curvature_weights(cfg, margins))
-    return BatchHessian(cfg, x, rows, weights)
+def lissa_product(monkeypatch, cfg, data, x, row):
+    """run_lissa's sample product at ``x`` as it reaches neumann_inverse_apply, over sample ``row`` twice.
 
-
-def one_operator(storage, cfg, data, x, mode):
-    """One batch's operator with its rows in ``storage``, and the gathered rows' arrays.
-
-    Dense and CSR rows are :meth:`BatchHessian.at`'s; ``coordinates`` are
-    :func:`gathered_batches`' rows of CSR data, which only lissa's analytic
-    operator multiplies.
+    Returns the product, not yet called, and the list into which the walk
+    logs each sample as it yields it: the arrays of its gathered CSR row and
+    its curvature weight, with their bytes at that moment.
     """
-    batch = np.arange(3, 30, 2)
-    if storage == "coordinates":
-        hessian = gathered_operator(cfg, data, batch, x)
-        return hessian, [hessian.rows.rows, hessian.rows.cols, hessian.rows.values]
-    return BatchHessian.at(cfg, data, batch, x, MODES[mode]), []
+    products, walked = [], []
+
+    def walk(*args):
+        for rows, weight in gathered_batches(*args):
+            arrays = [rows.rows, rows.cols, rows.values, weight]
+            walked.append((arrays, snapshot(arrays)))
+            yield rows, weight
+
+    def capture(apply_hvp, g, depth, scale):
+        products.append(apply_hvp)
+        return g
+
+    monkeypatch.setattr(baselines, "sample_batches", lambda n, b, count, rng: np.full((count, 1), row))
+    monkeypatch.setattr(baselines, "gathered_batches", walk)
+    monkeypatch.setattr(baselines, "neumann_inverse_apply", capture)
+    run_lissa(BaselineConfig(method="lissa", eta=1.0, t_max=1, inner_steps=2), cfg, data, x)
+    (product,) = products
+    return product, walked
 
 
 class TestWritesOnlyItsOwnArrays:
     @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
-    # Rows from gathered_batches (coordinates) take analytic vector products only.
+    # lissa's product over a sample's gathered CSR row (coordinates) takes vectors only.
     @pytest.mark.parametrize(
         "storage, operand, mode",
         [
@@ -96,22 +103,29 @@ class TestWritesOnlyItsOwnArrays:
         ]
         + [("coordinates", "vector", "analytic")],
     )
-    def test_product(self, storage, operand, mode, loss):
+    def test_product(self, monkeypatch, storage, operand, mode, loss):
         data = dataset("dense" if storage == "dense" else "csr")
         rng = np.random.default_rng(5)
         cfg = ObjectiveConfig(loss, reg_a=0.1)
         x = rng.standard_normal(data.dim)
-        hessian, stored = one_operator(storage, cfg, data, x, mode)
+        if storage == "coordinates":
+            product, walked = lissa_product(monkeypatch, cfg, data, x, row=3)
+            own = []
+        else:
+            hessian = BatchHessian.at(cfg, data, np.arange(3, 30, 2), x, MODES[mode])
+            product, walked = hessian.__matmul__, []
+            own = [hessian.x, hessian.margins, hessian.weights]
         v = rng.standard_normal(data.dim) if operand == "vector" else rng.standard_normal((data.dim, 4))
         if v.ndim == 2:
             v[:, 1] = 0.0
-        own = [hessian.x, hessian.margins, hessian.weights]
-        kept = [v, x, *data_arrays(data), *stored, *(a for a in own if a is not None)]
+        kept = [v, x, *data_arrays(data), *(a for a in own if a is not None)]
         before = snapshot(kept)
-        first = hessian @ v
+        first = product(v)
         assert snapshot(kept) == before
-        assert (hessian @ v).tobytes() == first.tobytes()
-        assert not any(np.shares_memory(first, a) for a in kept)
+        assert all(snapshot(arrays) == at_walk for arrays, at_walk in walked)
+        assert product(v).tobytes() == first.tobytes()
+        assert len(walked) == (2 if storage == "coordinates" else 0)
+        assert not any(np.shares_memory(first, a) for a in kept + [a for arrays, _ in walked for a in arrays])
 
     @pytest.mark.parametrize("loss", ["logistic", "huber_svm"])
     @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -155,22 +169,22 @@ class TestBatchThatStoresNothing:
 
     def test_coordinates_products_are_float64(self, empty_batch):
         rows = empty_batch
-        for product in (rows @ np.ones(6), rows.T @ np.ones(3), np.ones(3) @ rows):
+        for product in (rows @ np.ones(6), np.ones(3) @ rows):
             assert product.dtype == np.float64
             np.testing.assert_array_equal(product, 0.0)
 
-    # Gathered rows take lissa's analytic products only.
-    @pytest.mark.parametrize("mode", ["analytic"])
-    @pytest.mark.parametrize("shape", [(6,)])
-    def test_product_is_the_regularizer(self, data, mode, shape):
+    @pytest.mark.parametrize("row", BATCH)
+    def test_product_is_the_regularizer(self, monkeypatch, data, row):
+        # lissa's product over a sample's gathered row.
         cfg = ObjectiveConfig("logistic", reg_a=0.3)
         rng = np.random.default_rng(8)
-        v = rng.standard_normal(shape)
-        hessian = gathered_operator(cfg, data, self.BATCH, rng.standard_normal(6))
-        assert hessian.rows.values.size == 0
-        product = hessian @ v
-        assert product.dtype == np.float64
-        np.testing.assert_array_equal(product, cfg.reg_a * v)
+        v = rng.standard_normal(6)
+        product, walked = lissa_product(monkeypatch, cfg, data, rng.standard_normal(6), row)
+        out = product(v)
+        (((_, _, values, _), _),) = walked
+        assert values.size == 0
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, cfg.reg_a * v)
 
     def test_gradient_difference_is_the_regularizer(self, empty_batch):
         rows = empty_batch

@@ -187,7 +187,7 @@ class TestObjectives:
             assert rows.shape == dense_rows.shape
             close(rows @ x[:, 0], dense_rows @ x[:, 0])
             y = np.arange(1.0, batch.size + 1)
-            close(rows.T @ y, dense_rows.T @ y)
+            close(y @ rows, dense_rows.T @ y)
 
     @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL_FD], ids=["analytic", "fd"])
     @pytest.mark.parametrize("batch", [None, np.array([1, 2, 3, 9, 14, 22])])
@@ -298,7 +298,7 @@ class TestGatheredBatches:
             assert rows.shape == expected_rows.shape
             r, y = rng.standard_normal(data.dim), rng.standard_normal(b)
             assert (rows @ r).tobytes() == (expected_rows @ r).tobytes()
-            assert (rows.T @ y).tobytes() == (expected_rows.T @ y).tobytes()
+            assert (y @ rows).tobytes() == (expected_rows.T @ y).tobytes()
         if storage == "csr-first-batch-empty" and count:
             assert walked[0][0].values.size == 0 and walked[1][0].values.size > 0
 
