@@ -36,6 +36,7 @@ _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 _ASCII_WHITESPACE = " \t\n\r\v\f"  # what ``bytes.split()`` splits on
 # Whitespace that ``str.split()`` splits on beyond ASCII's, and control characters.
 _NOT_TEXT = re.compile(r"[^\S \t\n\r\v\f]|[\x00-\x08\x0e-\x1f\x7f-\x9f]")
+_UNDECODABLE = re.compile("[\ud800-\udfff]")  # a lone surrogate: a byte that is not UTF-8
 _INDEX_MAX = np.iinfo(np.int64).max  # largest index the int64 index arrays hold
 _NORM_FLOOR = math.sqrt(np.finfo(float).tiny)  # below it a row's squared norm is not a normal number
 
@@ -74,31 +75,19 @@ class SparseExamples:
             yield RawExample(label, tuple(zip(columns, self.values[lo:hi].tolist())))
 
 
-def _open_text(source: Union[str, Path, IO], errors: str = "strict") -> ContextManager[IO]:
-    """``source`` as UTF-8 text, closed on exit only if opened here: a path (gzip by extension), or a stream as is."""
+def _open_text(source: Union[str, Path, IO]) -> ContextManager[IO]:
+    """``source`` as UTF-8 text, closed on exit only if opened here: a path (gzip by extension), or a stream as is.
+
+    A path keeps each byte that is not UTF-8 as a lone surrogate (U+DC80 to
+    U+DCFF) on the line where it sits, so the parsing pass finds it as a
+    fault of that line, in file order; a caller's stream keeps its own decoder.
+    """
     if not isinstance(source, (str, Path)):
         return contextlib.nullcontext(source)
     path = Path(source)
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", errors=errors)
-    return open(path, "r", encoding="utf-8", errors=errors)
-
-
-def _raise_undecodable_line(source: Union[str, Path, IO], exc: UnicodeDecodeError) -> NoReturn:
-    """Raise the :class:`ParseError` of the first line of ``source`` that is not UTF-8.
-
-    A path is read again with each undecodable byte kept as a lone surrogate,
-    so its lines break exactly where the parsing pass broke them; a stream
-    cannot be read again, and its error names no line.
-    """
-    if isinstance(source, (str, Path)):
-        with _open_text(source, errors="surrogateescape") as stream:
-            for line_no, line in enumerate(stream, start=1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError("not UTF-8 text", line_no) from None
-    raise ParseError(f"not UTF-8 text: {exc}") from None
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", errors="surrogateescape")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
@@ -106,16 +95,20 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
 
     Tokens are separated by ASCII whitespace, as ``bytes.split()`` reads
     it: space, ``\t``, ``\r``, ``\v`` and ``\f``.  Blank lines and lines
-    whose first token starts with '#' are skipped, whatever else they hold.
-    Any other whitespace or control character in an example line is a fault,
-    such as a no-break space that ``str.split()`` would take for a separator.
+    whose first token starts with '#' are skipped, whatever UTF-8 text they
+    hold.  Any other whitespace or control character in an example line is
+    a fault, such as a no-break space that ``str.split()`` would take for a
+    separator.
     Feature indices must be strictly increasing within a line; the inferred
     dimension is the largest index seen anywhere.  Numbers are read as C's
     ``strtod`` reads them, so a token with a character outside ASCII or a
     ``_`` is not one.  Malformed lines, non-finite labels or values, indices
     beyond the int64 range and bytes that are not UTF-8 raise
-    :class:`ParseError` carrying the 1-based line number; a corrupt or
-    truncated gzip stream raises one naming the file.
+    :class:`ParseError` carrying the 1-based number of the first faulty line
+    in file order; a corrupt or truncated gzip stream raises one naming the
+    file.  A path is read once, and a byte that is not UTF-8, in an example
+    or a comment line, is a fault of its own line in that pass.  A caller's
+    text stream keeps its own decoder, whose error names no line.
 
     Lines are only split in Python; every :data:`_BLOCK_LINES` examples the
     collected lines and tokens are checked and converted to arrays at once, so
@@ -125,21 +118,21 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     block = _TokenBlock()
     try:
         with _open_text(source) as stream:
-            try:
-                for line_no, line in enumerate(stream, start=1):
-                    tokens = line.split()
-                    if not tokens or tokens[0].startswith("#"):
-                        if _blank_or_comment(line):
-                            continue
-                        # A separator only str.split() reads comes first: an
-                        # example line, which its block's check refuses.
-                        tokens = [line]
-                    block.add(line_no, line, tokens)
-                    if len(block.line_nos) == _BLOCK_LINES:
-                        blocks.append(block.arrays())
-                        block = _TokenBlock()
-            except UnicodeDecodeError as exc:
-                _raise_undecodable_line(source, exc)  # reads on, so a gzip fault may still follow
+            for line_no, line in enumerate(stream, start=1):
+                tokens = line.split()
+                if not tokens or tokens[0].startswith("#"):
+                    if _blank_or_comment(line) and not _UNDECODABLE.search(line):
+                        continue
+                    # A separator only str.split() reads comes first, or a byte
+                    # that is not UTF-8: an example line, which its block's
+                    # check refuses.
+                    tokens = [line]
+                block.add(line_no, line, tokens)
+                if len(block.line_nos) == _BLOCK_LINES:
+                    blocks.append(block.arrays())
+                    block = _TokenBlock()
+    except UnicodeDecodeError as exc:  # a caller's stream keeps its own, strict decoder
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ParseError(f"{source}: corrupt or truncated gzip stream: {exc}") from exc
     blocks.append(block.arrays())
@@ -162,6 +155,8 @@ class _TokenBlock:
     Faults are detected, then located: :meth:`arrays` checks the whole block
     at once and only tells whether it holds a fault; on one,
     :meth:`raise_first_error` checks its examples in order and raises the first.
+    A line holding a byte that is not UTF-8 (a lone surrogate) is held as an
+    example, even a comment, so its fault takes its place in that order.
     """
 
     def __init__(self):
@@ -231,9 +226,11 @@ def _check_example(line_no: int, line: str) -> None:
 
     This is the one place that words parse errors: the array checks of
     :meth:`_TokenBlock.arrays` only detect that a block holds a fault.  A
-    whitespace or control character other than ASCII whitespace comes first,
-    then the tokens in order.
+    byte that is not UTF-8 comes first, then a whitespace or control
+    character other than ASCII whitespace, then the tokens in order.
     """
+    if _UNDECODABLE.search(line):
+        raise ParseError("not UTF-8 text", line_no)
     stray = _NOT_TEXT.search(line)
     if stray:
         code = ord(stray.group())

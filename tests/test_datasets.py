@@ -47,10 +47,14 @@ def reference_load(stream):
     outside ASCII or a ``_``, which Python's ``float`` and ``int`` accept.
     Like ``bytes.split()``, it separates tokens by ASCII whitespace alone, and
     refuses any other whitespace or control character in an example line.
+    A line holding a lone surrogate, which is how a byte that is not UTF-8
+    reaches it, is refused before anything else is checked, comment or not.
     """
     labels, indptr, indices, values = [], [0], [], []
     dim = 0
     for line_no, line in enumerate(stream, start=1):
+        if any("\ud800" <= char <= "\udfff" for char in line):
+            raise ParseError("not UTF-8 text", line_no)
         stripped = line.strip(ASCII_WHITESPACE)
         if not stripped or stripped.startswith("#"):
             continue
@@ -103,8 +107,13 @@ def reference_load(stream):
 
 def parse_outcome(load, text):
     """What ``load`` makes of ``text``: the exact bytes of its arrays and dim, or its error."""
+    return load_outcome(load, io.StringIO(text))
+
+
+def load_outcome(load, source):
+    """What ``load`` makes of ``source``, a stream or a path, as :func:`parse_outcome` tells it."""
     try:
-        examples, dim = load(io.StringIO(text))
+        examples, dim = load(source)
     except ParseError as exc:
         return "error", exc.line, str(exc)
     arrays = (examples.labels, examples.indptr, examples.indices, examples.values)
@@ -121,6 +130,23 @@ def csr(*rows):
         indices=np.array([index - 1 for index, _ in pairs], dtype=np.int64),
         values=np.array([value for _, value in pairs], dtype=float),
     )
+
+
+# Lines of a byte file: valid and malformed examples, blank and comment
+# lines, and lines holding a byte that is not UTF-8 (0xff, a lone 0xe9, a
+# multi-byte sequence cut short), among them a comment.
+_BYTE_LINE = st.sampled_from(
+    [
+        b"1 1:0.5 3:2", b"-1 2:0.25", b"", b"# caf\xc3\xa9", b"1 2:0.5 x", b"1 3:1 2:1", b"x 1:1", b"1 1:\xc2\xa0",
+        b"\xff 1:1", b"1 1:\xe9", b"1 1:0.5 2:\xe2\x82", b"# caf\xe9", b"1 1:1 \xe2\x82\xac",
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def libsvm_dir(tmp_path_factory):
+    """One directory whose files a hypothesis test may overwrite example after example."""
+    return tmp_path_factory.mktemp("libsvm")
 
 
 def block_text(lines):
@@ -326,6 +352,57 @@ class TestLoadLibsvm:
         with pytest.raises(ParseError, match=f"^line {line}: not UTF-8 text$") as exc:
             load_libsvm(path)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize(
+        "raw, line, message",
+        [
+            (b"1 1:x\n\xff 2:1\n", 1, "non-numeric token '1:x'"),
+            (b"1 1:0.5 2:0.25\n" * 3000 + b"1 2:0.5 x\n" + b"1 1:1\n" * 10 + b"\xff 1:1\n", 3001, "malformed pair 'x'"),
+        ],
+        ids=["next-line", "eleven-lines-on"],
+    )
+    def test_a_fault_before_a_non_utf8_byte_is_named_first(self, tmp_path, suffix, raw, line, message):
+        # The strict decoder read ahead of the block checks, so the undecodable
+        # byte's later line was named.
+        path = tmp_path / f"data.txt{suffix}"
+        path.write_bytes(gzip.compress(raw) if suffix else raw)
+        with pytest.raises(ParseError) as exc:
+            load_libsvm(path)
+        assert str(exc.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_a_path_with_a_non_utf8_byte_is_opened_once(self, tmp_path, monkeypatch, suffix):
+        # The undecodable line was located by opening, and decompressing, the file again.
+        opened = []
+        open_text = datasets._open_text
+
+        def counting_open(*args, **kwargs):
+            opened.append(args)
+            return open_text(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "_open_text", counting_open)
+        path = tmp_path / f"data.txt{suffix}"
+        raw = b"1 1:0.5\n\xff 2:1\n"
+        path.write_bytes(gzip.compress(raw) if suffix else raw)
+        with pytest.raises(ParseError, match="^line 2: not UTF-8 text$"):
+            load_libsvm(path)
+        assert opened == [(path,)]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([0, datasets._BLOCK_LINES - 2]),
+        st.lists(_BYTE_LINE, min_size=1, max_size=6),
+        st.sampled_from(["", ".gz"]),
+    )
+    def test_byte_files_match_the_reference(self, libsvm_dir, valid_lines, lines, suffix):
+        # A prefix of valid lines moves the rest past the first block and the
+        # decoder's first read-ahead chunk.
+        raw = b"\n".join([b"1 1:0.5 2:0.25"] * valid_lines + lines) + b"\n"
+        path = libsvm_dir / f"data.txt{suffix}"
+        path.write_bytes(gzip.compress(raw) if suffix else raw)
+        stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+        assert load_outcome(load_libsvm, path) == load_outcome(reference_load, stream)
 
     def test_non_utf8_byte_in_a_stream_is_a_parse_error(self):
         with pytest.raises(ParseError, match="not UTF-8 text") as exc:
