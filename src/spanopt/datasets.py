@@ -106,9 +106,10 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     beyond the int64 range and bytes that are not UTF-8 raise
     :class:`ParseError` carrying the 1-based number of the first faulty line
     in file order; a corrupt or truncated gzip stream raises one naming the
-    file.  A path is read once, and a byte that is not UTF-8, in an example
-    or a comment line, is a fault of its own line in that pass.  A caller's
-    text stream keeps its own decoder, whose error names no line.
+    file, once the lines read before the damage pass their checks.  A path
+    is read once, and a byte that is not UTF-8, in an example or a comment
+    line, is a fault of its own line in that pass.  A caller's text stream
+    keeps its own decoder, whose error names no line.
 
     Lines are only split in Python; every :data:`_BLOCK_LINES` examples the
     collected lines and tokens are checked and converted to arrays at once, so
@@ -116,6 +117,7 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     """
     blocks = []
     block = _TokenBlock()
+    damage = None
     try:
         with _open_text(source) as stream:
             for line_no, line in enumerate(stream, start=1):
@@ -134,8 +136,10 @@ def load_libsvm(source: Union[str, Path, IO]) -> tuple[SparseExamples, int]:
     except UnicodeDecodeError as exc:  # a caller's stream keeps its own, strict decoder
         raise ParseError(f"not UTF-8 text: {exc}") from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise ParseError(f"{source}: corrupt or truncated gzip stream: {exc}") from exc
-    blocks.append(block.arrays())
+        damage = exc
+    blocks.append(block.arrays())  # a fault in the lines read before any damage comes first
+    if damage is not None:
+        raise ParseError(f"{source}: corrupt or truncated gzip stream: {damage}") from damage
     labels, counts, indices, values = (np.concatenate(parts) for parts in zip(*blocks))
     indptr = np.zeros(labels.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -1,13 +1,14 @@
 """Dense linear-algebra kernels shared by every other module.
 
 The factorizations sit behind the library's contracts.  Thin QR of a
-tall-skinny ``d x l`` block of more than 4096 entries takes plain
-CholeskyQR2, two Gram products and two triangular applies, when its first
-Cholesky factor bounds its condition number within the limit that
-CholeskyQR2 is proven stable for, about ``0.18 (eps (dl + l(l+1)))^(-1/2)``;
-any other block, a small one included, takes LAPACK's Householder QR.  R's
-diagonal is made positive, with a rank tripwire on it (stable
-orthonormality is load-bearing for the subspace error bounds).  The
+tall-skinny ``d x l`` block of more than 4096 entries takes CholeskyQR when
+its first Cholesky factor bounds its condition number within the limit that
+CholeskyQR2 is proven stable for, about ``0.18 (eps (dl + l(l+1)))^(-1/2)``:
+one pass when that pass's ``Q^T Q`` shows it orthonormal to 1e-14, else
+the second pass of CholeskyQR2.  Its ``Q`` is column-major.  Any other
+block, a small one included, takes LAPACK's Householder QR.  R's diagonal
+is made positive, with a rank tripwire on it (stable orthonormality is
+load-bearing for the subspace error bounds).  The
 symmetric eigensolver is LAPACK's ``eigh`` with values in descending order.
 Two kernels stay local: Box-Muller Gaussian sampling over a PCG64 stream
 (reproducible from the 64-bit seed alone, independent of numpy's own normal
@@ -37,6 +38,9 @@ _GRAM_TRACE_MAX = 2.0**600
 # products, factorizations and inverses, each a numpy call with a fixed cost.
 # Measured crossovers: d ~ 400-500 at l = 8, ~300 at l = 16, ~200 at l = 32.
 _HOUSEHOLDER_MAX_ENTRIES = 4096
+# A first CholeskyQR pass whose own Q^T Q is this close to I, entrywise, is
+# kept as the factor: the orthonormality every basis is tested for.
+_ONE_PASS_TOL = 1e-14
 _POWER_MAX_ITERS = 20_000
 # Largest norm estimate spectral_norm_sym reports, the mirror of its 1e-300
 # zero floor.  Its one caller, the Hessian-error probe, applies a difference
@@ -100,6 +104,20 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
     limit.  Images carried from the previous step pass; in them ``cond(y)``
     is that of the previous step's batch Hessian on its basis.
 
+    The second pass starts from the Gram ``Q1^T Q1`` of the first pass's
+    factor.  When every entry of that Gram is within 1e-14 of the identity,
+    the orthonormality this function's tests ask of any basis, measured by
+    the same product, ``Q1`` is returned and the second Cholesky, inverse
+    and GEMM are skipped; R's diagonal is then ``R1``'s.  Carried images
+    usually pass this check.  The a-priori one-pass bound ``5 cond(y)^2
+    (dl + l(l+1)) u`` is not used for the decision: at the condition bound
+    carried images reach, ~2e3, it is ~2e-4 and certifies nothing.  A
+    factor that misses 1e-14 takes the second pass on that Gram as
+    computed, with the bits of plain CholeskyQR2.  The ``Q`` of either
+    CholeskyQR path is column-major (``(R^-T y^T)^T``, no copy): in that
+    layout a diagonal operator's product ``w[:, None] * Q``, and the Gram
+    and captured block that follow, run as ``l`` contiguous loops of ``d``.
+
     Any other block, a small one or a fresh sketch of a decaying spectrum,
     goes through LAPACK's Householder QR, which is backward stable at any
     scale and conditioning, and the columns whose R pivot is negative
@@ -130,11 +148,13 @@ def qr_orthonormal(y: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_qr2(y: np.ndarray) -> np.ndarray | None:
-    """``Q`` of ``y`` by plain CholeskyQR2 when that is provably stable, else ``None``.
+    """Column-major ``Q`` of ``y`` by CholeskyQR when CholeskyQR2 is provably stable, else ``None``.
 
     The conditions are :func:`qr_orthonormal`'s: a Gram trace inside
     [2^-600, 2^600], and ``||R1||_F ||R1^-1||_F`` at most
-    ``sqrt(2)/8 (eps (dl + l(l+1)))^(-1/2)``.
+    ``sqrt(2)/8 (eps (dl + l(l+1)))^(-1/2)``.  The first pass is the
+    result when its own ``Q^T Q`` is within 1e-14 of ``I``; otherwise the
+    second pass runs.
     """
     d, l = y.shape
     with np.errstate(all="ignore"):  # NaN, Inf or an overflowing Gram only fail the checks
@@ -151,11 +171,14 @@ def _cholesky_qr2(y: np.ndarray) -> np.ndarray | None:
         cond_bound = math.sqrt(trace) * float(np.linalg.norm(r1_inv))
     if not cond_bound <= math.sqrt(2.0) / 8.0 / math.sqrt(_EPS * (d * l + l * (l + 1))):
         return None
-    q = y @ r1_inv
+    q = (r1_inv.T @ y.T).T  # y R1^-1, column-major at no copy cost
+    gram = q.T @ q
+    if np.abs(gram - np.eye(l)).max() <= _ONE_PASS_TOL:
+        return _checked_pivots(q, np.diagonal(r1))
     # Within the limit Q1 is orthonormal to well under one (Yamamoto et al.), so
     # Q1^T Q1 is positive definite and this Cholesky cannot fail.
-    r2 = np.linalg.cholesky(q.T @ q).T
-    return _checked_pivots(q @ np.linalg.inv(r2), np.diagonal(r1) * np.diagonal(r2))
+    r2 = np.linalg.cholesky(gram).T
+    return _checked_pivots((np.linalg.inv(r2).T @ q.T).T, np.diagonal(r1) * np.diagonal(r2))
 
 
 def _checked_pivots(q: np.ndarray, pivots: np.ndarray) -> np.ndarray:

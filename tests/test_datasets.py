@@ -335,6 +335,16 @@ class TestLoadLibsvm:
         with pytest.raises(ParseError, match="data.txt.gz"):
             load_libsvm(path)
 
+    def test_a_fault_before_a_truncation_is_named_first(self, tmp_path):
+        # The stream's damage was reported before the partial last block was
+        # checked, so line 1's fault went unnamed.
+        packed = gzip.compress(b"1 1:x\n" + b"1 1:0.5 3:1 5:0.25\n" * 800)
+        path = tmp_path / "data.txt.gz"
+        path.write_bytes(packed[: len(packed) // 2])
+        with pytest.raises(ParseError) as exc:
+            load_libsvm(path)
+        assert str(exc.value) == "line 1: non-numeric token '1:x'"
+
     @pytest.mark.parametrize("suffix", ["", ".gz"])
     @pytest.mark.parametrize(
         "raw, line",

@@ -278,8 +278,9 @@ class TestQrPaths:
         with pytest.raises(RankDeficient):
             linalg.qr_orthonormal(y)
 
-    def test_warm_span_step_takes_two_passes(self, cholesky_calls):
+    def test_warm_span_step_takes_one_pass(self, cholesky_calls):
         # The wide-quadratic benchmark's shape: d=5000, ten outliers over a flat tail, l=16.
+        # Its carried images are orthonormal to roundoff after one CholeskyQR pass.
         rng = np.random.default_rng(0)
         spectrum = np.concatenate([np.geomspace(1000.0, 50.0, 10), np.sort(1.0 + rng.random(4990))[::-1]])
         objective = ObjectiveConfig("quadratic", quadratic_spectrum=spectrum)
@@ -288,7 +289,37 @@ class TestQrPaths:
         for _ in range(2):
             cholesky_calls.clear()
             state, _ = span_step(state, objective, None, cfg)
-            assert cholesky_calls == [(16, 16)] * 2
+            assert cholesky_calls == [(16, 16)]
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0])
+    def test_certified_first_pass_is_kept(self, cond, cholesky_calls):
+        y = TestQrOrthonormal.graded_block(cond)
+        u = linalg.qr_orthonormal(y)
+        assert cholesky_calls == [(16, 16)]
+        assert u.flags.f_contiguous  # column-major, the layout the block products read
+        self.assert_orthonormal_with_residual(y, u, 1e-14)
+
+    def test_uncertified_first_pass_takes_the_second_with_the_same_bits(self, cholesky_calls):
+        # Graded 1e3 at d=300: the first pass loses ~1e-11 of orthogonality.
+        y = TestQrOrthonormal.graded_block(1e3, d=300)
+        u = linalg.qr_orthonormal(y)
+        assert len(cholesky_calls) == 2
+        # CholeskyQR2 written out row-major: the second pass's Q, bit for bit.
+        q1 = y @ np.linalg.inv(np.linalg.cholesky(y.T @ y).T)
+        assert np.abs(q1.T @ q1 - np.eye(16)).max() > 1e-14
+        np.testing.assert_array_equal(u, q1 @ np.linalg.inv(np.linalg.cholesky(q1.T @ q1).T))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", ["duplicate", "nearly duplicate", "zero"])
+    def test_rank_deficient_carried_shape_raises(self, column):
+        # 5000 x 16, where a well-conditioned block takes one CholeskyQR pass.
+        y = TestQrOrthonormal.graded_block(1.0)
+        if column == "zero":
+            y[:, 5] = 0.0
+        else:
+            y[:, 5] = y[:, 2] + (1e-14 * y[:, 7] if column == "nearly duplicate" else 0.0)
+        with pytest.raises(RankDeficient):
+            linalg.qr_orthonormal(y)
 
 
 class TestSymEigSmall:
